@@ -61,6 +61,9 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 		return Result{}, lkerr.New(lkerr.InvalidInput, op,
 			"placement covers %d gates, netlist has %d", len(pl.Site), n)
 	}
+	if err := pl.Validate(); err != nil {
+		return Result{}, lkerr.Wrap(lkerr.InvalidInput, op, err)
+	}
 
 	// Index the gate types and pre-build the pairwise covariance splines.
 	types := nl.SortedTypes()
@@ -112,7 +115,7 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 		rs[g], cs[g] = pl.RowCol(g)
 	}
 
-	// Distance-class kernel tables: one cov value per (type pair, lag
+	// Distance-class kernel tables: one row-sum term per (type pair, lag
 	// class), replacing the per-pair Hypot/TotalCorr/spline-eval chain with
 	// an indexed load.
 	var classTabs [][][]float64
@@ -124,40 +127,46 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 	}
 	if useTables {
 		endPre := telemetry.StartSpan(ctx, "truth.class_precompute")
-		classTabs = buildClassTables(m, pl.Grid, pairSpl)
+		var err error
+		classTabs, err = buildClassTables(m, pl.Grid, pairSpl)
 		endPre()
+		if err != nil {
+			return Result{}, err
+		}
 	}
 
 	// Pairwise covariances (Eq. 15's off-diagonal part). The upper
 	// triangle is sharded by row: each row a owns slot rowVar[a] and sums
 	// its b > a pairs left to right exactly as the serial loop did, and
 	// the rows are merged in index order below, so the result is bitwise
-	// identical at any worker count. The splines, class tables, and
-	// per-gate tables are read-only here (the model caches were warmed
-	// above).
+	// identical at any worker count. Rows are visited grouped by gate
+	// type (stable within a type), so one row type's class tables stay in
+	// cache across consecutive rows; the visiting order never reaches the
+	// sum. The splines, class tables, and per-gate tables are read-only
+	// here (the model caches were warmed above).
+	order := rowsByType(gt, len(types))
 	cols := pl.Grid.Cols
 	rep := telemetry.StartProgress(ctx, "core.truth", int64(n))
 	tick := parallel.NewTicker(rep)
 	rowVar := make([]float64, n)
-	err := parallel.ForEach(ctx, op, m.Workers, n, func(_, a int) error {
+	err := parallel.ForEach(ctx, op, m.Workers, n, func(_, k int) error {
 		fault.Hit(fault.SiteTruthRow)
+		a := order[k]
 		sum := 0.0
 		if classTabs != nil {
 			ra, ca := rs[a], cs[a]
 			row := classTabs[gt[a]]
 			for b := a + 1; b < n; b++ {
+				// Branch-free |Δrow| and |Δcol|: on randomly placed gates
+				// the sign of each lag is a coin flip per pair. The table
+				// entry is already 2·cov, or 0 for a skipped pair.
 				dr := ra - rs[b]
-				if dr < 0 {
-					dr = -dr
-				}
+				neg := dr >> 63
+				dr = (dr ^ neg) - neg
 				dc := ca - cs[b]
-				if dc < 0 {
-					dc = -dc
-				}
-				cov := row[gt[b]][dr*cols+dc]
-				if cov > 0 {
-					sum += 2 * cov
-				}
+				neg = dc >> 63
+				dc = (dc ^ neg) - neg
+				sum += row[gt[b]][dr*cols+dc]
 			}
 		} else {
 			xa, ya := xs[a], ys[a]
@@ -201,41 +210,76 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 // buildClassTables precomputes, for every (|Δrow|, |Δcol|) lag class of the
 // grid and every type pair, the pairwise leakage covariance the inner loop
 // would otherwise derive per pair: ρ = TotalCorr(LagDist), clamped to at
-// most 1, then the pair spline at ρ. Classes with non-positive ρ keep a
-// zero entry, which the accumulation skips exactly like the historical
-// `continue`. The shared ρ values are computed once per class; each
-// unordered type pair shares one table.
-func buildClassTables(m *Model, grid placement.Grid, pairSpl [][]*quad.Spline) [][][]float64 {
-	nc := grid.Rows * grid.Cols
-	rhos := make([]float64, nc)
-	for dr := 0; dr < grid.Rows; dr++ {
-		for dc := 0; dc < grid.Cols; dc++ {
-			rho := m.Proc.TotalCorr(grid.LagDist(dr, dc))
-			if rho > 1 {
-				rho = 1
-			}
-			rhos[dr*grid.Cols+dc] = rho
-		}
-	}
+// most 1, then the pair spline at ρ. An entry holds the pair's whole
+// contribution to a row sum, 2·cov, and zero where ρ ≤ 0 or cov ≤ 0 (the
+// terms the per-pair loop skips), so the inner loop is a plain add: 2·cov
+// is exact and adding +0 leaves the (never −0) row sum unchanged, which
+// keeps the sum bitwise equal to the per-pair loop's. Every pair spline is
+// tabulated on the same ρ knots, so each class locates its spline segment
+// once and evaluates all p(p+1)/2 pair splines on it; each unordered type
+// pair shares one table. Splines whose knots differ from the first one's
+// are an internal error, since a shared segment would then evaluate them
+// at the wrong place.
+func buildClassTables(m *Model, grid placement.Grid, pairSpl [][]*quad.Spline) ([][][]float64, error) {
 	nt := len(pairSpl)
-	tabs := make([][][]float64, nt)
-	for i := range tabs {
-		tabs[i] = make([][]float64, nt)
+	nc := grid.Rows * grid.Cols
+	base := pairSpl[0][0]
+	var spl []*quad.Spline
+	var tabs [][]float64
+	byPair := make([][][]float64, nt)
+	for i := range byPair {
+		byPair[i] = make([][]float64, nt)
 	}
 	for i := 0; i < nt; i++ {
 		for j := i; j < nt; j++ {
-			sp := pairSpl[i][j]
-			tab := make([]float64, nc)
-			for k, rho := range rhos {
-				if rho > 0 {
-					tab[k] = sp.Eval(rho)
-				}
+			if !base.SameKnots(pairSpl[i][j]) {
+				return nil, lkerr.New(lkerr.Numerical, "core.TrueStats",
+					"pair splines %d/%d do not share the ρ knots of pair 0/0", i, j)
 			}
-			tabs[i][j] = tab
-			tabs[j][i] = tab
+			tab := make([]float64, nc)
+			spl = append(spl, pairSpl[i][j])
+			tabs = append(tabs, tab)
+			byPair[i][j] = tab
+			byPair[j][i] = tab
 		}
 	}
-	return tabs
+	for dr := 0; dr < grid.Rows; dr++ {
+		for dc := 0; dc < grid.Cols; dc++ {
+			rho := m.Proc.TotalCorr(grid.LagDist(dr, dc))
+			if rho <= 0 {
+				continue
+			}
+			if rho > 1 {
+				rho = 1
+			}
+			k := dr*grid.Cols + dc
+			seg := base.Locate(rho)
+			for p, sp := range spl {
+				if cov := sp.EvalSegment(seg); cov > 0 {
+					tabs[p][k] = 2 * cov
+				}
+			}
+		}
+	}
+	return byPair, nil
+}
+
+// rowsByType returns the row indices 0..n−1 grouped by gate type in type
+// order, ascending within each type (a counting sort of gt).
+func rowsByType(gt []int, ntypes int) []int {
+	start := make([]int, ntypes+1)
+	for _, t := range gt {
+		start[t+1]++
+	}
+	for t := 1; t <= ntypes; t++ {
+		start[t] += start[t-1]
+	}
+	order := make([]int, len(gt))
+	for a, t := range gt {
+		order[start[t]] = a
+		start[t]++
+	}
+	return order
 }
 
 // ExtractSpec derives the high-level design characteristics (Fig. 1) from a

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // TechMap translates between generic ISCAS85 ".bench" Boolean operators and
@@ -16,6 +17,15 @@ type TechMap struct {
 	OpToCell func(op string, arity int) (string, error)
 	// CellToOp maps a library cell name to a bench operator.
 	CellToOp func(cellType string) (string, error)
+}
+
+// multiInputCells holds the X1 cell names of the 2-, 3- and 4-input
+// NAND/NOR/AND/OR gates, indexed by arity − 2.
+var multiInputCells = map[string][3]string{
+	"NAND": {"NAND2_X1", "NAND3_X1", "NAND4_X1"},
+	"NOR":  {"NOR2_X1", "NOR3_X1", "NOR4_X1"},
+	"AND":  {"AND2_X1", "AND3_X1", "AND4_X1"},
+	"OR":   {"OR2_X1", "OR3_X1", "OR4_X1"},
 }
 
 // DefaultTechMap maps bench operators to the X1 cells of the built-in
@@ -32,7 +42,7 @@ func DefaultTechMap() TechMap {
 				if arity < 2 || arity > 4 {
 					return "", fmt.Errorf("netlist: no %d-input %s cell", arity, op)
 				}
-				return fmt.Sprintf("%s%d_X1", op, arity), nil
+				return multiInputCells[op][arity-2], nil
 			case "XOR":
 				switch arity {
 				case 2:
@@ -122,7 +132,7 @@ func ReadBench(r io.Reader, name string, tm TechMap) (*Netlist, error) {
 	var raws []rawGate
 
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -130,10 +140,10 @@ func ReadBench(r io.Reader, name string, tm TechMap) (*Netlist, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		switch {
-		case strings.HasPrefix(strings.ToUpper(line), "INPUT("):
+		switch declKeyword(line) {
+		case "INPUT(":
 			inputs = append(inputs, extractParen(line))
-		case strings.HasPrefix(strings.ToUpper(line), "OUTPUT("):
+		case "OUTPUT(":
 			outputs = append(outputs, extractParen(line))
 		default:
 			eq := strings.Index(line, "=")
@@ -148,9 +158,9 @@ func ReadBench(r io.Reader, name string, tm TechMap) (*Netlist, error) {
 				return nil, fmt.Errorf("netlist: %s:%d: malformed expression %q", name, lineNo, rhs)
 			}
 			op := strings.ToUpper(strings.TrimSpace(rhs[:po]))
-			var fanins []string
-			for _, f := range strings.Split(rhs[po+1:pc], ",") {
-				fanins = append(fanins, strings.TrimSpace(f))
+			fanins := strings.Split(rhs[po+1:pc], ",")
+			for i, f := range fanins {
+				fanins[i] = strings.TrimSpace(f)
 			}
 			raws = append(raws, rawGate{out: out, op: op, fanins: fanins})
 		}
@@ -168,6 +178,16 @@ func ReadBench(r io.Reader, name string, tm TechMap) (*Netlist, error) {
 		id[in] = i
 	}
 	nl := &Netlist{Name: name, NumPI: len(inputs)}
+	if len(raws) > 0 {
+		nl.Gates = make([]Gate, 0, len(raws))
+	}
+	// Every gate's fanin ids are carved from one backing array, capped so
+	// an append to one gate's fanins can never write into the next.
+	nFanins := 0
+	for _, rg := range raws {
+		nFanins += len(rg.fanins)
+	}
+	faninPool := make([]int, nFanins)
 	pending := raws
 	for len(pending) > 0 {
 		progressed := false
@@ -188,7 +208,9 @@ func ReadBench(r io.Reader, name string, tm TechMap) (*Netlist, error) {
 			if err != nil {
 				return nil, fmt.Errorf("netlist: %s: node %s: %w", name, rg.out, err)
 			}
-			fanins := make([]int, len(rg.fanins))
+			k := len(rg.fanins)
+			fanins := faninPool[:k:k]
+			faninPool = faninPool[k:]
 			for j, f := range rg.fanins {
 				fanins[j] = id[f]
 			}
@@ -214,6 +236,23 @@ func ReadBench(r io.Reader, name string, tm TechMap) (*Netlist, error) {
 	}
 	sort.Ints(nl.Outputs)
 	return nl, nl.Validate()
+}
+
+// declKeyword returns "INPUT(" or "OUTPUT(" when the upper-cased line
+// starts with that declaration keyword, and "" otherwise. Gate lines, the
+// bulk of a file, start with an ASCII byte that upper-cases to neither I
+// nor O, which rules out both keywords without upper-casing the line.
+func declKeyword(line string) string {
+	if c := line[0]; c < utf8.RuneSelf && c&^0x20 != 'I' && c&^0x20 != 'O' {
+		return ""
+	}
+	up := strings.ToUpper(line)
+	for _, kw := range [...]string{"INPUT(", "OUTPUT("} {
+		if strings.HasPrefix(up, kw) {
+			return kw
+		}
+	}
+	return ""
 }
 
 func extractParen(line string) string {

@@ -9,7 +9,7 @@ import (
 	"leakest/internal/stats"
 )
 
-func libArity(t *testing.T) CellArity {
+func libArity(t testing.TB) CellArity {
 	t.Helper()
 	byName := cells.ByName(cells.Library())
 	return func(typ string) (int, error) {
@@ -282,5 +282,35 @@ func TestPropagateProbabilities(t *testing.T) {
 	arity0 := func(string) (int, error) { return 0, nil }
 	if _, _, err := PropagateProbabilities(nl, 0.5, arity0, outProb); err == nil {
 		t.Errorf("fanin/pin mismatch accepted")
+	}
+}
+
+// BenchmarkReadBench parses a 2,000-gate random circuit that uses every
+// multi-input operator the default tech map knows; run with -benchmem.
+func BenchmarkReadBench(b *testing.B) {
+	hist, err := stats.NewHistogram(map[string]float64{
+		"INV_X1": 4, "BUF_X1": 1, "NAND2_X1": 3, "NAND3_X1": 1, "NAND4_X1": 1,
+		"NOR2_X1": 2, "NOR3_X1": 1, "AND2_X1": 1, "OR2_X1": 1, "XOR2_X1": 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl, err := RandomCircuit(stats.NewRNG(5, "read-bench"), "rb", 2000, 32, hist, libArity(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBench(&buf, nl, DefaultTechMap()); err != nil {
+		b.Fatal(err)
+	}
+	src := buf.Bytes()
+	tm := DefaultTechMap()
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBench(bytes.NewReader(src), "rb", tm); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

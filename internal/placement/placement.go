@@ -68,6 +68,26 @@ type Placement struct {
 	Site []int
 }
 
+// Validate checks that every gate sits on a site of the grid and that no
+// two gates share a site — the invariants the pair-distance code indexes
+// by — in one O(n) pass with a bitset over the sites.
+func (p *Placement) Validate() error {
+	sites := p.Grid.Sites()
+	used := make([]uint64, (sites+63)/64)
+	for g, s := range p.Site {
+		if s < 0 || s >= sites {
+			return fmt.Errorf("placement: gate %d on site %d outside the %d×%d grid",
+				g, s, p.Grid.Rows, p.Grid.Cols)
+		}
+		w, bit := s/64, uint64(1)<<(s%64)
+		if used[w]&bit != 0 {
+			return fmt.Errorf("placement: gate %d shares site %d with an earlier gate", g, s)
+		}
+		used[w] |= bit
+	}
+	return nil
+}
+
 // RowMajor places n gates on the grid in row-major order.
 func RowMajor(g Grid, n int) (*Placement, error) {
 	if n > g.Sites() {

@@ -171,3 +171,23 @@ func TestAutoGrid(t *testing.T) {
 		t.Errorf("pitch = %g", g.SiteW)
 	}
 }
+
+func TestValidate(t *testing.T) {
+	g := Grid{Rows: 3, Cols: 5, SiteW: 1, SiteH: 1}
+	p, err := Random(stats.NewRNG(3, "validate"), g, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("full random placement: %v", err)
+	}
+	for name, site := range map[string][]int{
+		"past the grid": {0, 15},
+		"negative":      {-1, 2},
+		"shared site":   {4, 9, 4},
+	} {
+		if err := (&Placement{Grid: g, Site: site}).Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %v", name, site)
+		}
+	}
+}

@@ -165,30 +165,85 @@ func NewSpline(xs, ys []float64) (*Spline, error) {
 // Eval evaluates the spline at x. Outside the knot range, the boundary cubic
 // segment's linear tangent is used (clamped extrapolation).
 func (s *Spline) Eval(x float64) float64 {
-	n := len(s.xs)
-	if x <= s.xs[0] {
-		d := s.derivAtKnot(0)
-		return s.ys[0] + d*(x-s.xs[0])
+	// An unlocated segment makes EvalSegment run Locate itself, which keeps
+	// Eval small enough to inline: a call to Eval costs one call, not two,
+	// on the hot F(ρ) and leakage-curve lookups.
+	return s.EvalSegment(Segment{lo: unlocated, x: x})
+}
+
+// Segment is where x lies among a spline's knots. Splines with identical
+// knots (SameKnots) share it, so a caller evaluating many such splines at
+// one x locates the segment once and calls EvalSegment on each.
+type Segment struct {
+	// lo is the knot starting x's interval; −1 below the first knot, n−1
+	// at or above the last one (linear extrapolation), and unlocated when
+	// the segment still has to be found.
+	lo int
+	x  float64
+}
+
+const unlocated = -2
+
+// Locate finds the segment of x by binary search over the knots. It stays
+// small enough for the compiler to inline into EvalSegment.
+func (s *Spline) Locate(x float64) Segment {
+	xs := s.xs
+	if x <= xs[0] {
+		return Segment{lo: -1, x: x}
 	}
-	if x >= s.xs[n-1] {
-		d := s.derivAtKnot(n - 1)
-		return s.ys[n-1] + d*(x-s.xs[n-1])
+	lo, hi := 0, len(xs)-1
+	if x >= xs[hi] {
+		lo = hi // skips the search
 	}
-	// Binary search for the segment.
-	lo, hi := 0, n-1
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if s.xs[mid] > x {
+		if xs[mid] > x {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
+	return Segment{lo: lo, x: x}
+}
+
+// EvalSegment evaluates the spline on a segment located on a spline with
+// the same knots (this one or any other for which SameKnots holds).
+// Outside the knot range, the boundary cubic segment's linear tangent is
+// used (clamped extrapolation).
+func (s *Spline) EvalSegment(g Segment) float64 {
+	if g.lo == unlocated {
+		g = s.Locate(g.x)
+	}
+	n := len(s.xs)
+	lo, x := g.lo, g.x
+	if lo < 0 {
+		d := s.derivAtKnot(0)
+		return s.ys[0] + d*(x-s.xs[0])
+	}
+	if lo == n-1 {
+		d := s.derivAtKnot(n - 1)
+		return s.ys[n-1] + d*(x-s.xs[n-1])
+	}
+	hi := lo + 1
 	h := s.xs[hi] - s.xs[lo]
 	a := (s.xs[hi] - x) / h
 	b := (x - s.xs[lo]) / h
 	return a*s.ys[lo] + b*s.ys[hi] +
 		((a*a*a-a)*s.y2[lo]+(b*b*b-b)*s.y2[hi])*h*h/6
+}
+
+// SameKnots reports whether o has exactly the knots of s, bit for bit, so
+// that a Segment located on one evaluates correctly on the other.
+func (s *Spline) SameKnots(o *Spline) bool {
+	if len(s.xs) != len(o.xs) {
+		return false
+	}
+	for i, x := range s.xs {
+		if math.Float64bits(x) != math.Float64bits(o.xs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // derivAtKnot returns the spline first derivative at knot i (i = 0 or n−1).

@@ -195,3 +195,62 @@ func TestSplineQuadratureConsistency(t *testing.T) {
 		t.Errorf("∫spline(sin) = %.9g, want 2", got)
 	}
 }
+
+// A Segment located on one spline must evaluate every spline with the same
+// knots bit for bit as that spline's own Eval: at every knot, mid-segment,
+// at both ends and outside the knot range (linear extrapolation).
+func TestSegmentSharedEvalBitwise(t *testing.T) {
+	xs := Linspace(0, 1, 33)
+	mk := func(f func(float64) float64) *Spline {
+		ys := make([]float64, len(xs))
+		for i, x := range xs {
+			ys[i] = f(x)
+		}
+		s, err := NewSpline(xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	base := mk(func(x float64) float64 { return x })
+	others := []*Spline{
+		base,
+		mk(func(x float64) float64 { return math.Exp(2*x) - 1 }),
+		mk(func(x float64) float64 { return 1e-12 * x * x * math.Sin(5*x) }),
+	}
+	probes := []float64{0, 1, -0.5, -1e-300, 1 + 1e-15, 1.5, math.Inf(1)}
+	for i := range xs {
+		probes = append(probes, xs[i])
+		if i+1 < len(xs) {
+			probes = append(probes, (xs[i]+xs[i+1])/2, xs[i]+0.1*(xs[i+1]-xs[i]))
+		}
+	}
+	for _, s := range others {
+		if !base.SameKnots(s) {
+			t.Fatal("splines on one Linspace grid must share knots")
+		}
+		for _, x := range probes {
+			got, want := s.EvalSegment(base.Locate(x)), s.Eval(x)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("x=%v: shared segment %v, Eval %v", x, got, want)
+			}
+		}
+	}
+	shifted := make([]float64, len(xs))
+	copy(shifted, xs)
+	shifted[16] = math.Nextafter(shifted[16], 1)
+	s, err := NewSpline(shifted, shifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.SameKnots(s) {
+		t.Error("SameKnots missed a one-ULP knot difference")
+	}
+	short, err := NewSpline(xs[:32], xs[:32])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.SameKnots(short) {
+		t.Error("SameKnots missed a knot-count difference")
+	}
+}
