@@ -104,10 +104,12 @@ fuzz:
 # race-parallel is a focused race-detector pass over the deterministic
 # worker pool and its four call sites, including the truth pair loop's
 # type-grouped row order (ClassTables: worker invariance at 1, 3 and 8
+# workers) and the shared lag kernel of the linear and tiled estimators
+# (LagKernel: bitwise equal to the serial per-lag loop at 1, 3 and 8
 # workers). The full `race` target covers them too; this one is the fast CI
 # job for parallel-path changes.
 race-parallel:
-	$(GO) test -race ./internal/parallel/ ./internal/core/ -run 'Parallel|Sharding|ForEach|Ticker|ClassTables'
+	$(GO) test -race ./internal/parallel/ ./internal/core/ -run 'Parallel|Sharding|ForEach|Ticker|ClassTables|LagKernel'
 	$(GO) test -race . -run 'TestDeterminism|TestParallel|TestWorkersField'
 
 # bench runs every paper benchmark once and leaves a machine-readable

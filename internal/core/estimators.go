@@ -6,9 +6,7 @@ import (
 	"math"
 	"time"
 
-	"leakest/internal/fault"
 	"leakest/internal/lkerr"
-	"leakest/internal/parallel"
 	"leakest/internal/quad"
 	"leakest/internal/telemetry"
 )
@@ -72,18 +70,19 @@ func (m *Model) modelGrid() (rows, cols int) {
 	return rows, cols
 }
 
-// timeMethod spans an estimator stage and, when metrics are enabled,
-// observes estimate_duration_seconds{method=...}. The disabled path costs
-// one context lookup plus two atomic loads per estimation, never per
+// timeMethod spans an estimator stage, returning the context that carries
+// the span for its attributes, and, when metrics are enabled, observes
+// estimate_duration_seconds{method=...}. The disabled path costs one
+// context lookup plus two atomic loads per estimation, never per
 // iteration.
-func timeMethod(ctx context.Context, method, stage string) func() {
-	end := telemetry.StartSpan(ctx, stage)
+func timeMethod(ctx context.Context, method, stage string) (context.Context, func()) {
+	ctx, end := telemetry.WithSpan(ctx, stage)
 	if !telemetry.MetricsOn() {
-		return end
+		return ctx, end
 	}
 	start := time.Now()
 	name := telemetry.Label("estimate_duration_seconds", "method", method)
-	return func() {
+	return ctx, func() {
 		end()
 		telemetry.ObserveSeconds(name, time.Since(start).Seconds())
 	}
@@ -96,68 +95,19 @@ func (m *Model) EstimateLinear() (Result, error) {
 	return m.EstimateLinearCtx(context.Background())
 }
 
-// EstimateLinearCtx is EstimateLinear with cancellation: the distance-vector
-// loop checks ctx once per grid column, where it also reports progress.
+// EstimateLinearCtx is EstimateLinear with cancellation: the lag loop
+// checks ctx once per grid column, where it also reports progress.
 func (m *Model) EstimateLinearCtx(ctx context.Context) (Result, error) {
-	defer timeMethod(ctx, "linear", "estimate.linear")()
+	ctx, end := timeMethod(ctx, "linear", "estimate.linear")
+	defer end()
 	k, cols := m.modelGrid()
-	rep := telemetry.StartProgress(ctx, "estimate.linear", int64(cols))
-	s := k * cols
-	dw := m.Spec.W / float64(cols)
-	dh := m.Spec.H / float64(k)
-
-	// Off-diagonal mass over distance vectors (i, j) ≠ (0, 0); the
-	// diagonal term (0,0) contributes S·σ²_XI. Columns are sharded: each
-	// column i owns slot colOff[i] and sums its j terms top to bottom, and
-	// the columns are merged in index order below, so the result is
-	// bitwise identical at any worker count (the F(ρ_L) spline is
-	// read-only here).
-	colOff := make([]float64, cols)
-	tick := parallel.NewTicker(rep)
-	err := parallel.ForEach(ctx, "core.EstimateLinear", m.Workers, cols, func(_, i int) error {
-		sum := 0.0
-		for j := 0; j <= k-1; j++ {
-			if i == 0 && j == 0 {
-				continue
-			}
-			d := math.Hypot(float64(i)*dw, float64(j)*dh)
-			cov := m.CovAtCorr(m.Proc.TotalCorr(d))
-			if cov == 0 {
-				continue
-			}
-			// Each (±i, ±j) combination has multiplicity (m−i)(k−j); with
-			// i or j zero the sign does not double.
-			mult := float64((cols - i) * (k - j))
-			count := 4.0
-			if i == 0 || j == 0 {
-				count = 2
-			}
-			sum += count * mult * cov
-		}
-		colOff[i] = sum
-		tick.Tick()
-		return nil
-	})
+	variance, note, err := m.latticeVariance(ctx, "core.EstimateLinear", "estimate.linear",
+		k, cols, lagCounts(cols), lagCounts(k))
 	if err != nil {
-		rep.Done(tick.Count())
 		return Result{}, err
 	}
-	off := 0.0
-	for _, v := range colOff {
-		off += v
-	}
-	rep.Done(int64(cols))
-	off = fault.Corrupt(fault.SiteLinearAccum, off)
-	n := float64(m.Spec.N)
-	note := ""
-	if s != m.Spec.N {
-		occ := n * (n - 1) / (float64(s) * float64(s-1))
-		off *= occ
-		note = fmt.Sprintf("occupancy-scaled: %d gates on %d×%d=%d sites", m.Spec.N, k, cols, s)
-	}
-	variance := n*m.variance + off
 	return Result{
-		Mean:     n * m.mu,
+		Mean:     float64(m.Spec.N) * m.mu,
 		Std:      math.Sqrt(variance),
 		Method:   "linear",
 		GridRows: k,
@@ -180,19 +130,10 @@ func (m *Model) EstimateIntegral2D() (Result, error) {
 // EstimateIntegral2DCtx is EstimateIntegral2D with stage telemetry attached
 // to ctx (the quadrature itself is constant-time and uninterruptible).
 func (m *Model) EstimateIntegral2DCtx(ctx context.Context) (Result, error) {
-	defer timeMethod(ctx, "integral-2d", "estimate.integral-2d")()
-	w, h := m.Spec.W, m.Spec.H
+	_, end := timeMethod(ctx, "integral-2d", "estimate.integral-2d")
+	defer end()
 	n := float64(m.Spec.N)
-	area := w * h
-	integrand := func(x, y float64) float64 {
-		return (w - x) * (h - y) * m.CovAtCorr(m.Proc.TotalCorr(math.Hypot(x, y)))
-	}
-	nx, ny := m.panelCounts()
-	integral := quad.Integrate2D(integrand, 0, w, 0, h, nx, ny)
-	variance := 4 * n * n / (area * area) * integral
-	if variance < 0 {
-		variance = 0
-	}
+	variance, nx, ny := m.rectVariance(n, m.Spec.W, m.Spec.H)
 	return Result{
 		Mean:   n * m.mu,
 		Std:    math.Sqrt(variance),
@@ -201,12 +142,13 @@ func (m *Model) EstimateIntegral2DCtx(ctx context.Context) (Result, error) {
 	}.checkFinite("core.EstimateIntegral2D")
 }
 
-// panelCounts sizes the quadrature grid so each correlation length gets
+// rectVariance is the Eq. 20 variance of n gates spread over a w×h die (or
+// tile), on an nx×ny panel grid sized so each correlation length gets
 // several panels.
-func (m *Model) panelCounts() (nx, ny int) {
+func (m *Model) rectVariance(n, w, h float64) (variance float64, nx, ny int) {
 	lam := m.Proc.EffectiveRange(0.1)
 	if lam <= 0 {
-		lam = math.Max(m.Spec.W, m.Spec.H)
+		lam = math.Max(w, h)
 	}
 	scale := func(extent float64) int {
 		p := int(math.Ceil(4 * extent / lam))
@@ -218,7 +160,16 @@ func (m *Model) panelCounts() (nx, ny int) {
 		}
 		return p
 	}
-	return scale(m.Spec.W), scale(m.Spec.H)
+	nx, ny = scale(w), scale(h)
+	integrand := func(x, y float64) float64 {
+		return (w - x) * (h - y) * m.CovAtCorr(m.Proc.TotalCorr(math.Hypot(x, y)))
+	}
+	area := w * h
+	variance = 4 * n * n / (area * area) * quad.Integrate2D(integrand, 0, w, 0, h, nx, ny)
+	if variance < 0 {
+		variance = 0
+	}
+	return variance, nx, ny
 }
 
 // EstimatePolar computes the statistics with the constant-time 1-D polar
@@ -254,7 +205,8 @@ func (m *Model) EstimatePolarCtx(ctx context.Context) (Result, error) {
 	}
 	// The span starts after the applicability check so a refused attempt
 	// (Auto falling through to the 2-D integral) leaves no timing entry.
-	defer timeMethod(ctx, "polar-1d", "estimate.polar-1d")()
+	_, end := timeMethod(ctx, "polar-1d", "estimate.polar-1d")
+	defer end()
 	floor := m.CovAtCorr(m.Proc.CorrFloor())
 	g := func(r float64) float64 { return 0.5*r*r - (w+h)*r + math.Pi/2*w*h }
 	integrand := func(r float64) float64 {
@@ -298,7 +250,8 @@ func (m *Model) EstimateNaive() (Result, error) {
 
 // EstimateNaiveCtx is EstimateNaive with stage telemetry attached to ctx.
 func (m *Model) EstimateNaiveCtx(ctx context.Context) (Result, error) {
-	defer timeMethod(ctx, "naive-independent", "estimate.naive")()
+	_, end := timeMethod(ctx, "naive-independent", "estimate.naive")
+	defer end()
 	n := float64(m.Spec.N)
 	return Result{
 		Mean:   n * m.mu,

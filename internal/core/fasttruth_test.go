@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
 	"leakest/internal/stats"
@@ -190,5 +191,30 @@ func TestPropagatedTrueStatsErrors(t *testing.T) {
 	pins := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
 	if _, err := PropagatedTrueStats(m, bad, pl, pins); err == nil {
 		t.Errorf("unknown type accepted")
+	}
+}
+
+// PropagatedTrueStats must refuse a placement whose sites leave the grid or
+// collide: an off-grid site puts a gate off the die, and a shared site
+// would be summed silently.
+func TestPropagatedTrueStatsRejectsInvalidPlacement(t *testing.T) {
+	m := newTestModel(t, 64, AnalyticSimplified)
+	grid, _ := placement.AutoGrid(4)
+	nl := &netlist.Netlist{Name: "x", NumPI: 1, Gates: []netlist.Gate{
+		{Type: "INV_X1"}, {Type: "INV_X1"}, {Type: "INV_X1"}, {Type: "INV_X1"}}}
+	pins := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
+	for name, site := range map[string][]int{
+		"site past the grid": {0, 1, 2, grid.Sites() + 3},
+		"negative site":      {0, -1, 2, 3},
+		"shared site":        {0, 1, 1, 3},
+	} {
+		pl := &placement.Placement{Grid: grid, Site: site}
+		if _, err := PropagatedTrueStats(m, nl, pl, pins); !lkerr.IsCode(err, lkerr.InvalidInput) {
+			t.Errorf("%s: got %v, want InvalidInput", name, err)
+		}
+	}
+	pl, _ := placement.RowMajor(grid, 4)
+	if _, err := PropagatedTrueStats(m, nl, pl, pins); err != nil {
+		t.Errorf("valid placement refused: %v", err)
 	}
 }

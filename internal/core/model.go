@@ -265,7 +265,13 @@ func (m *Model) RGVariance() float64 { return m.variance }
 // CovAtCorr returns F(ρ_L), the RG leakage covariance between two distinct
 // sites whose channel-length correlation is ρ_L (Eq. 10). In MCSimplified
 // mode the ρ_leak = ρ_L assumption gives F(ρ) = ρ·(Σ w σ)².
-func (m *Model) CovAtCorr(rho float64) float64 {
+func (m *Model) CovAtCorr(rho float64) float64 { return m.covAtCorrFrom(rho, nil) }
+
+// covAtCorrFrom is CovAtCorr with the F spline's segment walked from *seg,
+// the previous call's segment, which it then updates; a nil seg bisects.
+// quad.LocateFrom finds the segment the bisection would, so the result is
+// bitwise CovAtCorr's either way.
+func (m *Model) covAtCorrFrom(rho float64, seg *quad.Segment) float64 {
 	if rho <= 0 {
 		// Uncorrelated lengths ⇒ independent leakages across sites.
 		return 0
@@ -276,7 +282,14 @@ func (m *Model) CovAtCorr(rho float64) float64 {
 	if m.Mode.usesSimplifiedCorr() {
 		return rho * m.sumWSigma * m.sumWSigma
 	}
-	v := m.fSpline.Eval(rho)
+	var g quad.Segment
+	if seg == nil {
+		g = m.fSpline.Locate(rho)
+	} else {
+		g = m.fSpline.LocateFrom(*seg, rho)
+		*seg = g
+	}
+	v := m.fSpline.EvalSegment(g)
 	if v < 0 {
 		v = 0
 	}

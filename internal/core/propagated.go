@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
 )
@@ -29,6 +30,9 @@ func PropagatedTrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement,
 	}
 	if len(gatePins) != n {
 		return Result{}, fmt.Errorf("core: %d pin-probability vectors for %d gates", len(gatePins), n)
+	}
+	if err := pl.Validate(); err != nil {
+		return Result{}, lkerr.Wrap(lkerr.InvalidInput, "core.PropagatedTrueStats", err)
 	}
 	mc := m.Mode.usesMCMoments()
 	mean := 0.0

@@ -7,11 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"leakest/internal/fault"
 	"leakest/internal/lkerr"
 	"leakest/internal/parallel"
 	"leakest/internal/placement"
-	"leakest/internal/quad"
 	"leakest/internal/telemetry"
 )
 
@@ -75,6 +73,20 @@ func tileLagCounts(edges []int, dim int) []int64 {
 		}
 	}
 	return lc
+}
+
+// lagCounts is the lag population of a whole dimension: tileLagCounts for
+// one tile.
+func lagCounts(dim int) []int64 { return tileLagCounts([]int{0, dim}, dim) }
+
+// tilesAcross recovers the tile-arrangement width from a row-major
+// partition: the tiles of the first tile row share Row0.
+func tilesAcross(parts []placement.Tile) int {
+	n := 0
+	for n < len(parts) && parts[n].Row0 == parts[0].Row0 {
+		n++
+	}
+	return n
 }
 
 // allocateTileGates distributes n gates over the tiles proportionally to
@@ -173,72 +185,27 @@ func (m *Model) EstimateTiled(tiles int, tileGates []int) (Result, error) {
 // the lag loop checks ctx once per grid column, and the per-tile stats pass
 // reports tile progress and observes tile_duration_seconds per tile.
 func (m *Model) EstimateTiledCtx(ctx context.Context, tiles int, tileGates []int) (Result, error) {
-	defer timeMethod(ctx, "linear-tiled", "estimate.linear-tiled")()
+	ctx, end := timeMethod(ctx, "linear-tiled", "estimate.linear-tiled")
+	defer end()
 	k, cols, parts, counts, err := m.tileGrid(tiles, tileGates)
 	if err != nil {
 		return Result{}, err
 	}
 	telemetry.SpanAttrInt(ctx, "tiles", int64(len(parts)))
-	rowEdges := placement.TileEdges(k, tiles)
-	colEdges := placement.TileEdges(cols, tiles)
-	or := tileLagCounts(rowEdges, k)
-	oc := tileLagCounts(colEdges, cols)
-
-	rep := telemetry.StartProgress(ctx, "estimate.linear-tiled", int64(cols))
-	s := k * cols
-	dw := m.Spec.W / float64(cols)
-	dh := m.Spec.H / float64(k)
-
-	// Off-diagonal mass, regrouped by lag exactly as the monolithic loop:
-	// oc[i]·or[j] is an exact integer equal to the monolithic count·mult
-	// (4·(cols−i)(k−j), halved on the axes), and the products stay far below
-	// 2⁵³, so float64(oc[i]·or[j])·cov rounds identically to the monolithic
-	// count·mult·cov. Columns are sharded into owned slots and merged in
-	// index order, preserving the §9 bitwise-determinism contract.
-	colOff := make([]float64, cols)
-	tick := parallel.NewTicker(rep)
-	err = parallel.ForEach(ctx, "core.EstimateTiled", m.Workers, cols, func(_, i int) error {
-		sum := 0.0
-		for j := 0; j <= k-1; j++ {
-			if i == 0 && j == 0 {
-				continue
-			}
-			d := math.Hypot(float64(i)*dw, float64(j)*dh)
-			cov := m.CovAtCorr(m.Proc.TotalCorr(d))
-			if cov == 0 {
-				continue
-			}
-			sum += float64(oc[i]*or[j]) * cov
-		}
-		colOff[i] = sum
-		tick.Tick()
-		return nil
-	})
+	// The lag populations assembled from the tiles equal the monolithic
+	// ones integer for integer (tileLagCounts), so the lag sum — and the
+	// result — is bitwise EstimateLinear's.
+	variance, note, err := m.latticeVariance(ctx, "core.EstimateTiled", "estimate.linear-tiled", k, cols,
+		tileLagCounts(placement.TileEdges(cols, tiles), cols), tileLagCounts(placement.TileEdges(k, tiles), k))
 	if err != nil {
-		rep.Done(tick.Count())
 		return Result{}, err
 	}
-	off := 0.0
-	for _, v := range colOff {
-		off += v
-	}
-	rep.Done(int64(cols))
-	off = fault.Corrupt(fault.SiteLinearAccum, off)
-	n := float64(m.Spec.N)
-	note := ""
-	if s != m.Spec.N {
-		occ := n * (n - 1) / (float64(s) * float64(s-1))
-		off *= occ
-		note = fmt.Sprintf("occupancy-scaled: %d gates on %d×%d=%d sites", m.Spec.N, k, cols, s)
-	}
-	variance := n*m.variance + off
-
-	stats, err := m.tileStats(ctx, parts, counts, dw, dh)
+	stats, err := m.tileStats(ctx, parts, counts, m.newLagKernel(k, cols))
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		Mean:      n * m.mu,
+		Mean:      float64(m.Spec.N) * m.mu,
 		Std:       math.Sqrt(variance),
 		Method:    "linear-tiled",
 		GridRows:  k,
@@ -253,17 +220,8 @@ func (m *Model) EstimateTiledCtx(ctx context.Context, tiles int, tileGates []int
 // cached per distinct (rows, cols) — at most four combinations under the
 // largest-remainder partition — and only the occupancy scaling differs per
 // tile. Tiles are sharded into owned slots merged in index order.
-func (m *Model) tileStats(ctx context.Context, parts []placement.Tile, counts []int, dw, dh float64) ([]TileStat, error) {
-	// Recover the tile-arrangement width from the partition itself: tiles in
-	// the first tile row share Row0.
-	across := 0
-	for _, t := range parts {
-		if t.Row0 == parts[0].Row0 {
-			across++
-		} else {
-			break
-		}
-	}
+func (m *Model) tileStats(ctx context.Context, parts []placement.Tile, counts []int, kern lagKernel) ([]TileStat, error) {
+	across := tilesAcross(parts)
 
 	type dims struct{ rows, cols int }
 	offCache := make(map[dims]float64)
@@ -275,24 +233,10 @@ func (m *Model) tileStats(ctx context.Context, parts []placement.Tile, counts []
 		if ok {
 			return v
 		}
+		wc, wr := lagCounts(d.cols), lagCounts(d.rows)
 		sum := 0.0
-		for i := 0; i < d.cols; i++ {
-			for j := 0; j < d.rows; j++ {
-				if i == 0 && j == 0 {
-					continue
-				}
-				dd := math.Hypot(float64(i)*dw, float64(j)*dh)
-				cov := m.CovAtCorr(m.Proc.TotalCorr(dd))
-				if cov == 0 {
-					continue
-				}
-				mult := float64((d.cols - i) * (d.rows - j))
-				count := 4.0
-				if i == 0 || j == 0 {
-					count = 2
-				}
-				sum += count * mult * cov
-			}
+		for i := range wc {
+			sum, _ = kern.column(sum, i, wc[i], wr)
 		}
 		cacheMu.Lock()
 		offCache[d] = sum
@@ -353,7 +297,8 @@ func (m *Model) EstimateTiledIntegral2D(tiles int, tileGates []int) (Result, err
 // EstimateTiledIntegral2DCtx is EstimateTiledIntegral2D with stage telemetry
 // attached to ctx.
 func (m *Model) EstimateTiledIntegral2DCtx(ctx context.Context, tiles int, tileGates []int) (Result, error) {
-	defer timeMethod(ctx, "integral2d-tiled", "estimate.integral2d-tiled")()
+	ctx, end := timeMethod(ctx, "integral2d-tiled", "estimate.integral2d-tiled")
+	defer end()
 	k, cols, parts, counts, err := m.tileGrid(tiles, tileGates)
 	if err != nil {
 		return Result{}, err
@@ -363,14 +308,7 @@ func (m *Model) EstimateTiledIntegral2DCtx(ctx context.Context, tiles int, tileG
 	dh := m.Spec.H / float64(k)
 	grid := placement.Grid{Rows: k, Cols: cols, SiteW: dw, SiteH: dh}
 
-	across := 0
-	for _, t := range parts {
-		if t.Row0 == parts[0].Row0 {
-			across++
-		} else {
-			break
-		}
-	}
+	across := tilesAcross(parts)
 
 	// Per-tile self terms: the Eq. 20 integral on each tile's own sub-die.
 	stats := make([]TileStat, len(parts))
@@ -380,18 +318,9 @@ func (m *Model) EstimateTiledIntegral2DCtx(ctx context.Context, tiles int, tileG
 		nt := float64(counts[idx])
 		w := float64(t.Cols()) * dw
 		h := float64(t.Rows()) * dh
-		area := w * h
 		var vt float64
-		if counts[idx] > 0 && area > 0 {
-			integrand := func(x, y float64) float64 {
-				return (w - x) * (h - y) * m.CovAtCorr(m.Proc.TotalCorr(math.Hypot(x, y)))
-			}
-			nx, ny := m.tilePanels(w, h)
-			integral := quad.Integrate2D(integrand, 0, w, 0, h, nx, ny)
-			vt = 4 * nt * nt / (area * area) * integral
-			if vt < 0 {
-				vt = 0
-			}
+		if counts[idx] > 0 && w*h > 0 {
+			vt, _, _ = m.rectVariance(nt, w, h)
 		}
 		variance += vt
 		stats[idx] = TileStat{
@@ -437,24 +366,4 @@ func (m *Model) EstimateTiledIntegral2DCtx(ctx context.Context, tiles int, tileG
 		Note:      fmt.Sprintf("%d tiles, centroid cross terms", len(parts)),
 		TileStats: stats,
 	}.checkFinite("core.EstimateTiledIntegral2D")
-}
-
-// tilePanels sizes a tile's quadrature grid the same way panelCounts sizes
-// the monolithic one, but for the tile's own extents.
-func (m *Model) tilePanels(w, h float64) (nx, ny int) {
-	lam := m.Proc.EffectiveRange(0.1)
-	if lam <= 0 {
-		lam = math.Max(w, h)
-	}
-	scale := func(extent float64) int {
-		p := int(math.Ceil(4 * extent / lam))
-		if p < 6 {
-			p = 6
-		}
-		if p > 48 {
-			p = 48
-		}
-		return p
-	}
-	return scale(w), scale(h)
 }

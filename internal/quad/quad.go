@@ -206,6 +206,33 @@ func (s *Spline) Locate(x float64) Segment {
 	return Segment{lo: lo, x: x}
 }
 
+// LocateFrom returns Locate(x) for any hint, found by walking the knots
+// from hint — the segment of an earlier x on this spline — instead of
+// bisecting. A caller whose x moves by about a knot per call (a lag
+// column's ρ) pays one or two predictable comparisons instead of the
+// bisection's unpredictable branches.
+func (s *Spline) LocateFrom(hint Segment, x float64) Segment {
+	if x != x {
+		return s.Locate(x) // NaN: the bisection ends on segment n−2
+	}
+	xs := s.xs
+	last := len(xs) - 2 // the last interior segment
+	lo := min(max(hint.lo, 0), last)
+	for lo > 0 && x < xs[lo] {
+		lo--
+	}
+	for lo < last && x >= xs[lo+1] {
+		lo++
+	}
+	switch {
+	case x <= xs[0]:
+		lo = -1
+	case x >= xs[last+1]:
+		lo = last + 1
+	}
+	return Segment{lo: lo, x: x}
+}
+
 // EvalSegment evaluates the spline on a segment located on a spline with
 // the same knots (this one or any other for which SameKnots holds).
 // Outside the knot range, the boundary cubic segment's linear tangent is

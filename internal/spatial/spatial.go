@@ -28,6 +28,9 @@ type CorrFunc interface {
 	// circulant-embedding grid sampler (randvar.GridSampler) sizes its
 	// embedding torus to span at least twice a finite Range — when that
 	// is affordable — so the wrapped kernel stays positive semi-definite.
+	// The O(n) linear estimators rely on Rho(d) being exactly 0 for every
+	// d > Range(): they add one constant covariance for all lags beyond
+	// it instead of evaluating Rho there.
 	Range() float64
 	// Name identifies the function family for reports.
 	Name() string

@@ -62,6 +62,49 @@ func TestFiniteSupport(t *testing.T) {
 	}
 }
 
+// The Range contract: every CorrFunc, built-in or built from a CorrSpec,
+// returns exactly 0 for every d > Range() — just past R, out to 10R and at
+// +Inf. The O(n) estimators' range tail adds one constant covariance for
+// all such lags instead of evaluating ρ, so a non-zero value here would
+// silently change their sums.
+func TestCorrFuncZeroBeyondRange(t *testing.T) {
+	funcs := append(corrFuncs(),
+		SphericalCorr{R: 1e-3}, SphericalCorr{R: 7.3e6},
+		TruncatedExpCorr{Lambda: 30, R: 50}, TruncatedExpCorr{Lambda: 1e-3, R: 5},
+		TruncatedExpCorr{Lambda: 1e300, R: 1e-300}, // the flat λ → ∞ limit
+	)
+	for _, spec := range []CorrSpec{
+		{Type: "exp", Lambda: 120}, {Type: "gauss", Lambda: 40},
+		{Type: "spherical", R: 333.3}, {Type: "truncexp", Lambda: 1000, R: 4000},
+		{Type: "truncexp", Lambda: 0.1, R: 1e5},
+	} {
+		cf, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		funcs = append(funcs, cf)
+	}
+	for _, cf := range funcs {
+		r := cf.Range()
+		if math.IsInf(r, 1) {
+			continue // unbounded support: no d lies beyond it
+		}
+		if !(r > 0) {
+			t.Errorf("%s: Range = %g, want > 0 or +Inf", cf.Name(), r)
+			continue
+		}
+		ds := []float64{math.Nextafter(r, math.Inf(1)), math.Inf(1)}
+		for k := 1; k <= 90; k++ {
+			ds = append(ds, r*(1+float64(k)/10))
+		}
+		for _, d := range ds {
+			if v := cf.Rho(d); v != 0 {
+				t.Errorf("%s: ρ(%g) = %g beyond Range %g, want exactly 0", cf.Name(), d, v, r)
+			}
+		}
+	}
+}
+
 func TestTruncatedExpApproximatesExp(t *testing.T) {
 	lam := 400.0
 	e := ExpCorr{Lambda: lam}
