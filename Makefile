@@ -32,8 +32,9 @@ conformance:
 # qmc-conformance is the race-enabled gate for the quasi-Monte-Carlo
 # sampler, bottom-up: the Sobol/scramble and pair-field unit layers, the
 # batched FFT transform, the chipmc qmc path (determinism across worker
-# counts and batch sizes, dense-referee agreement, degrade plumbing,
-# alloc pins), then the statistical suite — frozen dense/fft referees,
+# counts and batch sizes, dense-referee agreement, degrade plumbing), the
+# qmc rows of the route-freeze table and of the trial-loop alloc pin, then
+# the statistical suite — frozen dense/fft referees,
 # equal-SE trial ratio, convergence-slope gates, and the degrade
 # self-check — first under the race detector, then via `leakest verify
 # -qmc` at two worker counts (the reports must be identical; the second
@@ -42,26 +43,31 @@ qmc-conformance:
 	$(GO) test -race ./internal/randvar/ -run 'Sobol|TopModes|Pair|SetMode|SamplePartial'
 	$(GO) test -race ./internal/fft/
 	$(GO) test -race ./internal/chipmc/ -run 'TestQMC'
+	$(GO) test -race ./internal/chipmc/ -run '(TestRouteFreeze|TestTrialBodyAllocs)/qmc'
 	$(GO) test -race ./internal/conformance/ -run 'QMC'
 	$(GO) run ./cmd/leakest verify -qmc -workers 1
 	$(GO) run ./cmd/leakest verify -qmc -workers 4 -json QMC_CONFORMANCE_leakest.json
 
 # tail-conformance is the focused race-enabled gate for the distribution-tail
-# estimators: the chipmc tail unit tests (IS agreement, fallbacks, weight
-# faults, determinism across workers, race hammer), the stats tail
+# estimators: the chipmc tail unit tests (IS agreement on the dense and
+# tiled fields, fallbacks, weight faults), the tail rows of the route-freeze
+# table and of the trial-loop alloc pin, the root determinism across workers
+# and race hammer, the stats tail
 # primitives, and the conformance tail gates including the full-size
 # 10⁶-trial brute-force referee (TestTailGatesFull is skipped by -short
 # everywhere else, so this target is where it runs under the race detector).
 tail-conformance:
 	$(GO) test -race ./internal/stats/ -run 'Quantile|Exceedance|Binomial'
 	$(GO) test -race ./internal/chipmc/ -run 'TestTail'
+	$(GO) test -race ./internal/chipmc/ -run '(TestRouteFreeze|TestTrialBodyAllocs)/tail'
 	$(GO) test -race . -run 'TestDeterminismTail|TestTailAccumulatorRaceHammer'
 	$(GO) test -race ./internal/conformance/ -run 'TestTail'
 
 # tiled-conformance is the race-enabled gate for the §16 tiled pipeline,
 # bottom-up: the tile-partition and lag-count layers, the exact tiled
-# estimators, the per-tile Monte-Carlo runner (determinism, scratch reuse,
-# alloc pins), the streaming netlist reader (including its fuzz seed
+# estimators, the per-tile Monte-Carlo field (determinism, sampler reuse,
+# route label, tiled IS tail, the tiled rows of the route-freeze table and
+# of the trial-loop alloc pin), the streaming netlist reader (including its fuzz seed
 # corpus), then the statistical suite — bitwise tiled-vs-monolithic at
 # several tile counts, tile-count and worker invariance, the quadrature
 # envelope, the tiled MC law vs its serial pairwise reference, the
@@ -73,6 +79,7 @@ tiled-conformance:
 	$(GO) test -race ./internal/placement/ -run 'Tile|Partition'
 	$(GO) test -race ./internal/core/ -run 'Tiled'
 	$(GO) test -race ./internal/chipmc/ -run 'Tiled'
+	$(GO) test -race ./internal/chipmc/ -run '(TestRouteFreeze|TestTrialBodyAllocs)/tiled'
 	$(GO) test -race ./internal/netlist/ -run 'Stream|ScanPlaced'
 	$(GO) test -race ./internal/conformance/ -run 'Tiled'
 	$(GO) test -race . -run 'TestEstimatorTiles|TestEstimateStream|TestMonteCarloTiles'
@@ -88,12 +95,13 @@ server-smoke:
 
 # tracecheck pins the tracing layer's zero-overhead contract: with no trace,
 # no registry and no logger attached, every instrumentation hook — and the
-# chipmc trial loop they sit on — must be allocation-free. The AllocsPerRun
+# chipmc trial loop they sit on, over every field including the
+# importance-sampled tail fields — must be allocation-free. The AllocsPerRun
 # tests fail on any regression, so this is the cheap CI gate for changes that
 # touch the disabled telemetry path.
 tracecheck:
 	$(GO) test ./internal/telemetry/ -run 'TestDisabledTracingAllocFree|TestSpanNoopWhenAllSinksOff'
-	$(GO) test ./internal/chipmc/ -run 'TestTrialBodyAllocs|TestQMCTrialBodyAllocs|TestTiledTrialBodyAllocs'
+	$(GO) test ./internal/chipmc/ -run 'TestTrialBodyAllocs'
 	$(GO) test ./internal/randvar/ -run TestSobolAllocs
 
 # A short fuzz pass over the .bench parser; CI runs the seed corpus via
@@ -106,10 +114,14 @@ fuzz:
 # type-grouped row order (ClassTables: worker invariance at 1, 3 and 8
 # workers) and the shared lag kernel of the linear and tiled estimators
 # (LagKernel: bitwise equal to the serial per-lag loop at 1, 3 and 8
-# workers). The full `race` target covers them too; this one is the fast CI
-# job for parallel-path changes.
+# workers) and the chipmc trial loop's workers × batch × tiles hammer
+# (RouteFreeze: every Monte-Carlo route bitwise frozen at 1, 3 and 8
+# workers, qmc batch sizes 1, 2, 7 and 8, tile counts 2 and 3). The full
+# `race` target covers them too; this one is the fast CI job for
+# parallel-path changes.
 race-parallel:
 	$(GO) test -race ./internal/parallel/ ./internal/core/ -run 'Parallel|Sharding|ForEach|Ticker|ClassTables|LagKernel'
+	$(GO) test -race ./internal/chipmc/ -run 'TestRouteFreeze'
 	$(GO) test -race . -run 'TestDeterminism|TestParallel|TestWorkersField'
 
 # bench runs every paper benchmark once and leaves a machine-readable

@@ -529,7 +529,6 @@ func BenchmarkChipMCQMC(b *testing.B) {
 	}
 	est.Workers = envWorkers(b)
 	est.Sampler = SamplerQMC
-	est.Batch = 16
 	nl, err := RandomCircuit(lib, 1, "mc-qmc", 10000, 16, benchHist(b))
 	if err != nil {
 		b.Fatal(err)
@@ -548,11 +547,6 @@ func BenchmarkChipMCQMC(b *testing.B) {
 	}
 	b.StopTimer()
 	reportHealthMetrics(b, before)
-	// The batch size the sampler actually ran with (the configured value
-	// rounded to whole pairs), read back from the telemetry gauge.
-	if g, ok := MetricsSnapshot()["chipmc_qmc_batch_size"].(float64); ok && g > 0 {
-		b.ReportMetric(g, "batch")
-	}
 }
 
 // BenchmarkChipMCTail compares plain Monte Carlo against the tilted

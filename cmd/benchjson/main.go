@@ -124,9 +124,6 @@ type Bench struct {
 	Sampler      string  `json:"sampler,omitempty"`
 	Degradations float64 `json:"degradations_per_op,omitempty"`
 	CacheHits    float64 `json:"cache_hits_per_op,omitempty"`
-	// Batch is the qmc sampler's trial-fields-per-FFT-pass batch size
-	// (the "batch" unit BenchmarkChipMCQMC reports).
-	Batch int `json:"batch,omitempty"`
 	// Tiles is the tile count a tiled-pipeline benchmark ran with, and
 	// PeakBytes its high-water heap mark (the "tiles" and "peak-bytes"
 	// units of BenchmarkChipMCTiled and BenchmarkEstimateStream).
@@ -192,8 +189,6 @@ func parseLine(line string) (Bench, bool) {
 			b.Degradations = v
 		case "cache-hits/op":
 			b.CacheHits = v
-		case "batch":
-			b.Batch = int(v)
 		case "tiles":
 			b.Tiles = int(v)
 		case "peak-bytes":

@@ -46,6 +46,9 @@ func TestParseLineHealthMetrics(t *testing.T) {
 	}
 }
 
+// TestParseLineQMCSamplerAndBatch: the sampler unit is promoted, while the
+// retired "batch" unit of older ChipMCQMC lines is kept like any other
+// custom metric.
 func TestParseLineQMCSamplerAndBatch(t *testing.T) {
 	line := "BenchmarkChipMCQMC-4 \t 1\t 205737340 ns/op\t 1.000 sampler:qmc\t 16 batch"
 	b, ok := parseLine(line)
@@ -55,13 +58,13 @@ func TestParseLineQMCSamplerAndBatch(t *testing.T) {
 	if b.Sampler != "qmc" {
 		t.Errorf("sampler = %q, want qmc", b.Sampler)
 	}
-	if b.Batch != 16 {
-		t.Errorf("batch = %d, want 16", b.Batch)
+	if b.Metrics["batch"] != 16 {
+		t.Errorf("batch metric = %v, want 16 in Metrics", b.Metrics["batch"])
 	}
 	if b.Gates != 10000 {
 		t.Errorf("gates = %d, want the ChipMCQMC design size", b.Gates)
 	}
-	if len(b.Metrics) != 0 {
+	if len(b.Metrics) != 1 {
 		t.Errorf("promoted units must not also land in Metrics: %+v", b.Metrics)
 	}
 }

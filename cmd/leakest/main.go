@@ -198,7 +198,6 @@ func main() {
 	samplerFlag := flag.String("sampler", "auto", "Monte-Carlo field sampler: auto|dense|fft|qmc")
 	tiles := flag.Int("tiles", 0, "partition the die T×T and estimate per-tile with exact inter-tile combination (linear/auto/integral methods); 0 or 1 = monolithic")
 	streamPath := flag.String("stream", "", "streaming mode: one-pass estimate of a leakest-stream v1 file (die size and tiling come from its header)")
-	batch := flag.Int("batch", 0, "with -sampler qmc: trial fields per batched FFT pass; 0 = default")
 	spec := flag.Float64("spec", 0, "with -mc: leakage spec in A; report P[I_leak > spec] (yield at spec)")
 	quantilesFlag := flag.String("quantiles", "", "with -mc: comma-separated tail probabilities, e.g. \"0.5,0.95,0.999\"")
 	tailTrials := flag.Int("tail-trials", 0, "with -spec: importance-sampled deep-tail trial budget; 0 = plain MC only")
@@ -297,7 +296,6 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	est.Batch = *batch
 	est.Tiles = *tiles
 	est.Spec = *spec
 	est.TailTrials = *tailTrials

@@ -253,7 +253,7 @@ type MCSampler = chipmc.Sampler
 // O(S log S) circulant-embedding grid sampler, and SamplerQMC draws trials
 // from a scrambled-Sobol low-discrepancy sequence with batched FFT pair
 // fields — same distribution, materially fewer trials to a given standard
-// error (see the Estimator.Batch field).
+// error.
 const (
 	SamplerAuto  = chipmc.SamplerAuto
 	SamplerDense = chipmc.SamplerDense
@@ -292,7 +292,6 @@ func (e *Estimator) MonteCarloContext(ctx context.Context, nl *Netlist, pl *Plac
 		Seed:       seed,
 		Workers:    e.Workers,
 		Sampler:    e.Sampler,
-		Batch:      e.Batch,
 		Tiles:      e.Tiles,
 		Tail:       e.tailConfig(),
 	}, nl, pl)
@@ -313,7 +312,6 @@ func (e *Estimator) MonteCarloBudgeted(ctx context.Context, nl *Netlist, pl *Pla
 		MaxGates:   maxGates,
 		Workers:    e.Workers,
 		Sampler:    e.Sampler,
-		Batch:      e.Batch,
 		Tiles:      e.Tiles,
 		Tail:       e.tailConfig(),
 	}, nl, pl)

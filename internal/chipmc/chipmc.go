@@ -17,6 +17,10 @@
 // every grid lag (exactly when the embedding torus affords the kernel's
 // support, within a hard-capped clamp bias otherwise; see
 // randvar.GridSampler).
+//
+// Plan validates a Config and resolves its route; every route — dense, fft,
+// qmc, tiled, and the importance-sampled tail trials — then runs the one
+// trial loop of field.go over the route's field.
 package chipmc
 
 import (
@@ -77,8 +81,7 @@ const (
 	// estimand and unbiasedness as the other samplers, materially fewer
 	// trials to a given standard error on smooth integrands; results are
 	// NOT bitwise comparable to dense/fft (different deviate stream), but
-	// are themselves bitwise reproducible at any worker count or batch
-	// size. See qmc.go.
+	// are themselves bitwise reproducible at any worker count. See qmc.go.
 	SamplerQMC
 )
 
@@ -133,11 +136,6 @@ type Config struct {
 	IncludeVt bool
 	// Sampler selects the field construction (default SamplerAuto).
 	Sampler Sampler
-	// Batch is the number of trial fields the qmc sampler pushes through
-	// one batched 2-D FFT pass (default DefaultBatch; rounded up to a whole
-	// number of Dietrich–Newsam pairs). Ignored by the other samplers.
-	// Results are bitwise independent of the batch size.
-	Batch int
 	// QMCDegrade deliberately weakens the qmc deviate stream
 	// ("unscrambled" or "pseudo"; see randvar.NewSobolDegraded). It exists
 	// solely so the conformance suite can prove its convergence gates
@@ -214,72 +212,6 @@ type gateState struct {
 // the Vt-fluctuation leakage multiplier.
 const nvt = 1.4 * 0.0259
 
-// trialBuf is one worker's private trial state: a reusable PRNG (reseeded
-// per trial from the run's Stream, which reproduces the historical
-// per-trial streams bitwise with zero allocations) plus the sampling
-// scratch of whichever field path is active.
-type trialBuf struct {
-	rng   *rand.Rand
-	ls    []float64 // per-gate channel lengths
-	z     []float64 // dense-path standard-normal scratch
-	field []float64 // FFT-path per-site field
-	sc    *randvar.GridScratch
-}
-
-// trialRunner holds everything a chip-level trial needs, set up once per
-// run: gate state tables, the field sampler (exactly one of dense/grid is
-// non-nil), the frozen RNG stream prefix, and per-worker buffers.
-type trialRunner struct {
-	gates  []gateState
-	sites  []int
-	stream stats.Stream
-	dense  *randvar.MVNSampler
-	grid   *randvar.GridSampler
-	// sigmaVt is the Vt-fluctuation sigma when the ablation is enabled, 0
-	// otherwise.
-	sigmaVt float64
-	bufs    []trialBuf
-}
-
-// warm allocates a worker's buffers on its first trial; everything after is
-// allocation-free (guarded by TestTrialBodyAllocs).
-func (r *trialRunner) warm(b *trialBuf) {
-	n := len(r.gates)
-	b.rng = rand.New(rand.NewSource(1))
-	b.ls = make([]float64, n)
-	if r.dense != nil {
-		b.z = make([]float64, n)
-	} else {
-		b.field = make([]float64, r.grid.Sites())
-		b.sc = r.grid.NewScratch()
-	}
-}
-
-// runTrial executes one chip-level trial on worker w and returns the chip
-// total. The draw order — field normals first, then per-gate state and Vt
-// draws — is part of the determinism contract and matches the historical
-// implementation exactly on the dense path.
-func (r *trialRunner) runTrial(w, trial int) (float64, error) {
-	b := &r.bufs[w]
-	if b.rng == nil {
-		r.warm(b)
-	}
-	rng := b.rng
-	rng.Seed(r.stream.SeedFor(trial))
-	ls := b.ls
-	if r.dense != nil {
-		r.dense.SampleInto(rng, b.z, ls)
-	} else {
-		if err := r.grid.SampleInto(rng, b.sc, b.field); err != nil {
-			return 0, err
-		}
-		for g, s := range r.sites {
-			ls[g] = b.field[s]
-		}
-	}
-	return chipTotal(r.gates, rng, ls, r.sigmaVt), nil
-}
-
 // chipTotal evaluates the chip leakage of one sampled channel-length vector:
 // per-gate input state by inverse-CDF draw, leakage from the characterized
 // curve, optional Vt-fluctuation factor. Shared by the primary trial body
@@ -312,47 +244,120 @@ func Run(cfg Config, nl *netlist.Netlist, pl *placement.Placement) (Result, erro
 	return RunContext(context.Background(), cfg, nl, pl)
 }
 
-// resolveSampler picks the effective sampler and gate budget: explicit
-// sampler choices use their own default budget, auto routes small designs
-// to the frozen dense path and large ones to the FFT path, and an explicit
-// Config.MaxGates overrides the budget in every mode.
-func resolveSampler(cfg Config, n int) (use Sampler, maxGates int, err error) {
+// Route is a Monte-Carlo run's resolved plan, as Plan returns it.
+type Route struct {
+	// Sampler is the sampler the trials run on: SamplerAuto resolved to
+	// SamplerDense or SamplerFFT by gate count, SamplerFFT on a tiled run.
+	Sampler Sampler
+	// MaxGates is the gate budget in force.
+	MaxGates int
+	// Tiles is the per-axis tile count of a tiled run; 0 when monolithic.
+	Tiles int
+	// Embedding reports that the trials sample the full-grid circulant
+	// embedding (randvar.GridSampler), which Config.Prebuilt may supply.
+	Embedding bool
+}
+
+// Name labels the route in telemetry: the sampler name, prefixed "tiled-"
+// on a tiled run.
+func (r Route) Name() string {
+	if r.Tiles > 1 {
+		return "tiled-" + r.Sampler.String()
+	}
+	return r.Sampler.String()
+}
+
+// Plan validates cfg for a design of n gates placed on grid and resolves
+// its route. Explicit sampler choices use their own default budget, auto
+// routes small designs to the frozen dense path and large ones to the FFT
+// path, the qmc sampler rides the grid above the same threshold, and an
+// explicit Config.MaxGates overrides the budget in every mode. Every
+// refused combination is refused here, before any field is built.
+func Plan(cfg Config, n int, grid placement.Grid) (Route, error) {
+	const op = "chipmc.Run"
+	if n == 0 {
+		return Route{}, lkerr.New(lkerr.InvalidInput, op, "empty netlist")
+	}
 	switch cfg.Sampler {
 	case SamplerAuto, SamplerDense, SamplerFFT, SamplerQMC:
 	default:
-		return 0, 0, lkerr.New(lkerr.InvalidInput, "chipmc.Run",
-			"invalid Sampler %d", int(cfg.Sampler))
+		return Route{}, lkerr.New(lkerr.InvalidInput, op, "invalid Sampler %d", int(cfg.Sampler))
 	}
-	use = cfg.Sampler
-	if use == SamplerAuto {
+	rt := Route{Sampler: cfg.Sampler, MaxGates: cfg.MaxGates}
+	if rt.Sampler == SamplerAuto {
+		rt.Sampler = SamplerFFT
 		if n <= autoDenseLimit {
-			use = SamplerDense
-		} else {
-			use = SamplerFFT
+			rt.Sampler = SamplerDense
 		}
 	}
-	maxGates = cfg.MaxGates
-	if maxGates == 0 {
+	if rt.MaxGates == 0 {
+		rt.MaxGates = DefaultMaxGatesFFT
 		if cfg.Sampler == SamplerDense {
-			maxGates = DefaultMaxGates
-		} else {
-			maxGates = DefaultMaxGatesFFT
+			rt.MaxGates = DefaultMaxGates
 		}
 	}
-	return use, maxGates, nil
+	if cfg.Tiles < 0 {
+		return Route{}, lkerr.New(lkerr.InvalidInput, op, "negative Tiles %d", cfg.Tiles)
+	}
+	if cfg.Tiles > 1 {
+		if cfg.Sampler == SamplerDense || cfg.Sampler == SamplerQMC {
+			return Route{}, lkerr.New(lkerr.InvalidInput, op,
+				"tiled sampling (Tiles=%d) requires the fft or auto sampler, got %s",
+				cfg.Tiles, cfg.Sampler)
+		}
+		rt.Sampler, rt.Tiles = SamplerFFT, cfg.Tiles
+		if cfg.MaxGates == 0 {
+			rt.MaxGates = DefaultMaxGatesTiled
+		}
+	}
+	rt.Embedding = rt.Tiles == 0 &&
+		(rt.Sampler == SamplerFFT || (rt.Sampler == SamplerQMC && n > autoDenseLimit))
+	if n > rt.MaxGates {
+		return Route{}, lkerr.New(lkerr.BudgetExceeded, op,
+			"%d gates exceed the %s-sampler limit MaxGates=%d; "+
+				"use the analytic estimators (Estimate / TrueLeakage) for designs this large",
+			n, rt.Sampler, rt.MaxGates)
+	}
+	if grid.Sites() < n {
+		return Route{}, lkerr.New(lkerr.InvalidInput, op,
+			"%d gates do not fit the %d-site placement grid", n, grid.Sites())
+	}
+	if cfg.Lib == nil || cfg.Proc == nil {
+		return Route{}, lkerr.New(lkerr.InvalidInput, op, "Lib and Proc are required")
+	}
+	if err := cfg.Proc.Validate(); err != nil {
+		return Route{}, lkerr.Wrap(lkerr.InvalidInput, op, err)
+	}
+	if math.Abs(cfg.Proc.LNominal-cfg.Lib.Process.LNominal) > 1e-12 ||
+		math.Abs(cfg.Proc.TotalSigma()-cfg.Lib.Process.TotalSigma()) > 1e-12 {
+		return Route{}, lkerr.New(lkerr.InvalidInput, op, "process inconsistent with characterization")
+	}
+	if !(cfg.SignalProb >= 0 && cfg.SignalProb <= 1) {
+		return Route{}, lkerr.New(lkerr.InvalidInput, op,
+			"signal probability %g outside [0,1]", cfg.SignalProb)
+	}
+	if cfg.Samples != 0 && cfg.Samples < 10 {
+		return Route{}, lkerr.New(lkerr.InvalidInput, op, "%d samples too few", cfg.Samples)
+	}
+	if cfg.Tail != nil {
+		if _, err := cfg.Tail.validate(op); err != nil {
+			return Route{}, err
+		}
+	}
+	return rt, nil
 }
 
 // timeRun observes estimate_duration_seconds{method="chipmc",sampler=...}
 // when metrics are enabled, mirroring the analytic estimators' timings so
 // dashboards can compare methods and samplers directly.
-func timeRun(sampler Sampler) func() {
+func timeRun(route string) func() {
 	if !telemetry.MetricsOn() {
 		return func() {}
 	}
 	start := time.Now()
 	name := telemetry.Label(
 		telemetry.Label("estimate_duration_seconds", "method", "chipmc"),
-		"sampler", sampler.String())
+		"sampler", route)
 	return func() { telemetry.ObserveSeconds(name, time.Since(start).Seconds()) }
 }
 
@@ -361,182 +366,55 @@ func timeRun(sampler Sampler) func() {
 // cancel stops the run within one check interval.
 func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placement.Placement) (Result, error) {
 	const op = "chipmc.Run"
-	n := len(nl.Gates)
-	if n == 0 {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op, "empty netlist")
-	}
 	ctx, endRun := telemetry.WithSpan(ctx, "chipmc.run")
 	defer endRun()
-	use, maxGates, err := resolveSampler(cfg, n)
+	n := len(nl.Gates)
+	rt, err := Plan(cfg, n, pl.Grid)
 	if err != nil {
 		return Result{}, err
-	}
-	if cfg.Tiles < 0 {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op, "negative Tiles %d", cfg.Tiles)
-	}
-	if cfg.Tiles > 1 {
-		if cfg.Sampler == SamplerDense || cfg.Sampler == SamplerQMC {
-			return Result{}, lkerr.New(lkerr.InvalidInput, op,
-				"tiled sampling (Tiles=%d) requires the fft or auto sampler, got %s",
-				cfg.Tiles, cfg.Sampler)
-		}
-		if cfg.Tail != nil {
-			return Result{}, lkerr.New(lkerr.InvalidInput, op,
-				"tiled sampling does not support tail estimation; run with Tiles=0")
-		}
-		use = SamplerFFT
-		if cfg.MaxGates == 0 {
-			maxGates = DefaultMaxGatesTiled
-		}
-	}
-	if n > maxGates {
-		return Result{}, lkerr.New(lkerr.BudgetExceeded, op,
-			"%d gates exceed the %s-sampler limit MaxGates=%d; "+
-				"use the analytic estimators (Estimate / TrueLeakage) for designs this large",
-			n, use, maxGates)
 	}
 	if len(pl.Site) != n {
 		return Result{}, lkerr.New(lkerr.InvalidInput, op,
 			"placement covers %d gates, netlist has %d", len(pl.Site), n)
 	}
-	if cfg.Lib == nil || cfg.Proc == nil {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op, "Lib and Proc are required")
-	}
-	if err := cfg.Proc.Validate(); err != nil {
-		return Result{}, lkerr.Wrap(lkerr.InvalidInput, op, err)
-	}
-	if math.Abs(cfg.Proc.LNominal-cfg.Lib.Process.LNominal) > 1e-12 ||
-		math.Abs(cfg.Proc.TotalSigma()-cfg.Lib.Process.TotalSigma()) > 1e-12 {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op, "process inconsistent with characterization")
-	}
-	if !(cfg.SignalProb >= 0 && cfg.SignalProb <= 1) {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op,
-			"signal probability %g outside [0,1]", cfg.SignalProb)
-	}
 	if cfg.Samples == 0 {
 		cfg.Samples = 2000
 	}
-	if cfg.Samples < 10 {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op, "%d samples too few", cfg.Samples)
-	}
-	if cfg.Batch < 0 {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op, "negative Batch %d", cfg.Batch)
-	}
-	var tailQs []float64
-	if cfg.Tail != nil {
-		tailQs, err = cfg.Tail.validate(op)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
 	gates, err := buildGateStates(cfg, nl)
 	if err != nil {
 		return Result{}, err
 	}
-
-	if cfg.Tiles > 1 {
-		return runTiledContext(ctx, cfg, nl, pl, gates)
-	}
-
-	runner := &trialRunner{gates: gates, stream: stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/trial#")}
-	if cfg.IncludeVt {
-		runner.sigmaVt = cfg.Proc.SigmaVt
-	}
-	// The qmc sampler rides the grid path on large designs (batched pair
-	// fields) and the dense path on small ones (direct low-discrepancy
-	// deviates), mirroring the auto threshold.
-	wantGrid := use == SamplerFFT || (use == SamplerQMC && n > autoDenseLimit)
-	if wantGrid {
-		endSetup := telemetry.StartSpan(ctx, "chipmc.fft_setup")
-		var gs *randvar.GridSampler
-		var gerr error
-		if cfg.Prebuilt != nil && cfg.Prebuilt.Grid() == pl.Grid {
-			gs = cfg.Prebuilt
-			telemetry.SpanAttrBool(ctx, "chipmc.prebuilt_embedding", true)
-		} else {
-			gs, gerr = randvar.NewGridSamplerContext(ctx, cfg.Proc, pl.Grid)
-		}
-		if gerr == nil {
-			if ferr := fault.Failure(fault.SiteFFTSetup); ferr != nil {
-				gs, gerr = nil, ferr
-			}
-		}
-		endSetup()
-		switch {
-		case gerr == nil:
-			runner.grid = gs
-			runner.sites = pl.Site
-			// Numerical-health facts of the embedding: how much eigenvalue
-			// clamping the torus absorbed and how large it had to grow.
-			tm, tn := gs.TorusDims()
-			telemetry.SpanAttrStr(ctx, "chipmc.torus", fmt.Sprintf("%dx%d", tm, tn))
-			telemetry.SpanAttrFloat(ctx, "chipmc.clamp_bias", gs.ClampBias())
-		case cfg.Sampler == SamplerAuto && cfg.MaxGates != 0 && n <= cfg.MaxGates:
-			// The embedding failed, but the caller's explicit gate budget
-			// admits the dense path: degrade gracefully and record it.
-			telemetry.Add("chipmc_sampler_fallback_total", 1)
-			telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
-			use = SamplerDense
-		case use == SamplerQMC && cfg.MaxGates != 0 && n <= cfg.MaxGates:
-			// Same graceful degradation for qmc: the explicit budget admits
-			// the dense field, and the low-discrepancy stream carries over
-			// (runner.grid stays nil, selecting the dense-qmc trial body).
-			telemetry.Add("chipmc_sampler_fallback_total", 1)
-			telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
-		default:
-			return Result{}, lkerr.Wrap(lkerr.Numerical, op, gerr)
-		}
-	}
-	if use == SamplerDense || (use == SamplerQMC && runner.grid == nil) {
-		dense, derr := newDenseSampler(ctx, cfg, n, pl)
-		if derr != nil {
-			return Result{}, derr
-		}
-		runner.dense = dense
-	}
-	defer timeRun(use)()
-
-	// Trial fan-out. Each trial draws from its own PRNG stream keyed by
-	// (Seed, trial index), so the sampled fields — and therefore every
-	// moment below — are bitwise identical at any worker count. Workers
-	// only race on disjoint totals[trial] slots and on their private
-	// trialBuf scratch; the Welford reduction runs serially afterwards in
-	// trial order.
 	workers := parallel.Resolve(cfg.Workers, cfg.Samples)
-	runner.bufs = make([]trialBuf, workers)
+	f, stream, err := newPrimaryField(ctx, cfg, &rt, nl.Name, pl, workers)
+	if err != nil {
+		return Result{}, err
+	}
+	if rt.Tiles > 1 {
+		// Audit the O(largest tile) field-memory claim after setup and
+		// after the trials (the process_peak_alloc_bytes gauge).
+		telemetry.SamplePeakAlloc()
+		defer telemetry.SamplePeakAlloc()
+	}
+	defer timeRun(rt.Name())()
+
+	e := newEngine(cfg, gates, workers)
 	totals := make([]float64, cfg.Samples)
-	telemetry.Inc(telemetry.Label("chipmc_sampler_runs_total", "sampler", use.String()))
-	telemetry.SpanAttrStr(ctx, "chipmc.sampler", use.String())
+	telemetry.Inc(telemetry.Label("chipmc_sampler_runs_total", "sampler", rt.Name()))
+	telemetry.SpanAttrStr(ctx, "chipmc.sampler", rt.Name())
 	telemetry.SpanAttrInt(ctx, "chipmc.trials", int64(cfg.Samples))
 	telemetry.SpanAttrInt(ctx, "chipmc.workers", int64(workers))
 	endTrials := telemetry.StartSpan(ctx, "chipmc.trials")
 	rep := telemetry.StartProgress(ctx, "chipmc.trials", int64(cfg.Samples))
-	tick := parallel.NewTicker(rep)
-	var trialsC *telemetry.Counter
+	set := &trialSet{f: f, stream: stream, totals: totals, tick: parallel.NewTicker(rep)}
 	if r := telemetry.Default(); r != nil {
-		trialsC = r.Counter("chipmc_trials_total")
+		set.counter = r.Counter("chipmc_trials_total")
 	}
-	if use == SamplerQMC {
-		err = runQMCTrials(ctx, cfg, nl.Name, runner, totals, workers, tick, trialsC)
-	} else {
-		err = parallel.ForEach(ctx, op, workers, cfg.Samples, func(w, trial int) error {
-			trialsC.Inc()
-			fault.Hit(fault.SiteChipMCTrial)
-			total, terr := runner.runTrial(w, trial)
-			if terr != nil {
-				return lkerr.Wrap(lkerr.Numerical, op, terr)
-			}
-			totals[trial] = fault.Corrupt(fault.SiteChipMCTrial, total)
-			tick.Tick()
-			return nil
-		})
-	}
-	if err != nil {
-		rep.Done(tick.Count())
+	if err := e.run(ctx, op, set); err != nil {
+		rep.Done(set.tick.Count())
 		endTrials()
 		return Result{}, err
 	}
+	// The Welford reduction runs serially in trial order.
 	var run stats.Running
 	for _, total := range totals {
 		run.Push(total)
@@ -562,13 +440,71 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 		return Result{}, err
 	}
 	if cfg.Tail != nil {
-		tail, terr := runTail(ctx, cfg, tailQs, nl.Name, pl, runner, totals, res, workers)
+		tail, terr := runTail(ctx, cfg, nl.Name, pl, e, f, totals, res)
 		if terr != nil {
 			return Result{}, terr
 		}
 		res.Tail = tail
 	}
 	return res, nil
+}
+
+// newPrimaryField builds route rt's trial field and the stream that seeds
+// its trials: the tiled field, the full-grid embedding (the fft grid field
+// or the qmc pair field), or the dense field. An embedding failure degrades
+// to the dense field when the caller's explicit gate budget admits it and
+// the sampler was not forced to fft, updating rt.
+func newPrimaryField(ctx context.Context, cfg Config, rt *Route, name string, pl *placement.Placement, workers int) (field, stats.Stream, error) {
+	const op = "chipmc.Run"
+	trialStream := stats.NewStream(cfg.Seed, "chipmc/"+name+"/trial#")
+	if rt.Tiles > 1 {
+		f, err := newTiledField(ctx, cfg, name, pl, workers)
+		return f, stats.NewStream(cfg.Seed, "chipmc/"+name+"/d2d#"), err
+	}
+	if rt.Embedding {
+		endSetup := telemetry.StartSpan(ctx, "chipmc.fft_setup")
+		var gs *randvar.GridSampler
+		var err error
+		if cfg.Prebuilt != nil && cfg.Prebuilt.Grid() == pl.Grid {
+			gs = cfg.Prebuilt
+			telemetry.SpanAttrBool(ctx, "chipmc.prebuilt_embedding", true)
+		} else {
+			gs, err = randvar.NewGridSamplerContext(ctx, cfg.Proc, pl.Grid)
+		}
+		if err == nil {
+			if ferr := fault.Failure(fault.SiteFFTSetup); ferr != nil {
+				gs, err = nil, ferr
+			}
+		}
+		endSetup()
+		switch {
+		case err == nil:
+			// Numerical-health facts of the embedding: how much eigenvalue
+			// clamping the torus absorbed and how large it had to grow.
+			tm, tn := gs.TorusDims()
+			telemetry.SpanAttrStr(ctx, "chipmc.torus", fmt.Sprintf("%dx%d", tm, tn))
+			telemetry.SpanAttrFloat(ctx, "chipmc.clamp_bias", gs.ClampBias())
+			if rt.Sampler == SamplerQMC {
+				f, err := newPairField(ctx, cfg, name, gs, pl.Site, workers)
+				return f, trialStream, err
+			}
+			return newGridField(gs, pl.Site, workers), trialStream, nil
+		case cfg.MaxGates != 0 && cfg.Sampler != SamplerFFT:
+			// The explicit budget (already checked against n) admits the
+			// dense field: degrade gracefully and record it. Auto becomes
+			// dense; qmc keeps its low-discrepancy stream on the dense field.
+			telemetry.Add("chipmc_sampler_fallback_total", 1)
+			telemetry.SpanAttrBool(ctx, "chipmc.fallback", true)
+			rt.Embedding = false
+			if rt.Sampler == SamplerFFT {
+				rt.Sampler = SamplerDense
+			}
+		default:
+			return nil, trialStream, lkerr.Wrap(lkerr.Numerical, op, err)
+		}
+	}
+	f, err := newDenseField(ctx, cfg, rt.Sampler == SamplerQMC, name, pl, workers)
+	return f, trialStream, err
 }
 
 // buildGateStates precomputes each gate's reachable states and cumulative
@@ -602,13 +538,14 @@ func buildGateStates(cfg Config, nl *netlist.Netlist) ([]gateState, error) {
 	return gates, nil
 }
 
-// newDenseSampler assembles the n×n channel-length covariance over gate
-// positions — Σ_ab = σ_d2d² + σ_wid²·ρ_wid(d_ab), total variance on the
-// diagonal — and factorizes it.
-func newDenseSampler(ctx context.Context, cfg Config, n int, pl *placement.Placement) (*randvar.MVNSampler, error) {
-	const op = "chipmc.Run"
-	vd := cfg.Proc.SigmaD2D * cfg.Proc.SigmaD2D
-	vw := cfg.Proc.SigmaWID * cfg.Proc.SigmaWID
+// newCholesky assembles and factorizes the n×n channel-length covariance
+// over gate positions, Σ_ab = vd + σ_WID²·ρ_wid(d_ab) with vd + σ_WID² on the
+// diagonal, every entry of the mean at mean: the full field (vd = σ_D2D²,
+// mean L_nom) of the dense field, or the zero-mean within-die part alone
+// (vd = 0) behind the tilted dense field.
+func newCholesky(ctx context.Context, op string, proc *spatial.Process, pl *placement.Placement, vd, mean float64) (*randvar.MVNSampler, error) {
+	n := len(pl.Site)
+	vw := proc.SigmaWID * proc.SigmaWID
 	endAssemble := telemetry.StartSpan(ctx, "chipmc.assemble")
 	cov := linalg.NewMatrix(n, n)
 	for a := 0; a < n; a++ {
@@ -619,7 +556,7 @@ func newDenseSampler(ctx context.Context, cfg Config, n int, pl *placement.Place
 		for b := a + 1; b < n; b++ {
 			rho := 0.0
 			if vw > 0 {
-				rho = cfg.Proc.WIDCorr.Rho(pl.Dist(a, b))
+				rho = proc.WIDCorr.Rho(pl.Dist(a, b))
 			}
 			c := vd + vw*rho
 			cov.Set(a, b, c)
@@ -627,12 +564,12 @@ func newDenseSampler(ctx context.Context, cfg Config, n int, pl *placement.Place
 		}
 	}
 	endAssemble()
-	mean := make([]float64, n)
-	for i := range mean {
-		mean[i] = cfg.Proc.LNominal
+	means := make([]float64, n)
+	for i := range means {
+		means[i] = mean
 	}
 	endChol := telemetry.StartSpan(ctx, "chipmc.cholesky")
-	sampler, err := randvar.NewMVNSampler(mean, cov)
+	sampler, err := randvar.NewMVNSampler(means, cov)
 	endChol()
 	if err != nil {
 		// Factorization failures (non-PD covariance, NaN factor) are

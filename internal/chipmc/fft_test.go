@@ -1,7 +1,6 @@
 package chipmc
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
-	"leakest/internal/randvar"
 	"leakest/internal/spatial"
 	"leakest/internal/stats"
 )
@@ -192,53 +190,6 @@ func TestAutoMatchesDenseBitwise(t *testing.T) {
 	for i := range a.Trials {
 		if a.Trials[i] != d.Trials[i] {
 			t.Fatalf("trial %d differs between auto and dense", i)
-		}
-	}
-}
-
-// Satellite regression guard: the per-trial body allocates nothing once a
-// worker's buffers are warm, on both sampler paths. The historical loop
-// allocated a fmt.Sprintf key and a fresh PRNG per trial.
-func TestTrialBodyAllocs(t *testing.T) {
-	lib, proc, nl, pl := testSetup(t, 100)
-	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true}
-	gates, err := buildGateStates(cfg, nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := newDenseSampler(context.Background(), cfg, len(nl.Gates), pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{"dense", "fft"} {
-		runner := &trialRunner{
-			gates:   gates,
-			stream:  stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/trial#"),
-			sigmaVt: proc.SigmaVt,
-			bufs:    make([]trialBuf, 1),
-		}
-		if mode == "dense" {
-			runner.dense = dense
-		} else {
-			gs, err := randvar.NewGridSampler(proc, pl.Grid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runner.grid = gs
-			runner.sites = pl.Site
-		}
-		if _, err := runner.runTrial(0, 0); err != nil { // warm the buffers
-			t.Fatal(err)
-		}
-		trial := 1
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := runner.runTrial(0, trial); err != nil {
-				t.Fatal(err)
-			}
-			trial++
-		})
-		if allocs != 0 {
-			t.Errorf("%s trial body allocates %.1f times per trial, want 0", mode, allocs)
 		}
 	}
 }

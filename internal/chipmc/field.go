@@ -1,0 +1,268 @@
+package chipmc
+
+import (
+	"context"
+	"math"
+	"math/rand"
+
+	"leakest/internal/fault"
+	"leakest/internal/lkerr"
+	"leakest/internal/parallel"
+	"leakest/internal/placement"
+	"leakest/internal/randvar"
+	"leakest/internal/spatial"
+	"leakest/internal/stats"
+	"leakest/internal/telemetry"
+)
+
+// This file is the one Monte-Carlo trial loop. Every route — dense, fft,
+// both qmc bodies, tiled, and the importance-sampled tail trials — runs the
+// same body: seed the worker's PRNG from the run's trial stream, let the
+// route's field fill the per-gate channel lengths, evaluate the chip total,
+// and weigh it. Routes differ only in their field:
+//
+//   - denseField: the dense-Cholesky field, with the leading normals taken
+//     from a scrambled-Sobol point on the qmc route (SamplePartialInto;
+//     fixed = 0 is bitwise SampleInto);
+//   - gridField: the circulant-embedding torus (SampleTiltedInto; tilt 0 is
+//     bitwise SampleInto), for fft trials and every IS trial on a grid;
+//   - pairField: Dietrich–Newsam qmc pair fields, batched through one 2-D
+//     FFT pass per work item (qmc.go);
+//   - tiledField: one shared D2D deviate plus per-tile WID tori (tiled.go);
+//   - tiltedDenseField: the D2D deviate plus the within-die Cholesky, for IS
+//     trials on the dense route.
+//
+// Each field owns its per-worker scratch, warmed on a worker's first trial;
+// every trial after that is allocation-free (TestTrialBodyAllocs).
+
+// A field draws the correlated channel lengths of chip trials.
+type field interface {
+	// block is the number of consecutive trials one parallel work item
+	// covers, and begin prepares the work item of trials [lo, hi) on worker
+	// w. Only the batched pair field does work here.
+	block() int
+	begin(w, lo, hi int) error
+	// fill draws trial's per-gate channel lengths into ls on worker w. rng
+	// was seeded from the run's trial stream, and the per-gate state and Vt
+	// draws continue from it afterwards. tilt shifts the shared D2D deviate
+	// by θ; fill returns the raw deviate z₀ the likelihood ratio is formed
+	// from (fields that take no tilt return 0).
+	fill(w int, rng *rand.Rand, ls []float64, trial int, tilt float64) (z0 float64, err error)
+}
+
+// perTrial supplies the block methods of the fields whose work item is one
+// trial.
+type perTrial struct{}
+
+func (perTrial) block() int              { return 1 }
+func (perTrial) begin(_, _, _ int) error { return nil }
+
+// engine runs trial sets over one design: the gate state tables and each
+// worker's PRNG and channel-length buffer, shared by the primary and tail
+// trials of a run.
+type engine struct {
+	gates   []gateState
+	sigmaVt float64
+	bufs    []trialBuf
+}
+
+type trialBuf struct {
+	rng *rand.Rand
+	ls  []float64
+}
+
+// trialSet is one pass of the loop: len(totals) trials of field f, each
+// seeded from stream. A nil weights marks primary trials (unit weight, the
+// chipmc/trial fault site); otherwise trial i's likelihood ratio
+// exp(−θz₀−θ²/2)·scale for tilt θ goes to weights[i] (halfT2 = θ²/2).
+type trialSet struct {
+	f       field
+	stream  stats.Stream
+	tilt    float64
+	halfT2  float64
+	scale   float64
+	totals  []float64
+	weights []float64
+	counter *telemetry.Counter
+	tick    *parallel.Ticker
+}
+
+func newEngine(cfg Config, gates []gateState, workers int) *engine {
+	e := &engine{gates: gates, bufs: make([]trialBuf, workers)}
+	if cfg.IncludeVt {
+		e.sigmaVt = cfg.Proc.SigmaVt
+	}
+	return e
+}
+
+// run fans the trial set's work items out over the workers. Every trial
+// draws from its own streams keyed by (Seed, trial index), so the totals
+// are bitwise identical at any worker count; workers only race on disjoint
+// totals/weights slots and their private scratch.
+func (e *engine) run(ctx context.Context, op string, s *trialSet) error {
+	per := s.f.block()
+	items := (len(s.totals) + per - 1) / per
+	return parallel.ForEach(ctx, op, len(e.bufs), items, func(w, blk int) error {
+		return e.block(op, w, blk, s)
+	})
+}
+
+// block runs work item blk of s on worker w: the trial body.
+func (e *engine) block(op string, w, blk int, s *trialSet) error {
+	b := &e.bufs[w]
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(1))
+		b.ls = make([]float64, len(e.gates))
+	}
+	per := s.f.block()
+	lo := blk * per
+	hi := min(lo+per, len(s.totals))
+	if err := s.f.begin(w, lo, hi); err != nil {
+		return lkerr.Wrap(lkerr.Numerical, op, err)
+	}
+	primary := s.weights == nil
+	for trial := lo; trial < hi; trial++ {
+		s.counter.Inc()
+		if primary {
+			fault.Hit(fault.SiteChipMCTrial)
+		}
+		b.rng.Seed(s.stream.SeedFor(trial))
+		z0, err := s.f.fill(w, b.rng, b.ls, trial, s.tilt)
+		if err != nil {
+			return lkerr.Wrap(lkerr.Numerical, op, err)
+		}
+		total := chipTotal(e.gates, b.rng, b.ls, e.sigmaVt)
+		if primary {
+			total = fault.Corrupt(fault.SiteChipMCTrial, total)
+		} else {
+			s.weights[trial] = math.Exp(-s.tilt*z0-s.halfT2) * s.scale
+		}
+		s.totals[trial] = total
+		s.tick.Tick()
+	}
+	return nil
+}
+
+// denseField samples the dense-Cholesky field. On the qmc route the first
+// qdims normals of trial i come from Sobol point i, the rest from the trial
+// stream; with qdims = 0 every normal comes from the stream.
+type denseField struct {
+	perTrial
+	mvn   *randvar.MVNSampler
+	seq   *randvar.SobolSeq
+	qdims int
+	z     [][]float64 // per-worker standard-normal scratch
+}
+
+func (f *denseField) fill(w int, rng *rand.Rand, ls []float64, trial int, _ float64) (float64, error) {
+	z := f.z[w]
+	if z == nil {
+		z = make([]float64, len(ls))
+		f.z[w] = z
+	}
+	if f.qdims > 0 {
+		f.seq.NormalsInto(uint32(trial), z[:f.qdims])
+	}
+	f.mvn.SamplePartialInto(rng, z, ls, f.qdims)
+	return 0, nil
+}
+
+// newDenseField factorizes the full channel-length covariance; qmc selects
+// the low-discrepancy leading dimensions.
+func newDenseField(ctx context.Context, cfg Config, qmc bool, name string, pl *placement.Placement, workers int) (*denseField, error) {
+	mvn, err := newCholesky(ctx, "chipmc.Run", cfg.Proc, pl, cfg.Proc.SigmaD2D*cfg.Proc.SigmaD2D, cfg.Proc.LNominal)
+	if err != nil {
+		return nil, err
+	}
+	f := &denseField{mvn: mvn, z: make([][]float64, workers)}
+	if qmc {
+		f.qdims = min(len(pl.Site), randvar.SobolMaxDims)
+		if f.seq, err = qmcSeq(cfg, name, f.qdims); err != nil {
+			return nil, err
+		}
+		telemetry.SpanAttrInt(ctx, "chipmc.qmc_dims", int64(f.qdims))
+	}
+	return f, nil
+}
+
+// gridField samples the circulant-embedding torus and reads each gate's
+// site out of it.
+type gridField struct {
+	perTrial
+	gs    *randvar.GridSampler
+	sites []int
+	bufs  []gridBuf
+}
+
+type gridBuf struct {
+	field []float64
+	sc    *randvar.GridScratch
+}
+
+func newGridField(gs *randvar.GridSampler, sites []int, workers int) *gridField {
+	return &gridField{gs: gs, sites: sites, bufs: make([]gridBuf, workers)}
+}
+
+func (f *gridField) fill(w int, rng *rand.Rand, ls []float64, _ int, tilt float64) (float64, error) {
+	b := &f.bufs[w]
+	if b.field == nil {
+		b.field = make([]float64, f.gs.Sites())
+		b.sc = f.gs.NewScratch()
+	}
+	z0, err := f.gs.SampleTiltedInto(rng, b.sc, b.field, tilt)
+	if err != nil {
+		return 0, err
+	}
+	for g, s := range f.sites {
+		ls[g] = b.field[s]
+	}
+	return z0, nil
+}
+
+// tiltedDenseField is the dense route's IS field. It decomposes the field
+// explicitly — L_g = L_nom + σ_D2D·(z₀+θ) + wid_g with wid ~ N(0, σ_WID²·ρ)
+// — which samples exactly the law of the joint covariance
+// Σ = σ_D2D²·11ᵀ + σ_WID²·R at θ = 0, since the D2D component is a rank-one
+// common term.
+type tiltedDenseField struct {
+	perTrial
+	wid        *randvar.MVNSampler // nil when σ_WID = 0
+	lnom, sd2d float64
+	z          [][]float64
+}
+
+// newTiltedDenseField factorizes the zero-mean within-die covariance. A
+// second O(n³) factorization is acceptable: the dense route is bounded by
+// DefaultMaxGates and tail estimation is opt-in.
+func newTiltedDenseField(ctx context.Context, proc *spatial.Process, pl *placement.Placement, workers int) (*tiltedDenseField, error) {
+	f := &tiltedDenseField{lnom: proc.LNominal, sd2d: proc.SigmaD2D, z: make([][]float64, workers)}
+	if proc.SigmaWID > 0 {
+		wid, err := newCholesky(ctx, "chipmc.Tail", proc, pl, 0, 0)
+		if err != nil {
+			return nil, err
+		}
+		f.wid = wid
+	}
+	return f, nil
+}
+
+func (f *tiltedDenseField) fill(w int, rng *rand.Rand, ls []float64, _ int, tilt float64) (float64, error) {
+	z0 := rng.NormFloat64()
+	shift := f.lnom + f.sd2d*(z0+tilt)
+	if f.wid == nil {
+		for g := range ls {
+			ls[g] = shift
+		}
+		return z0, nil
+	}
+	z := f.z[w]
+	if z == nil {
+		z = make([]float64, len(ls))
+		f.z[w] = z
+	}
+	f.wid.SampleInto(rng, z, ls)
+	for g := range ls {
+		ls[g] += shift
+	}
+	return z0, nil
+}

@@ -6,10 +6,7 @@ import (
 	"testing"
 
 	"leakest/internal/fault"
-	"leakest/internal/fft"
 	"leakest/internal/lkerr"
-	"leakest/internal/randvar"
-	"leakest/internal/stats"
 )
 
 // TestQMCDeterminism is the §9 contract extended to the qmc sampler: on
@@ -28,11 +25,13 @@ func TestQMCDeterminism(t *testing.T) {
 		var ref Result
 		first := true
 		for _, workers := range []int{1, 4, 8} {
-			for _, batch := range []int{0, 1, 3, 8, 64} {
+			for _, batch := range []int{1, 3, 8, 64} {
 				cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Samples: 121,
-					Seed: 8, Sampler: SamplerQMC, Workers: workers, Batch: batch,
+					Seed: 8, Sampler: SamplerQMC, Workers: workers,
 					KeepTrials: true, IncludeVt: true}
+				qmcBatch = batch
 				got, err := Run(cfg, nl, pl)
+				qmcBatch = DefaultBatch
 				if err != nil {
 					t.Fatalf("%s workers=%d batch=%d: %v", path, workers, batch, err)
 				}
@@ -151,17 +150,12 @@ func TestQMCEmbeddingFailureFallsBackToDenseQMC(t *testing.T) {
 	}
 }
 
-// TestQMCConfigValidation pins the new config surface: negative Batch and
-// unknown degrade modes are typed InvalidInput errors.
+// TestQMCConfigValidation pins the qmc config surface: an unknown degrade
+// mode is a typed InvalidInput error.
 func TestQMCConfigValidation(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 16)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Samples: 20, Seed: 1,
 		Sampler: SamplerQMC}
-	cfg.Batch = -1
-	if _, err := Run(cfg, nl, pl); !errors.Is(err, lkerr.ErrInvalidInput) {
-		t.Errorf("negative Batch: got %v, want typed InvalidInput", err)
-	}
-	cfg.Batch = 0
 	cfg.QMCDegrade = "bogus"
 	if _, err := Run(cfg, nl, pl); !errors.Is(err, lkerr.ErrInvalidInput) {
 		t.Errorf("unknown QMCDegrade: got %v, want typed InvalidInput", err)
@@ -197,88 +191,5 @@ func TestQMCDegradeChangesStream(t *testing.T) {
 		if same {
 			t.Errorf("degrade %q reproduced the healthy trial stream", mode)
 		}
-	}
-}
-
-// TestQMCTrialBodyAllocs pins the batched grid trial body at zero
-// allocations once a worker's buffers are warm, mirroring
-// TestTrialBodyAllocs for the pseudo-random paths: the pin exercises
-// exactly the per-batch sequence runQMCGrid runs — spectrum fill, Sobol
-// point, mode substitution, batched inverse FFT, pair extraction, and the
-// two chip-total evaluations.
-func TestQMCTrialBodyAllocs(t *testing.T) {
-	lib, proc, nl, pl := testSetup(t, 100)
-	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true}
-	gates, err := buildGateStates(cfg, nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, err := randvar.NewGridSampler(proc, pl.Grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modes := gs.TopModes((randvar.SobolMaxDims - 2) / 2)
-	qdims := 2 + 2*len(modes)
-	seq, err := randvar.NewSobol(qdims, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batchPairs = 4
-	tm, tn := gs.TorusDims()
-	tlen := gs.TorusLen()
-	b := qmcGridBuf{
-		rng:     stats.NewRNG(1, "qmc-alloc-pair"),
-		trng:    stats.NewRNG(1, "qmc-alloc-trial"),
-		toruses: make([]complex128, batchPairs*tlen),
-		scratch: make([]complex128, fft.Scratch2DLen(tm, tn)),
-		zq:      make([]float64, qdims),
-		z0:      make([]float64, 2*batchPairs),
-		fa:      make([]float64, gs.Grid().Sites()),
-		fb:      make([]float64, gs.Grid().Sites()),
-		ls:      make([]float64, len(gates)),
-	}
-	pairStream := stats.NewStream(cfg.Seed, "chipmc/alloc/qpair#")
-	trialStream := stats.NewStream(cfg.Seed, "chipmc/alloc/trial#")
-	sink := 0.0
-	bi := 0
-	body := func() {
-		p0 := bi * batchPairs
-		for j := 0; j < batchPairs; j++ {
-			p := p0 + j
-			torus := b.toruses[j*tlen : (j+1)*tlen]
-			b.rng.Seed(pairStream.SeedFor(p))
-			gs.FillPairSpectrum(b.rng, torus)
-			seq.NormalsInto(uint32(p), b.zq)
-			b.z0[2*j], b.z0[2*j+1] = b.zq[0], b.zq[1]
-			for m, k := range modes {
-				gs.SetMode(torus, k, b.zq[2+2*m], b.zq[3+2*m])
-			}
-		}
-		if err := fft.Transform2DBatchInto(b.toruses, batchPairs, tm, tn, true, b.scratch); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < batchPairs; j++ {
-			p := p0 + j
-			gs.ExtractPair(b.toruses[j*tlen:(j+1)*tlen], b.z0[2*j], b.z0[2*j+1], b.fa, b.fb)
-			for c := 0; c < 2; c++ {
-				f := b.fa
-				if c == 1 {
-					f = b.fb
-				}
-				for g, s := range pl.Site {
-					b.ls[g] = f[s]
-				}
-				b.trng.Seed(trialStream.SeedFor(2*p + c))
-				sink += chipTotal(gates, b.trng, b.ls, proc.SigmaVt)
-			}
-		}
-		bi++
-	}
-	body() // warm
-	if allocs := testing.AllocsPerRun(50, body); allocs != 0 {
-		t.Errorf("qmc batch body allocates %.1f times per batch, want 0", allocs)
-	}
-	if math.IsNaN(sink) {
-		t.Fatal("NaN chip total")
 	}
 }

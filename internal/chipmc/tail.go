@@ -5,12 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"leakest/internal/fault"
-	"leakest/internal/linalg"
 	"leakest/internal/lkerr"
-	"leakest/internal/parallel"
 	"leakest/internal/placement"
 	"leakest/internal/randvar"
 	"leakest/internal/spatial"
@@ -207,86 +204,6 @@ func (ts TailStats) MarshalJSON() ([]byte, error) {
 	}{alias(ts), finite(ts.P), finite(ts.SE), finite(ts.MCP), finite(ts.MCSE)})
 }
 
-// tailBuf is one worker's private IS-trial scratch, allocated on first use
-// (the trial body itself is allocation-free, like the primary path).
-type tailBuf struct {
-	rng   *rand.Rand
-	ls    []float64 // per-gate channel lengths
-	z     []float64 // dense-path WID standard-normal scratch
-	field []float64 // FFT-path per-site field
-	sc    *randvar.GridScratch
-}
-
-// tailRunner holds the importance-sampled trial state. The dense path
-// decomposes the field explicitly — L_g = L_nom + σ_D2D·(z₀+θ) + wid_g with
-// wid ~ N(0, σ_WID²·ρ) — which samples exactly the same distribution as the
-// primary path's joint covariance Σ = σ_D2D²·11ᵀ + σ_WID²·R, since the D2D
-// component is a rank-one common term. The grid path delegates to
-// GridSampler.SampleTiltedInto, which applies the same decomposition on the
-// torus.
-type tailRunner struct {
-	gates   []gateState
-	sites   []int
-	stream  stats.Stream
-	grid    *randvar.GridSampler
-	wid     *randvar.MVNSampler // zero-mean WID sampler; nil when σ_WID = 0
-	lnom    float64
-	sd2d    float64
-	tilt    float64
-	sigmaVt float64
-	bufs    []tailBuf
-}
-
-func (r *tailRunner) warm(b *tailBuf) {
-	n := len(r.gates)
-	b.rng = rand.New(rand.NewSource(1))
-	b.ls = make([]float64, n)
-	if r.grid != nil {
-		b.field = make([]float64, r.grid.Sites())
-		b.sc = r.grid.NewScratch()
-	} else if r.wid != nil {
-		b.z = make([]float64, n)
-	}
-}
-
-// runTrial executes one tilted trial on worker w, returning the chip total
-// and the raw die-to-die deviate z₀ the weight is computed from. The draw
-// order — z₀ first, within-die normals, then per-gate state and Vt draws —
-// is fixed per trial stream, so results are bitwise identical at any worker
-// count.
-func (r *tailRunner) runTrial(w, trial int) (total, z0 float64, err error) {
-	b := &r.bufs[w]
-	if b.rng == nil {
-		r.warm(b)
-	}
-	rng := b.rng
-	rng.Seed(r.stream.SeedFor(trial))
-	ls := b.ls
-	if r.grid != nil {
-		z0, err = r.grid.SampleTiltedInto(rng, b.sc, b.field, r.tilt)
-		if err != nil {
-			return 0, 0, err
-		}
-		for g, s := range r.sites {
-			ls[g] = b.field[s]
-		}
-	} else {
-		z0 = rng.NormFloat64()
-		shift := r.lnom + r.sd2d*(z0+r.tilt)
-		if r.wid != nil {
-			r.wid.SampleInto(rng, b.z, ls)
-			for g := range ls {
-				ls[g] += shift
-			}
-		} else {
-			for g := range ls {
-				ls[g] = shift
-			}
-		}
-	}
-	return chipTotal(r.gates, rng, ls, r.sigmaVt), z0, nil
-}
-
 // selectTilt picks the tilt θ for the die-to-die deviate. The magnitude
 // comes from a lognormal fit of the primary-run moments: the spec's
 // standard-normal score under the fit is exactly the |θ| that centers the
@@ -321,14 +238,19 @@ func selectTilt(tc *TailConfig, res Result, gates []gateState, lnom float64) flo
 // runTail executes the tail stage after the primary trials: quantiles from
 // the materialized per-trial totals, the plain exceedance, and — when
 // requested — the importance-sampled deep-tail exceedance with its health-
-// gated fallback.
-func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *placement.Placement,
-	primary *trialRunner, totals []float64, res Result, workers int) (*TailStats, error) {
+// gated fallback. The IS trials run through the primary's engine on the
+// tilted counterpart of its field (tailField).
+func runTail(ctx context.Context, cfg Config, name string, pl *placement.Placement,
+	e *engine, primary field, totals []float64, res Result) (*TailStats, error) {
 	const op = "chipmc.Tail"
 	tc := cfg.Tail
 	ctx, endTail := telemetry.WithSpan(ctx, "chipmc.tail")
 	defer endTail()
 
+	qs, err := tc.validate(op)
+	if err != nil {
+		return nil, err
+	}
 	ts := &TailStats{Spec: tc.Spec, P: math.NaN(), SE: math.NaN(), MCP: math.NaN(), MCSE: math.NaN()}
 	if len(qs) > 0 {
 		vals := stats.Quantiles(totals, qs)
@@ -359,67 +281,46 @@ func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *place
 		return ts, nil
 	}
 
-	tr := &tailRunner{
-		gates:   primary.gates,
-		sites:   primary.sites,
-		stream:  stats.NewStream(cfg.Seed, "chipmc/"+nl+"/tail#"),
-		grid:    primary.grid,
-		lnom:    cfg.Proc.LNominal,
-		sd2d:    cfg.Proc.SigmaD2D,
-		tilt:    selectTilt(tc, res, primary.gates, cfg.Proc.LNominal),
-		sigmaVt: primary.sigmaVt,
-		bufs:    make([]tailBuf, workers),
-	}
-	if tr.grid == nil && cfg.Proc.SigmaWID > 0 {
-		wid, err := newWIDSampler(ctx, cfg.Proc, pl, len(primary.gates))
-		if err != nil {
-			return nil, err
-		}
-		tr.wid = wid
-	}
-	ts.ISTrials = tc.ISTrials
-	ts.Shift = tr.tilt
-	telemetry.SpanAttrFloat(ctx, "chipmc.is_shift", tr.tilt)
-	telemetry.SpanAttrInt(ctx, "chipmc.tail_trials", int64(tc.ISTrials))
-
-	isTotals := make([]float64, tc.ISTrials)
-	isZ := make([]float64, tc.ISTrials)
-	var tailC *telemetry.Counter
-	if r := telemetry.Default(); r != nil {
-		tailC = r.Counter("chipmc_tail_trials_total")
-	}
-	err := parallel.ForEach(ctx, op, workers, tc.ISTrials, func(w, trial int) error {
-		tailC.Inc()
-		total, z0, terr := tr.runTrial(w, trial)
-		if terr != nil {
-			return lkerr.Wrap(lkerr.Numerical, op, terr)
-		}
-		isTotals[trial] = total
-		isZ[trial] = z0
-		return nil
-	})
+	f, err := tailField(ctx, cfg.Proc, pl, primary, len(e.bufs))
 	if err != nil {
 		return nil, err
 	}
-
-	// Likelihood-ratio weights, serially in trial order (part of the
-	// bitwise determinism contract, like the primary moment reduction).
 	scale := tc.WeightScale
 	if scale == 0 {
 		scale = 1
 	}
-	theta := tr.tilt
-	halfT2 := 0.5 * theta * theta
-	ws := make([]float64, tc.ISTrials)
-	for i, z0 := range isZ {
-		w := fault.Corrupt(fault.SiteISWeight, math.Exp(-theta*z0-halfT2)*scale)
+	tilt := selectTilt(tc, res, e.gates, cfg.Proc.LNominal)
+	set := &trialSet{
+		f:       f,
+		stream:  stats.NewStream(cfg.Seed, "chipmc/"+name+"/tail#"),
+		tilt:    tilt,
+		halfT2:  0.5 * tilt * tilt,
+		scale:   scale,
+		totals:  make([]float64, tc.ISTrials),
+		weights: make([]float64, tc.ISTrials),
+	}
+	if r := telemetry.Default(); r != nil {
+		set.counter = r.Counter("chipmc_tail_trials_total")
+	}
+	ts.ISTrials = tc.ISTrials
+	ts.Shift = tilt
+	telemetry.SpanAttrFloat(ctx, "chipmc.is_shift", tilt)
+	telemetry.SpanAttrInt(ctx, "chipmc.tail_trials", int64(tc.ISTrials))
+	if err := e.run(ctx, op, set); err != nil {
+		return nil, err
+	}
+
+	// Weight guard, serially in trial order (part of the bitwise
+	// determinism contract, like the primary moment reduction).
+	for i, w := range set.weights {
+		w = fault.Corrupt(fault.SiteISWeight, w)
 		if math.IsNaN(w) || math.IsInf(w, 0) {
 			return nil, lkerr.New(lkerr.Numerical, op,
-				"non-finite importance weight %g at tail trial %d (θ=%g)", w, i, theta)
+				"non-finite importance weight %g at tail trial %d (θ=%g)", w, i, tilt)
 		}
-		ws[i] = w
+		set.weights[i] = w
 	}
-	we := stats.ExceedanceWeighted(isTotals, ws, tc.Spec)
+	we := stats.ExceedanceWeighted(set.totals, set.weights, tc.Spec)
 	ts.ISHits, ts.ESS, ts.HitESS = we.Hits, we.ESS, we.HitESS
 	if we.Hits > 0 {
 		ts.ESSRatio = we.HitESS / float64(we.Hits)
@@ -449,28 +350,21 @@ func runTail(ctx context.Context, cfg Config, qs []float64, nl string, pl *place
 	return ts, nil
 }
 
-// newWIDSampler factorizes the zero-mean within-die covariance
-// σ_WID²·ρ(d_ab) for the dense tail path. A second O(n³) factorization is
-// acceptable here: the dense path is bounded by DefaultMaxGates and tail
-// estimation is opt-in.
-func newWIDSampler(ctx context.Context, proc *spatial.Process, pl *placement.Placement, n int) (*randvar.MVNSampler, error) {
-	const op = "chipmc.Tail"
-	vw := proc.SigmaWID * proc.SigmaWID
-	cov := linalg.NewMatrix(n, n)
-	for a := 0; a < n; a++ {
-		if err := lkerr.FromContext(ctx, op); err != nil {
-			return nil, err
-		}
-		cov.Set(a, a, vw)
-		for b := a + 1; b < n; b++ {
-			c := vw * proc.WIDCorr.Rho(pl.Dist(a, b))
-			cov.Set(a, b, c)
-			cov.Set(b, a, c)
-		}
+// tailField returns the IS counterpart of a primary field: every grid route
+// tilts the embedding's shared D2D deviate (SampleTiltedInto, the primary
+// grid field itself), the tiled field tilts its shared deviate and draws
+// each trial from the one tail stream, and the dense route — whose joint
+// Cholesky has no separate D2D coordinate — gets the tilted dense field.
+func tailField(ctx context.Context, proc *spatial.Process, pl *placement.Placement, primary field, workers int) (field, error) {
+	switch f := primary.(type) {
+	case *gridField:
+		return f, nil
+	case *pairField:
+		return newGridField(f.gs, f.sites, workers), nil
+	case *tiledField:
+		t := *f
+		t.stages = nil
+		return &t, nil
 	}
-	sampler, err := randvar.NewMVNSampler(make([]float64, n), cov)
-	if err != nil {
-		return nil, lkerr.Wrap(lkerr.Numerical, op, err)
-	}
-	return sampler, nil
+	return newTiltedDenseField(ctx, proc, pl, workers)
 }

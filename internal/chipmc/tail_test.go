@@ -1,14 +1,12 @@
 package chipmc
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"leakest/internal/fault"
 	"leakest/internal/lkerr"
-	"leakest/internal/randvar"
 	"leakest/internal/spatial"
 	"leakest/internal/stats"
 )
@@ -94,6 +92,55 @@ func TestTailISAgreesWithPlainMC(t *testing.T) {
 	}
 	if ts.Shift >= 0 {
 		t.Errorf("tilt %v not negative: leakage rises as L falls, so the upper tail needs a negative shift", ts.Shift)
+	}
+}
+
+// TestTailTiledISAgreesWithPlainMC runs the importance sampler on a tiled
+// field: the tilt moves the tiles' shared D2D deviate exactly as it moves
+// the monolithic grid's, so the IS exceedance must agree with a large
+// plain-MC reference of the same tiled law within combined z·SE, and stay
+// bitwise reproducible across worker counts. A short-range kernel keeps
+// the per-tile tori small.
+func TestTailTiledISAgreesWithPlainMC(t *testing.T) {
+	lib, proc, nl, pl := testSetup(t, 36)
+	proc.WIDCorr = spatial.TruncatedExpCorr{Lambda: 3, R: 12}
+	probe := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Samples: 4000, Seed: 7,
+		Tiles: 2, KeepTrials: true}
+	ref, err := Run(probe, nl, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := stats.Quantile(ref.Trials, 0.99)
+	refEx := stats.ExceedanceOf(ref.Trials, spec)
+
+	cfg := probe
+	cfg.KeepTrials = false
+	cfg.Samples = 500
+	cfg.Tail = baseTailConfig(spec, 1000)
+	var first *TailStats
+	for _, workers := range []int{1, 3} {
+		cfg.Workers = workers
+		res, err := Run(cfg, nl, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := res.Tail
+		if first == nil {
+			first = ts
+		} else if ts.P != first.P || ts.SE != first.SE || ts.ESS != first.ESS {
+			t.Fatalf("workers=%d changed the tiled IS estimate: %v ± %v vs %v ± %v",
+				workers, ts.P, ts.SE, first.P, first.SE)
+		}
+	}
+	if first.Source != TailSourceIS {
+		t.Fatalf("tail source %q (degraded=%v, %s), want %q", first.Source, first.Degraded, first.DegradedReason, TailSourceIS)
+	}
+	if z := (first.P - refEx.P) / math.Hypot(first.SE, refEx.SE); math.Abs(z) > 5 {
+		t.Errorf("tiled IS exceedance %v ± %v vs plain reference %v ± %v: z = %.1f",
+			first.P, first.SE, refEx.P, refEx.SE, z)
+	}
+	if first.SE >= refEx.SE {
+		t.Errorf("tiled IS SE %v from 1000 trials not below plain SE %v from 4000", first.SE, refEx.SE)
 	}
 }
 
@@ -270,57 +317,6 @@ func TestTailConfigValidation(t *testing.T) {
 		_, err := Run(cfg, nl, pl)
 		if err == nil || !lkerr.IsCode(err, lkerr.InvalidInput) {
 			t.Errorf("%s: error %v, want typed InvalidInput", tc.name, err)
-		}
-	}
-}
-
-// TestTailTrialBodyAllocs extends the zero-alloc guard to the importance-
-// sampled trial body: after warm-up, a tilted trial allocates nothing on
-// either field path (the likelihood-ratio bookkeeping happens in the serial
-// reduction, not per trial).
-func TestTailTrialBodyAllocs(t *testing.T) {
-	lib, proc, nl, pl := testSetup(t, 100)
-	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true}
-	gates, err := buildGateStates(cfg, nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wid, err := newWIDSampler(context.Background(), proc, pl, len(nl.Gates))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{"dense", "fft"} {
-		runner := &tailRunner{
-			gates:   gates,
-			stream:  stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/tail#"),
-			lnom:    proc.LNominal,
-			sd2d:    proc.SigmaD2D,
-			tilt:    -3,
-			sigmaVt: proc.SigmaVt,
-			bufs:    make([]tailBuf, 1),
-		}
-		if mode == "dense" {
-			runner.wid = wid
-		} else {
-			gs, err := randvar.NewGridSampler(proc, pl.Grid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runner.grid = gs
-			runner.sites = pl.Site
-		}
-		if _, _, err := runner.runTrial(0, 0); err != nil { // warm the buffers
-			t.Fatal(err)
-		}
-		trial := 1
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, err := runner.runTrial(0, trial); err != nil {
-				t.Fatal(err)
-			}
-			trial++
-		})
-		if allocs != 0 {
-			t.Errorf("%s tail trial body allocates %.1f times per trial, want 0", mode, allocs)
 		}
 	}
 }

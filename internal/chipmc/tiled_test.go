@@ -10,17 +10,17 @@ import (
 	"leakest/internal/placement"
 	"leakest/internal/spatial"
 	"leakest/internal/stats"
+	"leakest/internal/telemetry"
 )
 
 // TestTiledValidation: tiled sampling composes only with the fft/auto
-// samplers and without the tail stage; bad tile counts are refused.
+// samplers (and with the tail stage); bad tile counts are refused.
 func TestTiledValidation(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 64)
 	base := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Samples: 16, Seed: 5, Tiles: 2}
 	for name, mutate := range map[string]func(*Config){
 		"dense":    func(c *Config) { c.Sampler = SamplerDense },
 		"qmc":      func(c *Config) { c.Sampler = SamplerQMC },
-		"tail":     func(c *Config) { c.Tail = &TailConfig{Quantiles: []float64{0.99}} },
 		"negative": func(c *Config) { c.Tiles = -1 },
 	} {
 		cfg := base
@@ -29,13 +29,19 @@ func TestTiledValidation(t *testing.T) {
 			t.Errorf("%s: got %v, want InvalidInput", name, err)
 		}
 	}
-	// Tiles = 0 and 1 select the monolithic path and must succeed.
+	// Tiles = 0 and 1 select the monolithic path and must succeed, and so
+	// must a tiled run with the tail stage.
 	for _, tiles := range []int{0, 1} {
 		cfg := base
 		cfg.Tiles = tiles
 		if _, err := Run(cfg, nl, pl); err != nil {
 			t.Errorf("Tiles=%d: %v", tiles, err)
 		}
+	}
+	cfg := base
+	cfg.Tail = &TailConfig{Quantiles: []float64{0.99}}
+	if res, err := Run(cfg, nl, pl); err != nil || res.Tail == nil {
+		t.Errorf("tail: got %v (tail %v), want a tiled run with tail statistics", err, res.Tail)
 	}
 }
 
@@ -125,16 +131,12 @@ func TestTiledMatchesMonolithic(t *testing.T) {
 }
 
 // TestTiledSamplerReuse: interior tiles share their sub-grid geometry, so
-// the runner must build at most a handful of distinct embeddings, not one
+// the field must build at most a handful of distinct embeddings, not one
 // per tile.
 func TestTiledSamplerReuse(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 225)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Tiles: 3}
-	gates, err := buildGateStates(cfg, nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := newTiledRunner(context.Background(), cfg, nl, pl, gates)
+	runner, err := newTiledField(context.Background(), cfg, nl.Name, pl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,36 +173,6 @@ func TestTiledSamplerReuse(t *testing.T) {
 	}
 }
 
-// TestTiledTrialBodyAllocs pins the §16 scratch-reuse contract: once a
-// worker's buffers are warm, the tiled trial body — shared D2D draw, one
-// field per tile, the gate pass — allocates nothing.
-func TestTiledTrialBodyAllocs(t *testing.T) {
-	lib, proc, nl, pl := testSetup(t, 225)
-	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true, Tiles: 3}
-	gates, err := buildGateStates(cfg, nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := newTiledRunner(context.Background(), cfg, nl, pl, gates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner.bufs = make([]tiledBuf, 1)
-	if _, err := runner.runTrial(0, 0); err != nil { // warm the buffers
-		t.Fatal(err)
-	}
-	trial := 1
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := runner.runTrial(0, trial); err != nil {
-			t.Fatal(err)
-		}
-		trial++
-	})
-	if allocs != 0 {
-		t.Errorf("tiled trial body allocates %.1f times per trial, want 0", allocs)
-	}
-}
-
 // TestTiledBudget: the tiled path carries its own default gate budget and
 // honors an explicit MaxGates.
 func TestTiledBudget(t *testing.T) {
@@ -213,5 +185,46 @@ func TestTiledBudget(t *testing.T) {
 	cfg.MaxGates = 0
 	if _, err := Run(cfg, nl, pl); err != nil {
 		t.Fatalf("default tiled budget refused 64 gates: %v", err)
+	}
+}
+
+// TestTiledRouteLabel: a tiled run carries one sampler label — Plan's route
+// name — on its duration histogram, its run counter and its span.
+func TestTiledRouteLabel(t *testing.T) {
+	lib, proc, nl, pl := testSetup(t, 64)
+	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Samples: 16, Seed: 5, Tiles: 2}
+	rt, err := Plan(cfg, len(nl.Gates), pl.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "tiled-fft"
+	if rt.Name() != want {
+		t.Fatalf("route name %q, want %q", rt.Name(), want)
+	}
+	r := telemetry.Enable()
+	dur := r.Histogram(telemetry.Label(telemetry.Label("estimate_duration_seconds",
+		"method", "chipmc"), "sampler", want), telemetry.DurationBuckets)
+	runs := r.Counter(telemetry.Label("chipmc_sampler_runs_total", "sampler", want))
+	d0, r0 := dur.Count(), runs.Value()
+	tr := telemetry.NewTrace()
+	if _, err := RunContext(telemetry.WithTrace(context.Background(), tr), cfg, nl, pl); err != nil {
+		t.Fatal(err)
+	}
+	if d := dur.Count() - d0; d != 1 {
+		t.Errorf("estimate_duration_seconds{sampler=%q} observed %d times, want 1", want, d)
+	}
+	if d := runs.Value() - r0; d != 1 {
+		t.Errorf("chipmc_sampler_runs_total{sampler=%q} += %d, want 1", want, d)
+	}
+	var got any
+	for _, sp := range tr.Snapshot().Spans {
+		for _, a := range sp.Attrs {
+			if sp.Stage == "chipmc.run" && a.Key == "chipmc.sampler" {
+				got = a.Value
+			}
+		}
+	}
+	if got != want {
+		t.Errorf("chipmc.sampler span attribute %v, want %q", got, want)
 	}
 }

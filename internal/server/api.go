@@ -49,10 +49,6 @@ type EstimateRequest struct {
 	// auto). "qmc" draws trials from a scrambled-Sobol sequence — same
 	// distribution, fewer trials to a given standard error.
 	Sampler string `json:"sampler,omitempty"`
-	// MCBatch is the number of trial fields the qmc sampler batches per
-	// FFT pass (0 = default; ignored by the other samplers; results do not
-	// depend on it).
-	MCBatch int `json:"mc_batch,omitempty"`
 	// Tail requests distribution-tail statistics from the Monte-Carlo run
 	// (requires Bench and MCSamples).
 	Tail *TailRequest `json:"tail,omitempty"`
@@ -140,9 +136,6 @@ func (r *EstimateRequest) validate() error {
 	}
 	if r.MCSamples < 0 || r.TimeoutMS < 0 {
 		return lkerr.New(lkerr.InvalidInput, op, "negative mc_samples or timeout_ms")
-	}
-	if r.MCBatch < 0 {
-		return lkerr.New(lkerr.InvalidInput, op, "negative mc_batch")
 	}
 	if r.Tail != nil {
 		if r.MCSamples == 0 {

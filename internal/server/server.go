@@ -530,14 +530,15 @@ func (s *Server) resolveDesign(est *leakest.Estimator, req *EstimateRequest, ben
 	return design, sp, nil
 }
 
-// runMonteCarlo attaches a full-chip MC run, pre-warming the cached FFT
-// embedding when the FFT sampler will be used.
+// runMonteCarlo attaches a full-chip MC run. chipmc.Plan validates the run
+// and resolves its route first, so a request chipmc would refuse fails
+// before any artifact is built, and the cached FFT embedding is pre-warmed
+// exactly when the route samples it.
 func (s *Server) runMonteCarlo(ctx context.Context, est *leakest.Estimator, req *EstimateRequest, proc *spatial.Process, bench *benchArtifact) (*MCBody, error) {
 	sampler, err := leakest.ParseSampler(orDefault(req.Sampler, "auto"))
 	if err != nil {
 		return nil, err
 	}
-	n := len(bench.nl.Gates)
 	cfg := chipmc.Config{
 		Lib:        est.Library(),
 		Proc:       proc,
@@ -546,7 +547,6 @@ func (s *Server) runMonteCarlo(ctx context.Context, est *leakest.Estimator, req 
 		Seed:       orDefaultI64(req.Seed, 1),
 		Workers:    s.cfg.EstimatorWorkers,
 		Sampler:    sampler,
-		Batch:      req.MCBatch,
 	}
 	if req.Tiles != nil {
 		cfg.Tiles = req.Tiles.T
@@ -558,11 +558,13 @@ func (s *Server) runMonteCarlo(ctx context.Context, est *leakest.Estimator, req 
 			ISTrials:  req.Tail.ISTrials,
 		}
 	}
+	route, err := chipmc.Plan(cfg, len(bench.nl.Gates), bench.pl.Grid)
+	if err != nil {
+		return nil, err
+	}
 	// Artifact 3: the FFT torus embedding, shared across requests hitting
-	// the same (process, grid). The tiled path builds per-tile samplers of
-	// its own, so the full-grid embedding is not pre-warmed for it.
-	if cfg.Tiles <= 1 && (sampler == leakest.SamplerFFT ||
-		((sampler == leakest.SamplerAuto || sampler == leakest.SamplerQMC) && n > chipmc.DefaultMaxGates)) {
+	// the same (process, grid).
+	if route.Embedding {
 		g := bench.pl.Grid
 		gsAny, gerr := s.cache.get(ctx, "embedding",
 			embeddingKey(proc, g.Rows, g.Cols, g.SiteW, g.SiteH),

@@ -12,6 +12,7 @@ import (
 
 	"leakest/internal/cells"
 	"leakest/internal/charlib"
+	"leakest/internal/lkerr"
 	"leakest/internal/spatial"
 	"leakest/internal/telemetry"
 )
@@ -169,6 +170,44 @@ func TestEstimateBenchMonteCarloAndEmbeddingCache(t *testing.T) {
 	}
 	if d := r.Counter(hitKey).Value() - h0; d != 1 {
 		t.Errorf("embedding hits += %d, want 1 (second request reuses)", d)
+	}
+}
+
+// TestMonteCarloRefusedBeforeEmbedding: a Monte-Carlo request chipmc
+// refuses fails with its typed error before the FFT embedding artifact is
+// built or cached — the route is planned (and validated) first.
+func TestMonteCarloRefusedBeforeEmbedding(t *testing.T) {
+	s := coreServer(t, Config{})
+	r := telemetry.Enable()
+	missKey := telemetry.Label("server_cache_misses_total", "artifact", "embedding")
+	m0 := r.Counter(missKey).Value()
+	rec := do(t, s, "POST", "/v1/estimate", map[string]any{"bench": c17, "mc_samples": 5, "sampler": "fft"})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (body %s)", rec.Code, rec.Body.String())
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Code != lkerr.InvalidInput.String() {
+		t.Errorf("error envelope %s, want code %s", rec.Body.String(), lkerr.InvalidInput)
+	}
+	if d := r.Counter(missKey).Value() - m0; d != 0 {
+		t.Errorf("embedding misses += %d for a refused run, want 0 (no embedding built)", d)
+	}
+}
+
+// TestLegacyMCBatchIgnored: the retired mc_batch field still decodes (the
+// request decoder ignores unknown fields) and changes nothing.
+func TestLegacyMCBatchIgnored(t *testing.T) {
+	s := coreServer(t, Config{})
+	body := map[string]any{"bench": c17, "mc_samples": 20, "sampler": "qmc"}
+	want := decodeResp(t, do(t, s, "POST", "/v1/estimate", body))
+	body["mc_batch"] = 16
+	rec := do(t, s, "POST", "/v1/estimate", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	got := decodeResp(t, rec)
+	if got.MonteCarlo == nil || want.MonteCarlo == nil || *got.MonteCarlo != *want.MonteCarlo {
+		t.Errorf("mc_batch changed the Monte Carlo: %+v vs %+v", got.MonteCarlo, want.MonteCarlo)
 	}
 }
 

@@ -195,11 +195,6 @@ type Estimator struct {
 	// low-discrepancy sequence — identical distribution, materially fewer
 	// trials to a given standard error on typical designs.
 	Sampler MCSampler
-	// Batch is the number of Monte-Carlo trial fields the qmc sampler
-	// pushes through one batched 2-D FFT pass (0 selects the default;
-	// results are bitwise independent of the setting). Ignored by the
-	// other samplers.
-	Batch int
 	// Spec is a full-chip leakage spec in amperes. When > 0, MonteCarlo
 	// runs additionally report the exceedance probability P[I_leak > Spec]
 	// — one minus the parametric yield at the spec — in Result.Tail.
