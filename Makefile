@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race race-parallel fuzz bench conformance qmc-conformance tail-conformance tiled-conformance server-smoke tracecheck
+.PHONY: build test check vet race race-parallel fuzz bench conformance server-smoke tracecheck
 
 build:
 	$(GO) build ./...
@@ -19,72 +19,17 @@ race:
 # concurrency-sensitive).
 check: vet race
 
-# conformance is the statistical verification gate: the harness package
-# under the race detector, then `leakest verify` at two worker counts (the
-# report must be identical — the second run also writes the JSON artifact
-# CI uploads). Short mode keeps it CI-sized; run `leakest verify` without
-# -short for the full-depth local pass.
+# conformance is the statistical verification gate: `leakest verify` runs
+# the whole conformance registry — every estimator fixture, the goldens,
+# the tail, qmc and tiled stages — at full depth plus the mutation
+# self-check, at two worker counts. The two JSON reports must be identical
+# apart from their "workers" line; the workers-4 report is the artifact CI
+# uploads. The package's own tests run under the race detector in `check`.
 conformance:
-	$(GO) test -race ./internal/conformance/
-	$(GO) run ./cmd/leakest verify -short -workers 1
-	$(GO) run ./cmd/leakest verify -short -workers 4 -json CONFORMANCE_leakest.json
-
-# qmc-conformance is the race-enabled gate for the quasi-Monte-Carlo
-# sampler, bottom-up: the Sobol/scramble and pair-field unit layers, the
-# batched FFT transform, the chipmc qmc path (determinism across worker
-# counts and batch sizes, dense-referee agreement, degrade plumbing), the
-# qmc rows of the route-freeze table and of the trial-loop alloc pin, then
-# the statistical suite — frozen dense/fft referees,
-# equal-SE trial ratio, convergence-slope gates, and the degrade
-# self-check — first under the race detector, then via `leakest verify
-# -qmc` at two worker counts (the reports must be identical; the second
-# run writes the JSON artifact CI uploads).
-qmc-conformance:
-	$(GO) test -race ./internal/randvar/ -run 'Sobol|TopModes|Pair|SetMode|SamplePartial'
-	$(GO) test -race ./internal/fft/
-	$(GO) test -race ./internal/chipmc/ -run 'TestQMC'
-	$(GO) test -race ./internal/chipmc/ -run '(TestRouteFreeze|TestTrialBodyAllocs)/qmc'
-	$(GO) test -race ./internal/conformance/ -run 'QMC'
-	$(GO) run ./cmd/leakest verify -qmc -workers 1
-	$(GO) run ./cmd/leakest verify -qmc -workers 4 -json QMC_CONFORMANCE_leakest.json
-
-# tail-conformance is the focused race-enabled gate for the distribution-tail
-# estimators: the chipmc tail unit tests (IS agreement on the dense and
-# tiled fields, fallbacks, weight faults), the tail rows of the route-freeze
-# table and of the trial-loop alloc pin, the root determinism across workers
-# and race hammer, the stats tail
-# primitives, and the conformance tail gates including the full-size
-# 10⁶-trial brute-force referee (TestTailGatesFull is skipped by -short
-# everywhere else, so this target is where it runs under the race detector).
-tail-conformance:
-	$(GO) test -race ./internal/stats/ -run 'Quantile|Exceedance|Binomial'
-	$(GO) test -race ./internal/chipmc/ -run 'TestTail'
-	$(GO) test -race ./internal/chipmc/ -run '(TestRouteFreeze|TestTrialBodyAllocs)/tail'
-	$(GO) test -race . -run 'TestDeterminismTail|TestTailAccumulatorRaceHammer'
-	$(GO) test -race ./internal/conformance/ -run 'TestTail'
-
-# tiled-conformance is the race-enabled gate for the §16 tiled pipeline,
-# bottom-up: the tile-partition and lag-count layers, the exact tiled
-# estimators, the per-tile Monte-Carlo field (determinism, sampler reuse,
-# route label, tiled IS tail, the tiled rows of the route-freeze table and
-# of the trial-loop alloc pin), the streaming netlist reader (including its fuzz seed
-# corpus), then the statistical suite — bitwise tiled-vs-monolithic at
-# several tile counts, tile-count and worker invariance, the quadrature
-# envelope, the tiled MC law vs its serial pairwise reference, the
-# streaming round trip, and the mutation self-check — first under the race
-# detector, then via `leakest verify -tiled` at two worker counts (the
-# reports must be identical; the second run writes the JSON artifact CI
-# uploads).
-tiled-conformance:
-	$(GO) test -race ./internal/placement/ -run 'Tile|Partition'
-	$(GO) test -race ./internal/core/ -run 'Tiled'
-	$(GO) test -race ./internal/chipmc/ -run 'Tiled'
-	$(GO) test -race ./internal/chipmc/ -run '(TestRouteFreeze|TestTrialBodyAllocs)/tiled'
-	$(GO) test -race ./internal/netlist/ -run 'Stream|ScanPlaced'
-	$(GO) test -race ./internal/conformance/ -run 'Tiled'
-	$(GO) test -race . -run 'TestEstimatorTiles|TestEstimateStream|TestMonteCarloTiles'
-	$(GO) run ./cmd/leakest verify -tiled -workers 1
-	$(GO) run ./cmd/leakest verify -tiled -workers 4 -json TILED_CONFORMANCE_leakest.json
+	$(GO) run ./cmd/leakest verify -workers 1 -json CONFORMANCE_leakest_w1.json
+	$(GO) run ./cmd/leakest verify -workers 4 -json CONFORMANCE_leakest.json
+	sed '/"workers":/d' CONFORMANCE_leakest_w1.json > CONFORMANCE_leakest_w1.cmp
+	sed '/"workers":/d' CONFORMANCE_leakest.json | cmp - CONFORMANCE_leakest_w1.cmp
 
 # server-smoke boots leakestd on a loopback port and exercises the HTTP
 # API end to end: a small estimate must answer 200 with finite moments,

@@ -377,6 +377,9 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 		return Result{}, lkerr.New(lkerr.InvalidInput, op,
 			"placement covers %d gates, netlist has %d", len(pl.Site), n)
 	}
+	if err := pl.Validate(); err != nil {
+		return Result{}, lkerr.Wrap(lkerr.InvalidInput, op, err)
+	}
 	if cfg.Samples == 0 {
 		cfg.Samples = 2000
 	}

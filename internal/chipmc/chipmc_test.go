@@ -145,6 +145,31 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Lib: lib, Proc: &wrong, SignalProb: 0.5}, nl, pl); err == nil {
 		t.Errorf("inconsistent process accepted")
 	}
+	// Invalid placements: a gate off the grid or two gates on one site must
+	// be refused on every route before any field touches the sites.
+	offGrid := &placement.Placement{Grid: pl.Grid, Site: append([]int(nil), pl.Site...)}
+	offGrid.Site[3] = pl.Grid.Sites() + 7
+	shared := &placement.Placement{Grid: pl.Grid, Site: append([]int(nil), pl.Site...)}
+	shared.Site[1] = shared.Site[0]
+	routes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"dense", Config{Sampler: SamplerDense}},
+		{"fft", Config{Sampler: SamplerFFT}},
+		{"qmc", Config{Sampler: SamplerQMC}},
+		{"tiled", Config{Tiles: 2}},
+	}
+	for _, r := range routes {
+		cfg := r.cfg
+		cfg.Lib, cfg.Proc, cfg.SignalProb, cfg.Samples = lib, proc, 0.5, 16
+		for _, bad := range []*placement.Placement{offGrid, shared} {
+			_, err := Run(cfg, nl, bad)
+			if !errors.Is(err, lkerr.ErrInvalidInput) || !strings.Contains(err.Error(), "site") {
+				t.Errorf("%s route, sites %v: got %v, want an InvalidInput placement error", r.name, bad.Site[:4], err)
+			}
+		}
+	}
 }
 
 func TestGateCountGuard(t *testing.T) {

@@ -56,9 +56,9 @@ func TestQMCDeterminism(t *testing.T) {
 
 // TestQMCMatchesDense is the package-level unbiasedness smoke: both qmc
 // trial bodies estimate the same distribution as the frozen dense referee,
-// so the moments must agree within z·(combined SE). The conformance suite
-// (internal/conformance RunQMC) is the rigorous version with convergence
-// gates; this catches gross bias cheaply.
+// so the moments must agree within z·(combined SE). The qmc stage of the
+// conformance registry (internal/conformance) is the rigorous version with
+// convergence gates; this catches gross bias cheaply.
 func TestQMCMatchesDense(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 100)
 	base := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Samples: 2000, Seed: 21}

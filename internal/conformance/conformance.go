@@ -2,22 +2,27 @@
 // cross-validates every estimation path in the repository pairwise:
 //
 //   - exact paths (the O(n) linear method vs a brute-force Eq. 15 site sum,
-//     the O(n²) truth vs an independent serial reference) are held to
-//     ULP-class relative bounds;
+//     the O(n²) truth vs an independent serial reference, the tiled
+//     estimators vs the monolithic one) are held to ULP-class relative
+//     bounds;
 //   - approximate paths (the O(1) integrals vs the linear method, the
-//     chip-level Monte Carlo vs the analytic truth) are held to tolerances
-//     derived from standard errors, trial counts, and the envelopes
-//     recorded in EXPERIMENTS.md — never hand-tuned epsilons;
+//     chip-level, tail, quasi- and tiled Monte Carlo vs their analytic or
+//     referee values) are held to tolerances derived from standard errors,
+//     trial counts, and the envelopes recorded in EXPERIMENTS.md — never
+//     hand-tuned epsilons;
 //   - golden JSON fixtures (testdata/golden.json, regenerated by
 //     `go generate ./internal/conformance`) freeze the E1–E6 experiment
 //     shapes with declared tolerances.
 //
-// The harness runs over deterministic seeded fixtures covering the process
-// corners and degenerate layouts (1×1 grid, extreme λ/R ratios, all-D2D and
-// all-WID splits, single-cell histograms), and MutationSelfCheck proves the
-// gate has teeth: perturbing any estimator moment by 1 % must make the
-// harness fail. Entry points: Run, MutationSelfCheck, and the `leakest
-// verify` CLI subcommand (`make conformance` in CI).
+// The checks live in one ordered registry of stages (fixtures, golden,
+// tail-analytic, tail-brute, qmc, tiled-fixtures, tiled-mc) over
+// deterministic seeded fixtures covering the process corners and
+// degenerate layouts (1×1 grid, extreme λ/R ratios, all-D2D and all-WID
+// splits, single-cell histograms). One mutation table proves the gates
+// have teeth: each row perturbs an estimator (1 % on a moment, or a
+// degraded sampler) and runs only the stages that read it, and every such
+// run must fail. Entry points: Run, SelfCheck, and the `leakest verify`
+// CLI subcommand (`make conformance` in CI).
 package conformance
 
 import (
@@ -43,22 +48,6 @@ type Config struct {
 	// Mutation, when non-nil, perturbs one estimator moment before the
 	// checks run — the self-test hook proving the harness has teeth.
 	Mutation *Mutation
-	// lite restricts the run to the two fixtures the mutation self-check
-	// needs and skips the MC, golden, and tail stages; internal use only.
-	lite bool
-	// tailOnly restricts the run to the single-gate analytic tail gate —
-	// the fixture the tail-is mutation self-check needs; internal use only.
-	tailOnly bool
-	// tiledMCOnly restricts RunTiled to the sampled-law stage — the stage
-	// the tiled-mc mutation self-check needs; internal use only.
-	tiledMCOnly bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
-	return c
 }
 
 // Check kinds, for report consumers.
@@ -93,6 +82,14 @@ type Check struct {
 	Margin float64 `json:"margin"`
 	Pass   bool    `json:"pass"`
 	Detail string  `json:"detail,omitempty"`
+}
+
+// loc names a check as fixture/name.
+func (c Check) loc() string {
+	if c.Fixture == "" {
+		return c.Name
+	}
+	return c.Fixture + "/" + c.Name
 }
 
 // Report is the outcome of a harness run.
@@ -150,11 +147,7 @@ func (r *Report) Summarize(w io.Writer, verbose bool) {
 		if !c.Pass {
 			status = "FAIL"
 		}
-		loc := c.Name
-		if c.Fixture != "" {
-			loc = c.Fixture + "/" + c.Name
-		}
-		fmt.Fprintf(w, "%s %-55s got %.6g want %.6g (±%.3g, margin %.3g)", status, loc, c.Got, c.Want, c.Allowed, c.Margin)
+		fmt.Fprintf(w, "%s %-55s got %.6g want %.6g (±%.3g, margin %.3g)", status, c.loc(), c.Got, c.Want, c.Allowed, c.Margin)
 		if c.Detail != "" {
 			fmt.Fprintf(w, " — %s", c.Detail)
 		}
@@ -162,11 +155,7 @@ func (r *Report) Summarize(w io.Writer, verbose bool) {
 	}
 	fmt.Fprintf(w, "conformance: %d checks, %d passed, %d failed", len(r.Checks), r.Passed, r.Failed)
 	if worst, ok := r.WorstMargin(); ok {
-		loc := worst.Name
-		if worst.Fixture != "" {
-			loc = worst.Fixture + "/" + worst.Name
-		}
-		fmt.Fprintf(w, "; tightest margin %.3g (%s)", worst.Margin, loc)
+		fmt.Fprintf(w, "; tightest margin %.3g (%s)", worst.Margin, worst.loc())
 	}
 	fmt.Fprintln(w)
 }

@@ -1,6 +1,9 @@
 package conformance
 
 import (
+	"leakest/internal/charlib"
+	"leakest/internal/netlist"
+	"leakest/internal/placement"
 	"leakest/internal/spatial"
 	"leakest/internal/stats"
 )
@@ -174,6 +177,36 @@ func Fixtures(short bool) ([]Fixture, error) {
 	}, nil
 }
 
-// liteNames are the fixtures the mutation self-check runs: baseline covers
-// the placed truth path, tight-corr covers the polar path.
-var liteNames = map[string]bool{"baseline": true, "tight-corr": true}
+// mutationFixtures are the fixtures the mutation self-check runs: baseline
+// covers the placed truth path, tight-corr covers the polar path.
+var mutationFixtures = []string{"baseline", "tight-corr"}
+
+// placedCircuit draws the seeded random circuit of a placed fixture from
+// the "conformance/<stream>" RNG: n gates with numPI primary inputs drawn
+// from hist, on distinct random sites of an n-site grid with the given
+// aspect ratio.
+func placedCircuit(lib *charlib.Library, seed int64, stream, name string, n, numPI int,
+	hist *stats.Histogram, aspect float64) (*netlist.Netlist, *placement.Placement, error) {
+	rng := stats.NewRNG(seed, "conformance/"+stream)
+	nl, err := netlist.RandomCircuit(rng, name, n, numPI, hist, libArity(lib))
+	if err != nil {
+		return nil, nil, err
+	}
+	grid, err := placement.NewGrid(n, placement.DefaultSitePitch, placement.DefaultSitePitch, aspect)
+	if err != nil {
+		return nil, nil, err
+	}
+	pl, err := placement.Random(rng, grid, n)
+	return nl, pl, err
+}
+
+// libArity adapts a characterized library to netlist.CellArity.
+func libArity(lib *charlib.Library) netlist.CellArity {
+	return func(typ string) (int, error) {
+		cc, err := lib.Cell(typ)
+		if err != nil {
+			return 0, err
+		}
+		return cc.NumInputs, nil
+	}
+}

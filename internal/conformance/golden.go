@@ -279,14 +279,3 @@ func goldenSimplified(ctx context.Context, lib *charlib.Library, hist *stats.His
 	}
 	return worst, nil
 }
-
-// libArity adapts a characterized library to netlist.CellArity.
-func libArity(lib *charlib.Library) netlist.CellArity {
-	return func(typ string) (int, error) {
-		cc, err := lib.Cell(typ)
-		if err != nil {
-			return 0, err
-		}
-		return cc.NumInputs, nil
-	}
-}

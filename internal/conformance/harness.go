@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"leakest/internal/charlib"
 	"leakest/internal/chipmc"
 	"leakest/internal/core"
 	"leakest/internal/lkerr"
-	"leakest/internal/netlist"
 	"leakest/internal/placement"
 	"leakest/internal/stats"
 )
@@ -22,61 +22,98 @@ import (
 // absorbs that too.
 const mcZ = 5.0
 
-// Run executes the full harness: every fixture, every estimation path,
-// plus the golden gates. Check failures land in the report; only
+// stage is one entry of the conformance registry: a named group of checks
+// that builds its own fixtures and seeded streams, so any selection of
+// stages reproduces exactly the checks those stages add to a full run.
+type stage struct {
+	name string
+	run  func(h *harness, ctx context.Context) error
+}
+
+// stages is the conformance registry, in report order: the estimator
+// cross-checks over every fixture, the frozen experiment goldens, the two
+// distribution-tail gates, the quasi-Monte-Carlo suite, then the tiled
+// pipeline's analytic and sampled-law gates.
+var stages = []stage{
+	{"fixtures", perFixture((*harness).runFixture)},
+	{"golden", (*harness).runGolden},
+	{"tail-analytic", (*harness).runTailAnalytic},
+	{"tail-brute", (*harness).runTailBrute},
+	{"qmc", (*harness).runQMC},
+	{"tiled-fixtures", perFixture((*harness).runTiledFixture)},
+	{"tiled-mc", (*harness).runTiledMC},
+}
+
+// selection is the part of the registry one harness run covers: the named
+// stages (nil = every stage) over the named fixtures (nil = every fixture).
+// A fixture subset also drops the fixtures' chip Monte-Carlo checks: the
+// subsets serve the mutation self-check, whose 1 % perturbations sit below
+// those standard-error-sized gates.
+type selection struct {
+	stages   []string
+	fixtures []string
+}
+
+// Run executes the whole registry. Check failures land in the report; only
 // infrastructure errors (library characterization, model construction)
 // return a non-nil error.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
+	return run(ctx, cfg, selection{})
+}
+
+func run(ctx context.Context, cfg Config, sel selection) (*Report, error) {
+	if cfg.Seed == 0 {
+		cfg.Seed = DefaultSeed
+	}
 	lib, err := charlib.SharedCore()
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Short: cfg.Short, Seed: cfg.Seed, Workers: cfg.Workers}
-	h := &harness{cfg: cfg, lib: lib, rep: rep}
-	if cfg.tailOnly {
-		// The tail-is mutation self-check needs only the cheap analytic tail
-		// gate; everything else would dilute its runtime for no sensitivity.
-		if err := h.runTailAnalytic(ctx); err != nil {
-			return nil, fmt.Errorf("conformance: tail-analytic: %w", err)
-		}
-		rep.tally()
-		return rep, nil
-	}
-	fixtures, err := Fixtures(cfg.Short)
+	all, err := Fixtures(cfg.Short)
 	if err != nil {
 		return nil, err
 	}
-	for _, fx := range fixtures {
-		if cfg.lite && !liteNames[fx.Name] {
-			continue
-		}
-		if cfg.lite {
-			fx.MC = false
-		}
-		if err := h.runFixture(ctx, fx); err != nil {
-			return nil, fmt.Errorf("conformance: fixture %s: %w", fx.Name, err)
+	fixtures := all
+	if sel.fixtures != nil {
+		fixtures = nil
+		for _, fx := range all {
+			if slices.Contains(sel.fixtures, fx.Name) {
+				fx.MC = false
+				fixtures = append(fixtures, fx)
+			}
 		}
 	}
-	if !cfg.lite {
-		if err := h.runGolden(ctx); err != nil {
-			return nil, err
+	rep := &Report{Short: cfg.Short, Seed: cfg.Seed, Workers: cfg.Workers}
+	h := &harness{cfg: cfg, lib: lib, rep: rep, fixtures: fixtures}
+	for _, st := range stages {
+		if sel.stages != nil && !slices.Contains(sel.stages, st.name) {
+			continue
 		}
-		if err := h.runTailAnalytic(ctx); err != nil {
-			return nil, fmt.Errorf("conformance: tail-analytic: %w", err)
-		}
-		if err := h.runTailBrute(ctx); err != nil {
-			return nil, fmt.Errorf("conformance: tail-brute: %w", err)
+		if err := st.run(h, ctx); err != nil {
+			return nil, fmt.Errorf("conformance: %s: %w", st.name, err)
 		}
 	}
 	rep.tally()
 	return rep, nil
 }
 
+// perFixture lifts a per-fixture stage body over the run's fixtures.
+func perFixture(body func(*harness, context.Context, Fixture) error) func(*harness, context.Context) error {
+	return func(h *harness, ctx context.Context) error {
+		for _, fx := range h.fixtures {
+			if err := body(h, ctx, fx); err != nil {
+				return fmt.Errorf("fixture %s: %w", fx.Name, err)
+			}
+		}
+		return nil
+	}
+}
+
 type harness struct {
-	cfg Config
-	lib *charlib.Library
-	rep *Report
+	cfg      Config
+	lib      *charlib.Library
+	rep      *Report
+	fixtures []Fixture
 }
 
 // check records one numeric comparison.
@@ -102,37 +139,46 @@ func (h *harness) checkBehavior(fixture, name string, pass bool, detail string) 
 	})
 }
 
-// mutate applies the configured perturbation when the target matches —
-// the hook MutationSelfCheck uses to prove the checks have teeth. The
-// independent references are computed outside this hook, so a mutated
-// estimator always disagrees with its reference.
-func (h *harness) mutate(target string, r core.Result) core.Result {
+// mutate applies the configured perturbation to a finished estimate's
+// (mean, std) pair when the target matches — the hook SelfCheck uses to
+// prove the checks have teeth. The independent references are computed
+// outside this hook, so a mutated estimator always disagrees with its
+// reference.
+func (h *harness) mutate(target string, mean, std *float64) {
 	mu := h.cfg.Mutation
 	if mu == nil || mu.Target != target {
-		return r
+		return
 	}
 	switch mu.Moment {
 	case "mean":
-		r.Mean *= mu.Factor
+		*mean *= mu.Factor
 	case "std":
-		r.Std *= mu.Factor
+		*std *= mu.Factor
 	}
-	return r
 }
 
-func (h *harness) runFixture(ctx context.Context, fx Fixture) error {
-	n := fx.N()
+// fixtureModel builds the full-occupancy RG model of a fixture's grid.
+func (h *harness) fixtureModel(ctx context.Context, fx Fixture) (*core.Model, error) {
 	spec := core.DesignSpec{
-		Hist: fx.Hist, N: n,
+		Hist: fx.Hist, N: fx.N(),
 		W:          float64(fx.Cols) * placement.DefaultSitePitch,
 		H:          float64(fx.Rows) * placement.DefaultSitePitch,
 		SignalProb: fx.SignalProb,
 	}
 	m, err := core.NewModelCtx(ctx, h.lib, fx.Proc, spec, core.Analytic)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m.Workers = h.cfg.Workers
+	return m, nil
+}
+
+func (h *harness) runFixture(ctx context.Context, fx Fixture) error {
+	n := fx.N()
+	m, err := h.fixtureModel(ctx, fx)
+	if err != nil {
+		return err
+	}
 	nMean := float64(n) * m.MeanPerGate()
 
 	// --- O(n) linear vs brute-force Eq. 15 over the full site grid ------
@@ -140,7 +186,7 @@ func (h *harness) runFixture(ctx context.Context, fx Fixture) error {
 	if err != nil {
 		return err
 	}
-	lin = h.mutate("linear", lin)
+	h.mutate("linear", &lin.Mean, &lin.Std)
 	h.checkBehavior(fx.Name, "linear/full-occupancy", lin.Note == "",
 		"fixture grids are full-occupancy; occupancy scaling must not engage")
 	h.check(fx.Name, "linear/mean-identity", KindExact, lin.Mean, nMean, Exact(),
@@ -154,7 +200,7 @@ func (h *harness) runFixture(ctx context.Context, fx Fixture) error {
 	if err != nil {
 		return err
 	}
-	naive = h.mutate("naive", naive)
+	h.mutate("naive", &naive.Mean, &naive.Std)
 	h.check(fx.Name, "naive/mean-identity", KindExact, naive.Mean, nMean, Exact(), "")
 	h.check(fx.Name, "naive/std-identity", KindExact, naive.Std,
 		math.Sqrt(float64(n)*m.RGVariance()), Exact(), "independence baseline is √(n·σ²_XI)")
@@ -164,7 +210,7 @@ func (h *harness) runFixture(ctx context.Context, fx Fixture) error {
 	if err != nil {
 		return err
 	}
-	integ = h.mutate("integral2d", integ)
+	h.mutate("integral2d", &integ.Mean, &integ.Std)
 	h.check(fx.Name, "integral2d/mean-identity", KindExact, integ.Mean, nMean, Exact(), "")
 	h.check(fx.Name, "integral2d/std-vs-refined-quadrature", KindExact,
 		integ.Std, integral2DRefStd(m), Tolerance{Rel: 1e-3},
@@ -189,7 +235,7 @@ func (h *harness) runFixture(ctx context.Context, fx Fixture) error {
 		if perr != nil {
 			return perr
 		}
-		polar = h.mutate("polar", polar)
+		h.mutate("polar", &polar.Mean, &polar.Std)
 		h.check(fx.Name, "polar/mean-identity", KindExact, polar.Mean, nMean, Exact(), "")
 		h.check(fx.Name, "polar/std-vs-refined-quadrature", KindExact,
 			polar.Std, polarRefStd(m), Tolerance{Rel: 1e-3},
@@ -215,17 +261,8 @@ func (h *harness) runFixture(ctx context.Context, fx Fixture) error {
 // Monte Carlo against it.
 func (h *harness) runPlaced(ctx context.Context, fx Fixture, m *core.Model) error {
 	n := fx.N()
-	rng := stats.NewRNG(h.cfg.Seed, "conformance/"+fx.Name)
-	nl, err := netlist.RandomCircuit(rng, "conf-"+fx.Name, n, 16, fx.Hist, libArity(h.lib))
-	if err != nil {
-		return err
-	}
-	grid, err := placement.NewGrid(n, placement.DefaultSitePitch, placement.DefaultSitePitch,
+	nl, pl, err := placedCircuit(h.lib, h.cfg.Seed, fx.Name, "conf-"+fx.Name, n, 16, fx.Hist,
 		float64(fx.Cols)/float64(fx.Rows))
-	if err != nil {
-		return err
-	}
-	pl, err := placement.Random(rng, grid, n)
 	if err != nil {
 		return err
 	}
@@ -245,7 +282,7 @@ func (h *harness) runPlaced(ctx context.Context, fx Fixture, m *core.Model) erro
 	if err != nil {
 		return err
 	}
-	truth = h.mutate("truth", truth)
+	h.mutate("truth", &truth.Mean, &truth.Std)
 	refMean, refStd, err := serialTruthRef(em, nl, pl)
 	if err != nil {
 		return err
@@ -261,7 +298,7 @@ func (h *harness) runPlaced(ctx context.Context, fx Fixture, m *core.Model) erro
 	if err != nil {
 		return err
 	}
-	lin = h.mutate("linear", lin)
+	h.mutate("linear", &lin.Mean, &lin.Std)
 	e4Bound, _ := RecordedEnvelope("e4.envelope", n)
 	h.check(fx.Name, "truth/std-vs-rg-estimate", KindApprox, truth.Std, lin.Std,
 		RelPct(e4Bound), "one placed circuit against the RG abstraction (E4 envelope)")

@@ -10,10 +10,12 @@ import (
 // passes everything verifies nothing.
 type Mutation struct {
 	// Target names the estimator to perturb: linear, truth, integral2d,
-	// polar, naive, or tail-is (the importance-sampled tail estimator).
+	// polar, naive, tiled, tile-count, tiled-mc, tail-is (the
+	// importance-sampled tail estimator) or qmc-seq (the Sobol stream).
 	Target string `json:"target"`
 	// Moment selects mean or std for the moment targets; the tail-is target
-	// uses "exceedance" (there is only one quantity to bias).
+	// uses "exceedance" (there is only one quantity to bias) and qmc-seq
+	// names a degrade mode (qmcDegradeModes).
 	Moment string `json:"moment"`
 	// Factor multiplies the chosen moment (1.01 = a 1 % bias). For tail-is
 	// it becomes the uniform IS weight mis-scaling applied through
@@ -46,47 +48,74 @@ type SelfCheckResult struct {
 	Caught bool `json:"caught"`
 }
 
-// mutationTargets is the full matrix of estimator moments the self-check
-// perturbs. The chip-level Monte Carlo is deliberately absent: its gates are
-// standard-error-sized, and at CI trial counts a 1 % bias sits below the SE
-// noise floor — a statistical gate cannot and should not resolve it.
-var mutationTargets = []string{"linear", "truth", "integral2d", "polar", "naive"}
+// mutationRow is one row of the self-check table: every (target, moment)
+// pair it names is injected at factor into its own run of the registry
+// selection sel, and that run must fail at least one check.
+type mutationRow struct {
+	targets, moments []string
+	factor           float64
+	sel              selection
+}
 
-// MutationSelfCheck runs the lite harness once per (target, moment) with
-// that moment biased by 1 % and reports whether each run failed. Every
-// entry must come back Caught; AllCaught folds that for callers.
-func MutationSelfCheck(ctx context.Context, cfg Config) ([]SelfCheckResult, error) {
-	cfg = cfg.withDefaults()
-	cfg.lite = true
+var meanStd = []string{"mean", "std"}
+
+// mutations is the self-check table. Each row runs only the stages that
+// read its targets, over the smallest fixture subset that reaches them.
+// The chip-level Monte Carlo of the fixtures stage is deliberately absent:
+// its gates are standard-error-sized, and at CI trial counts a 1 % bias
+// sits below the SE noise floor — a statistical gate cannot and should not
+// resolve it.
+var mutations = []mutationRow{
+	{
+		targets: []string{"linear", "truth", "integral2d", "polar", "naive"},
+		moments: meanStd, factor: SelfCheckFactor,
+		sel: selection{stages: []string{"fixtures"}, fixtures: mutationFixtures},
+	},
+	{
+		// A 2× IS weight mis-scaling rides through
+		// chipmc.TailConfig.WeightScale on the cheap single-gate analytic
+		// stage and must trip its z·SE exceedance gate.
+		targets: []string{"tail-is"}, moments: []string{"exceedance"}, factor: TailSelfCheckFactor,
+		sel: selection{stages: []string{"tail-analytic"}},
+	},
+	{
+		targets: []string{"qmc-seq"}, moments: qmcDegradeModes, factor: 1,
+		sel: selection{stages: []string{"qmc"}},
+	},
+	{
+		targets: []string{"tiled", "tile-count"}, moments: meanStd, factor: SelfCheckFactor,
+		sel: selection{stages: []string{"tiled-fixtures"}, fixtures: mutationFixtures},
+	},
+	{
+		targets: []string{"tiled-mc"}, moments: meanStd, factor: SelfCheckFactor,
+		sel: selection{stages: []string{"tiled-mc"}},
+	},
+}
+
+// SelfCheck runs the mutation table: one registry run per (target, moment)
+// with that perturbation injected, reporting whether each run failed.
+// Every entry must come back Caught; AllCaught folds that for callers.
+func SelfCheck(ctx context.Context, cfg Config) ([]SelfCheckResult, error) {
+	return selfCheck(ctx, cfg, mutations)
+}
+
+func selfCheck(ctx context.Context, cfg Config, rows []mutationRow) ([]SelfCheckResult, error) {
 	var out []SelfCheckResult
-	for _, target := range mutationTargets {
-		for _, moment := range []string{"mean", "std"} {
-			cfg.Mutation = &Mutation{Target: target, Moment: moment, Factor: SelfCheckFactor}
-			rep, err := Run(ctx, cfg)
-			if err != nil {
-				return out, fmt.Errorf("conformance: self-check %s/%s: %w", target, moment, err)
+	for _, row := range rows {
+		for _, target := range row.targets {
+			for _, moment := range row.moments {
+				cfg.Mutation = &Mutation{Target: target, Moment: moment, Factor: row.factor}
+				rep, err := run(ctx, cfg, row.sel)
+				if err != nil {
+					return out, fmt.Errorf("conformance: self-check %s/%s: %w", target, moment, err)
+				}
+				out = append(out, SelfCheckResult{
+					Target: target, Moment: moment, Factor: row.factor,
+					Failed: rep.Failed, Caught: rep.Failed > 0,
+				})
 			}
-			out = append(out, SelfCheckResult{
-				Target: target, Moment: moment, Factor: SelfCheckFactor,
-				Failed: rep.Failed, Caught: rep.Failed > 0,
-			})
 		}
 	}
-	// The tail estimator gets its own entry: a 2× IS weight mis-scaling
-	// rides through chipmc.TailConfig.WeightScale on the tailOnly run (the
-	// cheap single-gate analytic fixture) and must trip the z·SE exceedance
-	// gate — proving the tail harness, like the moment harness, has teeth.
-	tcfg := cfg
-	tcfg.tailOnly = true
-	tcfg.Mutation = &Mutation{Target: "tail-is", Moment: "exceedance", Factor: TailSelfCheckFactor}
-	rep, err := Run(ctx, tcfg)
-	if err != nil {
-		return out, fmt.Errorf("conformance: self-check tail-is/exceedance: %w", err)
-	}
-	out = append(out, SelfCheckResult{
-		Target: "tail-is", Moment: "exceedance", Factor: TailSelfCheckFactor,
-		Failed: rep.Failed, Caught: rep.Failed > 0,
-	})
 	return out, nil
 }
 

@@ -13,8 +13,8 @@ import (
 	"leakest/internal/stats"
 )
 
-// The quasi-Monte-Carlo conformance suite proves three things about the
-// scrambled-Sobol sampler on one smooth seeded fixture:
+// The qmc stage proves three things about the scrambled-Sobol sampler on
+// one smooth seeded fixture:
 //
 //  1. Unbiasedness — the qmc moments agree with a frozen pseudo-random
 //     dense referee within z·SE.
@@ -28,7 +28,7 @@ import (
 //     frozen in testdata/golden.json, so any change that perturbs the
 //     pseudo-random paths while wiring in qmc fails the golden gate.
 //
-// QMCSelfCheck proves the suite has teeth by degrading the Sobol stream
+// The self-check proves the stage has teeth by degrading the Sobol stream
 // (unscrambled, pseudo-random) and requiring each degraded run to fail.
 
 const (
@@ -85,16 +85,7 @@ func qmcFixture(lib *charlib.Library) (*spatial.Process, *netlist.Netlist, *plac
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rng := stats.NewRNG(DefaultSeed, "conformance/"+qmcFixtureName)
-	nl, err := netlist.RandomCircuit(rng, "conf-qmc", qmcGates, 8, hist, libArity(lib))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	grid, err := placement.NewGrid(qmcGates, placement.DefaultSitePitch, placement.DefaultSitePitch, 1)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pl, err := placement.Random(rng, grid, qmcGates)
+	nl, pl, err := placedCircuit(lib, DefaultSeed, qmcFixtureName, "conf-qmc", qmcGates, 8, hist, 1)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -134,23 +125,6 @@ func qmcGoldenEntries(ctx context.Context, lib *charlib.Library, workers int) ([
 		)
 	}
 	return out, nil
-}
-
-// RunQMC executes the quasi-Monte-Carlo conformance suite. Check failures
-// land in the report; only infrastructure errors return non-nil.
-func RunQMC(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	lib, err := charlib.SharedCore()
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Short: cfg.Short, Seed: cfg.Seed, Workers: cfg.Workers}
-	h := &harness{cfg: cfg, lib: lib, rep: rep}
-	if err := h.runQMC(ctx); err != nil {
-		return nil, fmt.Errorf("conformance: qmc: %w", err)
-	}
-	rep.tally()
-	return rep, nil
 }
 
 func (h *harness) runQMC(ctx context.Context) error {
@@ -342,27 +316,9 @@ func (h *harness) runQMC(ctx context.Context) error {
 }
 
 // qmcDegradeModes are the Sobol-stream degradations the self-check
-// injects: "unscrambled" freezes the scramble (every replicate collapses
-// onto one deterministic sequence), "pseudo" replaces the sequence with a
-// counter-based pseudo-random stream (the acceleration disappears).
+// injects as qmc-seq moments: "unscrambled" freezes the scramble (every
+// replicate collapses onto one deterministic sequence), "pseudo" replaces
+// the sequence with a counter-based pseudo-random stream (the acceleration
+// disappears). Degradation replaces the generator rather than scaling a
+// moment, so the self-check records Factor 1.
 var qmcDegradeModes = []string{"unscrambled", "pseudo"}
-
-// QMCSelfCheck proves the qmc suite has teeth: each degraded run must fail
-// at least one check. Degradation replaces the generator rather than
-// scaling a moment, so Factor is recorded as 1.
-func QMCSelfCheck(ctx context.Context, cfg Config) ([]SelfCheckResult, error) {
-	cfg = cfg.withDefaults()
-	var out []SelfCheckResult
-	for _, mode := range qmcDegradeModes {
-		cfg.Mutation = &Mutation{Target: "qmc-seq", Moment: mode, Factor: 1}
-		rep, err := RunQMC(ctx, cfg)
-		if err != nil {
-			return out, fmt.Errorf("conformance: qmc self-check %s: %w", mode, err)
-		}
-		out = append(out, SelfCheckResult{
-			Target: "qmc-seq", Moment: mode, Factor: 1,
-			Failed: rep.Failed, Caught: rep.Failed > 0,
-		})
-	}
-	return out, nil
-}

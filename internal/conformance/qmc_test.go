@@ -1,75 +1,6 @@
 package conformance
 
-import (
-	"context"
-	"reflect"
-	"strings"
-	"testing"
-)
-
-// TestRunQMC is the qmc conformance gate itself: on a healthy tree every
-// check — frozen referees, unbiasedness, the equal-SE trial ratio, the
-// convergence-slope gates, and scramble variation — must pass.
-func TestRunQMC(t *testing.T) {
-	rep, err := RunQMC(context.Background(), Config{Short: true, Workers: 2})
-	if err != nil {
-		t.Fatalf("RunQMC: %v", err)
-	}
-	if len(rep.Checks) < 12 {
-		t.Fatalf("only %d checks ran; the qmc suite should produce more", len(rep.Checks))
-	}
-	if !rep.OK() {
-		var b strings.Builder
-		rep.Summarize(&b, false)
-		t.Fatalf("qmc suite failed:\n%s", b.String())
-	}
-	var b strings.Builder
-	rep.Summarize(&b, true)
-	t.Logf("qmc suite:\n%s", b.String())
-}
-
-// TestRunQMCWorkerIndependence asserts the determinism contract: the qmc
-// report — every got, want, and margin — is identical at any worker count.
-func TestRunQMCWorkerIndependence(t *testing.T) {
-	r1, err := RunQMC(context.Background(), Config{Short: true, Workers: 1})
-	if err != nil {
-		t.Fatalf("workers=1: %v", err)
-	}
-	r4, err := RunQMC(context.Background(), Config{Short: true, Workers: 4})
-	if err != nil {
-		t.Fatalf("workers=4: %v", err)
-	}
-	r1.Workers, r4.Workers = 0, 0
-	if !reflect.DeepEqual(r1, r4) {
-		for i := range r1.Checks {
-			if i < len(r4.Checks) && !reflect.DeepEqual(r1.Checks[i], r4.Checks[i]) {
-				t.Errorf("check %d differs:\n  w1: %+v\n  w4: %+v", i, r1.Checks[i], r4.Checks[i])
-			}
-		}
-		t.Fatal("qmc reports differ across worker counts")
-	}
-}
-
-// TestQMCSelfCheck proves the qmc gates have teeth: degrading the Sobol
-// stream to an unscrambled or pseudo-random generator must trip at least
-// one check per mode.
-func TestQMCSelfCheck(t *testing.T) {
-	results, err := QMCSelfCheck(context.Background(), Config{Short: true, Workers: 2})
-	if err != nil {
-		t.Fatalf("QMCSelfCheck: %v", err)
-	}
-	if len(results) != len(qmcDegradeModes) {
-		t.Fatalf("got %d self-check results, want %d", len(results), len(qmcDegradeModes))
-	}
-	for _, r := range results {
-		if !r.Caught {
-			t.Errorf("the %s degrade slipped through every qmc check", r.Moment)
-		}
-	}
-	if !AllCaught(results) {
-		t.Error("AllCaught disagrees with the per-result loop")
-	}
-}
+import "testing"
 
 // TestQMCGoldenFrozen checks the referee moments are frozen alongside the
 // E1–E6 shapes.

@@ -109,9 +109,17 @@ func polarRefStd(m *core.Model) float64 {
 
 // serialTruthRef recomputes TrueStats with a plain serial double loop over
 // the public pairwise API — no sharding, no ticker, no spline-cache
-// plumbing. It accumulates per row in index order, the same order the
-// sharded production loop merges its rows, so the comparison is exact.
+// plumbing.
 func serialTruthRef(m *core.Model, nl *netlist.Netlist, pl *placement.Placement) (mean, std float64, err error) {
+	return serialPairSum(m, nl, pl, func(_, _ int, d float64) float64 { return m.Proc.TotalCorr(d) })
+}
+
+// serialPairSum evaluates Eq. 15 over every gate pair of a placed netlist
+// with the pair correlation rho(a, b, distance). It accumulates per row in
+// index order, the same order the sharded production loop merges its
+// rows, so the comparison with TrueStats is exact.
+func serialPairSum(m *core.Model, nl *netlist.Netlist, pl *placement.Placement,
+	rho func(a, b int, d float64) float64) (mean, std float64, err error) {
 	n := len(nl.Gates)
 	variance := 0.0
 	xs := make([]float64, n)
@@ -128,12 +136,11 @@ func serialTruthRef(m *core.Model, nl *netlist.Netlist, pl *placement.Placement)
 	for a := 0; a < n; a++ {
 		row := 0.0
 		for b := a + 1; b < n; b++ {
-			d := math.Hypot(xs[a]-xs[b], ys[a]-ys[b])
-			rho := m.Proc.TotalCorr(d)
-			if rho <= 0 {
+			r := rho(a, b, math.Hypot(xs[a]-xs[b], ys[a]-ys[b]))
+			if r <= 0 {
 				continue
 			}
-			cov, perr := m.PairCovAtCorr(nl.Gates[a].Type, nl.Gates[b].Type, rho)
+			cov, perr := m.PairCovAtCorr(nl.Gates[a].Type, nl.Gates[b].Type, r)
 			if perr != nil {
 				return 0, 0, perr
 			}

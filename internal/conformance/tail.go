@@ -8,8 +8,6 @@ import (
 	"leakest/internal/charlib"
 	"leakest/internal/chipmc"
 	"leakest/internal/core"
-	"leakest/internal/netlist"
-	"leakest/internal/placement"
 	"leakest/internal/randvar"
 	"leakest/internal/spatial"
 	"leakest/internal/stats"
@@ -82,16 +80,7 @@ func (h *harness) runTailAnalytic(ctx context.Context) error {
 		return err
 	}
 	proc := allD2D()
-	rng := stats.NewRNG(h.cfg.Seed, "conformance/"+fixture)
-	nl, err := netlist.RandomCircuit(rng, "conf-"+fixture, 1, 16, oneInv, libArity(h.lib))
-	if err != nil {
-		return err
-	}
-	grid, err := placement.NewGrid(1, placement.DefaultSitePitch, placement.DefaultSitePitch, 1)
-	if err != nil {
-		return err
-	}
-	pl, err := placement.Random(rng, grid, 1)
+	nl, pl, err := placedCircuit(h.lib, h.cfg.Seed, fixture, "conf-"+fixture, 1, 16, oneInv, 1)
 	if err != nil {
 		return err
 	}
@@ -216,16 +205,7 @@ func (h *harness) runTailBrute(ctx context.Context) error {
 		primaryN, isN = 2_000, 8_000
 	}
 
-	rng := stats.NewRNG(h.cfg.Seed, "conformance/"+fixture)
-	nl, err := netlist.RandomCircuit(rng, "conf-"+fixture, n, 16, mixed, libArity(h.lib))
-	if err != nil {
-		return err
-	}
-	grid, err := placement.NewGrid(n, placement.DefaultSitePitch, placement.DefaultSitePitch, 1)
-	if err != nil {
-		return err
-	}
-	pl, err := placement.Random(rng, grid, n)
+	nl, pl, err := placedCircuit(h.lib, h.cfg.Seed, fixture, "conf-"+fixture, n, 16, mixed, 1)
 	if err != nil {
 		return err
 	}

@@ -4,24 +4,24 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"leakest/internal/charlib"
 )
 
-// TestTailOnlyRun exercises the internal tailOnly mode the tail-is
-// self-check rides on: only the analytic single-gate checks run, and on a
-// healthy tree they all pass.
+// tailAnalytic selects the stage the tail-is self-check rides on.
+var tailAnalytic = selection{stages: []string{"tail-analytic"}}
+
+// TestTailOnlyRun exercises the tail-analytic stage selection: only the
+// analytic single-gate checks run, and on a healthy tree they all pass.
 func TestTailOnlyRun(t *testing.T) {
-	rep, err := Run(context.Background(), Config{Short: true, Workers: 1, tailOnly: true})
+	rep, err := run(context.Background(), Config{Short: true, Workers: 1}, tailAnalytic)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	if len(rep.Checks) == 0 {
-		t.Fatal("tailOnly run produced no checks")
+		t.Fatal("tail-analytic run produced no checks")
 	}
 	for _, c := range rep.Checks {
 		if c.Fixture != "tail-analytic" {
-			t.Errorf("tailOnly run produced a %s/%s check; only tail-analytic belongs here", c.Fixture, c.Name)
+			t.Errorf("tail-analytic run produced a %s/%s check; only tail-analytic belongs here", c.Fixture, c.Name)
 		}
 		if !c.Pass {
 			t.Errorf("%s/%s failed on a healthy tree: got %g want %g (±%g) — %s",
@@ -35,11 +35,11 @@ func TestTailOnlyRun(t *testing.T) {
 // leaving the plain-MC and quantile checks (which never see IS weights)
 // untouched.
 func TestTailMutationTripsGate(t *testing.T) {
-	cfg := Config{Short: true, Workers: 1, tailOnly: true,
+	cfg := Config{Short: true, Workers: 1,
 		Mutation: &Mutation{Target: "tail-is", Moment: "exceedance", Factor: TailSelfCheckFactor}}
-	rep, err := Run(context.Background(), cfg)
+	rep, err := run(context.Background(), cfg, tailAnalytic)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	tripped := false
 	for _, c := range rep.Checks {
@@ -67,20 +67,12 @@ func TestTailGatesFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size tail gates run a 10⁶-trial referee")
 	}
-	lib, err := charlib.SharedCore()
+	rep, err := run(context.Background(), Config{Workers: 1},
+		selection{stages: []string{"tail-analytic", "tail-brute"}})
 	if err != nil {
-		t.Fatalf("SharedCore: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	cfg := Config{Workers: 1}.withDefaults()
-	h := &harness{cfg: cfg, lib: lib, rep: &Report{}}
-	ctx := context.Background()
-	if err := h.runTailAnalytic(ctx); err != nil {
-		t.Fatalf("runTailAnalytic: %v", err)
-	}
-	if err := h.runTailBrute(ctx); err != nil {
-		t.Fatalf("runTailBrute: %v", err)
-	}
-	for _, c := range h.rep.Checks {
+	for _, c := range rep.Checks {
 		if !c.Pass {
 			t.Errorf("%s/%s failed at full size: got %g want %g (±%g) — %s",
 				c.Fixture, c.Name, c.Got, c.Want, c.Allowed, c.Detail)

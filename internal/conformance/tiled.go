@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 
 	"leakest/internal/charlib"
 	"leakest/internal/chipmc"
@@ -15,7 +14,8 @@ import (
 	"leakest/internal/stats"
 )
 
-// The tiled conformance suite gates the DESIGN.md §16 tiled pipeline:
+// The tiled-fixtures and tiled-mc stages gate the DESIGN.md §16 tiled
+// pipeline:
 //
 //  1. Exactness — on every fixture the tiled linear estimator must equal
 //     the monolithic linear estimator bitwise (ULP-class Exact bounds) at
@@ -32,10 +32,10 @@ import (
 //     D2D CorrFloor across tiles) within z·SE, and be bitwise worker-
 //     invariant.
 //
-// TiledSelfCheck proves the gates have teeth with three mutation targets:
-// "tiled" scales every tiled analytic result, "tile-count" scales only the
-// middle tile count of the invariance sweep, and "tiled-mc" scales the
-// tiled Monte-Carlo moments.
+// The self-check proves these gates have teeth with three mutation
+// targets: "tiled" scales every tiled analytic result, "tile-count" scales
+// only the middle tile count of the invariance sweep, and "tiled-mc" scales
+// the tiled Monte-Carlo moments.
 
 // tiledTileCounts is the tile-count sweep of the exactness gates. The
 // values are mutually coprime with the fixture grids' typical dimensions,
@@ -48,53 +48,13 @@ var tiledTileCounts = []int{2, 3, 5}
 // monolithic comparison see the defect.
 const tiledMutationMid = 3
 
-// RunTiled executes the tiled conformance suite. Check failures land in
-// the report; only infrastructure errors return non-nil.
-func RunTiled(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	lib, err := charlib.SharedCore()
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Short: cfg.Short, Seed: cfg.Seed, Workers: cfg.Workers}
-	h := &harness{cfg: cfg, lib: lib, rep: rep}
-	if !cfg.tiledMCOnly {
-		fixtures, err := Fixtures(cfg.Short)
-		if err != nil {
-			return nil, err
-		}
-		for _, fx := range fixtures {
-			if cfg.lite && !liteNames[fx.Name] {
-				continue
-			}
-			if err := h.runTiledFixture(ctx, fx); err != nil {
-				return nil, fmt.Errorf("conformance: tiled fixture %s: %w", fx.Name, err)
-			}
-		}
-	}
-	if !cfg.lite {
-		if err := h.runTiledMC(ctx); err != nil {
-			return nil, fmt.Errorf("conformance: tiled-mc: %w", err)
-		}
-	}
-	rep.tally()
-	return rep, nil
-}
-
 // runTiledFixture runs the analytic tiled gates on one fixture.
 func (h *harness) runTiledFixture(ctx context.Context, fx Fixture) error {
 	n := fx.N()
-	spec := core.DesignSpec{
-		Hist: fx.Hist, N: n,
-		W:          float64(fx.Cols) * placement.DefaultSitePitch,
-		H:          float64(fx.Rows) * placement.DefaultSitePitch,
-		SignalProb: fx.SignalProb,
-	}
-	m, err := core.NewModelCtx(ctx, h.lib, fx.Proc, spec, core.Analytic)
+	m, err := h.fixtureModel(ctx, fx)
 	if err != nil {
 		return err
 	}
-	m.Workers = h.cfg.Workers
 	lin, err := m.EstimateLinearCtx(ctx)
 	if err != nil {
 		return err
@@ -106,9 +66,9 @@ func (h *harness) runTiledFixture(ctx context.Context, fx Fixture) error {
 		if err != nil {
 			return err
 		}
-		res = h.mutate("tiled", res)
+		h.mutate("tiled", &res.Mean, &res.Std)
 		if t == tiledMutationMid {
-			res = h.mutate("tile-count", res)
+			h.mutate("tile-count", &res.Mean, &res.Std)
 		}
 		name := fmt.Sprintf("tiled/t%d", t)
 		h.check(fx.Name, name+"-mean-vs-monolithic", KindExact, res.Mean, lin.Mean, Exact(),
@@ -143,7 +103,7 @@ func (h *harness) runTiledFixture(ctx context.Context, fx Fixture) error {
 		return err
 	}
 	m.Workers = h.cfg.Workers
-	serial = h.mutate("tiled", serial)
+	h.mutate("tiled", &serial.Mean, &serial.Std)
 	h.checkBehavior(fx.Name, "tiled/worker-invariance",
 		serial.Mean == prev.Mean && serial.Std == prev.Std,
 		"tiled moments must be bitwise identical at any worker count")
@@ -154,7 +114,7 @@ func (h *harness) runTiledFixture(ctx context.Context, fx Fixture) error {
 	if err != nil {
 		return err
 	}
-	ti = h.mutate("tiled", ti)
+	h.mutate("tiled", &ti.Mean, &ti.Std)
 	h.check(fx.Name, "tiled/integral-mean-identity", KindExact, ti.Mean, lin.Mean, Exact(), "")
 	intBound := fx.IntErrBoundPct
 	if intBound == 0 {
@@ -186,16 +146,7 @@ func tiledMCFixture(lib *charlib.Library) (*core.Model, *netlist.Netlist, *place
 		return nil, nil, nil, err
 	}
 	const n = 225
-	rng := stats.NewRNG(DefaultSeed, "conformance/tiled-mc")
-	nl, err := netlist.RandomCircuit(rng, "conf-tiled", n, 8, hist, libArity(lib))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	grid, err := placement.NewGrid(n, placement.DefaultSitePitch, placement.DefaultSitePitch, 1)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pl, err := placement.Random(rng, grid, n)
+	nl, pl, err := placedCircuit(lib, DefaultSeed, "tiled-mc", "conf-tiled", n, 8, hist, 1)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -228,42 +179,12 @@ func serialTiledTruthRef(m *core.Model, nl *netlist.Netlist, pl *placement.Place
 		}
 	}
 	floor := m.Proc.CorrFloor()
-	n := len(nl.Gates)
-	variance := 0.0
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for g, gate := range nl.Gates {
-		mu, sigma, cerr := m.CellStats(gate.Type)
-		if cerr != nil {
-			return 0, 0, cerr
+	return serialPairSum(m, nl, pl, func(a, b int, d float64) float64 {
+		if tileOf[a] == tileOf[b] {
+			return m.Proc.TotalCorr(d)
 		}
-		mean += mu
-		variance += sigma * sigma
-		xs[g], ys[g] = pl.Pos(g)
-	}
-	for a := 0; a < n; a++ {
-		row := 0.0
-		for b := a + 1; b < n; b++ {
-			var rho float64
-			if tileOf[a] == tileOf[b] {
-				rho = m.Proc.TotalCorr(math.Hypot(xs[a]-xs[b], ys[a]-ys[b]))
-			} else {
-				rho = floor
-			}
-			if rho <= 0 {
-				continue
-			}
-			cov, perr := m.PairCovAtCorr(nl.Gates[a].Type, nl.Gates[b].Type, rho)
-			if perr != nil {
-				return 0, 0, perr
-			}
-			if cov > 0 {
-				row += 2 * cov
-			}
-		}
-		variance += row
-	}
-	return mean, math.Sqrt(variance), nil
+		return floor
+	})
 }
 
 // runTiledMC runs the sampled-law and streaming gates.
@@ -289,8 +210,7 @@ func (h *harness) runTiledMC(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	mc.Mean = h.mutateMC("tiled-mc", "mean", mc.Mean)
-	mc.Std = h.mutateMC("tiled-mc", "std", mc.Std)
+	h.mutate("tiled-mc", &mc.Mean, &mc.Std)
 
 	refMean, refStd, err := serialTiledTruthRef(m, nl, pl, tiles)
 	if err != nil {
@@ -348,7 +268,7 @@ func (h *harness) runTiledMC(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	streamed = h.mutate("tiled", streamed)
+	h.mutate("tiled", &streamed.Mean, &streamed.Std)
 	mono, err := m.EstimateLinearCtx(ctx)
 	if err != nil {
 		return err
@@ -358,43 +278,4 @@ func (h *harness) runTiledMC(ctx context.Context) error {
 	h.check(fx, "tiled-mc/stream-std-vs-in-memory", KindExact, streamed.Std, mono.Std, Exact(),
 		"global moments depend only on (histogram, N, W, H); the stream carries them losslessly")
 	return nil
-}
-
-// mutateMC is the scalar mutation hook for the Monte-Carlo moments (they
-// live in chipmc.Result, which h.mutate's core.Result signature can't
-// carry).
-func (h *harness) mutateMC(target, moment string, v float64) float64 {
-	mu := h.cfg.Mutation
-	if mu == nil || mu.Target != target || mu.Moment != moment {
-		return v
-	}
-	return v * mu.Factor
-}
-
-// tiledMutationTargets are the self-check targets of the tiled suite.
-var tiledMutationTargets = []string{"tiled", "tile-count", "tiled-mc"}
-
-// TiledSelfCheck proves the tiled suite has teeth: each 1 % perturbation
-// must make at least one gate fail. The analytic targets run the lite
-// fixture subset; "tiled-mc" runs only the sampled-law stage.
-func TiledSelfCheck(ctx context.Context, cfg Config) ([]SelfCheckResult, error) {
-	cfg = cfg.withDefaults()
-	var out []SelfCheckResult
-	for _, target := range tiledMutationTargets {
-		for _, moment := range []string{"mean", "std"} {
-			mcfg := cfg
-			mcfg.Mutation = &Mutation{Target: target, Moment: moment, Factor: SelfCheckFactor}
-			mcfg.lite = target != "tiled-mc"
-			mcfg.tiledMCOnly = target == "tiled-mc"
-			rep, err := RunTiled(ctx, mcfg)
-			if err != nil {
-				return out, fmt.Errorf("conformance: tiled self-check %s/%s: %w", target, moment, err)
-			}
-			out = append(out, SelfCheckResult{
-				Target: target, Moment: moment, Factor: SelfCheckFactor,
-				Failed: rep.Failed, Caught: rep.Failed > 0,
-			})
-		}
-	}
-	return out, nil
 }
