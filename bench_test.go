@@ -361,7 +361,7 @@ func BenchmarkEstimateLinear(b *testing.B) {
 	design := Design{Hist: benchHist(b), N: 1000000, W: 2000, H: 2000, SignalProb: 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Estimate(design, Linear); err != nil {
+		if _, err := est.EstimateContext(context.Background(), design, Linear); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,7 +378,7 @@ func BenchmarkEstimateConstantTime(b *testing.B) {
 	design := Design{Hist: benchHist(b), N: 1000000, W: 2000, H: 2000, SignalProb: 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Estimate(design, Integral2D); err != nil {
+		if _, err := est.EstimateContext(context.Background(), design, Integral2D); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -398,7 +398,7 @@ func BenchmarkTrueLeakage(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.TrueLeakage(nl, pl, 0.5); err != nil {
+		if _, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -427,7 +427,7 @@ func BenchmarkTrueLeakageWorkers(b *testing.B) {
 			est.Workers = w
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := est.TrueLeakage(nl, pl, 0.5); err != nil {
+				if _, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -508,7 +508,7 @@ func BenchmarkChipMCFFT(b *testing.B) {
 	before := MetricsSnapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.MonteCarlo(nl, pl, 0.5, 64, 7); err != nil {
+		if _, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 64, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -541,7 +541,7 @@ func BenchmarkChipMCQMC(b *testing.B) {
 	before := MetricsSnapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.MonteCarlo(nl, pl, 0.5, 64, 7); err != nil {
+		if _, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 64, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -572,7 +572,7 @@ func BenchmarkChipMCTail(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	truth, err := est.TrueLeakage(nl, pl, 0.5)
+	truth, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -592,7 +592,7 @@ func BenchmarkChipMCTail(b *testing.B) {
 		var tail *TailStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mc, err := e.MonteCarlo(nl, pl, 0.5, samples, 13)
+			mc, err := e.MonteCarloContext(context.Background(), nl, pl, 0.5, samples, 13)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -630,7 +630,7 @@ func BenchmarkTruthClassed(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.TrueLeakage(nl, pl, 0.5); err != nil {
+		if _, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -678,7 +678,7 @@ func BenchmarkChipMCTiled(b *testing.B) {
 	telemetry.ResetPeakAlloc()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.MonteCarlo(nl, pl, 0.5, 32, 7); err != nil {
+		if _, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 32, 7); err != nil {
 			b.Fatal(err)
 		}
 	}

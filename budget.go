@@ -18,8 +18,11 @@ import (
 // rules out an expensive method degrades to the next-cheaper one instead of
 // failing; the Result records the chosen method and the degradation reason.
 //
-// The degradation ladder is O(n²) true leakage → O(n) linear → O(1)
-// integral (polar when applicable, 2-D rectangular otherwise). Every fall
+// The budget is the Estimator's Budget field. The degradation ladder is
+// O(n²) true leakage (TrueLeakageContext) → O(n) linear → O(1) integral
+// (polar when applicable, 2-D rectangular otherwise); under a non-zero
+// budget EstimateContext ignores its method and starts at the O(n) rung.
+// Monte Carlo does not degrade and ignores the budget. Every fall
 // down the ladder is also reported through the telemetry layer: a
 // degradations_total{reason=...} counter increment and a warning log, so a
 // degraded run is visible on /metrics and in the structured log, not only
@@ -52,10 +55,10 @@ const (
 // reason names what tripped, kind classifies it for the metrics label.
 func (b EstimateBudget) allowsTruth(n int) (ok bool, kind, why string) {
 	if b.MaxPairs > 0 && pairs(n) > b.MaxPairs {
-		return false, reasonMaxPairs, fmtReason("o(n²) skipped: %d pairs > MaxPairs=%d", pairs(n), b.MaxPairs)
+		return false, reasonMaxPairs, fmt.Sprintf("o(n²) skipped: %d pairs > MaxPairs=%d", pairs(n), b.MaxPairs)
 	}
 	if b.MaxGates > 0 && n > b.MaxGates {
-		return false, reasonMaxGates, fmtReason("o(n²) skipped: %d gates > MaxGates=%d", n, b.MaxGates)
+		return false, reasonMaxGates, fmt.Sprintf("o(n²) skipped: %d gates > MaxGates=%d", n, b.MaxGates)
 	}
 	return true, "", ""
 }
@@ -63,13 +66,9 @@ func (b EstimateBudget) allowsTruth(n int) (ok bool, kind, why string) {
 // allowsLinear reports whether the O(n) rung fits the static budget.
 func (b EstimateBudget) allowsLinear(n int) (ok bool, kind, why string) {
 	if b.MaxGates > 0 && n > b.MaxGates {
-		return false, reasonMaxGates, fmtReason("o(n) skipped: %d gates > MaxGates=%d", n, b.MaxGates)
+		return false, reasonMaxGates, fmt.Sprintf("o(n) skipped: %d gates > MaxGates=%d", n, b.MaxGates)
 	}
 	return true, "", ""
-}
-
-func fmtReason(format string, args ...any) string {
-	return fmt.Sprintf(format, args...)
 }
 
 // rungCtx derives the per-rung context: the caller's ctx, bounded by the
@@ -120,145 +119,76 @@ func markDegraded(res Result, reasons []string) Result {
 	return res
 }
 
-// EstimateBudgeted estimates a design's statistics under a budget,
-// degrading O(n) → O(1) when the linear method is ruled out (early-mode
-// estimation has no O(n²) rung). The Result is flagged Degraded when a
-// cheaper method than the best available one was used, and every
-// degradation is counted in degradations_total{reason=...}.
-func (e *Estimator) EstimateBudgeted(ctx context.Context, design Design, budget EstimateBudget) (res Result, err error) {
-	defer lkerr.RecoverInto(&err, "leakest.EstimateBudgeted")
-	if err := design.Validate(); err != nil {
-		return Result{}, err
-	}
-	if e.Tiles < 0 {
-		return Result{}, lkerr.New(lkerr.InvalidInput, "leakest.EstimateBudgeted",
-			"negative Tiles %d", e.Tiles)
-	}
-	ctx, tr := telemetry.EnsureTrace(ctx)
-	ctx, endEst := telemetry.WithSpan(ctx, "estimate")
-	defer endEst()
-	telemetry.SpanAttrInt(ctx, "gates", int64(design.N))
-	defer func() { resultAttrs(ctx, res, err) }()
-	m, err := e.newModelCtx(ctx, design)
-	if err != nil {
-		return Result{}, err
-	}
-	var reasons []string
+// runFunc computes one rung of the ladder on a built model.
+type runFunc func(context.Context, *core.Model) (Result, error)
 
-	if ok, kind, why := budget.allowsLinear(design.N); !ok {
-		noteDegradation(ctx, "o(n)", kind, why)
-		reasons = append(reasons, why)
-	} else {
-		rctx, cancel := budget.rungCtx(ctx)
-		if e.Tiles > 1 {
-			// Bitwise-identical to the monolithic linear rung (§16), so the
-			// ladder semantics are unchanged; the result gains TileStats.
-			res, err = m.EstimateTiledCtx(rctx, e.Tiles, nil)
-		} else {
-			res, err = m.EstimateLinearCtx(rctx)
-		}
-		cancel()
-		if err == nil {
-			res = e.finish(markDegraded(res, nil))
-			res.Timings = tr.Stages()
-			return res, nil
-		}
-		if !degradable(ctx, err) {
-			return Result{}, err
-		}
-		noteDegradation(ctx, "o(n)", reasonKindOf(err), err.Error())
-		reasons = append(reasons, "o(n) "+reasonOf(err))
-	}
-
-	res, err = e.constantTime(ctx, m)
-	if err != nil {
-		return Result{}, err
-	}
-	res = e.finish(markDegraded(res, reasons))
-	res.Timings = tr.Stages()
-	return res, nil
+// rung is one step of the degradation ladder. allow applies the static
+// budget to the gate count; a nil allow marks the floor, which runs under
+// the caller's ctx alone and whose error is final.
+type rung struct {
+	name  string
+	allow func(b EstimateBudget, n int) (ok bool, kind, why string)
+	run   runFunc
 }
 
-// TrueLeakageBudgeted computes a placed design's statistics starting from
-// the O(n²) true-leakage baseline and degrading down the ladder — O(n²) →
-// O(n) → O(1) — whenever a rung trips the budget. The Result records the
-// method that finally ran; Degraded and DegradeReason report what was
-// skipped and why, and each fall increments degradations_total{reason=...}.
-func (e *Estimator) TrueLeakageBudgeted(ctx context.Context, nl *Netlist, pl *Placement, signalProb float64, budget EstimateBudget) (res Result, err error) {
-	defer lkerr.RecoverInto(&err, "leakest.TrueLeakageBudgeted")
-	ctx, tr := telemetry.EnsureTrace(ctx)
-	ctx, endTruth := telemetry.WithSpan(ctx, "true_leakage")
-	defer endTruth()
-	defer func() { resultAttrs(ctx, res, err) }()
-	endExtract := telemetry.StartSpan(ctx, "core.extract")
-	design, err := e.ExtractDesign(nl, pl, signalProb)
-	endExtract()
-	if err != nil {
-		return Result{}, err
-	}
-	m, err := e.newModelCtx(ctx, design)
-	if err != nil {
-		return Result{}, err
-	}
-	var reasons []string
-
-	// Rung 1: the O(n²) pairwise sum.
-	if ok, kind, why := budget.allowsTruth(design.N); !ok {
-		noteDegradation(ctx, "o(n²)", kind, why)
-		reasons = append(reasons, why)
-	} else {
-		rctx, cancel := budget.rungCtx(ctx)
-		res, err = core.TrueStatsCtx(rctx, m, nl, pl)
-		cancel()
-		if err == nil {
-			res = e.finish(markDegraded(res, nil))
-			res.Timings = tr.Stages()
-			return res, nil
+// rungs is the ladder, most expensive rung first: the O(n²) truth when
+// given, the exact O(n) linear method — tiled when Tiles > 1, bitwise
+// identical to the monolithic one (§16) plus TileStats — and the O(1)
+// floor. Truth is monolithic, and so is the linear rung below it.
+func (e *Estimator) rungs(truth runFunc) []rung {
+	linear := func(ctx context.Context, m *core.Model) (Result, error) {
+		if e.Tiles > 1 && truth == nil {
+			return m.EstimateTiledCtx(ctx, e.Tiles, nil)
 		}
-		if !degradable(ctx, err) {
-			return Result{}, err
-		}
-		noteDegradation(ctx, "o(n²)", reasonKindOf(err), err.Error())
-		reasons = append(reasons, "o(n²) "+reasonOf(err))
+		return m.EstimateLinearCtx(ctx)
 	}
-
-	// Rung 2: the exact O(n) linear method.
-	if ok, kind, why := budget.allowsLinear(design.N); !ok {
-		noteDegradation(ctx, "o(n)", kind, why)
-		reasons = append(reasons, why)
-	} else {
-		rctx, cancel := budget.rungCtx(ctx)
-		res, err = m.EstimateLinearCtx(rctx)
-		cancel()
-		if err == nil {
-			res = e.finish(markDegraded(res, reasons))
-			res.Timings = tr.Stages()
-			return res, nil
-		}
-		if !degradable(ctx, err) {
-			return Result{}, err
-		}
-		noteDegradation(ctx, "o(n)", reasonKindOf(err), err.Error())
-		reasons = append(reasons, "o(n) "+reasonOf(err))
+	table := []rung{
+		{"o(n²)", EstimateBudget.allowsTruth, truth},
+		{"o(n)", EstimateBudget.allowsLinear, linear},
+		{"o(1)", nil, constantTime},
 	}
-
-	// Rung 3: the constant-time integrals — always within budget.
-	res, err = e.constantTime(ctx, m)
-	if err != nil {
-		return Result{}, err
+	if truth == nil {
+		return table[1:]
 	}
-	res = e.finish(markDegraded(res, reasons))
-	res.Timings = tr.Stages()
-	return res, nil
+	return table
 }
 
-// resultAttrs stamps the outcome of a budgeted run onto the current span:
-// the method that finally ran and, when the ladder fell, the degradation
-// flag and reason. Nil-check no-op without a trace.
-func resultAttrs(ctx context.Context, res Result, err error) {
-	if err != nil {
-		return
+// ladder walks the rungs under e.Budget and serves the first that succeeds.
+// A rung the static budget rules out, or one that blows its per-rung
+// Timeout or is refused with BudgetExceeded, is recorded — degradations_total,
+// a warning, a "degraded.<rung>" span attribute — and the next rung runs.
+// The Result is flagged Degraded when a cheaper rung than the first served.
+func (e *Estimator) ladder(ctx context.Context, m *core.Model, rungs []rung) (Result, error) {
+	var reasons []string
+	for _, r := range rungs {
+		rctx, cancel := ctx, func() {}
+		if r.allow != nil {
+			if ok, kind, why := r.allow(e.Budget, m.Spec.N); !ok {
+				noteDegradation(ctx, r.name, kind, why)
+				reasons = append(reasons, why)
+				continue
+			}
+			rctx, cancel = e.Budget.rungCtx(ctx)
+		}
+		res, err := r.run(rctx, m)
+		cancel()
+		if err == nil {
+			return markDegraded(res, reasons), nil
+		}
+		if r.allow == nil || !degradable(ctx, err) {
+			return Result{}, err
+		}
+		noteDegradation(ctx, r.name, reasonKindOf(err), err.Error())
+		reasons = append(reasons, r.name+" "+reasonOf(err))
 	}
+	return Result{}, lkerr.New(lkerr.Degraded, "leakest.ladder",
+		"no rung served: %s", strings.Join(reasons, "; "))
+}
+
+// resultAttrs stamps the outcome of a run onto the current span: the
+// method that finally ran and, when the ladder fell, the degradation flag
+// and reason. Nil-check no-op without a trace.
+func resultAttrs(ctx context.Context, res Result) {
 	telemetry.SpanAttrStr(ctx, "method", res.Method)
 	if res.Degraded {
 		telemetry.SpanAttrBool(ctx, "degraded", true)
@@ -268,7 +198,7 @@ func resultAttrs(ctx context.Context, res Result, err error) {
 
 // constantTime runs the O(1) rung: the polar integral when the correlation
 // range permits it, the 2-D rectangular integral otherwise.
-func (e *Estimator) constantTime(ctx context.Context, m *core.Model) (Result, error) {
+func constantTime(ctx context.Context, m *core.Model) (Result, error) {
 	if res, err := m.EstimatePolarCtx(ctx); err == nil {
 		return res, nil
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"leakest/internal/chipmc"
 	"leakest/internal/fault"
 )
 
@@ -56,6 +57,23 @@ func TestBudgetRungBoundaries(t *testing.T) {
 	}
 }
 
+// budgeted returns a copy of est that carries budget b.
+func budgeted(est *Estimator, b EstimateBudget) *Estimator {
+	c := *est
+	c.Budget = b
+	return &c
+}
+
+// monteCarloCapped runs the chip Monte Carlo of est with an explicit gate
+// cap — the chipmc.Config.MaxGates bound, which the Estimator leaves at the
+// sampler's default.
+func monteCarloCapped(est *Estimator, nl *Netlist, pl *Placement, samples, maxGates int) (MonteCarloResult, error) {
+	return chipmc.RunContext(context.Background(), chipmc.Config{
+		Lib: est.Library(), Proc: est.Process(), SignalProb: 0.5,
+		Samples: samples, Seed: 1, MaxGates: maxGates,
+	}, nl, pl)
+}
+
 // metricDelta samples an int64 metric before/after fn and returns the
 // increment.
 func metricDelta(key string, fn func()) int64 {
@@ -74,7 +92,7 @@ func TestTrueLeakageBudgetedGateBoundary(t *testing.T) {
 	const n = 16
 	est, nl, pl := robustCircuit(t, n)
 
-	res, err := est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5, EstimateBudget{MaxGates: n})
+	res, err := budgeted(est, EstimateBudget{MaxGates: n}).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		t.Fatalf("MaxGates=n: %v", err)
 	}
@@ -85,7 +103,7 @@ func TestTrueLeakageBudgetedGateBoundary(t *testing.T) {
 
 	var res2 Result
 	delta := metricDelta(`degradations_total{reason="max-gates"}`, func() {
-		res2, err = est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5, EstimateBudget{MaxGates: n - 1})
+		res2, err = budgeted(est, EstimateBudget{MaxGates: n - 1}).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	})
 	if err != nil {
 		t.Fatalf("MaxGates=n-1: %v", err)
@@ -111,7 +129,7 @@ func TestTrueLeakageBudgetedPairBoundary(t *testing.T) {
 	const n = 16
 	est, nl, pl := robustCircuit(t, n)
 
-	res, err := est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5, EstimateBudget{MaxPairs: pairs(n)})
+	res, err := budgeted(est, EstimateBudget{MaxPairs: pairs(n)}).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		t.Fatalf("MaxPairs=pairs(n): %v", err)
 	}
@@ -121,7 +139,7 @@ func TestTrueLeakageBudgetedPairBoundary(t *testing.T) {
 
 	var res2 Result
 	delta := metricDelta(`degradations_total{reason="max-pairs"}`, func() {
-		res2, err = est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5, EstimateBudget{MaxPairs: pairs(n) - 1})
+		res2, err = budgeted(est, EstimateBudget{MaxPairs: pairs(n) - 1}).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	})
 	if err != nil {
 		t.Fatalf("MaxPairs=pairs(n)-1: %v", err)
@@ -141,7 +159,7 @@ func TestEstimateBudgetedGateBoundary(t *testing.T) {
 	est := coreEstimator(t)
 	design := Design{Hist: coreHist(t), N: 100, W: 50, H: 50, SignalProb: 0.5}
 
-	res, err := est.EstimateBudgeted(context.Background(), design, EstimateBudget{MaxGates: design.N})
+	res, err := budgeted(est, EstimateBudget{MaxGates: design.N}).EstimateContext(context.Background(), design, Auto)
 	if err != nil {
 		t.Fatalf("MaxGates=n: %v", err)
 	}
@@ -151,7 +169,7 @@ func TestEstimateBudgetedGateBoundary(t *testing.T) {
 
 	var res2 Result
 	delta := metricDelta(`degradations_total{reason="max-gates"}`, func() {
-		res2, err = est.EstimateBudgeted(context.Background(), design, EstimateBudget{MaxGates: design.N - 1})
+		res2, err = budgeted(est, EstimateBudget{MaxGates: design.N - 1}).EstimateContext(context.Background(), design, Auto)
 	})
 	if err != nil {
 		t.Fatalf("MaxGates=n-1: %v", err)
@@ -176,10 +194,10 @@ func TestBudgetTimeoutCountsPerRung(t *testing.T) {
 	var res Result
 	var err error
 	delta := metricDelta(`degradations_total{reason="timeout"}`, func() {
-		res, err = est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5, EstimateBudget{Timeout: time.Nanosecond})
+		res, err = budgeted(est, EstimateBudget{Timeout: time.Nanosecond}).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	})
 	if err != nil {
-		t.Fatalf("TrueLeakageBudgeted: %v", err)
+		t.Fatalf("TrueLeakageContext: %v", err)
 	}
 	if !res.Degraded {
 		t.Fatal("a 1 ns per-rung deadline must degrade")
@@ -213,8 +231,7 @@ func TestBudgetTimeoutDegradesOnlyTheSlowRung(t *testing.T) {
 	var res Result
 	var err error
 	delta := metricDelta(`degradations_total{reason="timeout"}`, func() {
-		res, err = est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5,
-			EstimateBudget{Timeout: 40 * time.Millisecond})
+		res, err = budgeted(est, EstimateBudget{Timeout: 40 * time.Millisecond}).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	})
 	if err != nil {
 		t.Fatalf("a rung deadline must degrade, not fail the call: %v", err)
@@ -241,8 +258,7 @@ func TestBudgetTimeoutGenerousDeadlineDoesNotDegrade(t *testing.T) {
 	var res Result
 	var err error
 	delta := metricDelta(`degradations_total{reason="timeout"}`, func() {
-		res, err = est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5,
-			EstimateBudget{Timeout: time.Hour})
+		res, err = budgeted(est, EstimateBudget{Timeout: time.Hour}).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +278,7 @@ func TestBudgetCallerCancelIsNotDegradable(t *testing.T) {
 	est, nl, pl := robustCircuit(t, 150)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := est.TrueLeakageBudgeted(ctx, nl, pl, 0.5, EstimateBudget{Timeout: time.Second})
+	_, err := budgeted(est, EstimateBudget{Timeout: time.Second}).TrueLeakageContext(ctx, nl, pl, 0.5)
 	if err == nil {
 		t.Fatal("canceled context must fail, not degrade")
 	}
@@ -277,10 +293,10 @@ func TestBudgetCallerCancelIsNotDegradable(t *testing.T) {
 func TestMonteCarloBudgetBoundary(t *testing.T) {
 	const n = 16
 	est, nl, pl := robustCircuit(t, n)
-	if _, err := est.MonteCarloBudgeted(context.Background(), nl, pl, 0.5, 10, 1, n); err != nil {
+	if _, err := monteCarloCapped(est, nl, pl, 10, n); err != nil {
 		t.Fatalf("MaxGates=n: %v", err)
 	}
-	_, err := est.MonteCarloBudgeted(context.Background(), nl, pl, 0.5, 10, 1, n-1)
+	_, err := monteCarloCapped(est, nl, pl, 10, n-1)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("MaxGates=n-1: got %v, want ErrBudgetExceeded", err)
 	}

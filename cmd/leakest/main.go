@@ -161,23 +161,6 @@ func printTail(ts *leakest.TailStats) {
 	}
 }
 
-func parseMethod(s string) (leakest.Method, error) {
-	switch s {
-	case "auto":
-		return leakest.Auto, nil
-	case "linear":
-		return leakest.Linear, nil
-	case "integral":
-		return leakest.Integral2D, nil
-	case "polar":
-		return leakest.Polar, nil
-	case "naive":
-		return leakest.Naive, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q (auto|linear|integral|polar|naive)", s)
-	}
-}
-
 func main() {
 	// Subcommands come before the flag-driven estimation modes; `leakest
 	// verify` runs the conformance harness.
@@ -255,10 +238,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	budget := leakest.EstimateBudget{MaxGates: *maxGates, MaxPairs: *maxPairs}
-	budgeted := *maxGates > 0 || *maxPairs > 0
-
-	method, err := parseMethod(*methodFlag)
+	method, err := leakest.ParseMethod(*methodFlag)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -297,6 +277,7 @@ func main() {
 		fail("%v", err)
 	}
 	est.Tiles = *tiles
+	est.Budget = leakest.EstimateBudget{MaxGates: *maxGates, MaxPairs: *maxPairs}
 	est.Spec = *spec
 	est.TailTrials = *tailTrials
 	est.Quantiles, err = parseQuantiles(*quantilesFlag)
@@ -395,12 +376,7 @@ func main() {
 		fmt.Printf("signal probability: %.3f\n", *p)
 	}
 
-	var res leakest.Result
-	if budgeted {
-		res, err = est.EstimateBudgeted(ctx, design, budget)
-	} else {
-		res, err = est.EstimateContext(ctx, design, method)
-	}
+	res, err := est.EstimateContext(ctx, design, method)
 	if err != nil {
 		failErr("estimating", err)
 	}
@@ -420,12 +396,7 @@ func main() {
 
 	var truthRes *leakest.Result
 	if *truth && nl != nil {
-		var tr leakest.Result
-		if budgeted {
-			tr, err = est.TrueLeakageBudgeted(ctx, nl, pl, design.SignalProb, budget)
-		} else {
-			tr, err = est.TrueLeakageContext(ctx, nl, pl, design.SignalProb)
-		}
+		tr, err := est.TrueLeakageContext(ctx, nl, pl, design.SignalProb)
 		if err != nil {
 			failErr("true leakage", err)
 		}

@@ -2,8 +2,6 @@ package main
 
 import (
 	"testing"
-
-	"leakest"
 )
 
 func TestParseHist(t *testing.T) {
@@ -28,27 +26,5 @@ func TestParseHist(t *testing.T) {
 		if _, err := parseHist(s); err == nil {
 			t.Errorf("parseHist(%q) accepted", s)
 		}
-	}
-}
-
-func TestParseMethod(t *testing.T) {
-	cases := map[string]leakest.Method{
-		"auto":     leakest.Auto,
-		"linear":   leakest.Linear,
-		"integral": leakest.Integral2D,
-		"polar":    leakest.Polar,
-		"naive":    leakest.Naive,
-	}
-	for s, want := range cases {
-		got, err := parseMethod(s)
-		if err != nil {
-			t.Errorf("parseMethod(%q): %v", s, err)
-		}
-		if got != want {
-			t.Errorf("parseMethod(%q) = %v", s, got)
-		}
-	}
-	if _, err := parseMethod("spicy"); err == nil {
-		t.Errorf("unknown method accepted")
 	}
 }

@@ -23,7 +23,7 @@ func runVerify(args []string, stdout, stderr io.Writer) int {
 	short := fs.Bool("short", false, "trim fixture sizes and MC trial counts (the quick local pass)")
 	workers := fs.Int("workers", 0, "goroutines for the estimator loops; 0 = all cores (report identical at any setting)")
 	seed := fs.Int64("seed", 0, "override every random stream (0 = the shared characterization seed)")
-	jsonPath := fs.String("json", "", "write the full conformance report JSON to this path; \"-\" = stdout")
+	jsonPath := fs.String("json", "", "write the full conformance report JSON to this path; \"-\" = stdout (the summary then goes to stderr)")
 	verbose := fs.Bool("v", false, "list every check, not just failures")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -47,17 +47,23 @@ func runVerify(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	rep.Summarize(stdout, *verbose)
+	// With the JSON report on stdout, the human summary moves to stderr so
+	// stdout stays one parseable document.
+	summary := stdout
+	if *jsonPath == "-" {
+		summary = stderr
+	}
+	rep.Summarize(summary, *verbose)
 	ok := rep.OK()
 	for _, r := range rep.SelfCheck {
 		if !r.Caught {
 			ok = false
-			fmt.Fprintf(stdout, "SELF-CHECK FAIL: a %g× %s/%s perturbation slipped through every check\n",
+			fmt.Fprintf(summary, "SELF-CHECK FAIL: a %g× %s/%s perturbation slipped through every check\n",
 				r.Factor, r.Target, r.Moment)
 		}
 	}
 	if conformance.AllCaught(rep.SelfCheck) {
-		fmt.Fprintf(stdout, "mutation self-check: %d/%d perturbations caught\n",
+		fmt.Fprintf(summary, "mutation self-check: %d/%d perturbations caught\n",
 			len(rep.SelfCheck), len(rep.SelfCheck))
 	}
 	if *jsonPath != "" {

@@ -205,14 +205,8 @@ func (e *Estimator) EstimateStream(ctx context.Context, r io.Reader, signalProb 
 		counts = nil
 	}
 	res, err = m.EstimateTiledCtx(ctx, hdr.Tiles, counts)
-	if err != nil {
-		return Result{}, err
-	}
 	telemetry.SamplePeakAlloc()
-	res = e.finish(res)
-	telemetry.SpanAttrStr(ctx, "method", res.Method)
-	res.Timings = tr.Stages()
-	return res, nil
+	return e.done(ctx, tr, res, err)
 }
 
 // ISCASCircuit synthesizes one of the ISCAS85 stand-in benchmarks (c432 …
@@ -266,22 +260,38 @@ const (
 // else.
 func ParseSampler(name string) (MCSampler, error) { return chipmc.ParseSampler(name) }
 
-// MonteCarlo samples the full-chip leakage distribution of a placed design
-// directly: a spatially correlated channel-length field is drawn per trial
-// and every gate's leakage is evaluated from its characterization curve.
-// Small designs use a dense field factorization; larger ones (up to
-// hundreds of thousands of gates) use the FFT grid sampler, per the
-// estimator's Sampler setting. It serves as an independent ground truth
-// for the analytic estimators.
-func (e *Estimator) MonteCarlo(nl *Netlist, pl *Placement, signalProb float64, samples int, seed int64) (MonteCarloResult, error) {
-	return e.MonteCarloContext(context.Background(), nl, pl, signalProb, samples, seed)
+// ParseMethod maps a flag-style name ("auto", "linear", "integral",
+// "polar", "naive") to the corresponding Method, with a typed InvalidInput
+// error on anything else.
+func ParseMethod(name string) (Method, error) {
+	switch name {
+	case "auto":
+		return Auto, nil
+	case "linear":
+		return Linear, nil
+	case "integral":
+		return Integral2D, nil
+	case "polar":
+		return Polar, nil
+	case "naive":
+		return Naive, nil
+	}
+	return 0, lkerr.New(lkerr.InvalidInput, "leakest.ParseMethod",
+		"unknown method %q (auto|linear|integral|polar|naive)", name)
 }
 
-// MonteCarloContext is MonteCarlo with cancellation: ctx is checked once
-// per covariance-assembly row and once per chip-level trial, so a cancel or
-// deadline stops the run within one check interval. Oversized designs
-// (beyond the selected sampler's gate limit) return a typed BudgetExceeded
-// error suggesting the analytic estimators.
+// MonteCarloContext samples the full-chip leakage distribution of a placed
+// design directly: a spatially correlated channel-length field is drawn
+// per trial and every gate's leakage is evaluated from its
+// characterization curve. Small designs use a dense field factorization;
+// larger ones (up to hundreds of thousands of gates) use the FFT grid
+// sampler, per the estimator's Sampler setting. It serves as an
+// independent ground truth for the analytic estimators, so it does not
+// degrade: Budget is ignored. ctx is checked once per covariance-assembly
+// row and once per chip-level trial, so a cancel or deadline stops the run
+// within one check interval. Oversized designs (beyond the selected
+// sampler's gate limit) return a typed BudgetExceeded error suggesting the
+// analytic estimators.
 func (e *Estimator) MonteCarloContext(ctx context.Context, nl *Netlist, pl *Placement, signalProb float64, samples int, seed int64) (res MonteCarloResult, err error) {
 	defer lkerr.RecoverInto(&err, "leakest.MonteCarlo")
 	return chipmc.RunContext(ctx, chipmc.Config{
@@ -290,26 +300,6 @@ func (e *Estimator) MonteCarloContext(ctx context.Context, nl *Netlist, pl *Plac
 		SignalProb: signalProb,
 		Samples:    samples,
 		Seed:       seed,
-		Workers:    e.Workers,
-		Sampler:    e.Sampler,
-		Tiles:      e.Tiles,
-		Tail:       e.tailConfig(),
-	}, nl, pl)
-}
-
-// MonteCarloBudgeted is MonteCarloContext with an explicit gate budget:
-// designs larger than maxGates are refused up front with a typed
-// BudgetExceeded error naming the limit, instead of attempting the field
-// construction. maxGates ≤ 0 selects the active sampler's default limit.
-func (e *Estimator) MonteCarloBudgeted(ctx context.Context, nl *Netlist, pl *Placement, signalProb float64, samples int, seed int64, maxGates int) (res MonteCarloResult, err error) {
-	defer lkerr.RecoverInto(&err, "leakest.MonteCarlo")
-	return chipmc.RunContext(ctx, chipmc.Config{
-		Lib:        e.lib,
-		Proc:       e.proc,
-		SignalProb: signalProb,
-		Samples:    samples,
-		Seed:       seed,
-		MaxGates:   maxGates,
 		Workers:    e.Workers,
 		Sampler:    e.Sampler,
 		Tiles:      e.Tiles,

@@ -268,12 +268,12 @@ func TestParallelFaultPanicStaysTyped(t *testing.T) {
 func TestWorkersFieldIndependence(t *testing.T) {
 	est := coreEstimator(t)
 	design := Design{Hist: coreHist(t), N: 1200, W: 80, H: 80, SignalProb: 0.5}
-	ref, err := est.Estimate(design, Linear)
+	ref, err := est.EstimateContext(context.Background(), design, Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
 	est.Workers = 64
-	got, err := est.Estimate(design, Linear)
+	got, err := est.EstimateContext(context.Background(), design, Linear)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,9 +15,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A reduced characterization keeps the example snappy; swap in
 	// leakest.DefaultLibrary() for the full 62-cell library.
-	lib, err := leakest.Characterize(cells.ISCASSubset(), leakest.CharConfig{
+	lib, err := leakest.CharacterizeContext(ctx, cells.ISCASSubset(), leakest.CharConfig{
 		Process: leakest.DefaultProcess(),
 		Seed:    1,
 	})
@@ -72,7 +74,7 @@ func main() {
 		}
 		for _, fp := range floorplans {
 			design := leakest.Design{Hist: mix.h, N: n, W: fp.w, H: fp.h, SignalProb: p}
-			res, err := est.Estimate(design, leakest.Auto)
+			res, err := est.EstimateContext(ctx, design, leakest.Auto)
 			if err != nil {
 				log.Fatal(err)
 			}

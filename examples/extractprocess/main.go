@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Ground-truth process the "fab" actually has.
 	truth := leakest.DefaultProcess()
 	truth.WIDCorr = leakest.ExpCorr{Lambda: 150} // µm
@@ -53,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lib, err := leakest.Characterize(cells.ISCASSubset(), leakest.CharConfig{
+	lib, err := leakest.CharacterizeContext(ctx, cells.ISCASSubset(), leakest.CharConfig{
 		Process: truth, Seed: 1,
 	})
 	if err != nil {
@@ -72,7 +74,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := est.Estimate(design, leakest.Integral2D)
+		res, err := est.EstimateContext(ctx, design, leakest.Integral2D)
 		if err != nil {
 			log.Fatal(err)
 		}

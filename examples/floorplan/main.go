@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,9 +15,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Characterize the cells the blocks use (core subset: logic + DFF +
 	// SRAM topologies).
-	lib, err := leakest.Characterize(cells.CoreSubset(), leakest.CharConfig{
+	lib, err := leakest.CharacterizeContext(ctx, cells.CoreSubset(), leakest.CharConfig{
 		Process: leakest.DefaultProcess(), Seed: 1, MCSamples: 4000,
 	})
 	if err != nil {

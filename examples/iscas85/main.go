@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -15,7 +16,8 @@ import (
 )
 
 func main() {
-	lib, err := leakest.Characterize(cells.ISCASSubset(), leakest.CharConfig{
+	ctx := context.Background()
+	lib, err := leakest.CharacterizeContext(ctx, cells.ISCASSubset(), leakest.CharConfig{
 		Process: leakest.DefaultProcess(),
 		Seed:    1,
 	})
@@ -37,7 +39,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		truth, err := est.TrueLeakage(nl, pl, 0.5)
+		truth, err := est.TrueLeakageContext(ctx, nl, pl, 0.5)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -48,7 +50,7 @@ func main() {
 		// Independent Monte-Carlo check on the smaller circuits.
 		mcNote := "-"
 		if len(nl.Gates) <= 1200 {
-			mc, err := est.MonteCarlo(nl, pl, 0.5, 1200, 1)
+			mc, err := est.MonteCarloContext(ctx, nl, pl, 0.5, 1200, 1)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. Characterize the built-in 62-cell library under the default
 	//    synthetic 90 nm process (cached after the first call, ~10 s).
 	fmt.Println("characterizing the 62-cell library...")
@@ -51,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := est.Estimate(design, leakest.Auto)
+	res, err := est.EstimateContext(ctx, design, leakest.Auto)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func main() {
 
 	// 5. Contrast with the naive no-correlation estimate — the reason
 	//    within-die correlation must be modelled.
-	naive, err := est.Estimate(design, leakest.Naive)
+	naive, err := est.EstimateContext(ctx, design, leakest.Naive)
 	if err != nil {
 		log.Fatal(err)
 	}

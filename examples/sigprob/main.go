@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -14,7 +15,8 @@ import (
 )
 
 func main() {
-	lib, err := leakest.Characterize(cells.ISCASSubset(), leakest.CharConfig{
+	ctx := context.Background()
+	lib, err := leakest.CharacterizeContext(ctx, cells.ISCASSubset(), leakest.CharConfig{
 		Process: leakest.DefaultProcess(),
 		Seed:    1,
 	})

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,6 +29,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	proc := leakest.DefaultProcess()
 	proc.WIDCorr = leakest.TruncatedExpCorr{Lambda: 500, R: 2000}
 	hist, err := leakest.NewHistogram(map[string]float64{
@@ -50,7 +52,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lib, err := leakest.Characterize(cellList, leakest.CharConfig{
+		lib, err := leakest.CharacterizeContext(ctx, cellList, leakest.CharConfig{
 			Process: leakest.DefaultProcess(), Seed: 1, MCSamples: 2000,
 		})
 		if err != nil {
@@ -61,7 +63,7 @@ func main() {
 			log.Fatal(err)
 		}
 		est.ApplyVtMean = true
-		res, err := est.Estimate(design, leakest.Integral2D)
+		res, err := est.EstimateContext(ctx, design, leakest.Integral2D)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -15,7 +16,8 @@ import (
 )
 
 func main() {
-	lib, err := leakest.Characterize(cells.ISCASSubset(), leakest.CharConfig{
+	ctx := context.Background()
+	lib, err := leakest.CharacterizeContext(ctx, cells.ISCASSubset(), leakest.CharConfig{
 		Process: leakest.DefaultProcess(),
 		Seed:    1,
 	})
@@ -38,7 +40,7 @@ func main() {
 	}
 	design := leakest.Design{Hist: hist, N: 2500, W: 100, H: 100, SignalProb: 0.5}
 
-	res, err := est.Estimate(design, leakest.Linear)
+	res, err := est.EstimateContext(ctx, design, leakest.Linear)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mc, err := est.MonteCarlo(nl, pl, 0.5, 2000, 7)
+	mc, err := est.MonteCarloContext(ctx, nl, pl, 0.5, 2000, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

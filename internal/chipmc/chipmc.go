@@ -340,7 +340,7 @@ func Plan(cfg Config, n int, grid placement.Grid) (Route, error) {
 		return Route{}, lkerr.New(lkerr.InvalidInput, op, "%d samples too few", cfg.Samples)
 	}
 	if cfg.Tail != nil {
-		if _, err := cfg.Tail.validate(op); err != nil {
+		if _, err := cfg.Tail.Validate(); err != nil {
 			return Route{}, err
 		}
 	}

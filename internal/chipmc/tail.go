@@ -96,9 +96,13 @@ type TailConfig struct {
 	WeightScale float64
 }
 
-// validate canonicalizes the tail configuration, returning the normalized
-// quantile list.
-func (tc *TailConfig) validate(op string) ([]float64, error) {
+// Validate checks the tail configuration — a finite non-negative spec, a
+// non-negative IS trial count that has a spec to aim at, finite shift,
+// MinESS and weight scale, and quantiles strictly inside (0, 1) — with
+// typed InvalidInput errors, and returns the normalized (ascending,
+// deduplicated) quantile list.
+func (tc *TailConfig) Validate() ([]float64, error) {
+	const op = "chipmc.TailConfig"
 	if math.IsNaN(tc.Spec) || math.IsInf(tc.Spec, 0) || tc.Spec < 0 {
 		return nil, lkerr.New(lkerr.InvalidInput, op, "tail spec %g must be finite and non-negative", tc.Spec)
 	}
@@ -247,7 +251,7 @@ func runTail(ctx context.Context, cfg Config, name string, pl *placement.Placeme
 	ctx, endTail := telemetry.WithSpan(ctx, "chipmc.tail")
 	defer endTail()
 
-	qs, err := tc.validate(op)
+	qs, err := tc.Validate()
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"leakest/internal/charlib"
 	"leakest/internal/chipmc"
@@ -92,18 +93,48 @@ func qmcFixture(lib *charlib.Library) (*spatial.Process, *netlist.Netlist, *plac
 	return proc, nl, pl, nil
 }
 
+// refereeKey is the whole input of one qmc referee run.
+type refereeKey struct {
+	lib     *charlib.Library
+	workers int
+	sampler chipmc.Sampler
+}
+
+// referees holds each finished referee run for the life of the process.
+// The golden stage, the qmc stage and both qmc-seq self-check runs read the
+// same two referees, and no Mutation is among a referee's inputs, so no
+// run of the registry — mutated or not — can change what it computes.
+var referees struct {
+	sync.Mutex
+	res map[refereeKey]chipmc.Result
+}
+
 // qmcReferee runs one frozen pseudo-random referee on the qmc fixture —
 // always at DefaultSeed and qmcRefTrials, because its moments are frozen
-// in testdata/golden.json.
+// in testdata/golden.json — once per process and input.
 func qmcReferee(ctx context.Context, lib *charlib.Library, workers int, sampler chipmc.Sampler) (chipmc.Result, error) {
+	key := refereeKey{lib, workers, sampler}
+	referees.Lock()
+	defer referees.Unlock()
+	if res, ok := referees.res[key]; ok {
+		return res, nil
+	}
 	proc, nl, pl, err := qmcFixture(lib)
 	if err != nil {
 		return chipmc.Result{}, err
 	}
-	return chipmc.RunContext(ctx, chipmc.Config{
+	res, err := chipmc.RunContext(ctx, chipmc.Config{
 		Lib: lib, Proc: proc, SignalProb: 1, Samples: qmcRefTrials,
 		Seed: DefaultSeed, Workers: workers, MaxGates: qmcGates, Sampler: sampler,
 	}, nl, pl)
+	if err != nil {
+		return chipmc.Result{}, err
+	}
+	if referees.res == nil {
+		referees.res = make(map[refereeKey]chipmc.Result)
+	}
+	referees.res[key] = res
+	return res, nil
 }
 
 // qmcGoldenEntries freezes the dense and FFT referee moments on the qmc

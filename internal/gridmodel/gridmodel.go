@@ -178,6 +178,9 @@ func (m *Model) Moments(nl *netlist.Netlist, pl *placement.Placement, signalProb
 	if len(pl.Site) != n {
 		return 0, 0, fmt.Errorf("gridmodel: placement covers %d gates, netlist has %d", len(pl.Site), n)
 	}
+	if err := pl.Validate(); err != nil {
+		return 0, 0, lkerr.Wrap(lkerr.InvalidInput, "gridmodel.Moments", err)
+	}
 	if signalProb < 0 || signalProb > 1 {
 		return 0, 0, fmt.Errorf("gridmodel: signal probability %g outside [0, 1]", signalProb)
 	}
@@ -274,6 +277,9 @@ func (m *Model) SampleDistributionCtx(ctx context.Context, nl *netlist.Netlist, 
 	}
 	if len(pl.Site) != n {
 		return DistResult{}, fmt.Errorf("gridmodel: placement covers %d gates, netlist has %d", len(pl.Site), n)
+	}
+	if err := pl.Validate(); err != nil {
+		return DistResult{}, lkerr.Wrap(lkerr.InvalidInput, "gridmodel.SampleDistribution", err)
 	}
 	if samples < 10 {
 		return DistResult{}, fmt.Errorf("gridmodel: %d samples too few", samples)

@@ -6,6 +6,7 @@ import (
 
 	"leakest/internal/charlib"
 	"leakest/internal/core"
+	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
 	"leakest/internal/spatial"
@@ -218,5 +219,42 @@ func TestSampleDistributionErrors(t *testing.T) {
 	}
 	if _, _, err := m.Moments(nl, pl, -1); err == nil {
 		t.Errorf("Moments accepted bad probability")
+	}
+}
+
+// TestMomentsValidatesPlacement: an off-grid site, a shared site and a
+// negative site are each a typed InvalidInput from Moments and from
+// SampleDistribution, never a silent sum or a panic.
+func TestMomentsValidatesPlacement(t *testing.T) {
+	cfg, nl, pl := setup(t, 16)
+	m, err := New(cfg, pl.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		site func(sites []int)
+	}{
+		{"off-grid", func(s []int) { s[3] = pl.Grid.Sites() + 7 }},
+		{"shared", func(s []int) { s[3] = s[5] }},
+		{"negative", func(s []int) { s[3] = -5 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := *pl
+			bad.Site = append([]int(nil), pl.Site...)
+			c.site(bad.Site)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if _, _, err := m.Moments(nl, &bad, 0.5); !lkerr.IsCode(err, lkerr.InvalidInput) {
+				t.Errorf("Moments: got %v, want InvalidInput", err)
+			}
+			if _, err := m.SampleDistribution(nl, &bad, 0.5, 20, 1); !lkerr.IsCode(err, lkerr.InvalidInput) {
+				t.Errorf("SampleDistribution: got %v, want InvalidInput", err)
+			}
+		})
 	}
 }

@@ -6,13 +6,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"time"
 
 	"leakest"
+	"leakest/internal/chipmc"
 	"leakest/internal/lkerr"
 	"leakest/internal/spatial"
-	"leakest/internal/stats"
 	"leakest/internal/telemetry"
 )
 
@@ -95,6 +94,11 @@ type TailRequest struct {
 	ISTrials int `json:"is_trials,omitempty"`
 }
 
+// config renders the tail block as the Monte Carlo's tail configuration.
+func (t *TailRequest) config() *chipmc.TailConfig {
+	return &chipmc.TailConfig{Spec: t.Spec, Quantiles: t.Quantiles, ISTrials: t.ISTrials}
+}
+
 // TilesRequest configures the tiled estimation pipeline.
 type TilesRequest struct {
 	// T is the per-axis tile count; the die is partitioned into at most T×T
@@ -122,7 +126,7 @@ func (r *EstimateRequest) validate() error {
 		return lkerr.New(lkerr.InvalidInput, op, "truth and mc_samples need a bench netlist")
 	}
 	if r.Method != "" {
-		if _, err := parseMethod(r.Method); err != nil {
+		if _, err := leakest.ParseMethod(r.Method); err != nil {
 			return err
 		}
 	}
@@ -141,20 +145,11 @@ func (r *EstimateRequest) validate() error {
 		if r.MCSamples == 0 {
 			return lkerr.New(lkerr.InvalidInput, op, "tail statistics need mc_samples > 0")
 		}
-		if math.IsNaN(r.Tail.Spec) || math.IsInf(r.Tail.Spec, 0) || r.Tail.Spec < 0 {
-			return lkerr.New(lkerr.InvalidInput, op, "tail spec %g must be finite and non-negative", r.Tail.Spec)
-		}
-		if r.Tail.ISTrials < 0 {
-			return lkerr.New(lkerr.InvalidInput, op, "negative tail is_trials %d", r.Tail.ISTrials)
-		}
-		if r.Tail.ISTrials > 0 && r.Tail.Spec == 0 {
-			return lkerr.New(lkerr.InvalidInput, op, "tail is_trials needs a positive spec_a")
+		if _, err := r.Tail.config().Validate(); err != nil {
+			return err
 		}
 		if r.Tail.Spec == 0 && len(r.Tail.Quantiles) == 0 {
 			return lkerr.New(lkerr.InvalidInput, op, "tail request needs spec_a or quantiles")
-		}
-		if _, err := stats.NormalizeQuantiles(r.Tail.Quantiles); err != nil {
-			return lkerr.Wrap(lkerr.InvalidInput, op, err)
 		}
 	}
 	if r.Tiles != nil {
@@ -189,24 +184,6 @@ func (r *EstimateRequest) budget() leakest.EstimateBudget {
 		MaxPairs: r.Budget.MaxPairs,
 		Timeout:  msToDuration(r.Budget.TimeoutMS),
 	}
-}
-
-// parseMethod maps the wire spellings onto leakest.Method.
-func parseMethod(s string) (leakest.Method, error) {
-	switch s {
-	case "", "auto":
-		return leakest.Auto, nil
-	case "linear":
-		return leakest.Linear, nil
-	case "integral":
-		return leakest.Integral2D, nil
-	case "polar":
-		return leakest.Polar, nil
-	case "naive":
-		return leakest.Naive, nil
-	}
-	return 0, lkerr.New(lkerr.InvalidInput, "server.EstimateRequest",
-		"unknown method %q (auto|linear|integral|polar|naive)", s)
 }
 
 // EstimateResponse is the body of a successful estimation.

@@ -442,17 +442,13 @@ func (s *Server) runEstimate(ctx context.Context, req *EstimateRequest, id strin
 	// The budget in force: the stricter of the request's own and the one
 	// the admission level imposes. The estimator's degradation ladder turns
 	// it into the cheapest admissible method, recording reasons.
-	budget := tighten(req.budget(), lvl.loadBudget())
-	budgeted := budget != (leakest.EstimateBudget{})
+	est.Budget = tighten(req.budget(), lvl.loadBudget())
 
 	var res leakest.Result
-	switch {
-	case req.Truth:
-		res, err = est.TrueLeakageBudgeted(ctx, bench.nl, bench.pl, sp, budget)
-	case budgeted:
-		res, err = est.EstimateBudgeted(ctx, design, budget)
-	default:
-		method, _ := parseMethod(req.Method)
+	if req.Truth {
+		res, err = est.TrueLeakageContext(ctx, bench.nl, bench.pl, sp)
+	} else {
+		method, _ := leakest.ParseMethod(orDefault(req.Method, "auto"))
 		res, err = est.EstimateContext(ctx, design, method)
 	}
 	if err != nil {
@@ -552,11 +548,7 @@ func (s *Server) runMonteCarlo(ctx context.Context, est *leakest.Estimator, req 
 		cfg.Tiles = req.Tiles.T
 	}
 	if req.Tail != nil {
-		cfg.Tail = &chipmc.TailConfig{
-			Spec:      req.Tail.Spec,
-			Quantiles: req.Tail.Quantiles,
-			ISTrials:  req.Tail.ISTrials,
-		}
+		cfg.Tail = req.Tail.config()
 	}
 	route, err := chipmc.Plan(cfg, len(bench.nl.Gates), bench.pl.Grid)
 	if err != nil {
@@ -593,20 +585,18 @@ func (s *Server) conformance(ctx context.Context, est *leakest.Estimator, design
 		meanTol = 1e-6
 		stdTol  = 0.35
 	)
-	// The reference rungs (naive, integral) are always run monolithically:
-	// they exist to cross-check the served moments, and the tiled linear is
+	// The reference rungs (naive, integral) always run as asked and
+	// monolithically: they exist to cross-check the served moments, a
+	// budget would send both down the ladder, and the tiled linear is
 	// bitwise identical to the monolithic one anyway.
-	if est.Tiles > 1 {
-		mono := *est
-		mono.Tiles = 0
-		est = &mono
-	}
-	ref, err := est.EstimateContext(ctx, design, leakest.Naive)
+	ref := *est
+	ref.Tiles, ref.Budget = 0, leakest.EstimateBudget{}
+	naive, err := ref.EstimateContext(ctx, design, leakest.Naive)
 	if err != nil {
 		return &ConformanceBody{Status: "skipped", Detail: "reference failed: " + err.Error()}
 	}
 	body := &ConformanceBody{Status: "ok", Reference: "naive-mean"}
-	body.MeanRelDev = relDev(served.Mean, ref.Mean)
+	body.MeanRelDev = relDev(served.Mean, naive.Mean)
 	if body.MeanRelDev > meanTol {
 		body.Status = "mismatch"
 		body.Detail = fmt.Sprintf("mean deviates %.3g from closed form", body.MeanRelDev)
@@ -614,7 +604,7 @@ func (s *Server) conformance(ctx context.Context, est *leakest.Estimator, design
 	// σ check only when an exact rung served; the integral rung IS the
 	// reference, and naive σ ignores correlation entirely.
 	if served.Method == "linear" || served.Method == "linear-tiled" || served.Method == "true-n2" {
-		iref, err := est.EstimateContext(ctx, design, leakest.Integral2D)
+		iref, err := ref.EstimateContext(ctx, design, leakest.Integral2D)
 		if err == nil {
 			body.Reference = "naive-mean+integral-std"
 			body.StdRelDev = relDev(served.Std, iref.Std)

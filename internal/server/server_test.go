@@ -125,6 +125,29 @@ func TestEstimateHistogram(t *testing.T) {
 	}
 }
 
+// TestConformanceReferencesIgnoreBudget: a budget that admits the linear
+// rung still serves linear, and the σ cross-check must compare it against
+// the real 2-D integral — were the request's budget left on the reference
+// copy, the "integral" reference would be the linear rung itself and the
+// deviation exactly zero.
+func TestConformanceReferencesIgnoreBudget(t *testing.T) {
+	s := coreServer(t, Config{})
+	body := histRequest(500)
+	body["budget"] = map[string]any{"max_pairs": 1}
+	rec := do(t, s, "POST", "/v1/estimate", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	resp := decodeResp(t, rec)
+	if resp.Result.Method != "linear" || resp.Result.Degraded {
+		t.Fatalf("served %q (degraded %v), want undegraded linear", resp.Result.Method, resp.Result.Degraded)
+	}
+	c := resp.Conformance
+	if c == nil || c.Reference != "naive-mean+integral-std" || !(c.StdRelDev > 0) {
+		t.Errorf("conformance %+v, want a non-zero σ deviation from the integral", c)
+	}
+}
+
 func TestEstimateBenchTruth(t *testing.T) {
 	s := coreServer(t, Config{})
 	rec := do(t, s, "POST", "/v1/estimate", map[string]any{"bench": c17, "truth": true})

@@ -27,8 +27,13 @@
 //	design := leakest.Design{
 //		Hist: hist, N: 250000, W: 1000, H: 1000, SignalProb: 0.5,
 //	}
-//	res, _ := est.Estimate(design, leakest.Auto)
+//	res, _ := est.EstimateContext(ctx, design, leakest.Auto)
 //	fmt.Println(res.Mean, res.Std)
+//
+// Every operation has one entry point taking a context (EstimateContext,
+// TrueLeakageContext, MonteCarloContext, CharacterizeContext); the
+// Estimator's fields — Tiles, Sampler, the tail fields and Budget — shape
+// the request.
 package leakest
 
 import (
@@ -143,16 +148,12 @@ func DefaultProcess() *Process { return spatial.Default90nm() }
 // descriptions, not yet characterized).
 func BuiltinCells() []*Cell { return cells.Library() }
 
-// Characterize runs leakage characterization of transistor-level cells
-// under cfg, producing a Library usable by NewEstimator.
-func Characterize(cellList []*Cell, cfg CharConfig) (*Library, error) {
-	return CharacterizeContext(context.Background(), cellList, cfg)
-}
-
-// CharacterizeContext is Characterize with cancellation: ctx is checked
-// before every (cell, state) characterization and periodically inside each
-// Monte-Carlo loop, so a cancel or deadline stops the work within one check
-// interval and returns a typed Canceled / DeadlineExceeded error.
+// CharacterizeContext runs leakage characterization of transistor-level
+// cells under cfg, producing a Library usable by NewEstimator. ctx is
+// checked before every (cell, state) characterization and periodically
+// inside each Monte-Carlo loop, so a cancel or deadline stops the work
+// within one check interval and returns a typed Canceled /
+// DeadlineExceeded error.
 func CharacterizeContext(ctx context.Context, cellList []*Cell, cfg CharConfig) (lib *Library, err error) {
 	defer lkerr.RecoverInto(&err, "leakest.Characterize")
 	return charlib.CharacterizeContext(ctx, cellList, cfg)
@@ -220,6 +221,10 @@ type Estimator struct {
 	// to millions (see chipmc.DefaultMaxGatesTiled). 0 and 1 select the
 	// monolithic paths.
 	Tiles int
+	// Budget bounds the work of EstimateContext and TrueLeakageContext;
+	// when non-zero they run the degradation ladder (see EstimateBudget).
+	// The zero value imposes no bound.
+	Budget EstimateBudget
 }
 
 // tailConfig assembles the chipmc tail configuration from the estimator's
@@ -272,22 +277,26 @@ func (e *Estimator) newModelCtx(ctx context.Context, design Design) (*core.Model
 	return m, nil
 }
 
-// Estimate returns the full-chip leakage statistics of a design described
-// by its high-level characteristics (early-mode estimation).
-func (e *Estimator) Estimate(design Design, method Method) (Result, error) {
-	return e.EstimateContext(context.Background(), design, method)
-}
-
-// EstimateContext is Estimate with cancellation and telemetry. The design
-// is validated at entry (typed InvalidInput errors), ctx is checked
-// periodically inside the model-construction and linear-method loops, and
-// panics escaping the numeric kernels are converted to typed Numerical
-// errors. The returned Result carries a per-stage timing breakdown; attach
-// a ProgressFunc with WithProgress to observe long loops while they run.
+// EstimateContext returns the full-chip leakage statistics of a design
+// described by its high-level characteristics (early-mode estimation).
+// The design, Tiles and method are validated at entry (typed InvalidInput
+// errors), ctx is checked periodically inside the model-construction and
+// linear-method loops, and panics escaping the numeric kernels are
+// converted to typed Numerical errors. Under a non-zero Budget the method
+// is ignored and the degradation ladder serves the estimate from the O(n)
+// rung down. The returned Result carries a per-stage timing breakdown;
+// attach a ProgressFunc with WithProgress to observe long loops while they
+// run.
 func (e *Estimator) EstimateContext(ctx context.Context, design Design, method Method) (res Result, err error) {
 	defer lkerr.RecoverInto(&err, "leakest.Estimate")
 	if err := design.Validate(); err != nil {
 		return Result{}, err
+	}
+	if e.Tiles < 0 {
+		return Result{}, lkerr.New(lkerr.InvalidInput, "leakest.Estimate", "negative Tiles %d", e.Tiles)
+	}
+	if method < Auto || method > Naive {
+		return Result{}, lkerr.New(lkerr.InvalidInput, "leakest.Estimate", "unknown method %d", int(method))
 	}
 	ctx, tr := telemetry.EnsureTrace(ctx)
 	ctx, endEst := telemetry.WithSpan(ctx, "estimate")
@@ -297,21 +306,15 @@ func (e *Estimator) EstimateContext(ctx context.Context, design Design, method M
 	if err != nil {
 		return Result{}, err
 	}
-	res, err = e.dispatch(ctx, m, method)
-	if err != nil {
-		return Result{}, err
+	if e.Budget != (EstimateBudget{}) {
+		res, err = e.ladder(ctx, m, e.rungs(nil))
+	} else {
+		res, err = e.dispatch(ctx, m, method)
 	}
-	res = e.finish(res)
-	telemetry.SpanAttrStr(ctx, "method", res.Method)
-	res.Timings = tr.Stages()
-	return res, nil
+	return e.done(ctx, tr, res, err)
 }
 
 func (e *Estimator) dispatch(ctx context.Context, m *core.Model, method Method) (Result, error) {
-	if e.Tiles < 0 {
-		return Result{}, lkerr.New(lkerr.InvalidInput, "leakest.Estimate",
-			"negative Tiles %d", e.Tiles)
-	}
 	if e.Tiles > 1 {
 		switch method {
 		case Linear, Auto:
@@ -332,18 +335,24 @@ func (e *Estimator) dispatch(ctx context.Context, m *core.Model, method Method) 
 		return m.EstimatePolarCtx(ctx)
 	case Naive:
 		return m.EstimateNaiveCtx(ctx)
-	case Auto:
-		if m.Spec.N <= autoThreshold {
-			return m.EstimateLinearCtx(ctx)
-		}
-		if res, err := m.EstimatePolarCtx(ctx); err == nil {
-			return res, nil
-		}
-		return m.EstimateIntegral2DCtx(ctx)
-	default:
-		return Result{}, lkerr.New(lkerr.InvalidInput, "leakest.Estimate",
-			"unknown method %d", int(method))
 	}
+	// Auto: the exact linear method for small designs, O(1) beyond.
+	if m.Spec.N <= autoThreshold {
+		return m.EstimateLinearCtx(ctx)
+	}
+	return constantTime(ctx, m)
+}
+
+// done completes a successful run: the optional Vt mean correction, the
+// outcome attributes on the current span, and the stage timings.
+func (e *Estimator) done(ctx context.Context, tr *telemetry.Trace, res Result, err error) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
+	res = e.finish(res)
+	resultAttrs(ctx, res)
+	res.Timings = tr.Stages()
+	return res, nil
 }
 
 // finish applies the optional Vt mean correction.
@@ -377,20 +386,16 @@ func (e *Estimator) EstimateNetlist(nl *Netlist, pl *Placement, signalProb float
 	if err != nil {
 		return Result{}, err
 	}
-	return e.Estimate(design, method)
+	return e.EstimateContext(context.Background(), design, method)
 }
 
-// TrueLeakage computes the O(n²) pairwise-covariance statistics of a
+// TrueLeakageContext computes the O(n²) pairwise-covariance statistics of a
 // specific placed design — the expensive late-mode baseline the estimators
-// are validated against.
-func (e *Estimator) TrueLeakage(nl *Netlist, pl *Placement, signalProb float64) (Result, error) {
-	return e.TrueLeakageContext(context.Background(), nl, pl, signalProb)
-}
-
-// TrueLeakageContext is TrueLeakage with cancellation and telemetry: the
-// O(n²) pair loop checks ctx once per row — reporting progress there — so a
-// cancel stops the computation within one row's work and returns a typed
-// Canceled / DeadlineExceeded error. The Result carries the
+// are validated against. The pair loop checks ctx once per row — reporting
+// progress there — so a cancel stops the computation within one row's work
+// and returns a typed Canceled / DeadlineExceeded error. Under a non-zero
+// Budget the degradation ladder falls O(n²) → O(n) → O(1) whenever a rung
+// trips it; Tiles is ignored (truth is monolithic). The Result carries the
 // extraction/model/pair-loop timing breakdown.
 func (e *Estimator) TrueLeakageContext(ctx context.Context, nl *Netlist, pl *Placement, signalProb float64) (res Result, err error) {
 	defer lkerr.RecoverInto(&err, "leakest.TrueLeakage")
@@ -408,14 +413,12 @@ func (e *Estimator) TrueLeakageContext(ctx context.Context, nl *Netlist, pl *Pla
 	if err != nil {
 		return Result{}, err
 	}
-	res, err = core.TrueStatsCtx(ctx, m, nl, pl)
-	if err != nil {
-		return Result{}, err
-	}
-	res = e.finish(res)
-	telemetry.SpanAttrStr(ctx, "method", res.Method)
-	res.Timings = tr.Stages()
-	return res, nil
+	// Under a zero Budget the O(n²) rung is always admitted and never
+	// degrades: its error is final, as for an unbudgeted call.
+	res, err = e.ladder(ctx, m, e.rungs(func(ctx context.Context, m *core.Model) (Result, error) {
+		return core.TrueStatsCtx(ctx, m, nl, pl)
+	}))
+	return e.done(ctx, tr, res, err)
 }
 
 // MaxLeakageSignalProb returns the signal probability that maximizes the

@@ -2,6 +2,8 @@ package leakest
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -60,7 +62,7 @@ func TestEstimateAllMethods(t *testing.T) {
 	design := Design{Hist: coreHist(t), N: 2500, W: 100, H: 100, SignalProb: 0.5}
 	var linear Result
 	for _, method := range []Method{Linear, Integral2D, Naive, Auto} {
-		res, err := est.Estimate(design, method)
+		res, err := est.EstimateContext(context.Background(), design, method)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -72,17 +74,17 @@ func TestEstimateAllMethods(t *testing.T) {
 		}
 	}
 	// All correlated methods must agree on the mean exactly.
-	integ, _ := est.Estimate(design, Integral2D)
+	integ, _ := est.EstimateContext(context.Background(), design, Integral2D)
 	if integ.Mean != linear.Mean {
 		t.Errorf("means differ across methods: %g vs %g", integ.Mean, linear.Mean)
 	}
 	// And the naive baseline must report smaller σ.
-	naive, _ := est.Estimate(design, Naive)
+	naive, _ := est.EstimateContext(context.Background(), design, Naive)
 	if naive.Std >= linear.Std {
 		t.Errorf("naive σ %g not below correlated %g", naive.Std, linear.Std)
 	}
 	// Unknown method.
-	if _, err := est.Estimate(design, Method(99)); err == nil {
+	if _, err := est.EstimateContext(context.Background(), design, Method(99)); err == nil {
 		t.Errorf("unknown method accepted")
 	}
 }
@@ -90,7 +92,7 @@ func TestEstimateAllMethods(t *testing.T) {
 func TestAutoSwitchesMethod(t *testing.T) {
 	est := coreEstimator(t)
 	small := Design{Hist: coreHist(t), N: 100, W: 20, H: 20, SignalProb: 0.5}
-	res, err := est.Estimate(small, Auto)
+	res, err := est.EstimateContext(context.Background(), small, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestAutoSwitchesMethod(t *testing.T) {
 		t.Errorf("auto small design used %s", res.Method)
 	}
 	big := Design{Hist: coreHist(t), N: 250000, W: 1000, H: 1000, SignalProb: 0.5}
-	res, err = est.Estimate(big, Auto)
+	res, err = est.EstimateContext(context.Background(), big, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestLateModeFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := est.TrueLeakage(nl, pl, 0.5)
+	truth, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +163,11 @@ func TestMonteCarloFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := est.MonteCarlo(nl, pl, 0.5, 500, 1)
+	mc, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 500, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := est.TrueLeakage(nl, pl, 0.5)
+	truth, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +179,12 @@ func TestMonteCarloFacade(t *testing.T) {
 func TestVtMeanCorrection(t *testing.T) {
 	est := coreEstimator(t)
 	design := Design{Hist: coreHist(t), N: 400, W: 40, H: 40, SignalProb: 0.5}
-	plain, err := est.Estimate(design, Linear)
+	plain, err := est.EstimateContext(context.Background(), design, Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
 	est.ApplyVtMean = true
-	corrected, err := est.Estimate(design, Linear)
+	corrected, err := est.EstimateContext(context.Background(), design, Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +288,7 @@ func TestBuiltinCellsAndCharacterize(t *testing.T) {
 	}
 	// Characterize a one-cell library through the public API.
 	sub := []*Cell{cells.CoreSubset()[0]}
-	lib, err := Characterize(sub, CharConfig{Process: DefaultProcess(), MCSamples: 500})
+	lib, err := CharacterizeContext(context.Background(), sub, CharConfig{Process: DefaultProcess(), MCSamples: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +314,7 @@ func TestPolarRequiresFit(t *testing.T) {
 	est := coreEstimator(t)
 	// Default process correlation range is 4000 µm — wider than this die.
 	design := Design{Hist: coreHist(t), N: 2500, W: 100, H: 100, SignalProb: 0.5}
-	if _, err := est.Estimate(design, Polar); err == nil {
+	if _, err := est.EstimateContext(context.Background(), design, Polar); err == nil {
 		t.Errorf("polar accepted an over-wide correlation range")
 	}
 }
@@ -350,7 +352,7 @@ func TestReadBenchFile(t *testing.T) {
 func TestDistributionAndBreakdownFacade(t *testing.T) {
 	est := coreEstimator(t)
 	design := Design{Hist: coreHist(t), N: 400, W: 40, H: 40, SignalProb: 0.5}
-	res, err := est.Estimate(design, Linear)
+	res, err := est.EstimateContext(context.Background(), design, Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +387,7 @@ func TestFastTrueLeakageFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := est.TrueLeakage(nl, pl, 0.5)
+	exact, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +403,7 @@ func TestFastTrueLeakageFacade(t *testing.T) {
 	}
 	// Vt mean factor path: both apply it consistently.
 	est.ApplyVtMean = true
-	f1, err := est.TrueLeakage(nl, pl, 0.5)
+	f1, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,12 +420,12 @@ func TestFastTrueLeakageFacade(t *testing.T) {
 func TestSetMode(t *testing.T) {
 	est := coreEstimator(t)
 	design := Design{Hist: coreHist(t), N: 400, W: 40, H: 40, SignalProb: 0.5}
-	a, err := est.Estimate(design, Linear)
+	a, err := est.EstimateContext(context.Background(), design, Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
 	est.SetMode(MCSimplified)
-	b, err := est.Estimate(design, Linear)
+	b, err := est.EstimateContext(context.Background(), design, Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,5 +485,29 @@ func TestReportAllMethodsFail(t *testing.T) {
 	var buf bytes.Buffer
 	if err := est.Report(&buf, "", bad); err == nil {
 		t.Errorf("invalid design produced a report")
+	}
+}
+
+func TestParseMethod(t *testing.T) {
+	cases := map[string]Method{
+		"auto":     Auto,
+		"linear":   Linear,
+		"integral": Integral2D,
+		"polar":    Polar,
+		"naive":    Naive,
+	}
+	for s, want := range cases {
+		got, err := ParseMethod(s)
+		if err != nil {
+			t.Errorf("ParseMethod(%q): %v", s, err)
+		}
+		if got != want {
+			t.Errorf("ParseMethod(%q) = %v", s, got)
+		}
+	}
+	for _, s := range []string{"spicy", "", "integral-2d"} {
+		if _, err := ParseMethod(s); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("ParseMethod(%q): got %v, want InvalidInput", s, err)
+		}
 	}
 }

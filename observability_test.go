@@ -134,7 +134,7 @@ func TestDegradationCountedInMetrics(t *testing.T) {
 	EnableMetrics()
 	est := coreEstimator(t)
 	design := Design{Hist: coreHist(t), N: 2500, W: 100, H: 100, SignalProb: 0.5}
-	res, err := est.EstimateBudgeted(context.Background(), design, EstimateBudget{MaxGates: 100})
+	res, err := budgeted(est, EstimateBudget{MaxGates: 100}).EstimateContext(context.Background(), design, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,3 +99,24 @@ func TestReportNoMethodSucceeds(t *testing.T) {
 		t.Errorf("error = %v, want the no-method-succeeded diagnostic", err)
 	}
 }
+
+// TestReportIgnoresBudget: the report's estimate table runs every method as
+// asked even when the estimator carries a budget, which would otherwise
+// send each row down the degradation ladder.
+func TestReportIgnoresBudget(t *testing.T) {
+	est := coreEstimator(t)
+	design := Design{Hist: coreHist(t), N: 400, W: 50, H: 50, SignalProb: 0.5}
+	estimates := func(e *Estimator) string {
+		var buf bytes.Buffer
+		if err := e.Report(&buf, "", design); err != nil {
+			t.Fatalf("Report: %v", err)
+		}
+		out := buf.String()
+		return out[strings.Index(out, "## Estimates"):strings.Index(out, "## Leakage distribution")]
+	}
+	want := estimates(est)
+	est.Budget = EstimateBudget{MaxGates: 1}
+	if got := estimates(est); got != want {
+		t.Errorf("estimates under a budget:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -49,16 +49,16 @@ func TestEstimateValidatesDesign(t *testing.T) {
 	for _, c := range bad {
 		d := good
 		c.mutate(&d)
-		_, err := est.Estimate(d, Auto)
+		_, err := est.EstimateContext(context.Background(), d, Auto)
 		if !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("%s: got %v, want InvalidInput", c.name, err)
 		}
 	}
-	if _, err := est.Estimate(good, Auto); err != nil {
+	if _, err := est.EstimateContext(context.Background(), good, Auto); err != nil {
 		t.Errorf("valid design rejected: %v", err)
 	}
 	// Unknown methods are invalid input too.
-	if _, err := est.Estimate(good, Method(99)); !errors.Is(err, ErrInvalidInput) {
+	if _, err := est.EstimateContext(context.Background(), good, Method(99)); !errors.Is(err, ErrInvalidInput) {
 		t.Errorf("unknown method: want InvalidInput")
 	}
 }
@@ -163,7 +163,7 @@ func TestMonteCarloGateBudgetTyped(t *testing.T) {
 	est, nl, pl := robustCircuit(t, 16)
 	// A per-run budget below the gate count must refuse with a typed
 	// BudgetExceeded, not run forever or crash.
-	_, err := est.MonteCarloBudgeted(context.Background(), nl, pl, 0.5, 50, 1, 8)
+	_, err := monteCarloCapped(est, nl, pl, 50, 8)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("got %v, want BudgetExceeded", err)
 	}
@@ -175,7 +175,7 @@ func TestMonteCarloGateBudgetTyped(t *testing.T) {
 func TestBudgetRulesOutTruthDegradesToLinear(t *testing.T) {
 	est, nl, pl := robustCircuit(t, 150)
 	budget := EstimateBudget{MaxPairs: 100} // rules out 150·149/2 pairs
-	res, err := est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5, budget)
+	res, err := budgeted(est, budget).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestBudgetRulesOutTruthDegradesToLinear(t *testing.T) {
 func TestBudgetRulesOutLinearDegradesToConstantTime(t *testing.T) {
 	est, nl, pl := robustCircuit(t, 150)
 	budget := EstimateBudget{MaxGates: 10} // rules out both O(n²) and O(n)
-	res, err := est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5, budget)
+	res, err := budgeted(est, budget).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestBudgetRulesOutLinearDegradesToConstantTime(t *testing.T) {
 		t.Errorf("degraded to %q, want a constant-time method", res.Method)
 	}
 	// Within budget: no degradation, exact truth.
-	res, err = est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5, EstimateBudget{})
+	res, err = budgeted(est, EstimateBudget{}).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestBudgetTimeoutDegradesToLinear(t *testing.T) {
 	est, nl, pl := robustCircuit(t, 200)
 	fault.Arm(fault.SiteTruthRow, fault.Action{Kind: fault.Sleep, Delay: 2 * time.Millisecond})
 	budget := EstimateBudget{Timeout: 25 * time.Millisecond}
-	res, err := est.TrueLeakageBudgeted(context.Background(), nl, pl, 0.5, budget)
+	res, err := budgeted(est, budget).TrueLeakageContext(context.Background(), nl, pl, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestEstimateBudgetedEarlyMode(t *testing.T) {
 	est := coreEstimator(t)
 	design := Design{Hist: coreHist(t), N: 5000, W: 200, H: 200, SignalProb: 0.5}
 	// Within budget: exact linear, not degraded.
-	res, err := est.EstimateBudgeted(context.Background(), design, EstimateBudget{})
+	res, err := budgeted(est, EstimateBudget{MaxGates: design.N}).EstimateContext(context.Background(), design, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestEstimateBudgetedEarlyMode(t *testing.T) {
 		t.Errorf("unlimited budget gave %q (degraded=%v)", res.Method, res.Degraded)
 	}
 	// MaxGates below N: constant-time fallback, flagged.
-	res, err = est.EstimateBudgeted(context.Background(), design, EstimateBudget{MaxGates: 100})
+	res, err = budgeted(est, EstimateBudget{MaxGates: 100}).EstimateContext(context.Background(), design, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,39 +281,39 @@ func TestFaultSitesMapToTypedErrors(t *testing.T) {
 		run  func() error
 	}{
 		{"characterization NaN", fault.SiteCharMoments, fault.NaN, func() error {
-			_, err := Characterize(charCells, charCfg)
+			_, err := CharacterizeContext(context.Background(), charCells, charCfg)
 			return err
 		}},
 		{"characterization panic", fault.SiteCharState, fault.Panic, func() error {
-			_, err := Characterize(charCells, charCfg)
+			_, err := CharacterizeContext(context.Background(), charCells, charCfg)
 			return err
 		}},
 		{"Cholesky NaN", fault.SiteCholesky, fault.NaN, func() error {
-			_, err := est.MonteCarlo(nl, pl, 0.5, 50, 1)
+			_, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 50, 1)
 			return err
 		}},
 		{"Cholesky panic", fault.SiteCholesky, fault.Panic, func() error {
-			_, err := est.MonteCarlo(nl, pl, 0.5, 50, 1)
+			_, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 50, 1)
 			return err
 		}},
 		{"MC accumulation NaN", fault.SiteChipMCTrial, fault.NaN, func() error {
-			_, err := est.MonteCarlo(nl, pl, 0.5, 50, 1)
+			_, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 50, 1)
 			return err
 		}},
 		{"MC accumulation panic", fault.SiteChipMCTrial, fault.Panic, func() error {
-			_, err := est.MonteCarlo(nl, pl, 0.5, 50, 1)
+			_, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 50, 1)
 			return err
 		}},
 		{"truth accumulation NaN", fault.SiteTruthRow, fault.NaN, func() error {
-			_, err := est.TrueLeakage(nl, pl, 0.5)
+			_, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5)
 			return err
 		}},
 		{"truth accumulation panic", fault.SiteTruthRow, fault.Panic, func() error {
-			_, err := est.TrueLeakage(nl, pl, 0.5)
+			_, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5)
 			return err
 		}},
 		{"linear accumulation NaN", fault.SiteLinearAccum, fault.NaN, func() error {
-			_, err := est.Estimate(design, Linear)
+			_, err := est.EstimateContext(context.Background(), design, Linear)
 			return err
 		}},
 	}
@@ -337,10 +337,10 @@ func TestFaultSitesMapToTypedErrors(t *testing.T) {
 // healthy runs under every public entry point used above.
 func TestNoSilentNaNWithoutFaults(t *testing.T) {
 	est, nl, pl := robustCircuit(t, 16)
-	if _, err := est.MonteCarlo(nl, pl, 0.5, 50, 1); err != nil {
+	if _, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 50, 1); err != nil {
 		t.Errorf("MonteCarlo: %v", err)
 	}
-	if _, err := est.TrueLeakage(nl, pl, 0.5); err != nil {
+	if _, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5); err != nil {
 		t.Errorf("TrueLeakage: %v", err)
 	}
 }

@@ -51,13 +51,13 @@ func TestEstimatorTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := est.Estimate(design, Linear)
+	mono, err := est.EstimateContext(context.Background(), design, Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
 	est.Tiles = 3
 	for _, method := range []Method{Linear, Auto} {
-		tiled, err := est.Estimate(design, method)
+		tiled, err := est.EstimateContext(context.Background(), design, method)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,21 +72,21 @@ func TestEstimatorTiles(t *testing.T) {
 			t.Fatalf("%d tile stats, want 9", len(tiled.TileStats))
 		}
 	}
-	if res, err := est.Estimate(design, Integral2D); err != nil {
+	if res, err := est.EstimateContext(context.Background(), design, Integral2D); err != nil {
 		t.Fatal(err)
 	} else if res.Method != "integral2d-tiled" {
 		t.Fatalf("method %q, want integral2d-tiled", res.Method)
 	}
 	for _, method := range []Method{Polar, Naive} {
-		if _, err := est.Estimate(design, method); !lkerr.IsCode(err, lkerr.InvalidInput) {
+		if _, err := est.EstimateContext(context.Background(), design, method); !lkerr.IsCode(err, lkerr.InvalidInput) {
 			t.Fatalf("%s with Tiles=3: got %v, want InvalidInput", method, err)
 		}
 	}
 	est.Tiles = -3
-	if _, err := est.Estimate(design, Linear); !lkerr.IsCode(err, lkerr.InvalidInput) {
+	if _, err := est.EstimateContext(context.Background(), design, Linear); !lkerr.IsCode(err, lkerr.InvalidInput) {
 		t.Fatalf("Tiles=-3: got %v, want InvalidInput", err)
 	}
-	if _, err := est.EstimateBudgeted(context.Background(), design, EstimateBudget{}); !lkerr.IsCode(err, lkerr.InvalidInput) {
+	if _, err := budgeted(est, EstimateBudget{MaxGates: 1}).EstimateContext(context.Background(), design, Auto); !lkerr.IsCode(err, lkerr.InvalidInput) {
 		t.Fatalf("budgeted Tiles=-3: got %v, want InvalidInput", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestEstimateStream(t *testing.T) {
 func TestMonteCarloTiles(t *testing.T) {
 	est, nl, pl := tiledTestEstimator(t, 64)
 	est.Tiles = 2
-	res, err := est.MonteCarlo(nl, pl, 0.5, 24, 7)
+	res, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 24, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestMonteCarloTiles(t *testing.T) {
 		t.Fatalf("tiled MC result %+v", res)
 	}
 	est.Sampler = SamplerDense
-	if _, err := est.MonteCarlo(nl, pl, 0.5, 24, 7); !lkerr.IsCode(err, lkerr.InvalidInput) {
+	if _, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 24, 7); !lkerr.IsCode(err, lkerr.InvalidInput) {
 		t.Fatalf("tiled+dense: got %v, want InvalidInput", err)
 	}
 }
