@@ -23,7 +23,6 @@ import (
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
 	"leakest/internal/stats"
-	"leakest/internal/telemetry"
 )
 
 // envWorkers reads the LEAKEST_WORKERS override so CI can run the whole
@@ -663,8 +662,8 @@ func syntheticPlaced(b *testing.B, n int) (*Netlist, *Placement) {
 // BenchmarkChipMCTiled measures the tiled full-chip Monte Carlo at the
 // million-gate scale the monolithic FFT sampler refuses: per-tile trial
 // fields lift the gate limit to DefaultMaxGatesTiled while the per-worker
-// scratch keeps the trial body allocation-free. Reports the tile count and
-// the run's peak heap bytes alongside the usual figures.
+// scratch keeps the trial body allocation-free. Reports the tile count
+// alongside the usual figures.
 func BenchmarkChipMCTiled(b *testing.B) {
 	lib := benchLib(b)
 	est, err := NewEstimator(lib, experiments.ChipProcess())
@@ -675,7 +674,6 @@ func BenchmarkChipMCTiled(b *testing.B) {
 	est.Tiles = 8
 	nl, pl := syntheticPlaced(b, 1000000)
 	tiles := len(placement.Partition(pl.Grid, est.Tiles))
-	telemetry.ResetPeakAlloc()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 32, 7); err != nil {
@@ -683,16 +681,14 @@ func BenchmarkChipMCTiled(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	telemetry.SamplePeakAlloc()
 	b.ReportMetric(float64(tiles), "tiles")
-	b.ReportMetric(float64(telemetry.PeakAllocBytes()), "peak-bytes")
 }
 
 // BenchmarkEstimateStream measures the one-pass streaming estimator at the
 // ten-million-gate scale: a writer goroutine serializes a synthetic
 // leakest-stream design through a pipe while the reader folds it into
 // per-tile gate counts — peak memory stays O(tile) + O(tiles²), never
-// O(gates). Reports the tile count and the peak heap bytes of the pass.
+// O(gates). Reports the tile count of the pass.
 func BenchmarkEstimateStream(b *testing.B) {
 	lib := benchLib(b)
 	est, err := NewEstimator(lib, experiments.ChipProcess())
@@ -702,7 +698,6 @@ func BenchmarkEstimateStream(b *testing.B) {
 	est.Workers = envWorkers(b)
 	const side, tiles, gates = 3200, 16, 10000000
 	types := benchHist(b).Labels()
-	telemetry.ResetPeakAlloc()
 	b.ResetTimer()
 	var res Result
 	for i := 0; i < b.N; i++ {
@@ -718,9 +713,7 @@ func BenchmarkEstimateStream(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	telemetry.SamplePeakAlloc()
 	b.ReportMetric(float64(len(res.TileStats)), "tiles")
-	b.ReportMetric(float64(telemetry.PeakAllocBytes()), "peak-bytes")
 }
 
 // BenchmarkGridCompare regenerates EX2: the Random-Gate estimator vs a

@@ -21,7 +21,9 @@ import (
 // The budget is the Estimator's Budget field. The degradation ladder is
 // O(n²) true leakage (TrueLeakageContext) → O(n) linear → O(1) integral
 // (polar when applicable, 2-D rectangular otherwise); under a non-zero
-// budget EstimateContext ignores its method and starts at the O(n) rung.
+// budget EstimateContext ignores its method and starts at the O(n) rung,
+// as does EstimateStream, whose O(n) rung is the tiled linear method on the
+// stream's scanned per-tile counts.
 // Monte Carlo does not degrade and ignores the budget. Every fall
 // down the ladder is also reported through the telemetry layer: a
 // degradations_total{reason=...} counter increment and a warning log, so a
@@ -132,19 +134,13 @@ type rung struct {
 }
 
 // rungs is the ladder, most expensive rung first: the O(n²) truth when
-// given, the exact O(n) linear method — tiled when Tiles > 1, bitwise
-// identical to the monolithic one (§16) plus TileStats — and the O(1)
-// floor. Truth is monolithic, and so is the linear rung below it.
-func (e *Estimator) rungs(truth runFunc) []rung {
-	linear := func(ctx context.Context, m *core.Model) (Result, error) {
-		if e.Tiles > 1 && truth == nil {
-			return m.EstimateTiledCtx(ctx, e.Tiles, nil)
-		}
-		return m.EstimateLinearCtx(ctx)
-	}
+// given, the exact O(n) linear method on t (tiled or monolithic, see
+// tiling.linear), and the O(1) floor. Truth is monolithic, and its callers
+// pass a monolithic t.
+func (e *Estimator) rungs(truth runFunc, t tiling) []rung {
 	table := []rung{
 		{"o(n²)", EstimateBudget.allowsTruth, truth},
-		{"o(n)", EstimateBudget.allowsLinear, linear},
+		{"o(n)", EstimateBudget.allowsLinear, t.linear},
 		{"o(1)", nil, constantTime},
 	}
 	if truth == nil {

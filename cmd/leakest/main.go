@@ -312,18 +312,16 @@ func main() {
 		if err != nil {
 			failErr("streaming estimate", err)
 		}
+		// The tiles line follows in printResult; a degraded O(1) result
+		// carries no tile statistics and gets no summary.
 		gates := 0
 		for _, ts := range res.TileStats {
 			gates += ts.Gates
 		}
-		fmt.Printf("stream mode: %d gates in %d tiles\n", gates, len(res.TileStats))
-		fmt.Printf("\nmethod: %s", res.Method)
-		if res.Note != "" {
-			fmt.Printf(" (%s)", res.Note)
+		if gates > 0 {
+			fmt.Printf("stream mode: %d gates\n", gates)
 		}
-		fmt.Printf("\nmean leakage: %.4g A\nstd  leakage: %.4g A  (%.2f%% of mean)\n",
-			res.Mean, res.Std, 100*res.Std/res.Mean)
-		fmt.Printf("mean + 3σ:    %.4g A\n", res.Mean+3*res.Std)
+		printResult(res)
 		if *jsonReport != "" {
 			writeJSONReport(*jsonReport, leakest.Design{N: gates, SignalProb: sp}, res, nil, nil)
 		}
@@ -359,6 +357,9 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
+		if *truth || *mc > 0 {
+			fail("-truth and -mc need -bench")
+		}
 		design = leakest.Design{Hist: hist, N: *n, W: *w, H: *h}
 		fmt.Printf("early mode: %d gates, %d cell types, die %.1f×%.1f µm\n",
 			design.N, design.Hist.Len(), design.W, design.H)
@@ -380,22 +381,10 @@ func main() {
 	if err != nil {
 		failErr("estimating", err)
 	}
-	fmt.Printf("\nmethod: %s", res.Method)
-	if res.Note != "" {
-		fmt.Printf(" (%s)", res.Note)
-	}
-	if len(res.TileStats) > 0 {
-		fmt.Printf("\ntiles: %d (exact inter-tile combination)", len(res.TileStats))
-	}
-	if res.Degraded {
-		fmt.Printf("\ndegraded: %s", res.DegradeReason)
-	}
-	fmt.Printf("\nmean leakage: %.4g A\nstd  leakage: %.4g A  (%.2f%% of mean)\n",
-		res.Mean, res.Std, 100*res.Std/res.Mean)
-	fmt.Printf("mean + 3σ:    %.4g A\n", res.Mean+3*res.Std)
+	printResult(res)
 
 	var truthRes *leakest.Result
-	if *truth && nl != nil {
+	if *truth {
 		tr, err := est.TrueLeakageContext(ctx, nl, pl, design.SignalProb)
 		if err != nil {
 			failErr("true leakage", err)
@@ -426,7 +415,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *reportPath)
 	}
 	var mcRes *leakest.MonteCarloResult
-	if *mc > 0 && nl != nil {
+	if *mc > 0 {
 		if est.ApplyVtMean {
 			fmt.Fprintln(os.Stderr, "note: Monte Carlo below excludes the Vt mean factor")
 		}
@@ -445,6 +434,24 @@ func main() {
 	if runTrace != nil {
 		writeTraceFile(*tracePath, runTrace)
 	}
+}
+
+// printResult renders an estimate: the method that served, its tiles and
+// degradation when there are any, and the moments.
+func printResult(res leakest.Result) {
+	fmt.Printf("\nmethod: %s", res.Method)
+	if res.Note != "" {
+		fmt.Printf(" (%s)", res.Note)
+	}
+	if len(res.TileStats) > 0 {
+		fmt.Printf("\ntiles: %d (exact inter-tile combination)", len(res.TileStats))
+	}
+	if res.Degraded {
+		fmt.Printf("\ndegraded: %s", res.DegradeReason)
+	}
+	fmt.Printf("\nmean leakage: %.4g A\nstd  leakage: %.4g A  (%.2f%% of mean)\n",
+		res.Mean, res.Std, 100*res.Std/res.Mean)
+	fmt.Printf("mean + 3σ:    %.4g A\n", res.Mean+3*res.Std)
 }
 
 // writeTraceFile renders the run's span tree as Chrome trace-event JSON.

@@ -110,12 +110,14 @@ func WriteSyntheticStream(w io.Writer, name string, rows, cols int, siteW, siteH
 // cell-usage histogram, the gate count, and the per-tile gate populations —
 // peak memory is O(cell types) + O(tiles²) + O(scan buffer), independent of
 // the gate count — then the tiled linear estimator of DESIGN.md §16 combines
-// per-tile moments exactly through the inter-tile covariance. The global
-// moments are bitwise identical to the monolithic linear estimator fed the
-// same (histogram, N, W, H); Result.TileStats carries the per-tile picture
-// using the stream's actual per-tile populations when the model partition
-// matches the stream's (it does whenever the header's tiles fit both grid
-// dimensions).
+// per-tile moments exactly through the inter-tile covariance, on the
+// header's tiles (even one). The global moments are bitwise identical to the
+// monolithic linear estimator fed the same (histogram, N, W, H);
+// Result.TileStats carries the per-tile picture using the stream's actual
+// per-tile populations when the model partition matches the stream's (it
+// does whenever the header's tiles fit both grid dimensions). Under a
+// non-zero Budget the ladder serves the estimate: the tiled linear method is
+// its O(n) rung, the O(1) integral its floor.
 func (e *Estimator) EstimateStream(ctx context.Context, r io.Reader, signalProb float64) (res Result, err error) {
 	defer lkerr.RecoverInto(&err, "leakest.EstimateStream")
 	ctx, tr := telemetry.EnsureTrace(ctx)
@@ -171,8 +173,6 @@ func (e *Estimator) EstimateStream(ctx context.Context, r io.Reader, signalProb 
 		}
 		return Result{}, err
 	}
-	telemetry.SamplePeakAlloc()
-	telemetry.SpanAttrInt(ctx, "gates", int64(hdr.Gates))
 	telemetry.SpanAttrInt(ctx, "tiles", int64(len(tileGates)))
 
 	typeCounts := make(map[string]float64, len(typeNames))
@@ -190,23 +190,7 @@ func (e *Estimator) EstimateStream(ctx context.Context, r io.Reader, signalProb 
 		H:          float64(hdr.Rows) * hdr.SiteH,
 		SignalProb: signalProb,
 	}
-	if err := design.Validate(); err != nil {
-		return Result{}, err
-	}
-	m, err := e.newModelCtx(ctx, design)
-	if err != nil {
-		return Result{}, err
-	}
-	// The stream's per-tile populations apply when the model grid admits the
-	// same tiles×tiles partition as the site grid; on degenerate shapes fall
-	// back to the estimator's own largest-remainder allocation.
-	counts := tileGates
-	if len(counts) != m.TiledPartitionLen(hdr.Tiles) {
-		counts = nil
-	}
-	res, err = m.EstimateTiledCtx(ctx, hdr.Tiles, counts)
-	telemetry.SamplePeakAlloc()
-	return e.done(ctx, tr, res, err)
+	return e.estimate(ctx, tr, design, Linear, tiling{tiles: hdr.Tiles, counts: tileGates})
 }
 
 // ISCASCircuit synthesizes one of the ISCAS85 stand-in benchmarks (c432 …

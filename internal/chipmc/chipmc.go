@@ -363,7 +363,8 @@ func timeRun(route string) func() {
 
 // RunContext is Run with cancellation: ctx is checked once per row while
 // assembling the dense field covariance and once per chip-level trial, so a
-// cancel stops the run within one check interval.
+// cancel stops the run within one check interval. It is the Monte Carlo's
+// door for a placed design, so the placement is checked here.
 func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placement.Placement) (Result, error) {
 	const op = "chipmc.Run"
 	ctx, endRun := telemetry.WithSpan(ctx, "chipmc.run")
@@ -373,11 +374,7 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 	if err != nil {
 		return Result{}, err
 	}
-	if len(pl.Site) != n {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op,
-			"placement covers %d gates, netlist has %d", len(pl.Site), n)
-	}
-	if err := pl.Validate(); err != nil {
+	if err := pl.Validate(n); err != nil {
 		return Result{}, lkerr.Wrap(lkerr.InvalidInput, op, err)
 	}
 	if cfg.Samples == 0 {
@@ -391,12 +388,6 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 	f, stream, err := newPrimaryField(ctx, cfg, &rt, nl.Name, pl, workers)
 	if err != nil {
 		return Result{}, err
-	}
-	if rt.Tiles > 1 {
-		// Audit the O(largest tile) field-memory claim after setup and
-		// after the trials (the process_peak_alloc_bytes gauge).
-		telemetry.SamplePeakAlloc()
-		defer telemetry.SamplePeakAlloc()
 	}
 	defer timeRun(rt.Name())()
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"leakest/internal/charlib"
+	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
 	"leakest/internal/spatial"
@@ -388,18 +389,13 @@ func TestTrueStatsRandomCircuitCloseToModel(t *testing.T) {
 	}
 }
 
+// TestTrueStatsErrors: an unknown cell type fails the pair sum. Empty
+// netlists and placement mismatches are refused at the door, ExtractSpec
+// (TestExtractSpec, TestExtractSpecRejectsInvalidPlacement).
 func TestTrueStatsErrors(t *testing.T) {
 	m := newTestModel(t, 64, Analytic)
-	empty := &netlist.Netlist{Name: "e", NumPI: 1}
 	grid, _ := placement.AutoGrid(4)
 	pl, _ := placement.RowMajor(grid, 4)
-	if _, err := TrueStats(m, empty, pl); err == nil {
-		t.Errorf("empty netlist accepted")
-	}
-	one := &netlist.Netlist{Name: "o", NumPI: 1, Gates: []netlist.Gate{{Type: "INV_X1"}}}
-	if _, err := TrueStats(m, one, pl); err == nil {
-		t.Errorf("placement size mismatch accepted")
-	}
 	unknown := &netlist.Netlist{Name: "u", NumPI: 1, Gates: []netlist.Gate{
 		{Type: "NOPE"}, {Type: "NOPE"}, {Type: "NOPE"}, {Type: "NOPE"}}}
 	if _, err := TrueStats(m, unknown, pl); err == nil {
@@ -427,8 +423,41 @@ func TestExtractSpec(t *testing.T) {
 		t.Errorf("extracted P(INV) = %g", spec.Hist.Prob("INV_X1"))
 	}
 	empty := &netlist.Netlist{Name: "e", NumPI: 1}
-	if _, err := ExtractSpec(empty, pl, 0.5); err == nil {
-		t.Errorf("empty netlist accepted")
+	if _, err := ExtractSpec(empty, pl, 0.5); !lkerr.IsCode(err, lkerr.InvalidInput) {
+		t.Errorf("empty netlist: got %v, want InvalidInput", err)
+	}
+	if _, err := ExtractSpec(empty, &placement.Placement{Grid: grid}, 0.5); !lkerr.IsCode(err, lkerr.InvalidInput) {
+		t.Errorf("empty netlist on an empty placement: got %v, want InvalidInput", err)
+	}
+}
+
+// TestExtractSpecRejectsInvalidPlacement: ExtractSpec is the door of every
+// analytic late-mode path (TrueStats, PropagatedTrueStats, FastTrueStats
+// and the gridmodel experiments extract first), so it refuses each broken
+// placement with a typed InvalidInput naming it as the operation.
+func TestExtractSpecRejectsInvalidPlacement(t *testing.T) {
+	nl := &netlist.Netlist{Name: "x", NumPI: 1}
+	for i := 0; i < 6; i++ {
+		nl.Gates = append(nl.Gates, netlist.Gate{Type: "INV_X1", Fanins: []int{0}})
+	}
+	grid, _ := placement.AutoGrid(6)
+	pl, _ := placement.RowMajor(grid, 6)
+	edit := func(f func(site []int) []int) *placement.Placement {
+		return &placement.Placement{Grid: grid, Site: f(append([]int(nil), pl.Site...))}
+	}
+	for name, bad := range map[string]*placement.Placement{
+		"site past the grid": edit(func(s []int) []int { s[3] = grid.Sites() + 7; return s }),
+		"negative site":      edit(func(s []int) []int { s[3] = -1; return s }),
+		"shared site":        edit(func(s []int) []int { s[3] = s[1]; return s }),
+		"short placement":    edit(func(s []int) []int { return s[:len(s)-1] }),
+	} {
+		_, err := ExtractSpec(nl, bad, 0.5)
+		if !lkerr.IsCode(err, lkerr.InvalidInput) || !strings.Contains(err.Error(), "core.ExtractSpec") {
+			t.Errorf("%s: got %v, want InvalidInput at core.ExtractSpec", name, err)
+		}
+	}
+	if _, err := ExtractSpec(nl, pl, 0.5); err != nil {
+		t.Errorf("valid placement refused: %v", err)
 	}
 }
 

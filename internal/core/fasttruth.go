@@ -24,15 +24,11 @@ import (
 // the tests and the accuracy/speed trade-off benchmark).
 //
 // A non-positive tile selects the default: a quarter of the process's
-// effective correlation range (clamped to at least two site pitches).
+// effective correlation range (clamped to at least two site pitches). The
+// placed design is the one the model's spec was extracted from (ExtractSpec
+// checked it).
 func FastTrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement, tile float64) (Result, error) {
 	n := len(nl.Gates)
-	if n == 0 {
-		return Result{}, fmt.Errorf("core: empty netlist")
-	}
-	if len(pl.Site) != n {
-		return Result{}, fmt.Errorf("core: placement covers %d gates, netlist has %d", len(pl.Site), n)
-	}
 	if tile <= 0 {
 		tile = m.Proc.EffectiveRange(0.5) / 4
 		if min := 2 * math.Max(pl.Grid.SiteW, pl.Grid.SiteH); tile < min {

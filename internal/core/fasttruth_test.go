@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
 	"leakest/internal/stats"
@@ -102,17 +101,10 @@ func TestFastTruthSingleTileIsExact(t *testing.T) {
 	}
 }
 
+// TestFastTruthErrors: an unknown cell type fails. Empty netlists and
+// placement mismatches are refused at the door, ExtractSpec.
 func TestFastTruthErrors(t *testing.T) {
-	m, nl, pl := buildPlaced(t, 64, 1)
-	empty := &netlist.Netlist{Name: "e"}
-	if _, err := FastTrueStats(m, empty, pl, 0); err == nil {
-		t.Errorf("empty netlist accepted")
-	}
-	grid, _ := placement.AutoGrid(4)
-	small, _ := placement.RowMajor(grid, 4)
-	if _, err := FastTrueStats(m, nl, small, 0); err == nil {
-		t.Errorf("mismatched placement accepted")
-	}
+	m, _, pl := buildPlaced(t, 64, 1)
 	bad := &netlist.Netlist{Name: "b", NumPI: 1}
 	for i := 0; i < 64; i++ {
 		bad.Gates = append(bad.Gates, netlist.Gate{Type: "NOPE"})
@@ -173,14 +165,13 @@ func TestPropagatedTrueStatsUniformConsistency(t *testing.T) {
 	}
 }
 
+// TestPropagatedTrueStatsErrors: missing pin probabilities and an unknown
+// cell type fail. Empty netlists and invalid placements are refused at the
+// door, ExtractSpec.
 func TestPropagatedTrueStatsErrors(t *testing.T) {
 	m := newTestModel(t, 64, AnalyticSimplified)
-	empty := &netlist.Netlist{Name: "e"}
 	grid, _ := placement.AutoGrid(4)
 	pl, _ := placement.RowMajor(grid, 4)
-	if _, err := PropagatedTrueStats(m, empty, pl, nil); err == nil {
-		t.Errorf("empty netlist accepted")
-	}
 	nl := &netlist.Netlist{Name: "x", NumPI: 1, Gates: []netlist.Gate{
 		{Type: "INV_X1"}, {Type: "INV_X1"}, {Type: "INV_X1"}, {Type: "INV_X1"}}}
 	if _, err := PropagatedTrueStats(m, nl, pl, nil); err == nil {
@@ -191,30 +182,5 @@ func TestPropagatedTrueStatsErrors(t *testing.T) {
 	pins := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
 	if _, err := PropagatedTrueStats(m, bad, pl, pins); err == nil {
 		t.Errorf("unknown type accepted")
-	}
-}
-
-// PropagatedTrueStats must refuse a placement whose sites leave the grid or
-// collide: an off-grid site puts a gate off the die, and a shared site
-// would be summed silently.
-func TestPropagatedTrueStatsRejectsInvalidPlacement(t *testing.T) {
-	m := newTestModel(t, 64, AnalyticSimplified)
-	grid, _ := placement.AutoGrid(4)
-	nl := &netlist.Netlist{Name: "x", NumPI: 1, Gates: []netlist.Gate{
-		{Type: "INV_X1"}, {Type: "INV_X1"}, {Type: "INV_X1"}, {Type: "INV_X1"}}}
-	pins := [][]float64{{0.5}, {0.5}, {0.5}, {0.5}}
-	for name, site := range map[string][]int{
-		"site past the grid": {0, 1, 2, grid.Sites() + 3},
-		"negative site":      {0, -1, 2, 3},
-		"shared site":        {0, 1, 1, 3},
-	} {
-		pl := &placement.Placement{Grid: grid, Site: site}
-		if _, err := PropagatedTrueStats(m, nl, pl, pins); !lkerr.IsCode(err, lkerr.InvalidInput) {
-			t.Errorf("%s: got %v, want InvalidInput", name, err)
-		}
-	}
-	pl, _ := placement.RowMajor(grid, 4)
-	if _, err := PropagatedTrueStats(m, nl, pl, pins); err != nil {
-		t.Errorf("valid placement refused: %v", err)
 	}
 }

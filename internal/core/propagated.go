@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
 )
@@ -19,20 +18,12 @@ import (
 // pair; §3.1.2 bounds the simplification below 2.8 %).
 //
 // gatePins supplies the per-gate pin-probability vectors, e.g. from
-// netlist.PropagateProbabilities.
+// netlist.PropagateProbabilities. The placed design is the one the model's
+// spec was extracted from (ExtractSpec checked it).
 func PropagatedTrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement, gatePins [][]float64) (Result, error) {
 	n := len(nl.Gates)
-	if n == 0 {
-		return Result{}, fmt.Errorf("core: empty netlist")
-	}
-	if len(pl.Site) != n {
-		return Result{}, fmt.Errorf("core: placement covers %d gates, netlist has %d", len(pl.Site), n)
-	}
 	if len(gatePins) != n {
 		return Result{}, fmt.Errorf("core: %d pin-probability vectors for %d gates", len(gatePins), n)
-	}
-	if err := pl.Validate(); err != nil {
-		return Result{}, lkerr.Wrap(lkerr.InvalidInput, "core.PropagatedTrueStats", err)
 	}
 	mc := m.Mode.usesMCMoments()
 	mean := 0.0

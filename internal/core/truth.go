@@ -18,7 +18,8 @@ import (
 // late-mode baseline the paper validates against. The per-gate statistics
 // are state-weighted at the model's signal probability, and pairwise
 // covariances follow the model's mode (exact f_{m,n} mapping or the
-// simplified ρ_leak = ρ_L assumption).
+// simplified ρ_leak = ρ_L assumption). The placed design is the one the
+// model's spec was extracted from (ExtractSpec checked it).
 func TrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement) (Result, error) {
 	return TrueStatsCtx(context.Background(), m, nl, pl)
 }
@@ -54,16 +55,6 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 	const op = "core.TrueStats"
 	defer telemetry.StartSpan(ctx, "core.truth")()
 	n := len(nl.Gates)
-	if n == 0 {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op, "empty netlist")
-	}
-	if len(pl.Site) != n {
-		return Result{}, lkerr.New(lkerr.InvalidInput, op,
-			"placement covers %d gates, netlist has %d", len(pl.Site), n)
-	}
-	if err := pl.Validate(); err != nil {
-		return Result{}, lkerr.Wrap(lkerr.InvalidInput, op, err)
-	}
 
 	// Index the gate types and pre-build the pairwise covariance splines.
 	types := nl.SortedTypes()
@@ -284,11 +275,17 @@ func rowsByType(gt []int, ntypes int) []int {
 
 // ExtractSpec derives the high-level design characteristics (Fig. 1) from a
 // placed netlist — the late-mode extraction step: cell-usage histogram,
-// gate count, and layout dimensions.
+// gate count, and layout dimensions. Every analytic late-mode path passes
+// here first, so this is where the placement is checked; TrueStats,
+// PropagatedTrueStats and FastTrueStats trust it.
 func ExtractSpec(nl *netlist.Netlist, pl *placement.Placement, signalProb float64) (DesignSpec, error) {
+	const op = "core.ExtractSpec"
+	if err := pl.Validate(len(nl.Gates)); err != nil {
+		return DesignSpec{}, lkerr.Wrap(lkerr.InvalidInput, op, err)
+	}
 	hist, err := nl.Histogram()
 	if err != nil {
-		return DesignSpec{}, err
+		return DesignSpec{}, lkerr.Wrap(lkerr.InvalidInput, op, err)
 	}
 	spec := DesignSpec{
 		Hist:       hist,

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
 	"leakest/internal/stats"
@@ -154,29 +153,6 @@ func TestRowsByTypeIsStableCountingSort(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("rowsByType = %v, want %v", got, want)
-		}
-	}
-}
-
-// TrueStats must refuse a placement whose sites leave the grid or collide,
-// instead of panicking on the index or silently summing a shared site.
-func TestTrueStatsRejectsInvalidPlacement(t *testing.T) {
-	n := 300
-	grid, err := placement.AutoGrid(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, nl, pl := classTestDesign(t, n, grid)
-	for name, edit := range map[string]func(site []int){
-		"site past the grid": func(site []int) { site[7] = grid.Sites() + 10 },
-		"negative site":      func(site []int) { site[7] = -1 },
-		"shared site":        func(site []int) { site[7] = site[3] },
-	} {
-		bad := &placement.Placement{Grid: pl.Grid, Site: append([]int(nil), pl.Site...)}
-		edit(bad.Site)
-		_, err := TrueStats(m, nl, bad)
-		if !lkerr.IsCode(err, lkerr.InvalidInput) {
-			t.Errorf("%s: got %v, want InvalidInput", name, err)
 		}
 	}
 }

@@ -169,18 +169,9 @@ func (m *Model) regionOf(x, y float64) int {
 // placed netlist under the grid model: per-gate effective moments at the
 // signal probability, pairwise covariances through the region-quantized
 // correlation with the simplified ρ_leak = ρ_L mapping (as in the MC-mode
-// prior work), aggregated per (region, type).
+// prior work), aggregated per (region, type). The placed design is trusted:
+// it was checked where it entered the program (placement.Placement.Validate).
 func (m *Model) Moments(nl *netlist.Netlist, pl *placement.Placement, signalProb float64) (mean, std float64, err error) {
-	n := len(nl.Gates)
-	if n == 0 {
-		return 0, 0, fmt.Errorf("gridmodel: empty netlist")
-	}
-	if len(pl.Site) != n {
-		return 0, 0, fmt.Errorf("gridmodel: placement covers %d gates, netlist has %d", len(pl.Site), n)
-	}
-	if err := pl.Validate(); err != nil {
-		return 0, 0, lkerr.Wrap(lkerr.InvalidInput, "gridmodel.Moments", err)
-	}
 	if signalProb < 0 || signalProb > 1 {
 		return 0, 0, fmt.Errorf("gridmodel: signal probability %g outside [0, 1]", signalProb)
 	}
@@ -263,7 +254,8 @@ type DistResult struct {
 // the PCA factor space: z ~ N(0, I_k) gives the region channel lengths,
 // each gate's leakage is evaluated from its characterization curve at its
 // region's L, and states are sampled from the signal probability. The cost
-// per trial is O(n + R·k) — no n×n factorization.
+// per trial is O(n + R·k) — no n×n factorization. Like Moments, it trusts
+// the placed design.
 func (m *Model) SampleDistribution(nl *netlist.Netlist, pl *placement.Placement, signalProb float64, samples int, seed int64) (DistResult, error) {
 	return m.SampleDistributionCtx(context.Background(), nl, pl, signalProb, samples, seed)
 }
@@ -272,15 +264,6 @@ func (m *Model) SampleDistribution(nl *netlist.Netlist, pl *placement.Placement,
 // checked once per factor-space trial.
 func (m *Model) SampleDistributionCtx(ctx context.Context, nl *netlist.Netlist, pl *placement.Placement, signalProb float64, samples int, seed int64) (DistResult, error) {
 	n := len(nl.Gates)
-	if n == 0 {
-		return DistResult{}, fmt.Errorf("gridmodel: empty netlist")
-	}
-	if len(pl.Site) != n {
-		return DistResult{}, fmt.Errorf("gridmodel: placement covers %d gates, netlist has %d", len(pl.Site), n)
-	}
-	if err := pl.Validate(); err != nil {
-		return DistResult{}, lkerr.Wrap(lkerr.InvalidInput, "gridmodel.SampleDistribution", err)
-	}
 	if samples < 10 {
 		return DistResult{}, fmt.Errorf("gridmodel: %d samples too few", samples)
 	}

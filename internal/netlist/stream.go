@@ -316,27 +316,20 @@ func parseIntBytes(b []byte) (int, bool) {
 func parseIntBytesOK(b []byte) (int, bool) { return parseIntBytes(b) }
 
 // WritePlaced renders a placed netlist in leakest-stream format, grouping
-// gates by the T×T tile partition in tile-index order. The writer holds a
-// site→gate inverse of the placement (O(sites)); it is the reader that
-// carries the O(tile) memory guarantee.
+// gates by the T×T tile partition in tile-index order. It is the stream
+// writer's door for a placed design, so the placement is checked here. The
+// writer holds a site→gate inverse of the placement (O(sites)); it is the
+// reader that carries the O(tile) memory guarantee.
 func WritePlaced(w io.Writer, nl *Netlist, pl *placement.Placement, tiles int) error {
-	const op = "netlist.WritePlaced"
-	grid := pl.Grid
-	if len(pl.Site) != len(nl.Gates) {
-		return lkerr.New(lkerr.InvalidInput, op,
-			"placement covers %d gates, netlist has %d", len(pl.Site), len(nl.Gates))
+	if err := pl.Validate(len(nl.Gates)); err != nil {
+		return lkerr.Wrap(lkerr.InvalidInput, "netlist.WritePlaced", err)
 	}
+	grid := pl.Grid
 	siteGate := make([]int, grid.Sites())
 	for i := range siteGate {
 		siteGate[i] = -1
 	}
 	for g, s := range pl.Site {
-		if s < 0 || s >= len(siteGate) {
-			return lkerr.New(lkerr.InvalidInput, op, "gate %d at site %d outside the grid", g, s)
-		}
-		if siteGate[s] >= 0 {
-			return lkerr.New(lkerr.InvalidInput, op, "gates %d and %d share site %d", siteGate[s], g, s)
-		}
 		siteGate[s] = g
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)

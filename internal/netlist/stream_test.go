@@ -189,6 +189,32 @@ func TestScanPlacedErrors(t *testing.T) {
 	}
 }
 
+// TestWritePlacedRejectsInvalidPlacement: WritePlaced is the stream
+// writer's door for a placed design, so a site past the grid, a negative
+// site, a shared site and a short placement are each a typed InvalidInput
+// before any byte is written.
+func TestWritePlacedRejectsInvalidPlacement(t *testing.T) {
+	nl, pl := streamTestDesign(t, 20)
+	edit := func(f func(site []int) []int) *placement.Placement {
+		return &placement.Placement{Grid: pl.Grid, Site: f(append([]int(nil), pl.Site...))}
+	}
+	for name, bad := range map[string]*placement.Placement{
+		"site past the grid": edit(func(s []int) []int { s[3] = pl.Grid.Sites() + 7; return s }),
+		"negative site":      edit(func(s []int) []int { s[3] = -1; return s }),
+		"shared site":        edit(func(s []int) []int { s[3] = s[1]; return s }),
+		"short placement":    edit(func(s []int) []int { return s[:len(s)-1] }),
+	} {
+		var buf bytes.Buffer
+		err := WritePlaced(&buf, nl, bad, 2)
+		if !lkerr.IsCode(err, lkerr.InvalidInput) || !strings.Contains(err.Error(), "netlist.WritePlaced") {
+			t.Errorf("%s: got %v, want InvalidInput at netlist.WritePlaced", name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: %d bytes written before the refusal", name, buf.Len())
+		}
+	}
+}
+
 // TestScanPlacedVisitorAbort: a visitor error stops the scan and surfaces
 // unchanged.
 func TestScanPlacedVisitorAbort(t *testing.T) {

@@ -68,10 +68,16 @@ type Placement struct {
 	Site []int
 }
 
-// Validate checks that every gate sits on a site of the grid and that no
-// two gates share a site — the invariants the pair-distance code indexes
-// by — in one O(n) pass with a bitset over the sites.
-func (p *Placement) Validate() error {
+// Validate is the one check of a placed design: the placement covers
+// exactly the netlist's gate count, every gate sits on a site of the grid,
+// and no two gates share a site — the invariants the pair-distance code
+// indexes by — in one O(n) pass with a bitset over the sites. It runs where
+// a placement enters the program (core.ExtractSpec, chipmc.RunContext,
+// netlist.WritePlaced); the code behind those doors trusts the placement.
+func (p *Placement) Validate(gates int) error {
+	if len(p.Site) != gates {
+		return fmt.Errorf("placement: covers %d gates, netlist has %d", len(p.Site), gates)
+	}
 	sites := p.Grid.Sites()
 	used := make([]uint64, (sites+63)/64)
 	for g, s := range p.Site {

@@ -178,15 +178,18 @@ func TestValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.Validate(15); err != nil {
 		t.Fatalf("full random placement: %v", err)
+	}
+	if err := p.Validate(14); err == nil {
+		t.Errorf("placement of 15 gates accepted for 14")
 	}
 	for name, site := range map[string][]int{
 		"past the grid": {0, 15},
 		"negative":      {-1, 2},
 		"shared site":   {4, 9, 4},
 	} {
-		if err := (&Placement{Grid: g, Site: site}).Validate(); err == nil {
+		if err := (&Placement{Grid: g, Site: site}).Validate(len(site)); err == nil {
 			t.Errorf("%s: Validate accepted %v", name, site)
 		}
 	}

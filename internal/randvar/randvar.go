@@ -213,24 +213,7 @@ func (s *MVNSampler) Sample(rng *rand.Rand, out []float64) {
 // in index order, so a per-trial PRNG stream yields identical fields at any
 // worker count.
 func (s *MVNSampler) SampleInto(rng *rand.Rand, z, out []float64) {
-	n := len(s.mean)
-	if len(out) != n {
-		panic(fmt.Sprintf("randvar: Sample out length %d != dim %d", len(out), n))
-	}
-	if len(z) != n {
-		panic(fmt.Sprintf("randvar: Sample scratch length %d != dim %d", len(z), n))
-	}
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	for i := 0; i < n; i++ {
-		row := s.l.Row(i)
-		acc := s.mean[i]
-		for j := 0; j <= i; j++ {
-			acc += row[j] * z[j]
-		}
-		out[i] = acc
-	}
+	s.SamplePartialInto(rng, z, out, 0)
 }
 
 // SamplePartialInto is SampleInto except the leading fixed entries of z are

@@ -434,7 +434,7 @@ func (s *Server) runEstimate(ctx context.Context, req *EstimateRequest, id strin
 		bench = benchAny.(*benchArtifact)
 	}
 
-	design, sp, err := s.resolveDesign(est, req, bench)
+	design, err := s.resolveDesign(est, req, bench)
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +446,7 @@ func (s *Server) runEstimate(ctx context.Context, req *EstimateRequest, id strin
 
 	var res leakest.Result
 	if req.Truth {
-		res, err = est.TrueLeakageContext(ctx, bench.nl, bench.pl, sp)
+		res, err = est.TrueLeakageContext(ctx, bench.nl, bench.pl, design.SignalProb)
 	} else {
 		method, _ := leakest.ParseMethod(orDefault(req.Method, "auto"))
 		res, err = est.EstimateContext(ctx, design, method)
@@ -475,7 +475,7 @@ func (s *Server) runEstimate(ctx context.Context, req *EstimateRequest, id strin
 		if lvl >= levelHeavy {
 			resp.Result.Note = appendNote(resp.Result.Note, "monte carlo skipped under load")
 		} else {
-			mc, err := s.runMonteCarlo(ctx, est, req, proc, bench)
+			mc, err := s.runMonteCarlo(ctx, est, req, proc, bench, design.SignalProb)
 			if err != nil {
 				return nil, err
 			}
@@ -487,50 +487,43 @@ func (s *Server) runEstimate(ctx context.Context, req *EstimateRequest, id strin
 	return resp, nil
 }
 
-// resolveDesign produces the design spec and signal probability for either
-// request shape. An omitted signal probability selects the conservative
-// leakage-maximizing setting (computed from the histogram in both modes).
-func (s *Server) resolveDesign(est *leakest.Estimator, req *EstimateRequest, bench *benchArtifact) (leakest.Design, float64, error) {
+// resolveDesign produces the design spec for either request shape: the
+// placed bench netlist's extracted characteristics, or the request's own.
+// An omitted signal probability selects the conservative leakage-maximizing
+// setting, computed from the design's histogram in both modes; the
+// estimate, the truth and the Monte Carlo all run at the resolved value.
+func (s *Server) resolveDesign(est *leakest.Estimator, req *EstimateRequest, bench *benchArtifact) (leakest.Design, error) {
+	var design leakest.Design
 	if bench != nil {
-		hist, err := netlistHist(bench.nl)
+		var err error
+		if design, err = est.ExtractDesign(bench.nl, bench.pl, 0); err != nil {
+			return leakest.Design{}, err
+		}
+	} else {
+		hist, err := leakest.NewHistogram(req.Design.Hist)
 		if err != nil {
-			return leakest.Design{}, 0, err
+			return leakest.Design{}, err
 		}
-		sp := 0.0
-		if req.SignalProb != nil {
-			sp = *req.SignalProb
-		} else if sp, err = est.MaxLeakageSignalProb(hist); err != nil {
-			return leakest.Design{}, 0, err
-		}
-		design, err := est.ExtractDesign(bench.nl, bench.pl, sp)
-		if err != nil {
-			return leakest.Design{}, 0, err
-		}
-		return design, sp, nil
+		design = leakest.Design{Hist: hist, N: req.Design.N, W: req.Design.W, H: req.Design.H}
 	}
-	hist, err := leakest.NewHistogram(req.Design.Hist)
-	if err != nil {
-		return leakest.Design{}, 0, err
-	}
-	sp := 0.0
 	if req.SignalProb != nil {
-		sp = *req.SignalProb
-	} else if sp, err = est.MaxLeakageSignalProb(hist); err != nil {
-		return leakest.Design{}, 0, err
+		design.SignalProb = *req.SignalProb
+		return design, nil
 	}
-	design := leakest.Design{
-		Hist: hist, N: req.Design.N,
-		W: req.Design.W, H: req.Design.H,
-		SignalProb: sp,
+	sp, err := est.MaxLeakageSignalProb(design.Hist)
+	if err != nil {
+		return leakest.Design{}, err
 	}
-	return design, sp, nil
+	design.SignalProb = sp
+	return design, nil
 }
 
-// runMonteCarlo attaches a full-chip MC run. chipmc.Plan validates the run
-// and resolves its route first, so a request chipmc would refuse fails
-// before any artifact is built, and the cached FFT embedding is pre-warmed
-// exactly when the route samples it.
-func (s *Server) runMonteCarlo(ctx context.Context, est *leakest.Estimator, req *EstimateRequest, proc *spatial.Process, bench *benchArtifact) (*MCBody, error) {
+// runMonteCarlo attaches a full-chip MC run at the resolved signal
+// probability sp. chipmc.Plan validates the run and resolves its route
+// first, so a request chipmc would refuse fails before any artifact is
+// built, and the cached FFT embedding is pre-warmed exactly when the route
+// samples it.
+func (s *Server) runMonteCarlo(ctx context.Context, est *leakest.Estimator, req *EstimateRequest, proc *spatial.Process, bench *benchArtifact, sp float64) (*MCBody, error) {
 	sampler, err := leakest.ParseSampler(orDefault(req.Sampler, "auto"))
 	if err != nil {
 		return nil, err
@@ -538,7 +531,7 @@ func (s *Server) runMonteCarlo(ctx context.Context, est *leakest.Estimator, req 
 	cfg := chipmc.Config{
 		Lib:        est.Library(),
 		Proc:       proc,
-		SignalProb: mcSignalProb(req),
+		SignalProb: sp,
 		Samples:    req.MCSamples,
 		Seed:       orDefaultI64(req.Seed, 1),
 		Workers:    s.cfg.EstimatorWorkers,
@@ -622,21 +615,6 @@ func (s *Server) conformance(ctx context.Context, est *leakest.Estimator, design
 }
 
 // ---------------------------------------------------------------- helpers
-
-func netlistHist(nl *leakest.Netlist) (*leakest.Histogram, error) {
-	counts := make(map[string]float64)
-	for _, g := range nl.Gates {
-		counts[g.Type]++
-	}
-	return leakest.NewHistogram(counts)
-}
-
-func mcSignalProb(req *EstimateRequest) float64 {
-	if req.SignalProb != nil {
-		return *req.SignalProb
-	}
-	return 0.5
-}
 
 func relDev(a, b float64) float64 {
 	if b == 0 {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"leakest"
 	"leakest/internal/cells"
 	"leakest/internal/charlib"
 	"leakest/internal/lkerr"
@@ -193,6 +194,55 @@ func TestEstimateBenchMonteCarloAndEmbeddingCache(t *testing.T) {
 	}
 	if d := r.Counter(hitKey).Value() - h0; d != 1 {
 		t.Errorf("embedding hits += %d, want 1 (second request reuses)", d)
+	}
+}
+
+// TestMonteCarloUsesResolvedSignalProb: with signal_prob omitted, the Monte
+// Carlo runs at the leakage-maximizing p* the estimate used, so its mean is
+// bitwise the library's MonteCarloContext at p* with the same seed.
+func TestMonteCarloUsesResolvedSignalProb(t *testing.T) {
+	s := coreServer(t, Config{})
+	rec := do(t, s, "POST", "/v1/estimate", map[string]any{"bench": c17, "mc_samples": 100})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	resp := decodeResp(t, rec)
+	if resp.MonteCarlo == nil {
+		t.Fatal("no monte_carlo block")
+	}
+	lib, err := charlib.SharedISCAS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := leakest.NewEstimator(lib, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := leakest.ReadBench(strings.NewReader(c17), "design")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := leakest.AutoPlace(nl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := est.ExtractDesign(nl, pl, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pStar, err := est.MaxLeakageSignalProb(design.Hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pStar == 0.5 {
+		t.Fatal("p* = 0.5 cannot tell the resolved probability from the default")
+	}
+	want, err := est.MonteCarloContext(context.Background(), nl, pl, pStar, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(resp.MonteCarlo.Mean) != math.Float64bits(want.Mean) {
+		t.Errorf("server MC mean %v, MonteCarloContext at p*=%v: %v", resp.MonteCarlo.Mean, pStar, want.Mean)
 	}
 }
 

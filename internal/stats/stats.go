@@ -133,19 +133,9 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %g out of [0,1]", q))
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return quantileSorted(sorted, q)
 }
 
 // MinMax returns the minimum and maximum of xs. It panics on empty input.

@@ -22,8 +22,9 @@ import (
 //     never NaN from a negative rounding residue under the square root.
 
 // quantileSorted evaluates the q-quantile of an ascending-sorted, non-empty
-// sample by linear interpolation between order statistics — the same
-// estimator as Quantile, factored out so multi-quantile callers sort once.
+// sample by linear interpolation between order statistics — the estimator
+// behind Quantile and Quantiles, factored out so multi-quantile callers
+// sort once.
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: quantile %g out of [0,1]", q))

@@ -198,3 +198,28 @@ func TestNilCounterHotLoopPattern(t *testing.T) {
 		t.Errorf("nil Inc allocates %.1f times", allocs)
 	}
 }
+
+// TestTileMetricsPrometheusGolden pins the Prometheus exposition of the
+// tiled-pipeline metrics: the chipmc_tiles_total counter and the
+// tile_duration_seconds histogram.
+func TestTileMetricsPrometheusGolden(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("chipmc_tiles_total").Add(9)
+	h := r.Histogram("tile_duration_seconds", []float64{0.001, 0.01})
+	h.Observe(0.0005)
+	h.Observe(0.002)
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	want := `# TYPE chipmc_tiles_total counter
+chipmc_tiles_total 9
+# TYPE tile_duration_seconds histogram
+tile_duration_seconds_bucket{le="0.001"} 1
+tile_duration_seconds_bucket{le="0.01"} 2
+tile_duration_seconds_bucket{le="+Inf"} 2
+tile_duration_seconds_sum 0.0025
+tile_duration_seconds_count 2
+`
+	if got := sb.String(); got != want {
+		t.Errorf("Prometheus text:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package leakest
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -172,4 +173,93 @@ func withGates(keys string) string {
 		sort.Strings(set)
 	}
 	return strings.Join(set, ",")
+}
+
+// streamCase is one frozen zero-budget EstimateStream run on a synthetic
+// stream: the bit patterns of Mean and Std, the method, and every TileStat
+// as index/row/col/gates/mean-bits/std-bits.
+type streamCase struct {
+	tiles     int
+	mean, std uint64
+	method    string
+	tileStats string
+}
+
+// streamFreeze pins a 1-tile and a 2×2-tile stream of 800 gates on a
+// 30×30 grid, whose scanned per-tile counts differ from the estimator's own
+// allocation. Regenerate only deliberately: LEAKEST_FREEZE_PRINT=1.
+var streamFreeze = []streamCase{
+	{tiles: 1, mean: 0x3f03c85cc7d49b91, std: 0x3ee8feeb610c3933, method: "linear-tiled",
+		tileStats: "0/0/0/800/0x3f03c85cc7d49b91/0x3ee8feeb610c393a"},
+	{tiles: 2, mean: 0x3f03c85cc7d49b91, std: 0x3ee8feeb610c3933, method: "linear-tiled",
+		tileStats: "0/0/0/225/0x3ee6416860cf2f03/0x3ecca249aa0ed206;1/0/1/225/0x3ee6416860cf2f03/0x3ecca249aa0ed206;" +
+			"2/1/0/225/0x3ee6416860cf2f03/0x3ecca14374203f4a;3/1/1/125/0x3ed8ba73f9c9c275/0x3ec0255d1b57557f"},
+}
+
+const streamFreezeGates = 800
+
+// synthStream writes the frozen synthetic stream at the given tiling.
+func synthStream(t *testing.T, tiles int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteSyntheticStream(&buf, "freeze", 30, 30, 2, 2, tiles,
+		[]string{"INV_X1", "NAND2_X1", "NOR2_X1", "XOR2_X1"}, streamFreezeGates); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func tileStatsKey(ts []TileStat) string {
+	var parts []string
+	for _, s := range ts {
+		parts = append(parts, fmt.Sprintf("%d/%d/%d/%d/%#x/%#x", s.Index, s.Row, s.Col, s.Gates,
+			math.Float64bits(s.Mean), math.Float64bits(s.Std)))
+	}
+	return strings.Join(parts, ";")
+}
+
+// TestStreamFreeze pins EstimateStream's unbudgeted result bitwise, and the
+// span names and attributes perfbench reads: estimate.stream with its gate
+// count, netlist.stream_scan and estimate.linear-tiled.
+func TestStreamFreeze(t *testing.T) {
+	print := os.Getenv("LEAKEST_FREEZE_PRINT") != ""
+	est := coreEstimator(t)
+	for _, c := range streamFreeze {
+		t.Run(fmt.Sprintf("tiles=%d", c.tiles), func(t *testing.T) {
+			tr := NewTrace()
+			res, err := est.EstimateStream(WithTrace(context.Background(), tr), bytes.NewReader(synthStream(t, c.tiles)), 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, sp := range tr.Snapshot().Spans {
+				seen[sp.Stage] = true
+				if sp.Stage != "estimate.stream" {
+					continue
+				}
+				gates := false
+				for _, a := range sp.Attrs {
+					gates = gates || a.Key == "gates" && a.Value == int64(streamFreezeGates)
+				}
+				if !gates {
+					t.Errorf("estimate.stream attributes %v lack gates=%d", sp.Attrs, streamFreezeGates)
+				}
+			}
+			for _, stage := range []string{"estimate.stream", "netlist.stream_scan", "estimate.linear-tiled"} {
+				if !seen[stage] {
+					t.Errorf("no %s span", stage)
+				}
+			}
+			got := streamCase{tiles: c.tiles, mean: math.Float64bits(res.Mean), std: math.Float64bits(res.Std),
+				method: res.Method, tileStats: tileStatsKey(res.TileStats)}
+			if print {
+				fmt.Printf("{tiles: %d, mean: %#x, std: %#x, method: %q,\n\t\ttileStats: %q},\n",
+					got.tiles, got.mean, got.std, got.method, got.tileStats)
+				return
+			}
+			if got != c {
+				t.Errorf("stream result\n%+v\nfrozen\n%+v", got, c)
+			}
+		})
+	}
 }

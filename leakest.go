@@ -221,16 +221,17 @@ type Estimator struct {
 	// to millions (see chipmc.DefaultMaxGatesTiled). 0 and 1 select the
 	// monolithic paths.
 	Tiles int
-	// Budget bounds the work of EstimateContext and TrueLeakageContext;
-	// when non-zero they run the degradation ladder (see EstimateBudget).
-	// The zero value imposes no bound.
+	// Budget bounds the work of EstimateContext, EstimateStream and
+	// TrueLeakageContext; when non-zero they run the degradation ladder (see
+	// EstimateBudget). The zero value imposes no bound.
 	Budget EstimateBudget
 }
 
 // tailConfig assembles the chipmc tail configuration from the estimator's
-// tail fields; nil when no tail statistics are requested.
+// tail fields; nil when none is set. A set field always reaches chipmc,
+// whose validation refuses, for instance, TailTrials without a Spec.
 func (e *Estimator) tailConfig() *TailConfig {
-	if e.Spec == 0 && len(e.Quantiles) == 0 {
+	if e.Spec == 0 && len(e.Quantiles) == 0 && e.TailTrials == 0 {
 		return nil
 	}
 	return &TailConfig{Spec: e.Spec, Quantiles: e.Quantiles, ISTrials: e.TailTrials}
@@ -301,26 +302,62 @@ func (e *Estimator) EstimateContext(ctx context.Context, design Design, method M
 	ctx, tr := telemetry.EnsureTrace(ctx)
 	ctx, endEst := telemetry.WithSpan(ctx, "estimate")
 	defer endEst()
+	var t tiling
+	if e.Tiles > 1 {
+		t.tiles = e.Tiles
+	}
+	return e.estimate(ctx, tr, design, method, t)
+}
+
+// tiling is the tile arrangement an estimate runs on: tiles per axis, 0 for
+// the monolithic estimators, and optionally the per-tile gate counts a
+// stream scan measured (nil: the model's own allocation).
+type tiling struct {
+	tiles  int
+	counts []int
+}
+
+// linear runs the exact O(n) method on t: monolithic without tiles, else
+// the tiled linear method, bitwise the monolithic result plus TileStats
+// (§16). Scanned counts apply when the model grid admits the same partition
+// as the site grid; on degenerate shapes the model's own largest-remainder
+// allocation serves.
+func (t tiling) linear(ctx context.Context, m *core.Model) (Result, error) {
+	if t.tiles == 0 {
+		return m.EstimateLinearCtx(ctx)
+	}
+	counts := t.counts
+	if len(counts) != m.TiledPartitionLen(t.tiles) {
+		counts = nil
+	}
+	return m.EstimateTiledCtx(ctx, t.tiles, counts)
+}
+
+// estimate is the path EstimateContext and EstimateStream share once the
+// design is known: model, then the method (or, under a non-zero Budget, the
+// degradation ladder from the O(n) rung down), then done.
+func (e *Estimator) estimate(ctx context.Context, tr *telemetry.Trace, design Design, method Method, t tiling) (Result, error) {
 	telemetry.SpanAttrInt(ctx, "gates", int64(design.N))
 	m, err := e.newModelCtx(ctx, design)
 	if err != nil {
 		return Result{}, err
 	}
+	var res Result
 	if e.Budget != (EstimateBudget{}) {
-		res, err = e.ladder(ctx, m, e.rungs(nil))
+		res, err = e.ladder(ctx, m, e.rungs(nil, t))
 	} else {
-		res, err = e.dispatch(ctx, m, method)
+		res, err = e.dispatch(ctx, m, method, t)
 	}
 	return e.done(ctx, tr, res, err)
 }
 
-func (e *Estimator) dispatch(ctx context.Context, m *core.Model, method Method) (Result, error) {
-	if e.Tiles > 1 {
+func (e *Estimator) dispatch(ctx context.Context, m *core.Model, method Method, t tiling) (Result, error) {
+	if t.tiles > 0 {
 		switch method {
 		case Linear, Auto:
-			return m.EstimateTiledCtx(ctx, e.Tiles, nil)
+			return t.linear(ctx, m)
 		case Integral2D:
-			return m.EstimateTiledIntegral2DCtx(ctx, e.Tiles, nil)
+			return m.EstimateTiledIntegral2DCtx(ctx, t.tiles, nil)
 		default:
 			return Result{}, lkerr.New(lkerr.InvalidInput, "leakest.Estimate",
 				"method %s does not support tiling; use linear, auto, or integral-2d", method)
@@ -417,7 +454,7 @@ func (e *Estimator) TrueLeakageContext(ctx context.Context, nl *Netlist, pl *Pla
 	// degrades: its error is final, as for an unbudgeted call.
 	res, err = e.ladder(ctx, m, e.rungs(func(ctx context.Context, m *core.Model) (Result, error) {
 		return core.TrueStatsCtx(ctx, m, nl, pl)
-	}))
+	}, tiling{}))
 	return e.done(ctx, tr, res, err)
 }
 

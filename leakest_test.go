@@ -176,6 +176,18 @@ func TestMonteCarloFacade(t *testing.T) {
 	}
 }
 
+// TestMonteCarloTailTrialsNeedSpec: TailTrials alone reaches chipmc, whose
+// tail validation refuses importance sampling without a spec, as the server
+// does, instead of silently running plain Monte Carlo.
+func TestMonteCarloTailTrialsNeedSpec(t *testing.T) {
+	est, nl, pl := robustCircuit(t, 60)
+	est.TailTrials = 100
+	mc, err := est.MonteCarloContext(context.Background(), nl, pl, 0.5, 100, 1)
+	if !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), "positive tail spec") {
+		t.Fatalf("got %v (tail %v), want InvalidInput: importance sampling requires a positive tail spec", err, mc.Tail)
+	}
+}
+
 func TestVtMeanCorrection(t *testing.T) {
 	est := coreEstimator(t)
 	design := Design{Hist: coreHist(t), N: 400, W: 40, H: 40, SignalProb: 0.5}

@@ -11,8 +11,12 @@ import (
 // high-level characteristics, estimates from every applicable method, the
 // matched leakage distribution with quantiles, the variance breakdown, and
 // a yield-versus-budget table. It is the human-facing summary of the
-// paper's Fig. 1 flow and is exposed in cmd/leakest via -report.
+// paper's Fig. 1 flow and is exposed in cmd/leakest via -report. The
+// design is validated before anything is written (typed InvalidInput).
 func (e *Estimator) Report(w io.Writer, title string, design Design) error {
+	if err := design.Validate(); err != nil {
+		return err
+	}
 	if title == "" {
 		title = "Full-chip leakage sign-off"
 	}

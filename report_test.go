@@ -84,12 +84,13 @@ func TestReportWriterError(t *testing.T) {
 	}
 }
 
-// TestReportNoMethodSucceeds: an invalid design makes every estimation
-// method fail; the report must return an error rather than emit a document
-// with an empty estimates table.
+// TestReportNoMethodSucceeds: a well-formed design whose cell type the
+// library does not know makes every estimation method fail; the report
+// must return an error rather than emit a document with an empty estimates
+// table.
 func TestReportNoMethodSucceeds(t *testing.T) {
 	est := coreEstimator(t)
-	bad := Design{Hist: coreHist(t), N: 0, W: 30, H: 30, SignalProb: 0.5}
+	bad := Design{Hist: mustHist(t, map[string]float64{"NOPE": 1}), N: 100, W: 30, H: 30, SignalProb: 0.5}
 	var buf bytes.Buffer
 	err := est.Report(&buf, "Broken", bad)
 	if err == nil {
@@ -97,6 +98,30 @@ func TestReportNoMethodSucceeds(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no estimation method succeeded") {
 		t.Errorf("error = %v, want the no-method-succeeded diagnostic", err)
+	}
+}
+
+// TestReportValidatesDesign: the report checks its design before writing
+// it, so a design without a histogram is a typed InvalidInput with nothing
+// written, not a panic.
+func TestReportValidatesDesign(t *testing.T) {
+	est := coreEstimator(t)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Report panicked: %v", r)
+		}
+	}()
+	for name, d := range map[string]Design{
+		"nil histogram": {N: 100, W: 30, H: 30, SignalProb: 0.5},
+		"zero gates":    {Hist: coreHist(t), W: 30, H: 30, SignalProb: 0.5},
+	} {
+		var buf bytes.Buffer
+		if err := est.Report(&buf, "", d); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: got %v, want InvalidInput", name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: %d bytes written before the refusal", name, buf.Len())
+		}
 	}
 }
 

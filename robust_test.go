@@ -28,6 +28,56 @@ func robustCircuit(t *testing.T, n int) (*Estimator, *Netlist, *Placement) {
 	return est, nl, pl
 }
 
+// TestPlacedDesignDoors: every analytic late-mode entry extracts the design
+// first, so a placement with a site past the grid, a negative site, a
+// shared site or one gate short is a typed InvalidInput from
+// core.ExtractSpec at each of them — also under a budget whose ladder
+// skips the O(n²) rung and never reads the placement.
+func TestPlacedDesignDoors(t *testing.T) {
+	est, nl, pl := robustCircuit(t, 60)
+	budgeted := *est
+	budgeted.Budget = EstimateBudget{MaxGates: 1}
+	ctx := context.Background()
+	doors := map[string]func(*Placement) error{
+		"TrueLeakageContext": func(p *Placement) error {
+			_, err := est.TrueLeakageContext(ctx, nl, p, 0.5)
+			return err
+		},
+		"TrueLeakageContext/budget": func(p *Placement) error {
+			_, err := budgeted.TrueLeakageContext(ctx, nl, p, 0.5)
+			return err
+		},
+		"EstimateNetlist": func(p *Placement) error {
+			_, err := est.EstimateNetlist(nl, p, 0.5, Linear)
+			return err
+		},
+		"FastTrueLeakage": func(p *Placement) error {
+			_, err := est.FastTrueLeakage(nl, p, 0.5, 0)
+			return err
+		},
+	}
+	edit := func(f func(site []int) []int) *Placement {
+		return &Placement{Grid: pl.Grid, Site: f(append([]int(nil), pl.Site...))}
+	}
+	bad := map[string]*Placement{
+		"site past the grid": edit(func(s []int) []int { s[3] = pl.Grid.Sites() + 7; return s }),
+		"negative site":      edit(func(s []int) []int { s[3] = -1; return s }),
+		"shared site":        edit(func(s []int) []int { s[3] = s[1]; return s }),
+		"short placement":    edit(func(s []int) []int { return s[:len(s)-1] }),
+	}
+	for door, run := range doors {
+		for name, p := range bad {
+			err := run(p)
+			if !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), "core.ExtractSpec") {
+				t.Errorf("%s, %s: got %v, want InvalidInput at core.ExtractSpec", door, name, err)
+			}
+		}
+		if err := run(pl); err != nil {
+			t.Errorf("%s: valid placement refused: %v", door, err)
+		}
+	}
+}
+
 func TestEstimateValidatesDesign(t *testing.T) {
 	est := coreEstimator(t)
 	good := Design{Hist: coreHist(t), N: 100, W: 50, H: 50, SignalProb: 0.5}

@@ -3,6 +3,8 @@ package leakest
 import (
 	"bytes"
 	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"leakest/internal/charlib"
@@ -126,6 +128,50 @@ func TestEstimateStream(t *testing.T) {
 	// Malformed streams surface as typed InvalidInput.
 	if _, err := est.EstimateStream(context.Background(), bytes.NewReader(buf.Bytes()[:buf.Len()/2]), 0.5); !lkerr.IsCode(err, lkerr.InvalidInput) {
 		t.Fatalf("truncated stream: got %v, want InvalidInput", err)
+	}
+}
+
+// TestEstimateStreamBudget: a stream runs the same degradation ladder as
+// EstimateContext. Over MaxGates its O(n) rung (the tiled linear method on
+// the scanned counts) is skipped for the O(1) floor, and the result equals
+// EstimateContext on the scanned design under the same budget bitwise.
+func TestEstimateStreamBudget(t *testing.T) {
+	est := coreEstimator(t)
+	est.Budget = EstimateBudget{MaxGates: streamFreezeGates - 1}
+	tr := NewTrace()
+	streamed, err := est.EstimateStream(WithTrace(context.Background(), tr), bytes.NewReader(synthStream(t, 2)), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !streamed.Degraded || !strings.Contains(streamed.DegradeReason, "MaxGates") || len(streamed.TileStats) != 0 {
+		t.Fatalf("streamed result %q degraded=%v %q with %d tiles, want an O(1) max-gates degradation",
+			streamed.Method, streamed.Degraded, streamed.DegradeReason, len(streamed.TileStats))
+	}
+	kind := ""
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Stage == "estimate.stream" {
+			for _, a := range sp.Attrs {
+				if a.Key == "degraded.o(n)" {
+					kind, _ = a.Value.(string)
+				}
+			}
+		}
+	}
+	if !strings.HasPrefix(kind, "max-gates:") {
+		t.Errorf("estimate.stream degraded.o(n) = %q, want a max-gates reason", kind)
+	}
+	// The synthetic stream assigns its four types round-robin.
+	q := float64(streamFreezeGates / 4)
+	design := Design{Hist: mustHist(t, map[string]float64{"INV_X1": q, "NAND2_X1": q, "NOR2_X1": q, "XOR2_X1": q}),
+		N: streamFreezeGates, W: 60, H: 60, SignalProb: 0.5}
+	direct, err := est.EstimateContext(context.Background(), design, Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(streamed.Mean) != math.Float64bits(direct.Mean) ||
+		math.Float64bits(streamed.Std) != math.Float64bits(direct.Std) ||
+		streamed.Method != direct.Method || streamed.DegradeReason != direct.DegradeReason {
+		t.Errorf("streamed %+v\nEstimateContext %+v", streamed, direct)
 	}
 }
 
