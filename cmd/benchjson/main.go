@@ -124,11 +124,9 @@ type Bench struct {
 	Sampler      string  `json:"sampler,omitempty"`
 	Degradations float64 `json:"degradations_per_op,omitempty"`
 	CacheHits    float64 `json:"cache_hits_per_op,omitempty"`
-	// Tiles is the tile count a tiled-pipeline benchmark ran with, and
-	// PeakBytes its high-water heap mark (the "tiles" and "peak-bytes"
-	// units of BenchmarkChipMCTiled and BenchmarkEstimateStream).
-	Tiles     int     `json:"tiles,omitempty"`
-	PeakBytes float64 `json:"peak_bytes,omitempty"`
+	// Tiles is the tile count a tiled-pipeline benchmark ran with (the
+	// "tiles" unit of BenchmarkChipMCTiled and BenchmarkEstimateStream).
+	Tiles int `json:"tiles,omitempty"`
 }
 
 // Report is the top-level document written to -o.
@@ -191,8 +189,6 @@ func parseLine(line string) (Bench, bool) {
 			b.CacheHits = v
 		case "tiles":
 			b.Tiles = int(v)
-		case "peak-bytes":
-			b.PeakBytes = v
 		default:
 			if s, ok := strings.CutPrefix(unit, "sampler:"); ok {
 				b.Sampler = s

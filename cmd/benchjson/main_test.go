@@ -69,17 +69,14 @@ func TestParseLineQMCSamplerAndBatch(t *testing.T) {
 	}
 }
 
-func TestParseLineTilesAndPeakBytes(t *testing.T) {
-	line := "BenchmarkChipMCTiled-8 \t 1\t 905737340 ns/op\t 64 tiles\t 1.234e+08 peak-bytes"
+func TestParseLineTiles(t *testing.T) {
+	line := "BenchmarkChipMCTiled-8 \t 1\t 905737340 ns/op\t 64 tiles"
 	b, ok := parseLine(line)
 	if !ok {
 		t.Fatalf("line not recognized")
 	}
 	if b.Tiles != 64 {
 		t.Errorf("tiles = %d, want 64", b.Tiles)
-	}
-	if b.PeakBytes != 1.234e8 {
-		t.Errorf("peak-bytes = %v, want 1.234e8", b.PeakBytes)
 	}
 	if b.Gates != 1000000 {
 		t.Errorf("gates = %d, want the ChipMCTiled design size", b.Gates)
@@ -88,11 +85,11 @@ func TestParseLineTilesAndPeakBytes(t *testing.T) {
 		t.Errorf("promoted units must not also land in Metrics: %+v", b.Metrics)
 	}
 
-	b, ok = parseLine("BenchmarkEstimateStream-8 \t 1\t 2905737340 ns/op\t 256 tiles\t 5.6e+07 peak-bytes")
+	b, ok = parseLine("BenchmarkEstimateStream-8 \t 1\t 2905737340 ns/op\t 256 tiles")
 	if !ok {
 		t.Fatalf("stream line not recognized")
 	}
-	if b.Gates != 10000000 || b.Tiles != 256 || b.PeakBytes != 5.6e7 {
+	if b.Gates != 10000000 || b.Tiles != 256 {
 		t.Errorf("stream bench parsed as %+v", b)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -141,23 +142,23 @@ func parseQuantiles(s string) ([]float64, error) {
 
 // printTail renders the Monte-Carlo tail block: quantiles, the exceedance
 // estimate with its provenance, and the importance-sampling diagnostics.
-func printTail(ts *leakest.TailStats) {
+func printTail(out io.Writer, ts *leakest.TailStats) {
 	if ts == nil {
 		return
 	}
 	for _, qp := range ts.Quantiles {
-		fmt.Printf("  P%-7s %.4g A\n", strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.4f", 100*qp.P), "0"), "."), qp.Value)
+		fmt.Fprintf(out, "  P%-7s %.4g A\n", strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.4f", 100*qp.P), "0"), "."), qp.Value)
 	}
 	if ts.Spec == 0 {
 		return
 	}
-	fmt.Printf("  P[I > %.4g A] = %.3g ± %.2g (%s", ts.Spec, ts.P, ts.SE, ts.Source)
+	fmt.Fprintf(out, "  P[I > %.4g A] = %.3g ± %.2g (%s", ts.Spec, ts.P, ts.SE, ts.Source)
 	if ts.ISTrials > 0 {
-		fmt.Printf("; IS %d trials, shift %.2f, hit ESS %.1f", ts.ISTrials, ts.Shift, ts.HitESS)
+		fmt.Fprintf(out, "; IS %d trials, shift %.2f, hit ESS %.1f", ts.ISTrials, ts.Shift, ts.HitESS)
 	}
-	fmt.Printf(")\n")
+	fmt.Fprintf(out, ")\n")
 	if ts.Degraded {
-		fmt.Printf("  tail degraded: %s\n", ts.DegradedReason)
+		fmt.Fprintf(out, "  tail degraded: %s\n", ts.DegradedReason)
 	}
 }
 
@@ -193,9 +194,56 @@ func main() {
 	maxPairs := flag.Int64("max-pairs", 0, "budget: skip the O(n²) truth beyond this many gate pairs; 0 = no limit")
 	listen := flag.String("listen", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address during the run")
 	verbose := flag.Bool("v", false, "verbose: structured pipeline log and a live progress meter on stderr")
-	jsonReport := flag.String("json-report", "", "write a JSON run report (result, stage timings, metrics) to this path; \"-\" = stdout")
+	jsonReport := flag.String("json-report", "", "write a JSON run report (result, stage timings, metrics) to this path; \"-\" = stdout (the result lines then go to stderr)")
 	tracePath := flag.String("trace", "", "write the run's span tree as Chrome trace-event JSON (open in chrome://tracing) to this path")
 	flag.Parse()
+
+	// Flag-only mistakes are refused before the cell library is loaded or
+	// characterized, so a bad invocation fails at once. A stream never
+	// fully materializes, so the in-memory-only extras (-truth, -mc,
+	// -report) are refused with it.
+	if *streamPath != "" {
+		if *benchPath != "" || *histFlag != "" {
+			fail("-stream is its own input mode; drop -bench/-hist")
+		}
+		if *truth || *mc > 0 || *reportPath != "" {
+			fail("-truth, -mc and -report need an in-memory netlist; not available with -stream")
+		}
+	} else if *benchPath == "" {
+		if *truth || *mc > 0 {
+			fail("-truth and -mc need -bench")
+		}
+		if *histFlag == "" || *n == 0 || *w == 0 || *h == 0 {
+			fail("early mode needs -hist, -n, -w and -h (or use -bench FILE); see -help")
+		}
+	}
+	if (*spec != 0 || *quantilesFlag != "" || *tailTrials != 0) && *mc == 0 {
+		fail("-spec, -quantiles and -tail-trials need a Monte-Carlo run; add -mc N")
+	}
+	method, err := leakest.ParseMethod(*methodFlag)
+	if err != nil {
+		fail("%v", err)
+	}
+	sampler, err := leakest.ParseSampler(*samplerFlag)
+	if err != nil {
+		fail("%v", err)
+	}
+	quantiles, err := parseQuantiles(*quantilesFlag)
+	if err != nil {
+		fail("%v", err)
+	}
+	var hist *leakest.Histogram
+	if *streamPath == "" && *benchPath == "" {
+		if hist, err = parseHist(*histFlag); err != nil {
+			fail("%v", err)
+		}
+	}
+	// With the JSON report on stdout, the human-readable lines go to stderr
+	// so stdout stays one parseable document.
+	var textOut io.Writer = os.Stdout
+	if *jsonReport == "-" {
+		textOut = os.Stderr
+	}
 
 	// Ctrl-C cancels the run cleanly; -timeout bounds it. Both surface as
 	// typed Canceled / DeadlineExceeded errors from the library. The meter
@@ -238,11 +286,6 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	method, err := leakest.ParseMethod(*methodFlag)
-	if err != nil {
-		fail("%v", err)
-	}
-
 	var lib *leakest.Library
 	switch {
 	case *libPath != "":
@@ -272,32 +315,15 @@ func main() {
 	}
 	est.ApplyVtMean = *vt
 	est.Workers = *workers
-	est.Sampler, err = leakest.ParseSampler(*samplerFlag)
-	if err != nil {
-		fail("%v", err)
-	}
+	est.Sampler = sampler
 	est.Tiles = *tiles
 	est.Budget = leakest.EstimateBudget{MaxGates: *maxGates, MaxPairs: *maxPairs}
 	est.Spec = *spec
 	est.TailTrials = *tailTrials
-	est.Quantiles, err = parseQuantiles(*quantilesFlag)
-	if err != nil {
-		fail("%v", err)
-	}
-	if (*spec != 0 || *quantilesFlag != "" || *tailTrials != 0) && *mc == 0 {
-		fail("-spec, -quantiles and -tail-trials need a Monte-Carlo run; add -mc N")
-	}
+	est.Quantiles = quantiles
 
-	// Streaming mode: the netlist never fully materializes, so the design is
-	// extracted and estimated in one pass and the in-memory-only extras
-	// (-truth, -mc, -report) are refused up front.
+	// Streaming mode: the design is extracted and estimated in one pass.
 	if *streamPath != "" {
-		if *benchPath != "" || *histFlag != "" {
-			fail("-stream is its own input mode; drop -bench/-hist")
-		}
-		if *truth || *mc > 0 || *reportPath != "" {
-			fail("-truth, -mc and -report need an in-memory netlist; not available with -stream")
-		}
 		sp := *p
 		if sp < 0 {
 			sp = 0.5
@@ -319,9 +345,9 @@ func main() {
 			gates += ts.Gates
 		}
 		if gates > 0 {
-			fmt.Printf("stream mode: %d gates\n", gates)
+			fmt.Fprintf(textOut, "stream mode: %d gates\n", gates)
 		}
-		printResult(res)
+		printResult(textOut, res)
 		if *jsonReport != "" {
 			writeJSONReport(*jsonReport, leakest.Design{N: gates, SignalProb: sp}, res, nil, nil)
 		}
@@ -347,21 +373,11 @@ func main() {
 		if err != nil {
 			fail("extracting characteristics: %v", err)
 		}
-		fmt.Printf("late mode: %s — %d gates, %d cell types, die %.1f×%.1f µm\n",
+		fmt.Fprintf(textOut, "late mode: %s — %d gates, %d cell types, die %.1f×%.1f µm\n",
 			nl.Name, design.N, design.Hist.Len(), design.W, design.H)
 	} else {
-		if *histFlag == "" || *n == 0 || *w == 0 || *h == 0 {
-			fail("early mode needs -hist, -n, -w and -h (or use -bench FILE); see -help")
-		}
-		hist, err := parseHist(*histFlag)
-		if err != nil {
-			fail("%v", err)
-		}
-		if *truth || *mc > 0 {
-			fail("-truth and -mc need -bench")
-		}
 		design = leakest.Design{Hist: hist, N: *n, W: *w, H: *h}
-		fmt.Printf("early mode: %d gates, %d cell types, die %.1f×%.1f µm\n",
+		fmt.Fprintf(textOut, "early mode: %d gates, %d cell types, die %.1f×%.1f µm\n",
 			design.N, design.Hist.Len(), design.W, design.H)
 	}
 
@@ -371,17 +387,17 @@ func main() {
 			fail("maximizing signal probability: %v", err)
 		}
 		design.SignalProb = pStar
-		fmt.Printf("signal probability: %.3f (leakage-maximizing, conservative)\n", pStar)
+		fmt.Fprintf(textOut, "signal probability: %.3f (leakage-maximizing, conservative)\n", pStar)
 	} else {
 		design.SignalProb = *p
-		fmt.Printf("signal probability: %.3f\n", *p)
+		fmt.Fprintf(textOut, "signal probability: %.3f\n", *p)
 	}
 
 	res, err := est.EstimateContext(ctx, design, method)
 	if err != nil {
 		failErr("estimating", err)
 	}
-	printResult(res)
+	printResult(textOut, res)
 
 	var truthRes *leakest.Result
 	if *truth {
@@ -390,10 +406,10 @@ func main() {
 			failErr("true leakage", err)
 		}
 		if tr.Degraded {
-			fmt.Printf("\ntruth degraded to %s: %s\n", tr.Method, tr.DegradeReason)
+			fmt.Fprintf(textOut, "\ntruth degraded to %s: %s\n", tr.Method, tr.DegradeReason)
 		}
-		fmt.Printf("\ntrue O(n²):   mean %.4g A, std %.4g A\n", tr.Mean, tr.Std)
-		fmt.Printf("estimate err: mean %+.2f%%, std %+.2f%%\n",
+		fmt.Fprintf(textOut, "\ntrue O(n²):   mean %.4g A, std %.4g A\n", tr.Mean, tr.Std)
+		fmt.Fprintf(textOut, "estimate err: mean %+.2f%%, std %+.2f%%\n",
 			100*(res.Mean-tr.Mean)/tr.Mean, 100*(res.Std-tr.Std)/tr.Std)
 		truthRes = &tr
 	}
@@ -423,9 +439,9 @@ func main() {
 		if err != nil {
 			failErr("monte carlo", err)
 		}
-		fmt.Printf("\nchip MC (%d): mean %.4g A, std %.4g A, 5th–95th pct [%.4g, %.4g] A\n",
+		fmt.Fprintf(textOut, "\nchip MC (%d): mean %.4g A, std %.4g A, 5th–95th pct [%.4g, %.4g] A\n",
 			r.Samples, r.Mean, r.Std, r.Q05, r.Q95)
-		printTail(r.Tail)
+		printTail(textOut, r.Tail)
 		mcRes = &r
 	}
 	if *jsonReport != "" {
@@ -438,20 +454,20 @@ func main() {
 
 // printResult renders an estimate: the method that served, its tiles and
 // degradation when there are any, and the moments.
-func printResult(res leakest.Result) {
-	fmt.Printf("\nmethod: %s", res.Method)
+func printResult(out io.Writer, res leakest.Result) {
+	fmt.Fprintf(out, "\nmethod: %s", res.Method)
 	if res.Note != "" {
-		fmt.Printf(" (%s)", res.Note)
+		fmt.Fprintf(out, " (%s)", res.Note)
 	}
 	if len(res.TileStats) > 0 {
-		fmt.Printf("\ntiles: %d (exact inter-tile combination)", len(res.TileStats))
+		fmt.Fprintf(out, "\ntiles: %d (exact inter-tile combination)", len(res.TileStats))
 	}
 	if res.Degraded {
-		fmt.Printf("\ndegraded: %s", res.DegradeReason)
+		fmt.Fprintf(out, "\ndegraded: %s", res.DegradeReason)
 	}
-	fmt.Printf("\nmean leakage: %.4g A\nstd  leakage: %.4g A  (%.2f%% of mean)\n",
+	fmt.Fprintf(out, "\nmean leakage: %.4g A\nstd  leakage: %.4g A  (%.2f%% of mean)\n",
 		res.Mean, res.Std, 100*res.Std/res.Mean)
-	fmt.Printf("mean + 3σ:    %.4g A\n", res.Mean+3*res.Std)
+	fmt.Fprintf(out, "mean + 3σ:    %.4g A\n", res.Mean+3*res.Std)
 }
 
 // writeTraceFile renders the run's span tree as Chrome trace-event JSON.

@@ -141,7 +141,10 @@ func (f *pairField) begin(w, lo, hi int) error {
 			gs.SetMode(torus, k, b.zq[2+2*m], b.zq[3+2*m])
 		}
 	}
-	return fft.Transform2DBatchInto(b.toruses[:np*tlen], np, tm, tn, true, b.scratch)
+	// Only the grid's Rows×Cols corner is extracted; a WID-free sampler's
+	// 1×1 torus is kept whole.
+	g := gs.Grid()
+	return fft.Transform2DBatchInto(b.toruses[:np*tlen], np, tm, tn, min(g.Rows, tm), min(g.Cols, tn), true, b.scratch)
 }
 
 // fill unpacks pair trial/2 on its first trial and hands out the real-part

@@ -1,7 +1,13 @@
 // Package fft is a dependency-free iterative radix-2 fast Fourier
 // transform used by the circulant-embedding Monte-Carlo sampler
-// (internal/randvar): 1-D complex and real transforms plus a cache-blocked
-// 2-D transform over row-major buffers.
+// (internal/randvar): 1-D complex and real transforms plus one cache-blocked
+// 2-D entry point, Transform2DBatchInto, over row-major buffers.
+//
+// The 2-D transform computes only a caller-named top-left corner: the
+// sampler reads a Rows×Cols grid out of a torus at least twice as large
+// per axis. Kept outputs are bitwise those of the full transform, because
+// each runs exactly the full transform's butterfly sequence; outputs
+// outside the corner are unspecified after the call.
 //
 // Transforms are unnormalized in both directions — Forward computes
 // X[k] = Σ_j x[j]·e^(−2πi·jk/N) and the inverse uses the conjugated kernel
@@ -36,10 +42,15 @@ func Transform(x []complex128, inverse bool) error {
 	if !IsPow2(n) {
 		return fmt.Errorf("fft: length %d is not a power of two", n)
 	}
-	if n == 1 {
-		return nil
-	}
-	// Bit-reversal permutation.
+	bitReverse(x)
+	butterflies(x, inverse, n)
+	return nil
+}
+
+// bitReverse applies the bit-reversal permutation that precedes the
+// in-place decimation-in-time butterflies. len(x) must be a power of two.
+func bitReverse(x []complex128) {
+	n := len(x)
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
 		for ; j&bit != 0; bit >>= 1 {
@@ -50,9 +61,21 @@ func Transform(x []complex128, inverse bool) error {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	// Iterative Cooley–Tukey butterflies. The twiddle advances by a unit
-	// rotation per butterfly; the accumulated rotation error over the
-	// longest span is O(length·ε), far below the sampler's tolerance.
+}
+
+// butterflies runs the iterative Cooley–Tukey stages over the bit-reversed
+// x, computing only outputs x[:keep]. Outputs k and k+L/2 of a length-L
+// block read only output k of each of its two half-blocks, so a stage whose
+// blocks are longer than keep needs just each block's first keep outputs:
+// butterfly k writes its low output while k < keep and its high output
+// while k+L/2 < keep. Every computed value runs the exact arithmetic
+// of the full transform — the twiddle advances by the same unit rotation
+// from k = 0 — so x[:keep] is bitwise the full transform's and x[keep:] is
+// unspecified. keep = len(x) is the full transform. The accumulated
+// twiddle rotation error over the longest span is O(length·ε), far below
+// the sampler's tolerance.
+func butterflies(x []complex128, inverse bool, keep int) {
+	n := len(x)
 	for length := 2; length <= n; length <<= 1 {
 		ang := 2 * math.Pi / float64(length)
 		if !inverse {
@@ -60,18 +83,32 @@ func Transform(x []complex128, inverse bool) error {
 		}
 		wl := cmplx.Rect(1, ang)
 		half := length >> 1
+		// Butterflies [0, both) write both outputs; [both, low) only the
+		// low one.
+		both, low := half, half
+		if keep < length {
+			both, low = max(keep-half, 0), min(keep, half)
+		}
 		for start := 0; start < n; start += length {
+			lo := x[start : start+half]
+			hi := x[start+half : start+length][:len(lo)]
 			w := complex(1, 0)
-			for k := start; k < start+half; k++ {
-				u := x[k]
-				v := x[k+half] * w
-				x[k] = u + v
-				x[k+half] = u - v
+			k := 0
+			for ; k < both; k++ {
+				u := lo[k]
+				v := hi[k] * w
+				lo[k] = u + v
+				hi[k] = u - v
+				w *= wl
+			}
+			for ; k < low; k++ {
+				u := lo[k]
+				v := hi[k] * w
+				lo[k] = u + v
 				w *= wl
 			}
 		}
 	}
-	return nil
 }
 
 // TransformReal computes the forward DFT of the real sequence src into the
@@ -120,8 +157,8 @@ func TransformReal(dst []complex128, src []float64) error {
 // strided gather still reads whole cache lines.
 const colBlock = 16
 
-// Scratch2DLen returns the scratch length Transform2DInto requires for a
-// rows×cols transform.
+// Scratch2DLen returns the scratch length Transform2DBatchInto requires for
+// a rows×cols transform.
 func Scratch2DLen(rows, cols int) int {
 	b := colBlock
 	if cols < b {
@@ -130,30 +167,28 @@ func Scratch2DLen(rows, cols int) int {
 	return rows * b
 }
 
-// Transform2D computes the in-place 2-D DFT of the row-major rows×cols
-// buffer x, allocating its own column scratch. Both dimensions must be
-// powers of two.
-func Transform2D(x []complex128, rows, cols int, inverse bool) error {
-	return Transform2DInto(x, rows, cols, inverse, make([]complex128, Scratch2DLen(rows, cols)))
-}
-
-// Transform2DInto is Transform2D with caller-supplied scratch of at least
-// Scratch2DLen(rows, cols) elements, so per-trial callers (the MC sampler)
-// stay allocation-free.
-func Transform2DInto(x []complex128, rows, cols int, inverse bool, scratch []complex128) error {
-	return Transform2DBatchInto(x, 1, rows, cols, inverse, scratch)
-}
-
 // Transform2DBatchInto computes the in-place 2-D DFT of batch row-major
 // rows×cols buffers stored contiguously in x (member b occupies
-// x[b·rows·cols : (b+1)·rows·cols]). The per-member butterfly sequence is
-// exactly Transform2DInto's, so each member's result is bitwise identical to
-// a standalone transform at any batch size — the property the qmc sampler's
-// batch-invariance contract rests on. Batching buys locality, not different
-// math: within each column block the gather/transform/scatter runs across
-// all members while the block's twiddle walk is hot. scratch needs
-// Scratch2DLen(rows, cols) elements regardless of batch.
-func Transform2DBatchInto(x []complex128, batch, rows, cols int, inverse bool, scratch []complex128) error {
+// x[b·rows·cols : (b+1)·rows·cols]), keeping only the top-left
+// keepRows×keepCols corner of each member: after the call the corner holds
+// bitwise the values of the full transform, and every point outside it is
+// unspecified. keepRows = rows, keepCols = cols is the full transform.
+//
+// The row pass transforms every row (each column transform reads all rows)
+// but computes only outputs < keepCols; the column pass gathers, transforms
+// and scatters only columns < keepCols, computing and writing back only
+// rows < keepRows. The circulant-embedding sampler reads a Rows×Cols corner
+// of a torus at least twice as wide and tall, so the pruning skips about
+// half of the column pass and the last butterfly stages' unread halves.
+//
+// Each member's butterfly sequence is independent of batch, so every
+// member is bitwise identical to a standalone (batch 1) transform — the
+// property the qmc sampler's batch-invariance contract rests on. Batching
+// buys locality, not different math: within each column block the
+// gather/transform/scatter runs across all members while the block's
+// twiddle walk is hot. scratch needs Scratch2DLen(rows, cols) elements
+// regardless of batch, so per-trial callers stay allocation-free.
+func Transform2DBatchInto(x []complex128, batch, rows, cols, keepRows, keepCols int, inverse bool, scratch []complex128) error {
 	if batch < 1 {
 		return fmt.Errorf("fft: batch %d must be positive", batch)
 	}
@@ -164,28 +199,29 @@ func Transform2DBatchInto(x []complex128, batch, rows, cols int, inverse bool, s
 	if !IsPow2(rows) || !IsPow2(cols) {
 		return fmt.Errorf("fft: dimensions %d×%d are not powers of two", rows, cols)
 	}
+	if keepRows < 1 || keepRows > rows || keepCols < 1 || keepCols > cols {
+		return fmt.Errorf("fft: kept corner %d×%d outside the %d×%d transform", keepRows, keepCols, rows, cols)
+	}
 	if need := Scratch2DLen(rows, cols); len(scratch) < need {
 		return fmt.Errorf("fft: scratch length %d < required %d", len(scratch), need)
 	}
 	for b := 0; b < batch; b++ {
 		t := x[b*stride : (b+1)*stride]
 		for r := 0; r < rows; r++ {
-			if err := Transform(t[r*cols:(r+1)*cols], inverse); err != nil {
-				return err
-			}
+			row := t[r*cols : (r+1)*cols]
+			bitReverse(row)
+			butterflies(row, inverse, keepCols)
 		}
 	}
 	if rows == 1 {
 		return nil
 	}
-	// Columns in blocks: gather colBlock adjacent columns into contiguous
-	// per-column vectors, transform each, scatter back — for every batch
-	// member while the block offset (and its twiddle footprint) stays hot.
-	for c0 := 0; c0 < cols; c0 += colBlock {
-		bc := colBlock
-		if c0+bc > cols {
-			bc = cols - c0
-		}
+	// Columns in blocks: gather colBlock adjacent kept columns into
+	// contiguous per-column vectors, transform each, scatter the kept rows
+	// back — for every batch member while the block offset (and its
+	// twiddle footprint) stays hot.
+	for c0 := 0; c0 < keepCols; c0 += colBlock {
+		bc := min(colBlock, keepCols-c0)
 		for b := 0; b < batch; b++ {
 			t := x[b*stride : (b+1)*stride]
 			for r := 0; r < rows; r++ {
@@ -195,11 +231,11 @@ func Transform2DBatchInto(x []complex128, batch, rows, cols int, inverse bool, s
 				}
 			}
 			for j := 0; j < bc; j++ {
-				if err := Transform(scratch[j*rows:(j+1)*rows], inverse); err != nil {
-					return err
-				}
+				col := scratch[j*rows : (j+1)*rows]
+				bitReverse(col)
+				butterflies(col, inverse, keepRows)
 			}
-			for r := 0; r < rows; r++ {
+			for r := 0; r < keepRows; r++ {
 				row := t[r*cols+c0 : r*cols+c0+bc]
 				for j := range row {
 					row[j] = scratch[j*rows+r]

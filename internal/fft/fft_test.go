@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -133,38 +134,11 @@ func TestTransform2DMatchesNaive(t *testing.T) {
 			want[r*cols+c] = v
 		}
 	}
-	if err := Transform2D(x, rows, cols, false); err != nil {
+	if err := transform2D(x, rows, cols, false); err != nil {
 		t.Fatal(err)
 	}
 	if d := maxDev(x, want); d > 1e-10 {
 		t.Errorf("2-D transform deviates from naive by %g", d)
-	}
-}
-
-func TestTransform2DIntoMatchesTransform2D(t *testing.T) {
-	rows, cols := 8, 32 // cols > colBlock exercises the block loop
-	a := randComplex(rows*cols, 11)
-	b := append([]complex128(nil), a...)
-	if err := Transform2D(a, rows, cols, true); err != nil {
-		t.Fatal(err)
-	}
-	scratch := make([]complex128, Scratch2DLen(rows, cols))
-	if err := Transform2DInto(b, rows, cols, true, scratch); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("scratch variant differs at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if err := Transform2DInto(b, rows, cols, true, scratch[:1]); err == nil {
-		t.Error("undersized scratch accepted")
-	}
-	if err := Transform2D(b, 3, cols, false); err == nil {
-		t.Error("non-pow2 rows accepted")
-	}
-	if err := Transform2D(b[:5], rows, cols, false); err == nil {
-		t.Error("short buffer accepted")
 	}
 }
 
@@ -179,8 +153,8 @@ func TestNextPow2(t *testing.T) {
 
 // TestTransform2DBatchBitwise pins the batch-invariance contract: every
 // member of a batched transform must be bitwise identical to a standalone
-// Transform2DInto of the same data, at every batch size and for odd and even
-// batches alike.
+// (batch 1) transform of the same data, at every batch size and for odd and
+// even batches alike.
 func TestTransform2DBatchBitwise(t *testing.T) {
 	for _, dims := range [][2]int{{1, 8}, {4, 4}, {8, 2}, {16, 32}, {32, 16}} {
 		rows, cols := dims[0], dims[1]
@@ -190,12 +164,12 @@ func TestTransform2DBatchBitwise(t *testing.T) {
 				src := randComplex(batch*stride, int64(rows*1000+cols*10+batch))
 				got := append([]complex128(nil), src...)
 				scratch := make([]complex128, Scratch2DLen(rows, cols))
-				if err := Transform2DBatchInto(got, batch, rows, cols, inverse, scratch); err != nil {
+				if err := Transform2DBatchInto(got, batch, rows, cols, rows, cols, inverse, scratch); err != nil {
 					t.Fatal(err)
 				}
 				for b := 0; b < batch; b++ {
 					want := append([]complex128(nil), src[b*stride:(b+1)*stride]...)
-					if err := Transform2DInto(want, rows, cols, inverse, make([]complex128, Scratch2DLen(rows, cols))); err != nil {
+					if err := transform2D(want, rows, cols, inverse); err != nil {
 						t.Fatal(err)
 					}
 					for k := range want {
@@ -214,16 +188,91 @@ func TestTransform2DBatchBitwise(t *testing.T) {
 func TestTransform2DBatchRejects(t *testing.T) {
 	scratch := make([]complex128, Scratch2DLen(4, 4))
 	x := make([]complex128, 32)
-	if err := Transform2DBatchInto(x, 0, 4, 4, false, scratch); err == nil {
-		t.Error("batch 0 must be rejected")
+	for _, c := range []struct {
+		what                                  string
+		x                                     []complex128
+		batch, rows, cols, keepRows, keepCols int
+		scratch                               []complex128
+	}{
+		{"batch 0", x, 0, 4, 4, 4, 4, scratch},
+		{"length mismatch", x, 3, 4, 4, 4, 4, scratch},
+		{"short buffer", x[:5], 1, 4, 4, 4, 4, scratch},
+		{"non-power-of-two dims", x[:18], 2, 3, 3, 3, 3, scratch},
+		{"short scratch", x, 2, 4, 4, 4, 4, scratch[:1]},
+		{"zero kept rows", x, 2, 4, 4, 0, 4, scratch},
+		{"zero kept cols", x, 2, 4, 4, 4, 0, scratch},
+		{"kept rows past the transform", x, 2, 4, 4, 5, 4, scratch},
+		{"kept cols past the transform", x, 2, 4, 4, 4, 5, scratch},
+	} {
+		if err := Transform2DBatchInto(c.x, c.batch, c.rows, c.cols, c.keepRows, c.keepCols, false, c.scratch); err == nil {
+			t.Errorf("%s must be rejected", c.what)
+		}
 	}
-	if err := Transform2DBatchInto(x, 3, 4, 4, false, scratch); err == nil {
-		t.Error("length mismatch must be rejected")
+}
+
+// transform2D is the full single-member 2-D transform every corner and
+// batch result is compared against.
+func transform2D(x []complex128, rows, cols int, inverse bool) error {
+	return Transform2DBatchInto(x, 1, rows, cols, rows, cols, inverse, make([]complex128, Scratch2DLen(rows, cols)))
+}
+
+// TestTransform2DCornerBitwise pins the corner contract: for random shapes
+// up to 256×256 (including single rows and columns), random kept corners
+// (including 1×1 and the whole transform), batches of 1–3 and both
+// directions, every kept point equals the full transform's bitwise.
+func TestTransform2DCornerBitwise(t *testing.T) {
+	rng := stats.NewRNG(5, "fft-corner")
+	dims := []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
+	type shape struct{ rows, cols, keepRows, keepCols int }
+	shapes := []shape{{1, 64, 1, 33}, {64, 1, 17, 1}, {1, 1, 1, 1}, {8, 8, 1, 1}, {16, 32, 16, 32}, {256, 256, 129, 127}}
+	for len(shapes) < 40 {
+		rows, cols := dims[rng.Intn(len(dims))], dims[rng.Intn(len(dims))]
+		shapes = append(shapes, shape{rows, cols, 1 + rng.Intn(rows), 1 + rng.Intn(cols)})
 	}
-	if err := Transform2DBatchInto(x[:18], 2, 3, 3, false, scratch); err == nil {
-		t.Error("non-power-of-two dims must be rejected")
+	for i, sh := range shapes {
+		stride := sh.rows * sh.cols
+		batch := 1 + i%3
+		inverse := i%2 == 1
+		src := randComplex(batch*stride, int64(100+i))
+		got := append([]complex128(nil), src...)
+		if err := Transform2DBatchInto(got, batch, sh.rows, sh.cols, sh.keepRows, sh.keepCols, inverse,
+			make([]complex128, Scratch2DLen(sh.rows, sh.cols))); err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < batch; b++ {
+			want := append([]complex128(nil), src[b*stride:(b+1)*stride]...)
+			if err := transform2D(want, sh.rows, sh.cols, inverse); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < sh.keepRows; r++ {
+				for c := 0; c < sh.keepCols; c++ {
+					k := r*sh.cols + c
+					if got[b*stride+k] != want[k] {
+						t.Fatalf("%+v batch=%d inverse=%v member %d: (%d,%d) differs bitwise (%v vs %v)",
+							sh, batch, inverse, b, r, c, got[b*stride+k], want[k])
+					}
+				}
+			}
+		}
 	}
-	if err := Transform2DBatchInto(x, 2, 4, 4, false, scratch[:1]); err == nil {
-		t.Error("short scratch must be rejected")
+}
+
+// BenchmarkTransform2DCorner times the sampler-shaped inverse transform: a
+// 128² torus of which a 45×45 grid corner is read, against the full
+// transform of the same torus.
+func BenchmarkTransform2DCorner(b *testing.B) {
+	const n = 128
+	src := randComplex(n*n, 1)
+	x := make([]complex128, n*n)
+	scratch := make([]complex128, Scratch2DLen(n, n))
+	for _, keep := range []int{45, n} {
+		b.Run(fmt.Sprintf("keep=%dx%d", keep, keep), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(x, src)
+				if err := Transform2DBatchInto(x, 1, n, n, keep, keep, true, scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -211,10 +211,10 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	n := a.rows
 	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		lj := l.Row(j)
-		for k := 0; k < j; k++ {
-			d -= lj[k] * lj[k]
+		d := a.data[j*n+j]
+		lj := l.data[j*n : j*n+j]
+		for _, v := range lj {
+			d -= v * v
 		}
 		if j == 0 {
 			d = fault.Corrupt(fault.SiteCholesky, d)
@@ -223,14 +223,36 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			return nil, fmt.Errorf("%w (pivot %d: %g)", ErrNotPositiveDefinite, j, d)
 		}
 		dj := math.Sqrt(d)
-		l.Set(j, j, dj)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			li := l.Row(i)
-			for k := 0; k < j; k++ {
-				s -= li[k] * lj[k]
+		l.data[j*n+j] = dj
+		// Column j below the pivot, four rows per pass over lj: each row
+		// keeps its own accumulator and subtracts in ascending k, exactly as
+		// the one-row loop below does, so every entry is bitwise the
+		// unblocked factor's while each lj[k] is loaded once per four rows.
+		i := j + 1
+		for ; i+3 < n; i += 4 {
+			l0 := l.data[i*n:][:len(lj)]
+			l1 := l.data[(i+1)*n:][:len(lj)]
+			l2 := l.data[(i+2)*n:][:len(lj)]
+			l3 := l.data[(i+3)*n:][:len(lj)]
+			s0, s1, s2, s3 := a.data[i*n+j], a.data[(i+1)*n+j], a.data[(i+2)*n+j], a.data[(i+3)*n+j]
+			for k, v := range lj {
+				s0 -= l0[k] * v
+				s1 -= l1[k] * v
+				s2 -= l2[k] * v
+				s3 -= l3[k] * v
 			}
-			l.Set(i, j, s/dj)
+			l.data[i*n+j] = s0 / dj
+			l.data[(i+1)*n+j] = s1 / dj
+			l.data[(i+2)*n+j] = s2 / dj
+			l.data[(i+3)*n+j] = s3 / dj
+		}
+		for ; i < n; i++ {
+			li := l.data[i*n:][:len(lj)]
+			s := a.data[i*n+j]
+			for k, v := range lj {
+				s -= li[k] * v
+			}
+			l.data[i*n+j] = s / dj
 		}
 	}
 	if err := l.CheckFinite("linalg.Cholesky"); err != nil {

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -140,6 +141,84 @@ func TestCholeskyJittered(t *testing.T) {
 	_, jit, err = CholeskyJittered(spd, 1e-3)
 	if err != nil || jit != 0 {
 		t.Errorf("SPD case: jit=%g err=%v, want 0,nil", jit, err)
+	}
+}
+
+// scalarCholesky is the one-row-at-a-time factorization the blocked
+// Cholesky must reproduce bitwise: column j, row i, subtracting in
+// ascending k.
+func scalarCholesky(a *Matrix) *Matrix {
+	n := a.rows
+	l := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j)
+		for k := 0; k < j; k++ {
+			d -= l.At(j, k) * l.At(j, k)
+		}
+		dj := math.Sqrt(d)
+		l.Set(j, j, dj)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, s/dj)
+		}
+	}
+	return l
+}
+
+// cholSizes covers every residue of n mod 4, so both the four-row blocks
+// and the 1–3-row tail run at each pivot.
+var cholSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 130}
+
+// TestCholeskyBlockedBitwise pins the register-blocked factor to the scalar
+// reference bitwise, on plain SPD matrices and on the CholeskyJittered
+// retry path (a singular PSD matrix nudged indefinite, which plain Cholesky
+// rejects).
+func TestCholeskyBlockedBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	same := func(what string, got, want *Matrix) {
+		t.Helper()
+		for i, v := range want.data {
+			if got.data[i] != v {
+				t.Fatalf("%s: element (%d,%d) = %v, scalar reference %v",
+					what, i/want.cols, i%want.cols, got.data[i], v)
+			}
+		}
+	}
+	for _, n := range cholSizes {
+		a := randomSPD(rng, n)
+		l, err := Cholesky(a)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		same(fmt.Sprintf("n=%d", n), l, scalarCholesky(a))
+		if n < 2 {
+			continue
+		}
+		// Duplicate row/column 0 into the last one (rank n−1), then shift
+		// the diagonal down so the matrix is slightly indefinite.
+		s := randomSPD(rng, n)
+		for k := 0; k < n; k++ {
+			s.Set(n-1, k, s.At(0, k))
+			s.Set(k, n-1, s.At(k, 0))
+		}
+		s.Set(n-1, n-1, s.At(0, 0))
+		for i := 0; i < n; i++ {
+			s.Add(i, i, -1e-9*s.At(i, i))
+		}
+		if _, err := Cholesky(s); err == nil {
+			t.Fatalf("n=%d: indefinite matrix factored without jitter", n)
+		}
+		l, jit, err := CholeskyJittered(s, 1e-3)
+		if err != nil || jit <= 0 {
+			t.Fatalf("n=%d: jittered factor jit=%g err=%v", n, jit, err)
+		}
+		for i := 0; i < n; i++ {
+			s.Add(i, i, jit)
+		}
+		same(fmt.Sprintf("n=%d jittered", n), l, scalarCholesky(s))
 	}
 }
 

@@ -2,6 +2,7 @@ package randvar
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"leakest/internal/fft"
@@ -80,7 +81,7 @@ func TestPairRealChannelMatchesSampleInto(t *testing.T) {
 		rngB := stats.NewRNG(seed, "pair-ref")
 		z0 := rngB.NormFloat64()
 		s.FillPairSpectrum(rngB, torus)
-		if err := fft.Transform2DInto(torus, tm, tn, true, scratch); err != nil {
+		if err := fft.Transform2DBatchInto(torus, 1, tm, tn, tm, tn, true, scratch); err != nil {
 			t.Fatal(err)
 		}
 		s.ExtractPair(torus, z0, -z0, fa, fb)
@@ -117,7 +118,7 @@ func TestPairImagChannelLaw(t *testing.T) {
 	b1 := make([]float64, pairs)
 	for p := 0; p < pairs; p++ {
 		s.FillPairSpectrum(rng, torus)
-		if err := fft.Transform2DInto(torus, tm, tn, true, scratch); err != nil {
+		if err := fft.Transform2DBatchInto(torus, 1, tm, tn, tm, tn, true, scratch); err != nil {
 			t.Fatal(err)
 		}
 		s.ExtractPair(torus, rng.NormFloat64(), rng.NormFloat64(), fa, fb)
@@ -170,6 +171,82 @@ func TestSetModeOverride(t *testing.T) {
 	for i := range torus {
 		if torus[i] != ref[i] {
 			t.Fatalf("entry %d changed by SetMode round-trip", i)
+		}
+	}
+}
+
+// TestSamplePartialIntoBlockedBitwise pins the register-blocked mean + L·z
+// to the one-row scalar reference bitwise, at sizes covering every residue
+// mod 4 and with fixed ∈ {0, 1, n}.
+func TestSamplePartialIntoBlockedBitwise(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 130} {
+		mean := make([]float64, n)
+		cov := linalg.NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			mean[i] = 0.1 + 0.001*float64(i)
+			for j := 0; j < n; j++ {
+				cov.Set(i, j, 1e-4*math.Pow(0.9, math.Abs(float64(i-j))))
+			}
+		}
+		s, err := NewMVNSampler(mean, cov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := make([]float64, n)
+		out := make([]float64, n)
+		for _, fixed := range []int{0, 1, n} {
+			rng := stats.NewRNG(int64(n), "partial-blocked")
+			for j := 0; j < fixed; j++ {
+				z[j] = rng.NormFloat64()
+			}
+			s.SamplePartialInto(rng, z, out, fixed)
+			for i := 0; i < n; i++ {
+				row := s.l.Row(i)
+				want := mean[i]
+				for j := 0; j <= i; j++ {
+					want += row[j] * z[j]
+				}
+				if out[i] != want {
+					t.Fatalf("n=%d fixed=%d: out[%d] = %v, scalar reference %v", n, fixed, i, out[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestTopModesMatchesFullSort pins the bounded top-k selection to the prefix
+// of a full sort under the same order, on a spectrum with many amplitude
+// ties and zero (clamped) modes, for max below, at and past the fallback
+// threshold and past the spectrum length.
+func TestTopModesMatchesFullSort(t *testing.T) {
+	const modes = 4096
+	rng := stats.NewRNG(17, "topmodes-ties")
+	s := &GridSampler{scale: make([]float64, modes)}
+	for k := range s.scale {
+		s.scale[k] = float64(rng.Intn(9)) / 8 // 1 in 9 is a zero mode
+	}
+	var full []int
+	for k, a := range s.scale {
+		if a > 0 {
+			full = append(full, k)
+		}
+	}
+	sort.Slice(full, func(i, j int) bool {
+		if ai, aj := s.scale[full[i]], s.scale[full[j]]; ai != aj {
+			return ai > aj
+		}
+		return full[i] < full[j]
+	})
+	for _, max := range []int{1, 2, 35, 1023, 1024, len(full), modes, modes + 5} {
+		got := s.TopModes(max)
+		want := full[:min(max, len(full))]
+		if len(got) != len(want) {
+			t.Fatalf("TopModes(%d) returned %d modes, want %d", max, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("TopModes(%d)[%d] = %d, full-sort prefix has %d", max, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -233,8 +310,8 @@ func TestSamplePartialInto(t *testing.T) {
 // FuzzBatchedDraw fuzzes the batched pair-field pipeline against the
 // unbatched one: for arbitrary small grids (odd and even, non-square) and
 // batch sizes, filling the same pair spectra and transforming them through
-// one Transform2DBatchInto pass must reproduce the per-pair
-// Transform2DInto fields bitwise, with every site finite.
+// one grid-corner Transform2DBatchInto pass must reproduce the per-pair
+// full-torus fields bitwise, with every site finite.
 func FuzzBatchedDraw(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint8(3), int64(1))
 	f.Add(uint8(1), uint8(7), uint8(1), int64(9))
@@ -263,7 +340,7 @@ func FuzzBatchedDraw(f *testing.F) {
 		for p := 0; p < batchPairs; p++ {
 			fill(p, batched[p*tlen:(p+1)*tlen])
 		}
-		if err := fft.Transform2DBatchInto(batched, batchPairs, tm, tn, true, scratch); err != nil {
+		if err := fft.Transform2DBatchInto(batched, batchPairs, tm, tn, rows, cols, true, scratch); err != nil {
 			t.Fatal(err)
 		}
 		fa := make([]float64, sites)
@@ -272,7 +349,7 @@ func FuzzBatchedDraw(f *testing.F) {
 		rb := make([]float64, sites)
 		for p := 0; p < batchPairs; p++ {
 			fill(p, single)
-			if err := fft.Transform2DInto(single, tm, tn, true, scratch); err != nil {
+			if err := fft.Transform2DBatchInto(single, 1, tm, tn, tm, tn, true, scratch); err != nil {
 				t.Fatal(err)
 			}
 			s.ExtractPair(single, z0[2*p], z0[2*p+1], ra, rb)

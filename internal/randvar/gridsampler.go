@@ -344,7 +344,8 @@ func (s *GridSampler) SampleTiltedInto(rng *rand.Rand, sc *GridScratch, field []
 	for k, a := range s.scale {
 		torus[k] = complex(a*rng.NormFloat64(), a*rng.NormFloat64())
 	}
-	if err := fft.Transform2DInto(torus, s.tm, s.tn, true, sc.fft); err != nil {
+	// Only the grid's Rows×Cols corner of the torus is read.
+	if err := fft.Transform2DBatchInto(torus, 1, s.tm, s.tn, g.Rows, g.Cols, true, sc.fft); err != nil {
 		return z0, err
 	}
 	for r := 0; r < g.Rows; r++ {

@@ -41,7 +41,7 @@ func TestGridSamplerKernelExactAtEveryLag(t *testing.T) {
 		for k, a := range s.scale {
 			cov[k] = complex(a*a*mn, 0)
 		}
-		if err := fft.Transform2D(cov, s.tm, s.tn, true); err != nil {
+		if err := fft.Transform2DBatchInto(cov, 1, s.tm, s.tn, s.tm, s.tn, true, make([]complex128, fft.Scratch2DLen(s.tm, s.tn))); err != nil {
 			t.Fatal(err)
 		}
 		vw := proc.SigmaWID * proc.SigmaWID
@@ -210,7 +210,7 @@ func TestGridSamplerLongRangeKernelClamps(t *testing.T) {
 	for k, a := range s.scale {
 		cov[k] = complex(a*a*mn, 0)
 	}
-	if err := fft.Transform2D(cov, tm, tn, true); err != nil {
+	if err := fft.Transform2DBatchInto(cov, 1, tm, tn, tm, tn, true, make([]complex128, fft.Scratch2DLen(tm, tn))); err != nil {
 		t.Fatal(err)
 	}
 	vw := proc.SigmaWID * proc.SigmaWID

@@ -236,11 +236,38 @@ func (s *MVNSampler) SamplePartialInto(rng *rand.Rand, z, out []float64, fixed i
 	for i := fixed; i < n; i++ {
 		z[i] = rng.NormFloat64()
 	}
-	for i := 0; i < n; i++ {
-		row := s.l.Row(i)
+	// Four rows of mean + L·z per pass over their shared prefix z[:i+1],
+	// then rows i+1..i+3 add their 1–3 trailing terms. Each row accumulates
+	// from mean[i] in ascending j, exactly as the one-row loop below does,
+	// so every output is bitwise the unblocked draw's while each z[j] is
+	// loaded once per four rows.
+	i := 0
+	for ; i+3 < n; i += 4 {
+		zp := z[:i+1]
+		r0 := s.l.Row(i)[:len(zp)]
+		r1, r2, r3 := s.l.Row(i+1), s.l.Row(i+2), s.l.Row(i+3)
+		p1, p2, p3 := r1[:len(zp)], r2[:len(zp)], r3[:len(zp)]
+		a0, a1, a2, a3 := s.mean[i], s.mean[i+1], s.mean[i+2], s.mean[i+3]
+		for j, v := range zp {
+			a0 += r0[j] * v
+			a1 += p1[j] * v
+			a2 += p2[j] * v
+			a3 += p3[j] * v
+		}
+		z1, z2, z3 := z[i+1], z[i+2], z[i+3]
+		a1 += r1[i+1] * z1
+		a2 += r2[i+1] * z1
+		a2 += r2[i+2] * z2
+		a3 += r3[i+1] * z1
+		a3 += r3[i+2] * z2
+		a3 += r3[i+3] * z3
+		out[i], out[i+1], out[i+2], out[i+3] = a0, a1, a2, a3
+	}
+	for ; i < n; i++ {
+		row := s.l.Row(i)[:i+1]
 		acc := s.mean[i]
-		for j := 0; j <= i; j++ {
-			acc += row[j] * z[j]
+		for j, v := range z[:i+1] {
+			acc += row[j] * v
 		}
 		out[i] = acc
 	}
