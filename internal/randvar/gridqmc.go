@@ -39,8 +39,8 @@ func (s *GridSampler) TorusLen() int { return s.tm * s.tn }
 // The qmc sampler keeps 17 modes of up to tens of thousands, so the
 // selection runs in O(S log max): a bounded heap holding the best max modes
 // seen so far, worst at the root, sorted at the end. The order is total, so
-// the result is exactly the prefix of a full sort, which serves directly
-// when max is a large fraction of the S modes.
+// the result is exactly the prefix of a full sort, and for max ≥ S the
+// heap holds every mode and costs O(S log S), no more than the sort.
 func (s *GridSampler) TopModes(max int) []int {
 	if max <= 0 || s.scale == nil {
 		return nil
@@ -51,47 +51,35 @@ func (s *GridSampler) TopModes(max int) []int {
 		}
 		return i < j
 	}
-	var idx []int
-	if 4*max >= len(s.scale) {
-		for k, a := range s.scale {
-			if a > 0 {
-				idx = append(idx, k)
+	idx := make([]int, 0, min(max, len(s.scale)))
+	for k, a := range s.scale {
+		switch {
+		case a <= 0:
+		case len(idx) < max:
+			// Sift up: a parent precedes none of its children.
+			idx = append(idx, k)
+			for c := len(idx) - 1; c > 0 && before(idx[(c-1)/2], idx[c]); c = (c - 1) / 2 {
+				idx[c], idx[(c-1)/2] = idx[(c-1)/2], idx[c]
 			}
-		}
-	} else {
-		idx = make([]int, 0, max)
-		for k, a := range s.scale {
-			switch {
-			case a <= 0:
-			case len(idx) < max:
-				// Sift up: a parent precedes none of its children.
-				idx = append(idx, k)
-				for c := len(idx) - 1; c > 0 && before(idx[(c-1)/2], idx[c]); c = (c - 1) / 2 {
-					idx[c], idx[(c-1)/2] = idx[(c-1)/2], idx[c]
-				}
-			case before(k, idx[0]):
-				// Replace the worst kept mode and sift it down.
-				idx[0] = k
-				for p := 0; ; {
-					w := p
-					for _, c := range [2]int{2*p + 1, 2*p + 2} {
-						if c < len(idx) && before(idx[w], idx[c]) {
-							w = c
-						}
+		case before(k, idx[0]):
+			// Replace the worst kept mode and sift it down.
+			idx[0] = k
+			for p := 0; ; {
+				w := p
+				for _, c := range [2]int{2*p + 1, 2*p + 2} {
+					if c < len(idx) && before(idx[w], idx[c]) {
+						w = c
 					}
-					if w == p {
-						break
-					}
-					idx[p], idx[w] = idx[w], idx[p]
-					p = w
 				}
+				if w == p {
+					break
+				}
+				idx[p], idx[w] = idx[w], idx[p]
+				p = w
 			}
 		}
 	}
 	sort.Slice(idx, func(i, j int) bool { return before(idx[i], idx[j]) })
-	if len(idx) > max {
-		idx = idx[:max]
-	}
 	return idx
 }
 

@@ -216,8 +216,8 @@ func TestSamplePartialIntoBlockedBitwise(t *testing.T) {
 
 // TestTopModesMatchesFullSort pins the bounded top-k selection to the prefix
 // of a full sort under the same order, on a spectrum with many amplitude
-// ties and zero (clamped) modes, for max below, at and past the fallback
-// threshold and past the spectrum length.
+// ties and zero (clamped) modes, for max from 1 up to past the spectrum
+// length, where the heap holds every mode.
 func TestTopModesMatchesFullSort(t *testing.T) {
 	const modes = 4096
 	rng := stats.NewRNG(17, "topmodes-ties")
