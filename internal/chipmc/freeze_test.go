@@ -42,6 +42,8 @@ var freezeRoutes = []freezeRoute{
 		want: "ffd6b762607e037f"},
 	{name: "fft", mutate: func(c *Config, _ float64) { c.Sampler = SamplerFFT },
 		want: "e754c7363609b645"},
+	{name: "fft-odd", mutate: func(c *Config, _ float64) { c.Sampler = SamplerFFT; c.Samples = 13 },
+		want: "b9ffc991f656534e"},
 	{name: "auto", mutate: func(c *Config, _ float64) {},
 		want: "ffd6b762607e037f"},
 	{name: "auto-grid", mutate: func(c *Config, _ float64) {}, denseLimit: 8,
@@ -74,6 +76,10 @@ var freezeRoutes = []freezeRoute{
 		c.IncludeVt = true
 		c.Tail = &TailConfig{Spec: spec, Quantiles: []float64{0.5, 0.9}, ISTrials: 64}
 	}, want: "5f111d23e37c70bf"},
+	{name: "tail-tiled", mutate: func(c *Config, spec float64) {
+		c.Tiles = 2
+		c.Tail = &TailConfig{Spec: spec, Quantiles: []float64{0.5, 0.9}, ISTrials: 63}
+	}, want: "6517769c378009db"},
 	{name: "tail-qmc-dense", mutate: func(c *Config, spec float64) {
 		c.Sampler = SamplerQMC
 		c.Tail = &TailConfig{Spec: spec, ISTrials: 64}
