@@ -385,7 +385,7 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 		return Result{}, err
 	}
 	workers := parallel.Resolve(cfg.Workers, cfg.Samples)
-	f, stream, err := newPrimaryField(ctx, cfg, &rt, nl.Name, pl, workers)
+	f, err := newPrimaryField(ctx, cfg, &rt, nl.Name, pl, workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -399,6 +399,7 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 	telemetry.SpanAttrInt(ctx, "chipmc.workers", int64(workers))
 	endTrials := telemetry.StartSpan(ctx, "chipmc.trials")
 	rep := telemetry.StartProgress(ctx, "chipmc.trials", int64(cfg.Samples))
+	stream := stats.NewStream(cfg.Seed, "chipmc/"+nl.Name+"/trial#")
 	set := &trialSet{f: f, stream: stream, totals: totals, tick: parallel.NewTicker(rep)}
 	if r := telemetry.Default(); r != nil {
 		set.counter = r.Counter("chipmc_trials_total")
@@ -443,17 +444,15 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 	return res, nil
 }
 
-// newPrimaryField builds route rt's trial field and the stream that seeds
-// its trials: the tiled field, the full-grid embedding (the fft grid field
-// or the qmc pair field), or the dense field. An embedding failure degrades
-// to the dense field when the caller's explicit gate budget admits it and
-// the sampler was not forced to fft, updating rt.
-func newPrimaryField(ctx context.Context, cfg Config, rt *Route, name string, pl *placement.Placement, workers int) (field, stats.Stream, error) {
+// newPrimaryField builds route rt's trial field: the tiled field, the
+// full-grid embedding (the pair field, with the Sobol sequence on the qmc
+// route), or the dense field. An embedding failure degrades to the dense
+// field when the caller's explicit gate budget admits it and the sampler
+// was not forced to fft, updating rt.
+func newPrimaryField(ctx context.Context, cfg Config, rt *Route, name string, pl *placement.Placement, workers int) (field, error) {
 	const op = "chipmc.Run"
-	trialStream := stats.NewStream(cfg.Seed, "chipmc/"+name+"/trial#")
 	if rt.Tiles > 1 {
-		f, err := newTiledField(ctx, cfg, name, pl, workers)
-		return f, stats.NewStream(cfg.Seed, "chipmc/"+name+"/d2d#"), err
+		return newTiledField(ctx, cfg, name, pl, workers)
 	}
 	if rt.Embedding {
 		endSetup := telemetry.StartSpan(ctx, "chipmc.fft_setup")
@@ -479,10 +478,9 @@ func newPrimaryField(ctx context.Context, cfg Config, rt *Route, name string, pl
 			telemetry.SpanAttrStr(ctx, "chipmc.torus", fmt.Sprintf("%dx%d", tm, tn))
 			telemetry.SpanAttrFloat(ctx, "chipmc.clamp_bias", gs.ClampBias())
 			if rt.Sampler == SamplerQMC {
-				f, err := newPairField(ctx, cfg, name, gs, pl.Site, workers)
-				return f, trialStream, err
+				return newQMCPairField(ctx, cfg, name, gs, pl.Site, workers)
 			}
-			return newGridField(gs, pl.Site, workers), trialStream, nil
+			return newPairField(cfg, name, "pair#", gs, pl.Site, workers), nil
 		case cfg.MaxGates != 0 && cfg.Sampler != SamplerFFT:
 			// The explicit budget (already checked against n) admits the
 			// dense field: degrade gracefully and record it. Auto becomes
@@ -494,11 +492,10 @@ func newPrimaryField(ctx context.Context, cfg Config, rt *Route, name string, pl
 				rt.Sampler = SamplerDense
 			}
 		default:
-			return nil, trialStream, lkerr.Wrap(lkerr.Numerical, op, err)
+			return nil, lkerr.Wrap(lkerr.Numerical, op, err)
 		}
 	}
-	f, err := newDenseField(ctx, cfg, rt.Sampler == SamplerQMC, name, pl, workers)
-	return f, trialStream, err
+	return newDenseField(ctx, cfg, rt.Sampler == SamplerQMC, name, pl, workers)
 }
 
 // buildGateStates precomputes each gate's reachable states and cumulative

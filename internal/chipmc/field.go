@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"leakest/internal/fault"
+	"leakest/internal/fft"
 	"leakest/internal/lkerr"
 	"leakest/internal/parallel"
 	"leakest/internal/placement"
@@ -24,22 +25,24 @@ import (
 //   - denseField: the dense-Cholesky field, with the leading normals taken
 //     from a scrambled-Sobol point on the qmc route (SamplePartialInto;
 //     fixed = 0 is bitwise SampleInto);
-//   - gridField: the circulant-embedding torus (SampleTiltedInto; tilt 0 is
-//     bitwise SampleInto), for fft trials and every IS trial on a grid;
-//   - pairField: Dietrich–Newsam qmc pair fields, batched through one 2-D
-//     FFT pass per work item (qmc.go);
-//   - tiledField: one shared D2D deviate plus per-tile WID tori (tiled.go);
+//   - pairField: the circulant-embedding torus, drawn in Dietrich–Newsam
+//     pairs — trials 2p and 2p+1 read the real and imaginary parts of pair
+//     p's inverse-transformed torus — for fft trials, grid-qmc trials
+//     (qmc.go, a batch of pairs per 2-D FFT pass) and every IS trial on a
+//     grid;
+//   - tiledField: one shared D2D deviate plus per-tile WID pair tori
+//     (tiled.go);
 //   - tiltedDenseField: the D2D deviate plus the within-die Cholesky, for IS
 //     trials on the dense route.
 //
-// Each field owns its per-worker scratch, warmed on a worker's first trial;
-// every trial after that is allocation-free (TestTrialBodyAllocs).
+// Each field owns its per-worker scratch, warmed on a worker's first work
+// item; every work item after that is allocation-free (TestTrialBodyAllocs).
 
 // A field draws the correlated channel lengths of chip trials.
 type field interface {
 	// block is the number of consecutive trials one parallel work item
 	// covers, and begin prepares the work item of trials [lo, hi) on worker
-	// w. Only the batched pair field does work here.
+	// w. Only the pair fields (pairField, tiledField) do work here.
 	block() int
 	begin(w, lo, hi int) error
 	// fill draws trial's per-gate channel lengths into ls on worker w. rng
@@ -185,38 +188,114 @@ func newDenseField(ctx context.Context, cfg Config, qmc bool, name string, pl *p
 	return f, nil
 }
 
-// gridField samples the circulant-embedding torus and reads each gate's
-// site out of it.
-type gridField struct {
-	perTrial
-	gs    *randvar.GridSampler
-	sites []int
-	bufs  []gridBuf
+// pairField samples the circulant-embedding torus in Dietrich–Newsam pairs:
+// a work item is one pair — a batch of pairs on the qmc route — trials 2p
+// and 2p+1 of pair p, and an odd trial count leaves the last pair's
+// imaginary field unread. Pair p's
+// spectrum comes from its own stream (pairStream, keyed by p), so totals are
+// bitwise invariant under the worker count and the batch size. Each trial's
+// D2D deviate comes from its own trial stream, ahead of its per-gate draws —
+// or, on the qmc route, from coordinates 0/1 of Sobol point p, whose further
+// coordinates replace the leading spectral modes (qmc.go).
+type pairField struct {
+	gs         *randvar.GridSampler
+	sites      []int
+	seq        *randvar.SobolSeq // nil off the qmc route
+	modes      []int
+	qdims      int
+	batchPairs int
+	pairStream stats.Stream
+	bufs       []pairBuf
 }
 
-type gridBuf struct {
-	field []float64
-	sc    *randvar.GridScratch
+// pairBuf is one worker's batch: the pair toruses, the FFT scratch, the
+// Sobol deviates of the qmc route, and one extracted field.
+type pairBuf struct {
+	rng     *rand.Rand   // per-pair spectrum stream
+	toruses []complex128 // batchPairs × TorusLen pair spectra
+	scratch []complex128 // fft column scratch
+	zq      []float64    // one Sobol point's normal deviates
+	z0      []float64    // (z0a, z0b) per pair in the batch, qmc route
+	field   []float64    // the current trial's extracted field
+	p0      int          // first pair of the batch
 }
 
-func newGridField(gs *randvar.GridSampler, sites []int, workers int) *gridField {
-	return &gridField{gs: gs, sites: sites, bufs: make([]gridBuf, workers)}
+// newPairField builds the grid field over gs, one pair per work item. On
+// the fft route and for IS trials every mode comes from the pair stream
+// labelled label; newQMCPairField adds the Sobol sequence and batching.
+func newPairField(cfg Config, name, label string, gs *randvar.GridSampler, sites []int, workers int) *pairField {
+	return &pairField{
+		gs:         gs,
+		sites:      sites,
+		batchPairs: 1,
+		pairStream: stats.NewStream(cfg.Seed, "chipmc/"+name+"/"+label),
+		bufs:       make([]pairBuf, workers),
+	}
 }
 
-func (f *gridField) fill(w int, rng *rand.Rand, ls []float64, _ int, tilt float64) (float64, error) {
+func (f *pairField) block() int { return 2 * f.batchPairs }
+
+// begin fills the batch's pair spectra and runs one inverse FFT pass over
+// them. Everything a pair needs is keyed by its global index p, so batch
+// grouping cannot change it.
+func (f *pairField) begin(w, lo, hi int) error {
+	gs := f.gs
+	tlen := gs.TorusLen()
 	b := &f.bufs[w]
-	if b.field == nil {
-		b.field = make([]float64, f.gs.Sites())
-		b.sc = f.gs.NewScratch()
+	if b.rng == nil {
+		tm, tn := gs.TorusDims()
+		b.rng = rand.New(rand.NewSource(1))
+		b.toruses = make([]complex128, f.batchPairs*tlen)
+		b.scratch = make([]complex128, fft.Scratch2DLen(tm, tn))
+		b.zq = make([]float64, f.qdims)
+		b.z0 = make([]float64, 2*f.batchPairs)
+		b.field = make([]float64, gs.Sites())
 	}
-	z0, err := f.gs.SampleTiltedInto(rng, b.sc, b.field, tilt)
-	if err != nil {
-		return 0, err
+	b.p0 = lo / 2
+	np := (hi - lo + 1) / 2
+	for j := 0; j < np; j++ {
+		p := b.p0 + j
+		torus := b.toruses[j*tlen : (j+1)*tlen]
+		b.rng.Seed(f.pairStream.SeedFor(p))
+		gs.FillPairSpectrum(b.rng, torus)
+		if f.seq == nil {
+			continue
+		}
+		f.seq.NormalsInto(uint32(p), b.zq)
+		b.z0[2*j], b.z0[2*j+1] = b.zq[0], b.zq[1]
+		for m, k := range f.modes {
+			gs.SetMode(torus, k, b.zq[2+2*m], b.zq[3+2*m])
+		}
 	}
+	return inversePairs(gs, b.toruses[:np*tlen], np, b.scratch)
+}
+
+// fill hands trial 2p the real-part field of pair p and trial 2p+1 the
+// imaginary-part field, shifted by the trial's D2D deviate z₀ + θ.
+func (f *pairField) fill(w int, rng *rand.Rand, ls []float64, trial int, tilt float64) (float64, error) {
+	b := &f.bufs[w]
+	var z0 float64
+	if f.seq != nil {
+		z0 = b.z0[trial-2*b.p0]
+	} else {
+		z0 = rng.NormFloat64()
+	}
+	tlen := f.gs.TorusLen()
+	j := trial/2 - b.p0
+	f.gs.ExtractPair(b.toruses[j*tlen:(j+1)*tlen], trial%2, z0+tilt, b.field)
 	for g, s := range f.sites {
 		ls[g] = b.field[s]
 	}
 	return z0, nil
+}
+
+// inversePairs inverse-transforms np pair toruses of gs in one batched pass,
+// computing only the grid's Rows×Cols corner that ExtractPair reads; a
+// WID-free sampler's 1×1 torus is kept whole.
+func inversePairs(gs *randvar.GridSampler, toruses []complex128, np int, scratch []complex128) error {
+	tm, tn := gs.TorusDims()
+	g := gs.Grid()
+	return fft.Transform2DBatchInto(toruses, np, tm, tn, min(g.Rows, tm), min(g.Cols, tn), true, scratch)
 }
 
 // tiltedDenseField is the dense route's IS field. It decomposes the field

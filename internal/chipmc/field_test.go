@@ -12,7 +12,8 @@ import (
 // TestTrialBodyAllocs pins the trial loop at zero allocations once a
 // worker's buffers are warm, for every field — the primary fields and the
 // importance-sampled tail fields alike. Each run is one work item of the
-// loop's own block body: one trial, or one batch of qmc pairs.
+// loop's own block body: one dense trial, one batch of grid pairs, or one
+// tiled pair.
 func TestTrialBodyAllocs(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 100)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true}
@@ -34,17 +35,19 @@ func TestTrialBodyAllocs(t *testing.T) {
 	}{
 		{"dense", 0, func() (field, error) { return newDenseField(ctx, cfg, false, nl.Name, pl, 1) }},
 		{"qmc-dense", 0, func() (field, error) { return newDenseField(ctx, cfg, true, nl.Name, pl, 1) }},
-		{"fft", 0, func() (field, error) { return newGridField(gs, pl.Site, 1), nil }},
-		{"qmc-grid", 0, func() (field, error) { return newPairField(ctx, cfg, nl.Name, gs, pl.Site, 1) }},
+		{"fft", 0, func() (field, error) { return newPairField(cfg, nl.Name, "pair#", gs, pl.Site, 1), nil }},
+		{"qmc-grid", 0, func() (field, error) { return newQMCPairField(ctx, cfg, nl.Name, gs, pl.Site, 1) }},
 		{"tiled", 0, func() (field, error) { return newTiledField(ctx, tcfg, nl.Name, pl, 1) }},
 		{"tail-dense", -3, func() (field, error) { return newTiltedDenseField(ctx, proc, pl, 1) }},
-		{"tail-grid", -3, func() (field, error) { return newGridField(gs, pl.Site, 1), nil }},
+		{"tail-grid", -3, func() (field, error) {
+			return tailField(ctx, cfg, nl.Name, pl, newPairField(cfg, nl.Name, "pair#", gs, pl.Site, 1), 1)
+		}},
 		{"tail-tiled", -3, func() (field, error) {
 			f, err := newTiledField(ctx, tcfg, nl.Name, pl, 1)
 			if err != nil {
 				return nil, err
 			}
-			return tailField(ctx, proc, pl, f, 1)
+			return tailField(ctx, tcfg, nl.Name, pl, f, 1)
 		}},
 	}
 	const runs = 50

@@ -10,7 +10,6 @@ import (
 	"leakest/internal/lkerr"
 	"leakest/internal/placement"
 	"leakest/internal/randvar"
-	"leakest/internal/spatial"
 	"leakest/internal/stats"
 	"leakest/internal/telemetry"
 )
@@ -285,7 +284,7 @@ func runTail(ctx context.Context, cfg Config, name string, pl *placement.Placeme
 		return ts, nil
 	}
 
-	f, err := tailField(ctx, cfg.Proc, pl, primary, len(e.bufs))
+	f, err := tailField(ctx, cfg, name, pl, primary, len(e.bufs))
 	if err != nil {
 		return nil, err
 	}
@@ -354,21 +353,23 @@ func runTail(ctx context.Context, cfg Config, name string, pl *placement.Placeme
 	return ts, nil
 }
 
-// tailField returns the IS counterpart of a primary field: every grid route
-// tilts the embedding's shared D2D deviate (SampleTiltedInto, the primary
-// grid field itself), the tiled field tilts its shared deviate and draws
-// each trial from the one tail stream, and the dense route — whose joint
-// Cholesky has no separate D2D coordinate — gets the tilted dense field.
-func tailField(ctx context.Context, proc *spatial.Process, pl *placement.Placement, primary field, workers int) (field, error) {
+// tailField returns the IS counterpart of a primary field. Every grid
+// route tilts the D2D deviates of pseudo-random pairs: the fft and qmc-grid
+// routes get the pair field on pair streams of their own (tailpair#), the
+// tiled field its per-(tile, pair) streams of the same name; each IS trial
+// still draws its raw z₀ and per-gate states from the one tail stream. The
+// dense route — whose joint Cholesky has no separate D2D coordinate — gets
+// the tilted dense field.
+func tailField(ctx context.Context, cfg Config, name string, pl *placement.Placement, primary field, workers int) (field, error) {
 	switch f := primary.(type) {
-	case *gridField:
-		return f, nil
 	case *pairField:
-		return newGridField(f.gs, f.sites, workers), nil
+		t := newPairField(cfg, name, "tailpair#", f.gs, f.sites, workers)
+		t.bufs = f.bufs
+		return t, nil
 	case *tiledField:
 		t := *f
-		t.stages = nil
+		t.streams = tileStreams(cfg, name, len(f.slots), "tailpair#")
 		return &t, nil
 	}
-	return newTiltedDenseField(ctx, proc, pl, workers)
+	return newTiltedDenseField(ctx, cfg.Proc, pl, workers)
 }

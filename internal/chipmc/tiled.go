@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"leakest/internal/fault"
+	"leakest/internal/fft"
 	"leakest/internal/lkerr"
 	"leakest/internal/placement"
 	"leakest/internal/randvar"
@@ -15,15 +16,17 @@ import (
 )
 
 // This file is the tiled field of DESIGN.md §16. The placement grid is
-// partitioned into a Tiles×Tiles arrangement; each trial draws one
-// chip-wide D2D deviate from its own stream (d2d#), then a WID-only field
-// per tile from the tile's own circulant embedding and its own per-(tile,
-// trial) stream. Field memory scales with the largest tile instead of the die —
-// the monolithic FFT path walls out at the 4096² torus cap — which is what
-// lifts the MC gate budget to DefaultMaxGatesTiled. The sampled law keeps
-// the exact within-tile correlation and drops cross-tile WID correlation to
-// the D2D floor; the conformance harness gates that approximation against
-// an exact pairwise reference (internal/conformance, tiled gates).
+// partitioned into a Tiles×Tiles arrangement; each tile draws WID-only
+// fields from its own circulant embedding, in Dietrich–Newsam pairs: pair p
+// fills one torus per tile from the tile's own per-(tile, pair) stream, and
+// trials 2p and 2p+1 read its real and imaginary parts. Each trial then
+// draws one chip-wide D2D deviate from its own trial stream. Field memory
+// scales with the largest tile instead of the die — the monolithic FFT path
+// walls out at the 4096² torus cap — which is what lifts the MC gate budget
+// to DefaultMaxGatesTiled. The sampled law keeps the exact within-tile
+// correlation and drops cross-tile WID correlation to the D2D floor; the
+// conformance harness gates that approximation against an exact pairwise
+// reference (internal/conformance, tiled gates).
 
 // DefaultMaxGatesTiled is the default gate bound for the tiled sampler.
 // Per-trial cost is ΣS_t log S_t over tile torus sizes plus O(n) gate
@@ -40,62 +43,83 @@ type tileSlot struct {
 	sites   []int
 }
 
-// tiledField samples one chip-wide D2D deviate, then a WID-only field per
-// tile from the tile's own circulant embedding. A primary trial reseeds for
-// each stage — tile t's field from stages[t], the per-gate draws from
-// stages[len(slots)] — so every stage is keyed by (Seed, trial); an IS trial
-// (stages nil) draws every stage from its one trial stream, like the other
-// IS fields.
+// tiledField samples the per-tile WID pair fields of pair p in begin, then
+// one chip-wide D2D deviate per trial. Everything pair p draws comes from
+// streams[t] keyed by p, so totals are bitwise invariant under the worker
+// count; the primary and the IS trials differ only in those streams.
 type tiledField struct {
-	perTrial
 	sigmaD2D float64
 	slots    []tileSlot
 	samplers []*randvar.GridSampler
-	stages   []stats.Stream
+	streams  []stats.Stream
 	bufs     []tiledBuf
 }
 
-// tiledBuf is one worker's field and scratch buffers, held per distinct
-// sampler geometry — at most four under the largest-remainder partition —
-// not per tile: the between-tile buffer pool of the §16 contract.
+// tiledBuf is one worker's scratch, sized for the largest sampler geometry
+// and reused across tiles — the between-tile buffer pool of the §16
+// contract — plus the current pair's two per-gate WID fields.
 type tiledBuf struct {
-	fields [][]float64
-	scs    []*randvar.GridScratch
+	rng     *rand.Rand
+	torus   []complex128
+	scratch []complex128
+	field   []float64
+	wid     [2][]float64 // indexed by gate; [0] real channel, [1] imaginary
 }
 
-// fill draws the shared D2D deviate, then each tile's field in tile-index
-// order; the D2D tilt moves only the shared deviate, exactly as on the
-// monolithic grid field.
-func (f *tiledField) fill(w int, rng *rand.Rand, ls []float64, trial int, tilt float64) (float64, error) {
+func (f *tiledField) block() int { return 2 }
+
+// begin draws pair lo/2 tile by tile and gathers both of its channels onto
+// the tile's gates.
+func (f *tiledField) begin(w, lo, _ int) error {
 	b := &f.bufs[w]
-	if b.fields == nil {
-		b.fields = make([][]float64, len(f.samplers))
-		b.scs = make([]*randvar.GridScratch, len(f.samplers))
-		for i, gs := range f.samplers {
-			b.fields[i] = make([]float64, gs.Sites())
-			b.scs[i] = gs.NewScratch()
+	if b.rng == nil {
+		var tlen, slen, sites, gates int
+		for _, gs := range f.samplers {
+			tm, tn := gs.TorusDims()
+			tlen = max(tlen, gs.TorusLen())
+			slen = max(slen, fft.Scratch2DLen(tm, tn))
+			sites = max(sites, gs.Sites())
 		}
+		for _, slot := range f.slots {
+			gates += len(slot.gates)
+		}
+		b.rng = rand.New(rand.NewSource(1))
+		b.torus = make([]complex128, tlen)
+		b.scratch = make([]complex128, slen)
+		b.field = make([]float64, sites)
+		b.wid = [2][]float64{make([]float64, gates), make([]float64, gates)}
 	}
-	z0 := rng.NormFloat64()
-	shift := f.sigmaD2D * (z0 + tilt)
 	for ti := range f.slots {
 		slot := &f.slots[ti]
 		if slot.sampler < 0 {
 			continue
 		}
-		field := b.fields[slot.sampler]
-		if f.stages != nil {
-			rng.Seed(f.stages[ti].SeedFor(trial))
+		gs := f.samplers[slot.sampler]
+		torus := b.torus[:gs.TorusLen()]
+		b.rng.Seed(f.streams[ti].SeedFor(lo / 2))
+		gs.FillPairSpectrum(b.rng, torus)
+		if err := inversePairs(gs, torus, 1, b.scratch); err != nil {
+			return err
 		}
-		if err := f.samplers[slot.sampler].SampleInto(rng, b.scs[slot.sampler], field); err != nil {
-			return 0, err
-		}
-		for i, g := range slot.gates {
-			ls[g] = field[slot.sites[i]] + shift
+		field := b.field[:gs.Sites()]
+		for ch, wid := range b.wid {
+			gs.ExtractPair(torus, ch, 0, field)
+			for i, g := range slot.gates {
+				wid[g] = field[slot.sites[i]]
+			}
 		}
 	}
-	if f.stages != nil {
-		rng.Seed(f.stages[len(f.slots)].SeedFor(trial))
+	return nil
+}
+
+// fill draws the trial's shared D2D deviate and adds it to the trial's
+// channel of the pair's WID field; the tilt moves only the shared deviate,
+// exactly as on the monolithic grid field.
+func (f *tiledField) fill(w int, rng *rand.Rand, ls []float64, trial int, tilt float64) (float64, error) {
+	z0 := rng.NormFloat64()
+	shift := f.sigmaD2D * (z0 + tilt)
+	for g, v := range f.bufs[w].wid[trial%2] {
+		ls[g] = v + shift
 	}
 	return z0, nil
 }
@@ -164,18 +188,23 @@ func newTiledField(ctx context.Context, cfg Config, name string, pl *placement.P
 		}
 	}
 
-	stages := make([]stats.Stream, len(parts)+1)
-	for ti := range parts {
-		stages[ti] = stats.NewStream(cfg.Seed, "chipmc/"+name+"/tile"+strconv.Itoa(ti)+"/trial#")
-	}
-	stages[len(parts)] = stats.NewStream(cfg.Seed, "chipmc/"+name+"/tilegates#")
 	return &tiledField{
 		sigmaD2D: cfg.Proc.SigmaD2D,
 		slots:    slots,
 		samplers: samplers,
-		stages:   stages,
+		streams:  tileStreams(cfg, name, len(parts), "pair#"),
 		bufs:     make([]tiledBuf, workers),
 	}, nil
+}
+
+// tileStreams keys each tile's pair draws: tile t's pair p seeds from
+// stream "chipmc/<name>/tile<t>/<label>" at index p.
+func tileStreams(cfg Config, name string, tiles int, label string) []stats.Stream {
+	streams := make([]stats.Stream, tiles)
+	for ti := range streams {
+		streams[ti] = stats.NewStream(cfg.Seed, "chipmc/"+name+"/tile"+strconv.Itoa(ti)+"/"+label)
+	}
+	return streams
 }
 
 // edgeLookup expands partition edges into a per-unit tile-coordinate table:

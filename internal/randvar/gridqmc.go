@@ -6,19 +6,21 @@ import (
 	"sort"
 )
 
-// This file holds the GridSampler primitives behind the chipmc quasi-MC
-// path. The qmc sampler batches trial fields in pairs: circulant embedding
-// draws a *proper* complex white-noise spectrum ξ_k = a_k·(g1 + i·g2), and
-// the real and imaginary parts of its inverse 2-D DFT are two independent
-// N(0, C) fields (Dietrich–Newsam pairing) — the plain sampler keeps only
-// the real part and discards the second field. One pair torus plus one
-// (batched) inverse FFT therefore yields two trials for the price of one.
+// This file holds the GridSampler's draw primitives. Every grid trial comes
+// from a pair: circulant embedding draws a *proper* complex white-noise
+// spectrum ξ_k = a_k·(g1 + i·g2), and the real and imaginary parts of its
+// inverse 2-D DFT are two independent N(0, C) fields (Dietrich–Newsam
+// pairing). One pair torus plus one (batched) inverse FFT therefore yields
+// two trials for the price of one. A caller fills the spectrum
+// (FillPairSpectrum), inverse-transforms it, and reads each trial's field
+// off one channel (ExtractPair).
 //
-// The low-discrepancy deviates drive the pair's shared D2D scalars and the
-// leading spectral modes (the largest per-mode amplitudes, where nearly all
-// of the field variance lives); the remaining modes stay pseudo-random from
-// the pair's own PRNG stream. Both channels of an overwritten mode come
-// from coordinates of the *same* Sobol point — coordinates of one scrambled
+// On the quasi-Monte-Carlo route the low-discrepancy deviates drive the
+// pair's shared D2D scalars and the leading spectral modes (the largest
+// per-mode amplitudes, where nearly all of the field variance lives, via
+// TopModes and SetMode); the remaining modes stay pseudo-random from the
+// pair's own PRNG stream. Both channels of an overwritten mode come from
+// coordinates of the *same* Sobol point — coordinates of one scrambled
 // point are jointly uniform, so each extracted field keeps the exact
 // N(0, C) law and the qmc estimator stays unbiased; splitting one mode's
 // two channels across two different (mutually dependent) points would not.
@@ -85,10 +87,10 @@ func (s *GridSampler) TopModes(max int) []int {
 
 // FillPairSpectrum fills torus (length TorusLen) with one pair's white-noise
 // spectrum ξ_k = scale_k·(g1 + i·g2), consuming exactly 2·modes normals from
-// rng in mode order — the same order SampleTiltedInto uses, so a per-pair
-// PRNG stream yields identical spectra at any worker count or batch size.
-// Modes with zero amplitude (clamped eigenvalues) are written as zero, and a
-// WID-free sampler writes nothing (the torus stays zero). Allocation-free.
+// rng in mode order, so a per-pair PRNG stream yields identical spectra at
+// any worker count or batch size. Modes with zero amplitude (clamped
+// eigenvalues) are written as zero, and a WID-free sampler writes nothing
+// (its 1×1 torus is never read). Allocation-free.
 func (s *GridSampler) FillPairSpectrum(rng *rand.Rand, torus []complex128) {
 	if len(torus) != s.tm*s.tn {
 		panic(fmt.Sprintf("randvar: pair torus length %d != %d points", len(torus), s.tm*s.tn))
@@ -107,21 +109,21 @@ func (s *GridSampler) SetMode(torus []complex128, k int, g1, g2 float64) {
 	torus[k] = complex(a*g1, a*g2)
 }
 
-// ExtractPair reads the two independent fields out of an
-// inverse-transformed pair torus: fa gets the real parts shifted by the
-// first trial's D2D deviate z0a, fb the imaginary parts shifted by z0b.
-// Both field slices must have length Sites. Allocation-free.
-func (s *GridSampler) ExtractPair(torus []complex128, z0a, z0b float64, fa, fb []float64) {
+// ExtractPair reads one of the two independent fields out of an
+// inverse-transformed pair torus: channel 0 is the real part, channel 1 the
+// imaginary part, each shifted by the trial's D2D term L_nom + σ_D2D·z0.
+// Only the grid's Rows×Cols corner of the torus is read. field must have
+// length Sites. An importance-sampling caller passes the tilted deviate
+// z0 + θ; at θ = 0 the field is bitwise that of z0. Allocation-free.
+func (s *GridSampler) ExtractPair(torus []complex128, channel int, z0 float64, field []float64) {
 	g := s.grid
-	if len(fa) != g.Sites() || len(fb) != g.Sites() {
-		panic(fmt.Sprintf("randvar: pair field lengths %d/%d != %d sites", len(fa), len(fb), g.Sites()))
+	if len(field) != g.Sites() {
+		panic(fmt.Sprintf("randvar: pair field length %d != %d sites", len(field), g.Sites()))
 	}
-	shiftA := s.mean + s.sd2d*z0a
-	shiftB := s.mean + s.sd2d*z0b
+	shift := s.mean + s.sd2d*z0
 	if s.scale == nil {
-		for i := range fa {
-			fa[i] = shiftA
-			fb[i] = shiftB
+		for i := range field {
+			field[i] = shift
 		}
 		return
 	}
@@ -130,11 +132,15 @@ func (s *GridSampler) ExtractPair(torus []complex128, z0a, z0b float64, fa, fb [
 	}
 	for r := 0; r < g.Rows; r++ {
 		row := torus[r*s.tn : r*s.tn+g.Cols]
-		outA := fa[r*g.Cols : (r+1)*g.Cols]
-		outB := fb[r*g.Cols : (r+1)*g.Cols]
-		for c := range outA {
-			outA[c] = shiftA + real(row[c])
-			outB[c] = shiftB + imag(row[c])
+		out := field[r*g.Cols : (r+1)*g.Cols]
+		if channel == 0 {
+			for c := range out {
+				out[c] = shift + real(row[c])
+			}
+		} else {
+			for c := range out {
+				out[c] = shift + imag(row[c])
+			}
 		}
 	}
 }

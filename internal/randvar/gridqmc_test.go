@@ -2,6 +2,7 @@ package randvar
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -58,14 +59,37 @@ func TestTopModesOrder(t *testing.T) {
 	}
 }
 
+// sampleInto is the single-field draw the grid sampler made before every
+// trial came from a pair, kept as an independent reference: the D2D deviate
+// first, then the white-noise spectrum in mode order, one inverse transform
+// of the grid corner, and the real part shifted by L_nom + σ_D2D·z₀.
+func sampleInto(t *testing.T, s *GridSampler, rng *rand.Rand, field []float64) {
+	t.Helper()
+	z0 := rng.NormFloat64()
+	torus := make([]complex128, s.tm*s.tn)
+	for k, a := range s.scale {
+		torus[k] = complex(a*rng.NormFloat64(), a*rng.NormFloat64())
+	}
+	g := s.grid
+	if err := fft.Transform2DBatchInto(torus, 1, s.tm, s.tn, g.Rows, g.Cols, true, make([]complex128, fft.Scratch2DLen(s.tm, s.tn))); err != nil {
+		t.Fatal(err)
+	}
+	shift := s.mean + s.sd2d*z0
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			field[r*g.Cols+c] = shift + real(torus[r*s.tn+c])
+		}
+	}
+}
+
 // TestPairRealChannelMatchesSampleInto is the frozen-law anchor of the
 // Dietrich–Newsam pairing: feeding FillPairSpectrum from the same PRNG
-// stream SampleInto would use (D2D deviate first, then the spectrum in mode
-// order), the pair's REAL channel must reproduce SampleInto's field
-// bitwise — the imaginary channel is the extra, independent field.
+// stream the single-field draw uses (D2D deviate first, then the spectrum
+// in mode order), the pair's REAL channel — after a full-torus transform —
+// must reproduce that field bitwise; the imaginary channel is the extra,
+// independent field.
 func TestPairRealChannelMatchesSampleInto(t *testing.T) {
 	s := qmcTestSampler(t, 6, 10)
-	sc := s.NewScratch()
 	sites := s.Grid().Sites()
 	ref := make([]float64, sites)
 	fa := make([]float64, sites)
@@ -74,20 +98,18 @@ func TestPairRealChannelMatchesSampleInto(t *testing.T) {
 	tm, tn := s.TorusDims()
 	scratch := make([]complex128, fft.Scratch2DLen(tm, tn))
 	for seed := int64(1); seed <= 5; seed++ {
-		rngA := stats.NewRNG(seed, "pair-ref")
-		if err := s.SampleInto(rngA, sc, ref); err != nil {
-			t.Fatal(err)
-		}
+		sampleInto(t, s, stats.NewRNG(seed, "pair-ref"), ref)
 		rngB := stats.NewRNG(seed, "pair-ref")
 		z0 := rngB.NormFloat64()
 		s.FillPairSpectrum(rngB, torus)
 		if err := fft.Transform2DBatchInto(torus, 1, tm, tn, tm, tn, true, scratch); err != nil {
 			t.Fatal(err)
 		}
-		s.ExtractPair(torus, z0, -z0, fa, fb)
+		s.ExtractPair(torus, 0, z0, fa)
+		s.ExtractPair(torus, 1, -z0, fb)
 		for i := range ref {
 			if fa[i] != ref[i] {
-				t.Fatalf("seed %d site %d: pair real channel %v != SampleInto %v",
+				t.Fatalf("seed %d site %d: pair real channel %v != single-field draw %v",
 					seed, i, fa[i], ref[i])
 			}
 			if math.IsNaN(fb[i]) {
@@ -121,7 +143,8 @@ func TestPairImagChannelLaw(t *testing.T) {
 		if err := fft.Transform2DBatchInto(torus, 1, tm, tn, tm, tn, true, scratch); err != nil {
 			t.Fatal(err)
 		}
-		s.ExtractPair(torus, rng.NormFloat64(), rng.NormFloat64(), fa, fb)
+		s.ExtractPair(torus, 0, rng.NormFloat64(), fa)
+		s.ExtractPair(torus, 1, rng.NormFloat64(), fb)
 		a0[p], a1[p] = fa[0], fa[1]
 		b0[p], b1[p] = fb[0], fb[1]
 	}
@@ -352,8 +375,10 @@ func FuzzBatchedDraw(f *testing.F) {
 			if err := fft.Transform2DBatchInto(single, 1, tm, tn, tm, tn, true, scratch); err != nil {
 				t.Fatal(err)
 			}
-			s.ExtractPair(single, z0[2*p], z0[2*p+1], ra, rb)
-			s.ExtractPair(batched[p*tlen:(p+1)*tlen], z0[2*p], z0[2*p+1], fa, fb)
+			s.ExtractPair(single, 0, z0[2*p], ra)
+			s.ExtractPair(single, 1, z0[2*p+1], rb)
+			s.ExtractPair(batched[p*tlen:(p+1)*tlen], 0, z0[2*p], fa)
+			s.ExtractPair(batched[p*tlen:(p+1)*tlen], 1, z0[2*p+1], fb)
 			for i := 0; i < sites; i++ {
 				if fa[i] != ra[i] || fb[i] != rb[i] {
 					t.Fatalf("%dx%d batch=%d pair %d site %d: batched (%v, %v) != single (%v, %v)",
@@ -365,4 +390,182 @@ func FuzzBatchedDraw(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pairLawCase is one embedding of the pair-law tests. tol bounds each
+// channel's covariance error against the kernel: round-off when exact, the
+// documented 2·ClampBias·σ_WID² when clamped.
+type pairLawCase struct {
+	name string
+	proc *spatial.Process
+	s    *GridSampler
+	tol  float64
+}
+
+// kernel is the target WID covariance at grid lag (dr, dc).
+func (c pairLawCase) kernel(dr, dc int) float64 {
+	vw := c.proc.SigmaWID * c.proc.SigmaWID
+	return vw * c.proc.WIDCorr.Rho(c.s.Grid().LagDist(dr, dc))
+}
+
+// pairLawCases returns the two embeddings the pair-law tests run on, both
+// zero-mean and WID-only so a channel is exactly its WID field: an exact
+// embedding of the short-range test kernel, and the clamped grid-minimal
+// embedding of the default process's 4 mm kernel.
+func pairLawCases(t *testing.T) []pairLawCase {
+	t.Helper()
+	exact := gridTestProcess()
+	exact.LNominal, exact.SigmaD2D = 0, 0
+	clamped := spatial.Default90nm()
+	clamped.LNominal, clamped.SigmaD2D = 0, 0
+	cases := []pairLawCase{
+		{name: "exact", proc: exact},
+		{name: "clamped", proc: clamped},
+	}
+	grids := []placement.Grid{{Rows: 6, Cols: 9, SiteW: 2, SiteH: 2}, {Rows: 12, Cols: 12, SiteW: 2, SiteH: 2}}
+	for i := range cases {
+		c := &cases[i]
+		s, err := NewGridSampler(c.proc, grids[i])
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		c.s = s
+		vw := c.proc.SigmaWID * c.proc.SigmaWID
+		switch bias := s.ClampBias(); {
+		case c.name == "exact" && bias != 0:
+			t.Fatalf("exact: clamp bias %g", bias)
+		case c.name == "clamped" && bias <= 0:
+			t.Fatal("clamped: the embedding is exact, want a clamped torus")
+		}
+		c.tol = math.Max(1e-12, 2*s.ClampBias()) * vw
+	}
+	return cases
+}
+
+// TestPairChannelsExactLaw computes each channel's covariance exactly. A
+// channel is linear in the pair's 2·modes white normals, so pushing one unit
+// normal at a time through SetMode, the inverse transform and ExtractPair
+// yields its coefficients, and Cov(ch_a, ch_b) = Σ c_a·c_b over the normals.
+// At every pair of grid sites the real and the imaginary channel must each
+// equal the realized torus covariance — the normalized inverse DFT of the
+// retained spectrum, the identity the lag-exactness test uses — to
+// round-off, and through it the kernel within tol; the cross-covariance
+// between the two channels must vanish to round-off.
+func TestPairChannelsExactLaw(t *testing.T) {
+	for _, c := range pairLawCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.s
+			g := s.Grid()
+			sites := g.Sites()
+			tm, tn := s.TorusDims()
+			mn := float64(tm * tn)
+			scratch := make([]complex128, fft.Scratch2DLen(tm, tn))
+			// Realized torus covariance at every lag.
+			realized := make([]complex128, tm*tn)
+			for k, a := range s.scale {
+				realized[k] = complex(a*a*mn, 0)
+			}
+			if err := fft.Transform2DBatchInto(realized, 1, tm, tn, tm, tn, true, scratch); err != nil {
+				t.Fatal(err)
+			}
+			// coef[ch][u·sites + site]: channel ch's coefficient on normal u.
+			var coef [2][]float64
+			torus := make([]complex128, tm*tn)
+			field := make([]float64, sites)
+			for k, a := range s.scale {
+				if a == 0 {
+					continue
+				}
+				for _, g12 := range [2][2]float64{{1, 0}, {0, 1}} {
+					clear(torus)
+					s.SetMode(torus, k, g12[0], g12[1])
+					if err := fft.Transform2DBatchInto(torus, 1, tm, tn, g.Rows, g.Cols, true, scratch); err != nil {
+						t.Fatal(err)
+					}
+					for ch := range coef {
+						s.ExtractPair(torus, ch, 0, field)
+						coef[ch] = append(coef[ch], field...)
+					}
+				}
+			}
+			normals := len(coef[0]) / sites
+			cov := func(x, y []float64, i, j int) float64 {
+				sum := 0.0
+				for u := 0; u < normals; u++ {
+					sum += x[u*sites+i] * y[u*sites+j]
+				}
+				return sum
+			}
+			vw := real(realized[0]) / mn
+			var worstRealized, worstKernel, worstCross float64
+			for i := 0; i < sites; i++ {
+				for j := 0; j < sites; j++ {
+					dr, dc := j/g.Cols-i/g.Cols, j%g.Cols-i%g.Cols
+					lag := ((dr+tm)%tm)*tn + (dc+tn)%tn
+					want := real(realized[lag]) / mn
+					kernel := c.kernel(dr, dc)
+					for ch := range coef {
+						got := cov(coef[ch], coef[ch], i, j)
+						worstRealized = math.Max(worstRealized, math.Abs(got-want))
+						worstKernel = math.Max(worstKernel, math.Abs(got-kernel))
+					}
+					worstCross = math.Max(worstCross, math.Abs(cov(coef[0], coef[1], i, j)))
+				}
+			}
+			if tol := 1e-12 * vw; worstRealized > tol {
+				t.Errorf("worst channel covariance off the realized torus covariance by %g > %g", worstRealized, tol)
+			}
+			if worstKernel > c.tol {
+				t.Errorf("worst channel covariance off the kernel by %g > %g", worstKernel, c.tol)
+			}
+			if tol := 1e-12 * vw; worstCross > tol {
+				t.Errorf("worst cross-channel covariance %g > %g", worstCross, tol)
+			}
+		})
+	}
+}
+
+// TestPairChannelsCrossCovariance checks the pairing statistically through
+// the sampling pipeline: over many pseudo-random pairs the sample
+// covariance between one channel at site 0 and the other channel at lag 0
+// and a few grid lags stays within z·SE of 0, SE = σ_WID²/√n for
+// independent channels.
+func TestPairChannelsCrossCovariance(t *testing.T) {
+	const pairs = 4000
+	const z = 5.0
+	for _, c := range pairLawCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.s
+			g := s.Grid()
+			d := newPairDrawer(s)
+			fa := make([]float64, g.Sites())
+			fb := make([]float64, g.Sites())
+			lags := [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 3}}
+			re0 := make([]float64, pairs)
+			im0 := make([]float64, pairs)
+			re := make([][]float64, len(lags))
+			im := make([][]float64, len(lags))
+			for i := range lags {
+				re[i] = make([]float64, pairs)
+				im[i] = make([]float64, pairs)
+			}
+			rng := stats.NewRNG(23, "pair-cross-"+c.name)
+			for p := 0; p < pairs; p++ {
+				d.draw(t, rng, fa, fb)
+				re0[p], im0[p] = fa[0], fb[0]
+				for i, l := range lags {
+					re[i][p], im[i][p] = fa[l[0]*g.Cols+l[1]], fb[l[0]*g.Cols+l[1]]
+				}
+			}
+			band := z * c.kernel(0, 0) / math.Sqrt(pairs)
+			for i, l := range lags {
+				if cv := stats.Covariance(re0, im[i]); math.Abs(cv) > band {
+					t.Errorf("cov(real site 0, imag lag %v) = %.3g, want 0 ± %.3g", l, cv, band)
+				}
+				if cv := stats.Covariance(im0, re[i]); math.Abs(cv) > band {
+					t.Errorf("cov(imag site 0, real lag %v) = %.3g, want 0 ± %.3g", l, cv, band)
+				}
+			}
+		})
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"leakest/internal/fault"
 	"leakest/internal/fft"
@@ -45,20 +44,22 @@ const embedExactPoints = 1 << 21
 const embedClampBudget = 0.05
 
 // GridSampler draws the spatially correlated channel-length field over every
-// site of a regular placement grid in O(S log S) per trial (S = torus
-// points), replacing the O(n³)/O(n²) dense-Cholesky path for large grids.
+// site of a regular placement grid in O(S log S) per pair of trials (S =
+// torus points), replacing the O(n³)/O(n²) dense-Cholesky path for large grids.
 //
 // It uses circulant embedding: the stationary WID covariance
 // c(Δrow, Δcol) = σ_WID²·ρ_WID(LagDist) is wrapped onto a tm×tn torus
 // (tm ≥ 2·Rows−2, tn ≥ 2·Cols−2, both powers of two), whose covariance
 // operator is diagonalized by the 2-D DFT. One forward transform of the
-// wrapped kernel at setup yields the eigenvalues λ_k; each trial then draws a
-// complex white-noise vector ξ, scales by sqrt(λ_k/(tm·tn)), and runs one
-// inverse transform. The real part of the resulting torus field has
-// covariance exactly c at every admissible grid lag — because the inverse
-// DFT of λ recovers the wrapped kernel identically (see the lag-exactness
-// property test) — whenever the torus is large enough for the wrapped
-// spectrum to be non-negative. When the kernel's support radius would force
+// wrapped kernel at setup yields the eigenvalues λ_k. Draws come in
+// Dietrich–Newsam pairs (gridqmc.go): FillPairSpectrum draws a complex
+// white-noise vector ξ scaled by sqrt(λ_k/(tm·tn)), one inverse transform
+// turns it into a pair torus, and ExtractPair reads its real part and its
+// imaginary part as two independent fields. Each has covariance exactly c
+// at every admissible grid lag — because the inverse DFT of λ recovers the
+// wrapped kernel identically (see the lag-exactness property test) —
+// whenever the torus is large enough for the wrapped spectrum to be
+// non-negative. When the kernel's support radius would force
 // a torus beyond embedExactPoints, the sampler instead keeps the
 // grid-minimal torus, clamps the (small, budgeted) negative eigenvalue mass
 // to zero, and renormalizes the spectrum so the site variance stays exactly
@@ -285,75 +286,3 @@ func (s *GridSampler) TorusDims() (tm, tn int) { return s.tm, s.tn }
 // is renormalized back to exact; lag covariances carry an error bounded by
 // 2·ClampBias·σ_WID².
 func (s *GridSampler) ClampBias() float64 { return s.clampBias }
-
-// GridScratch is the per-worker buffer set for SampleInto, sized for one
-// sampler. Each concurrent worker owns one.
-type GridScratch struct {
-	torus []complex128
-	fft   []complex128
-}
-
-// NewScratch allocates a scratch buffer set matching the sampler's torus.
-func (s *GridSampler) NewScratch() *GridScratch {
-	if s.scale == nil {
-		return &GridScratch{}
-	}
-	return &GridScratch{
-		torus: make([]complex128, s.tm*s.tn),
-		fft:   make([]complex128, fft.Scratch2DLen(s.tm, s.tn)),
-	}
-}
-
-// SampleInto fills field (length Sites, indexed by row-major site index) with
-// one draw of the channel-length field. The draw consumes 1 + 2·tm·tn
-// normals from rng in a fixed order — the shared D2D deviate first, then the
-// white-noise spectrum — so a per-trial PRNG stream yields identical fields
-// at any worker count. It allocates nothing: all intermediate state lives in
-// sc, which must come from NewScratch on this sampler.
-func (s *GridSampler) SampleInto(rng *rand.Rand, sc *GridScratch, field []float64) error {
-	_, err := s.SampleTiltedInto(rng, sc, field, 0)
-	return err
-}
-
-// SampleTiltedInto is SampleInto with a mean shift of the shared D2D
-// deviate: the field's D2D component becomes σ_D2D·(z₀ + tilt) where z₀ is
-// the raw standard-normal draw, which is returned so an importance-sampling
-// caller can form the exact likelihood ratio exp(−tilt·z₀ − tilt²/2) of the
-// tilted proposal against the nominal field law. The WID component is
-// untouched — the tilt moves only the fully shared scalar. At tilt 0 the
-// draw is bitwise identical to SampleInto (z₀ + 0 ≡ z₀ in IEEE754), which
-// the grid property tests pin.
-func (s *GridSampler) SampleTiltedInto(rng *rand.Rand, sc *GridScratch, field []float64, tilt float64) (z0 float64, err error) {
-	g := s.grid
-	if len(field) != g.Sites() {
-		panic(fmt.Sprintf("randvar: grid sample field length %d != %d sites", len(field), g.Sites()))
-	}
-	z0 = rng.NormFloat64()
-	shift := s.mean + s.sd2d*(z0+tilt)
-	if s.scale == nil {
-		for i := range field {
-			field[i] = shift
-		}
-		return z0, nil
-	}
-	if len(sc.torus) != s.tm*s.tn {
-		panic(fmt.Sprintf("randvar: grid sample scratch for %d torus points, sampler has %d",
-			len(sc.torus), s.tm*s.tn))
-	}
-	torus := sc.torus
-	for k, a := range s.scale {
-		torus[k] = complex(a*rng.NormFloat64(), a*rng.NormFloat64())
-	}
-	// Only the grid's Rows×Cols corner of the torus is read.
-	if err := fft.Transform2DBatchInto(torus, 1, s.tm, s.tn, g.Rows, g.Cols, true, sc.fft); err != nil {
-		return z0, err
-	}
-	for r := 0; r < g.Rows; r++ {
-		row := torus[r*s.tn : r*s.tn+g.Cols]
-		out := field[r*g.Cols : (r+1)*g.Cols]
-		for c := range out {
-			out[c] = shift + real(row[c])
-		}
-	}
-	return z0, nil
-}

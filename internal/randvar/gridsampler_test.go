@@ -2,6 +2,7 @@ package randvar
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -20,6 +21,35 @@ func gridTestProcess() *spatial.Process {
 		SigmaWID: sigma * math.Sqrt(0.5),
 		WIDCorr:  spatial.TruncatedExpCorr{Lambda: 6, R: 24},
 	}
+}
+
+// pairDrawer runs the grid sampling pipeline the Monte Carlo uses: a pair's
+// spectrum, one inverse transform of the grid corner, and both channels.
+type pairDrawer struct {
+	s              *GridSampler
+	torus, scratch []complex128
+}
+
+func newPairDrawer(s *GridSampler) *pairDrawer {
+	tm, tn := s.TorusDims()
+	return &pairDrawer{s: s, torus: make([]complex128, s.TorusLen()),
+		scratch: make([]complex128, fft.Scratch2DLen(tm, tn))}
+}
+
+// draw fills fa and fb with one pair of fields: the two D2D deviates are
+// the stream's first two normals, the white-noise spectrum the rest.
+func (d *pairDrawer) draw(t testing.TB, rng *rand.Rand, fa, fb []float64) (z0a, z0b float64) {
+	t.Helper()
+	s := d.s
+	z0a, z0b = rng.NormFloat64(), rng.NormFloat64()
+	s.FillPairSpectrum(rng, d.torus)
+	tm, tn := s.TorusDims()
+	if err := fft.Transform2DBatchInto(d.torus, 1, tm, tn, min(s.grid.Rows, tm), min(s.grid.Cols, tn), true, d.scratch); err != nil {
+		t.Fatal(err)
+	}
+	s.ExtractPair(d.torus, 0, z0a, fa)
+	s.ExtractPair(d.torus, 1, z0b, fb)
+	return z0a, z0b
 }
 
 // Property required by the embedding: the torus covariance implied by the
@@ -62,8 +92,10 @@ func TestGridSamplerKernelExactAtEveryLag(t *testing.T) {
 	}
 }
 
-// The sampled field's empirical moments must match the dense model
-// Σ_ab = σ_D2D² + σ_WID²·ρ(d_ab) within Monte-Carlo standard error.
+// The sampled fields' empirical moments — real and imaginary channels
+// pooled, since they are independent draws of one law — must match the
+// dense model Σ_ab = σ_D2D² + σ_WID²·ρ(d_ab) within Monte-Carlo standard
+// error.
 func TestGridSamplerEmpiricalMoments(t *testing.T) {
 	proc := gridTestProcess()
 	grid := placement.Grid{Rows: 8, Cols: 8, SiteW: 2, SiteH: 2}
@@ -73,8 +105,9 @@ func TestGridSamplerEmpiricalMoments(t *testing.T) {
 	}
 	const trials = 20000
 	rng := stats.NewRNG(99, "gridsampler-moments")
-	sc := s.NewScratch()
-	field := make([]float64, s.Sites())
+	d := newPairDrawer(s)
+	fa := make([]float64, s.Sites())
+	fb := make([]float64, s.Sites())
 	// Track site 0 against three partners: itself (variance), a neighbour,
 	// and the far corner.
 	partners := []int{0, 1, s.Sites() - 1}
@@ -83,13 +116,11 @@ func TestGridSamplerEmpiricalMoments(t *testing.T) {
 	for i := range bs {
 		bs[i] = make([]float64, trials)
 	}
-	for tr := 0; tr < trials; tr++ {
-		if err := s.SampleInto(rng, sc, field); err != nil {
-			t.Fatal(err)
-		}
-		a[tr] = field[0]
+	for tr := 0; tr < trials; tr += 2 {
+		d.draw(t, rng, fa, fb)
+		a[tr], a[tr+1] = fa[0], fb[0]
 		for i, p := range partners {
-			bs[i][tr] = field[p]
+			bs[i][tr], bs[i][tr+1] = fa[p], fb[p]
 		}
 	}
 	if m := stats.Mean(a); math.Abs(m-proc.LNominal) > 5*proc.TotalSigma()/math.Sqrt(trials) {
@@ -118,7 +149,8 @@ func identitySites(n int) []int {
 }
 
 // Two samplers over the same stream must agree bitwise, and the WID-free
-// process must produce a constant field equal to mean + σ_D2D·z₀.
+// process must produce constant fields equal to mean + σ_D2D·z₀ on both
+// channels.
 func TestGridSamplerDeterminismAndD2DOnly(t *testing.T) {
 	proc := gridTestProcess()
 	grid := placement.Grid{Rows: 6, Cols: 10, SiteW: 2, SiteH: 2}
@@ -129,15 +161,13 @@ func TestGridSamplerDeterminismAndD2DOnly(t *testing.T) {
 	s2, _ := NewGridSampler(proc, grid)
 	f1 := make([]float64, s1.Sites())
 	f2 := make([]float64, s2.Sites())
-	if err := s1.SampleInto(stats.NewRNG(7, "det"), s1.NewScratch(), f1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.SampleInto(stats.NewRNG(7, "det"), s2.NewScratch(), f2); err != nil {
-		t.Fatal(err)
-	}
+	g1 := make([]float64, s1.Sites())
+	g2 := make([]float64, s2.Sites())
+	newPairDrawer(s1).draw(t, stats.NewRNG(7, "det"), f1, g1)
+	newPairDrawer(s2).draw(t, stats.NewRNG(7, "det"), f2, g2)
 	for i := range f1 {
-		if f1[i] != f2[i] {
-			t.Fatalf("draw not deterministic at site %d: %v vs %v", i, f1[i], f2[i])
+		if f1[i] != f2[i] || g1[i] != g2[i] {
+			t.Fatalf("draw not deterministic at site %d: (%v, %v) vs (%v, %v)", i, f1[i], g1[i], f2[i], g2[i])
 		}
 	}
 	d2d := &spatial.Process{LNominal: 0.09, SigmaD2D: 0.002}
@@ -145,14 +175,13 @@ func TestGridSamplerDeterminismAndD2DOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := stats.NewRNG(7, "d2d-only")
-	want := d2d.LNominal + d2d.SigmaD2D*stats.NewRNG(7, "d2d-only").NormFloat64()
-	if err := sd.SampleInto(rng, sd.NewScratch(), f1); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range f1 {
-		if v != want {
-			t.Fatalf("D2D-only field not constant at %d: %v vs %v", i, v, want)
+	want := stats.NewRNG(7, "d2d-only")
+	wantA := d2d.LNominal + d2d.SigmaD2D*want.NormFloat64()
+	wantB := d2d.LNominal + d2d.SigmaD2D*want.NormFloat64()
+	newPairDrawer(sd).draw(t, stats.NewRNG(7, "d2d-only"), f1, g1)
+	for i := range f1 {
+		if f1[i] != wantA || g1[i] != wantB {
+			t.Fatalf("D2D-only fields not constant at %d: (%v, %v) vs (%v, %v)", i, f1[i], g1[i], wantA, wantB)
 		}
 	}
 }
@@ -245,7 +274,7 @@ func TestGridSamplerValidation(t *testing.T) {
 	}
 }
 
-// The per-trial body must stay allocation-free once scratch is warmed — the
+// The pair draw must stay allocation-free once its buffers exist — the
 // property the chipmc hot loop depends on.
 func TestGridSamplerSampleAllocs(t *testing.T) {
 	proc := gridTestProcess()
@@ -255,23 +284,19 @@ func TestGridSamplerSampleAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(3, "allocs")
-	sc := s.NewScratch()
-	field := make([]float64, s.Sites())
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := s.SampleInto(rng, sc, field); err != nil {
-			t.Fatal(err)
-		}
-	})
+	d := newPairDrawer(s)
+	fa := make([]float64, s.Sites())
+	fb := make([]float64, s.Sites())
+	allocs := testing.AllocsPerRun(50, func() { d.draw(t, rng, fa, fb) })
 	if allocs != 0 {
-		t.Errorf("SampleInto allocates %.1f times per draw, want 0", allocs)
+		t.Errorf("pair draw allocates %.1f times, want 0", allocs)
 	}
 }
 
 // TestGridSamplerTiltedDraw pins the importance-sampling contract of
-// SampleTiltedInto: at tilt 0 the draw is bitwise identical to SampleInto
-// (and returns the raw D2D deviate actually used), and at tilt θ every site
-// moves by exactly σ_D2D·θ while the WID texture — the site-to-site
-// differences — stays bitwise unchanged.
+// ExtractPair: the deviate z₀ + 0 gives bitwise the field of z₀, and at
+// z₀ + θ every site of either channel moves by exactly σ_D2D·θ while the
+// WID texture — the site-to-site differences — stays bitwise unchanged.
 func TestGridSamplerTiltedDraw(t *testing.T) {
 	proc := gridTestProcess()
 	grid := placement.Grid{Rows: 6, Cols: 10, SiteW: 2, SiteH: 2}
@@ -279,37 +304,27 @@ func TestGridSamplerTiltedDraw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := newPairDrawer(s)
 	plain := make([]float64, s.Sites())
+	other := make([]float64, s.Sites())
 	tilted := make([]float64, s.Sites())
-	if err := s.SampleInto(stats.NewRNG(3, "tilt"), s.NewScratch(), plain); err != nil {
-		t.Fatal(err)
-	}
-	z0, err := s.SampleTiltedInto(stats.NewRNG(3, "tilt"), s.NewScratch(), tilted, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := stats.NewRNG(3, "tilt").NormFloat64(); z0 != want {
-		t.Fatalf("returned deviate %v != first normal of the stream %v", z0, want)
-	}
-	for i := range plain {
-		if tilted[i] != plain[i] {
-			t.Fatalf("tilt=0 draw differs from SampleInto at site %d: %v vs %v", i, tilted[i], plain[i])
-		}
-	}
-
+	z0, _ := d.draw(t, stats.NewRNG(3, "tilt"), plain, other)
 	const theta = 2.5
-	z0t, err := s.SampleTiltedInto(stats.NewRNG(3, "tilt"), s.NewScratch(), tilted, theta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z0t != z0 {
-		t.Fatalf("tilted draw returned deviate %v, want the same raw draw %v", z0t, z0)
-	}
-	// Every site moves by σ_D2D·θ up to one rounding of the final add, which
-	// also pins that the WID texture is untouched by the tilt.
-	for i := range plain {
-		if d := tilted[i] - plain[i] - proc.SigmaD2D*theta; math.Abs(d) > 1e-15 {
-			t.Fatalf("site %d moved by %v, want σ_D2D·θ = %v", i, tilted[i]-plain[i], proc.SigmaD2D*theta)
+	for ch := 0; ch < 2; ch++ {
+		s.ExtractPair(d.torus, ch, z0, plain)
+		s.ExtractPair(d.torus, ch, z0+0, tilted)
+		for i := range plain {
+			if tilted[i] != plain[i] {
+				t.Fatalf("channel %d: z₀+0 field differs from z₀ at site %d: %v vs %v", ch, i, tilted[i], plain[i])
+			}
+		}
+		s.ExtractPair(d.torus, ch, z0+theta, tilted)
+		// Every site moves by σ_D2D·θ up to one rounding of the final add,
+		// which also pins that the WID texture is untouched by the tilt.
+		for i := range plain {
+			if dv := tilted[i] - plain[i] - proc.SigmaD2D*theta; math.Abs(dv) > 1e-15 {
+				t.Fatalf("channel %d site %d moved by %v, want σ_D2D·θ = %v", ch, i, tilted[i]-plain[i], proc.SigmaD2D*theta)
+			}
 		}
 	}
 }
