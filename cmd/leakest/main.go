@@ -14,6 +14,8 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,6 +33,7 @@ import (
 
 	"leakest"
 	"leakest/internal/cells"
+	"leakest/internal/netlist"
 )
 
 func fail(format string, args ...any) {
@@ -333,23 +336,25 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		res, err := est.EstimateStream(ctx, f, sp)
+		br := bufio.NewReaderSize(f, streamPeek)
+		hdr := peekStreamHeader(br)
+		res, err := est.EstimateStream(ctx, br, sp)
 		f.Close()
 		if err != nil {
 			failErr("streaming estimate", err)
 		}
-		// The tiles line follows in printResult; a degraded O(1) result
-		// carries no tile statistics and gets no summary.
-		gates := 0
-		for _, ts := range res.TileStats {
-			gates += ts.Gates
+		// The design comes from the stream's header, so a degraded result
+		// without tile statistics reports it too.
+		design := leakest.Design{
+			N:          hdr.Gates,
+			W:          float64(hdr.Cols) * hdr.SiteW,
+			H:          float64(hdr.Rows) * hdr.SiteH,
+			SignalProb: sp,
 		}
-		if gates > 0 {
-			fmt.Fprintf(textOut, "stream mode: %d gates\n", gates)
-		}
+		fmt.Fprintf(textOut, "stream mode: %d gates\n", design.N)
 		printResult(textOut, res)
 		if *jsonReport != "" {
-			writeJSONReport(*jsonReport, leakest.Design{N: gates, SignalProb: sp}, res, nil, nil)
+			writeJSONReport(*jsonReport, design, res, nil, nil)
 		}
 		if runTrace != nil {
 			writeTraceFile(*tracePath, runTrace)
@@ -504,6 +509,23 @@ type runReport struct {
 	Truth      *leakest.Result           `json:"truth,omitempty"`
 	MonteCarlo *leakest.MonteCarloResult `json:"monte_carlo,omitempty"`
 	Metrics    map[string]any            `json:"metrics"`
+}
+
+// streamPeek is how much of a stream the CLI reads ahead for its header.
+const streamPeek = 64 << 10
+
+// peekStreamHeader parses a leakest-stream's magic and design lines from
+// the front of br without consuming them, so the estimate still reads the
+// stream in one pass and a pipe works as well as a file. A header it cannot
+// parse within the buffer yields the zero header; EstimateStream then
+// reports a malformed stream itself.
+func peekStreamHeader(br *bufio.Reader) leakest.StreamHeader {
+	head, _ := br.Peek(br.Size())
+	hdr, _ := netlist.ScanPlaced(bytes.NewReader(head), netlist.StreamVisitor{
+		// Stop the scan once the design line is parsed.
+		Design: func(netlist.StreamHeader) error { return io.EOF },
+	})
+	return hdr
 }
 
 func writeJSONReport(path string, design leakest.Design, res leakest.Result, truth *leakest.Result, mc *leakest.MonteCarloResult) {

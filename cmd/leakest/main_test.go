@@ -105,6 +105,55 @@ func TestStreamJSONReportToStdout(t *testing.T) {
 	}
 }
 
+// TestStreamReportCarriesHeaderDesign: a stream run's JSON report carries
+// the gate count and die size of the stream's header, and the "stream mode"
+// line prints, on the full estimate and on a budget-degraded one whose
+// result has no tile statistics.
+func TestStreamReportCarriesHeaderDesign(t *testing.T) {
+	const rows, cols, siteW, siteH, gates = 200, 250, 2.0, 1.5, 30000
+	path := filepath.Join(t.TempDir(), "s.stream")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leakest.WriteSyntheticStream(f, "cli", rows, cols, siteW, siteH, 4,
+		[]string{"INV_X1", "NAND2_X1", "NOR2_X1"}, gates); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		args     []string
+		degraded bool
+	}{
+		{"full", nil, false},
+		{"degraded", []string{"-max-gates", "100"}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			args := append([]string{"-stream", path, "-p", "0.5", "-workers", "1", "-json-report", "-"}, c.args...)
+			stdout, stderr, code := runLeakest(t, args...)
+			if code != 0 {
+				t.Fatalf("exit %d; stderr:\n%s", code, stderr)
+			}
+			var rep runReport
+			if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+				t.Fatalf("stdout is not a JSON report: %v\n%s", err, stdout)
+			}
+			if rep.Result.Degraded != c.degraded || (len(rep.Result.TileStats) == 0) != c.degraded {
+				t.Fatalf("degraded %v with %d tile stats, want degraded %v", rep.Result.Degraded, len(rep.Result.TileStats), c.degraded)
+			}
+			if d := rep.Design; d.N != gates || d.W != cols*siteW || d.H != rows*siteH {
+				t.Errorf("report design n=%d w_um=%g h_um=%g, want %d, %g, %g", d.N, d.W, d.H, gates, cols*siteW, rows*siteH)
+			}
+			if want := "stream mode: 30000 gates"; !strings.Contains(stderr, want) {
+				t.Errorf("stderr lacks %q:\n%s", want, stderr)
+			}
+		})
+	}
+}
+
 // TestFlagMistakesRefusedBeforeCharacterizing: invocations that are wrong
 // from their flags alone exit 1 with their reason before the cell library
 // is characterized.
