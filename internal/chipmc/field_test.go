@@ -3,6 +3,7 @@ package chipmc
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"leakest/internal/randvar"
@@ -78,6 +79,62 @@ func TestTrialBodyAllocs(t *testing.T) {
 			for i, v := range set.totals[:blk*f.block()] {
 				if !(v > 0) || math.IsInf(v, 0) {
 					t.Fatalf("trial %d total %v", i, v)
+				}
+			}
+		})
+	}
+}
+
+// TestPairFieldsTilt pins the IS contract of the grid pair fields: on both
+// trials of a pair, fill returns the raw D2D deviate — the trial stream's
+// first normal — and a tilt θ moves every gate by exactly σ_D2D·θ, leaving
+// the pair's WID field untouched.
+func TestPairFieldsTilt(t *testing.T) {
+	lib, proc, nl, pl := testSetup(t, 100)
+	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Seed: 4}
+	gs, err := randvar.NewGridSampler(proc, pl.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcfg := cfg
+	tcfg.Tiles = 3
+	tiled, err := newTiledField(context.Background(), tcfg, nl.Name, pl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const theta = -2.5
+	stream := stats.NewStream(1, "chipmc/tilt/trial#")
+	rng := func(trial int) *rand.Rand { return rand.New(rand.NewSource(stream.SeedFor(trial))) }
+	for name, f := range map[string]field{
+		"fft":   newPairField(cfg, nl.Name, "pair#", gs, pl.Site, 1),
+		"tiled": tiled,
+	} {
+		t.Run(name, func(t *testing.T) {
+			plain := make([]float64, len(nl.Gates))
+			tilted := make([]float64, len(nl.Gates))
+			const lo = 6
+			if err := f.begin(0, lo, lo+f.block()); err != nil {
+				t.Fatal(err)
+			}
+			for trial := lo; trial < lo+2; trial++ {
+				z0, err := f.fill(0, rng(trial), plain, trial, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := rng(trial).NormFloat64(); z0 != want {
+					t.Fatalf("trial %d: fill returned %v, want the trial stream's first normal %v", trial, z0, want)
+				}
+				z0t, err := f.fill(0, rng(trial), tilted, trial, theta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if z0t != z0 {
+					t.Fatalf("trial %d: tilted fill returned %v, want the raw deviate %v", trial, z0t, z0)
+				}
+				for g := range plain {
+					if d := tilted[g] - plain[g] - proc.SigmaD2D*theta; math.Abs(d) > 1e-15 {
+						t.Fatalf("trial %d gate %d moved by %v, want σ_D2D·θ = %v", trial, g, tilted[g]-plain[g], proc.SigmaD2D*theta)
+					}
 				}
 			}
 		})
