@@ -520,6 +520,8 @@ const streamPeek = 64 << 10
 // parse within the buffer yields the zero header; EstimateStream then
 // reports a malformed stream itself.
 func peekStreamHeader(br *bufio.Reader) leakest.StreamHeader {
+	// Peek errs when the stream is shorter than the buffer; what it
+	// returns is still the whole stream.
 	head, _ := br.Peek(br.Size())
 	hdr, _ := netlist.ScanPlaced(bytes.NewReader(head), netlist.StreamVisitor{
 		// Stop the scan once the design line is parsed.

@@ -11,10 +11,10 @@
 // covariance (O(n³) setup, O(n²) per trial) and is the historical,
 // bitwise-frozen reference. The FFT path exploits the regular placement
 // grid: the stationary WID kernel is circulant-embedded on a torus
-// (randvar.GridSampler), so setup is one 2-D FFT and each trial costs
-// O(S log S) in the torus size S — raising the practical gate budget from
-// thousands to hundreds of thousands while sampling the same covariance at
-// every grid lag (exactly when the embedding torus affords the kernel's
+// (randvar.GridSampler), so setup is one 2-D FFT and each pair of trials
+// costs one O(S log S) transform in the torus size S — raising the
+// practical gate budget from thousands to hundreds of thousands while
+// sampling the same covariance at every grid lag (exactly when the embedding torus affords the kernel's
 // support, within a hard-capped clamp bias otherwise; see
 // randvar.GridSampler).
 //

@@ -191,12 +191,12 @@ func newDenseField(ctx context.Context, cfg Config, qmc bool, name string, pl *p
 // pairField samples the circulant-embedding torus in Dietrich–Newsam pairs:
 // a work item is one pair — a batch of pairs on the qmc route — trials 2p
 // and 2p+1 of pair p, and an odd trial count leaves the last pair's
-// imaginary field unread. Pair p's
-// spectrum comes from its own stream (pairStream, keyed by p), so totals are
-// bitwise invariant under the worker count and the batch size. Each trial's
-// D2D deviate comes from its own trial stream, ahead of its per-gate draws —
-// or, on the qmc route, from coordinates 0/1 of Sobol point p, whose further
-// coordinates replace the leading spectral modes (qmc.go).
+// imaginary field unread. Pair p's spectrum comes from its own stream
+// (pairStream, keyed by p), so totals are bitwise invariant under the
+// worker count and the batch size. Each trial's D2D deviate comes from its
+// own trial stream, ahead of its per-gate draws — or, on the qmc route,
+// from coordinates 0/1 of Sobol point p, whose further coordinates replace
+// the leading spectral modes (qmc.go).
 type pairField struct {
 	gs         *randvar.GridSampler
 	sites      []int

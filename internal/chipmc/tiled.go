@@ -29,9 +29,9 @@ import (
 // reference (internal/conformance, tiled gates).
 
 // DefaultMaxGatesTiled is the default gate bound for the tiled sampler.
-// Per-trial cost is ΣS_t log S_t over tile torus sizes plus O(n) gate
-// evaluation; memory is O(n) gate state plus O(largest tile) field scratch
-// per worker.
+// Per-pair cost is ΣS_t log S_t over tile torus sizes, plus O(n) gate
+// evaluation per trial; memory is O(n) gate state and pair fields plus
+// O(largest tile) field scratch per worker.
 const DefaultMaxGatesTiled = 2000000
 
 // tileSlot holds one tile's share of the design: which sampler geometry it

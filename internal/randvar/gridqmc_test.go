@@ -59,10 +59,10 @@ func TestTopModesOrder(t *testing.T) {
 	}
 }
 
-// sampleInto is the single-field draw the grid sampler made before every
-// trial came from a pair, kept as an independent reference: the D2D deviate
-// first, then the white-noise spectrum in mode order, one inverse transform
-// of the grid corner, and the real part shifted by L_nom + σ_D2D·z₀.
+// sampleInto draws one grid field the direct way, an independent reference
+// for the pair pipeline: the D2D deviate first, then the white-noise
+// spectrum in mode order, one inverse transform of the grid corner, and the
+// real part shifted by L_nom + σ_D2D·z₀.
 func sampleInto(t *testing.T, s *GridSampler, rng *rand.Rand, field []float64) {
 	t.Helper()
 	z0 := rng.NormFloat64()
