@@ -59,11 +59,10 @@ fuzz:
 # type-grouped row order (ClassTables: worker invariance at 1, 3 and 8
 # workers) and the shared lag kernel of the linear and tiled estimators
 # (LagKernel: bitwise equal to the serial per-lag loop at 1, 3 and 8
-# workers) and the chipmc trial loop's workers × batch × tiles hammer
+# workers) and the chipmc trial loop's workers × tiles hammer
 # (RouteFreeze: every Monte-Carlo route bitwise frozen at 1, 3 and 8
-# workers, qmc batch sizes 1, 2, 7 and 8, tile counts 2 and 3). The full
-# `race` target covers them too; this one is the fast CI job for
-# parallel-path changes.
+# workers, tile counts 2 and 3). The full `race` target covers them too;
+# this one is the fast CI job for parallel-path changes.
 race-parallel:
 	$(GO) test -race ./internal/parallel/ ./internal/core/ -run 'Parallel|Sharding|ForEach|Ticker|ClassTables|LagKernel'
 	$(GO) test -race ./internal/chipmc/ -run 'TestRouteFreeze'

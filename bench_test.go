@@ -516,10 +516,10 @@ func BenchmarkChipMCFFT(b *testing.B) {
 }
 
 // BenchmarkChipMCQMC measures the scrambled-Sobol quasi-Monte-Carlo path
-// on the same 10 000-gate placed design as BenchmarkChipMCFFT: trial pair
-// fields are batched through one 2-D FFT pass, so the per-trial cost sits
-// below the single-field FFT sampler while each trial carries the
-// low-discrepancy accuracy the conformance suite gates on.
+// on the same 10 000-gate placed design as BenchmarkChipMCFFT: each 2-D
+// FFT pass yields a Dietrich–Newsam pair of trial fields, as on the fft
+// route, while each trial carries the low-discrepancy accuracy the
+// conformance suite gates on.
 func BenchmarkChipMCQMC(b *testing.B) {
 	lib := benchLib(b)
 	est, err := NewEstimator(lib, experiments.ChipProcess())

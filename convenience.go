@@ -229,9 +229,8 @@ type MCSampler = chipmc.Sampler
 // The sampler choices: SamplerAuto picks per design, SamplerDense forces
 // the O(n³)-setup dense-Cholesky reference, SamplerFFT forces the
 // O(S log S) circulant-embedding grid sampler, and SamplerQMC draws trials
-// from a scrambled-Sobol low-discrepancy sequence with batched FFT pair
-// fields — same distribution, materially fewer trials to a given standard
-// error.
+// from a scrambled-Sobol low-discrepancy sequence with FFT pair fields —
+// same distribution, materially fewer trials to a given standard error.
 const (
 	SamplerAuto  = chipmc.SamplerAuto
 	SamplerDense = chipmc.SamplerDense

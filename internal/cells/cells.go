@@ -15,7 +15,6 @@ package cells
 
 import (
 	"fmt"
-	"math"
 
 	"leakest/internal/circuit"
 	"leakest/internal/device"
@@ -118,18 +117,6 @@ func (c *Cell) Leakage(state uint, l float64, dvt []float64) float64 {
 		total += ex.Leakage(env)
 	}
 	return total
-}
-
-// MaxStateLeakage returns the largest leakage over all states at nominal l,
-// along with the maximizing state.
-func (c *Cell) MaxStateLeakage(l float64) (float64, uint) {
-	best, bestState := math.Inf(-1), uint(0)
-	for s := uint(0); s < uint(c.NumStates()); s++ {
-		if x := c.Leakage(s, l, nil); x > best {
-			best, bestState = x, s
-		}
-	}
-	return best, bestState
 }
 
 // finish assigns Vt indices to every network and extra, computes the device

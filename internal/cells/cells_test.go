@@ -224,16 +224,6 @@ func TestSRAMCell(t *testing.T) {
 	}
 }
 
-func TestMaxStateLeakage(t *testing.T) {
-	nand := find(t, "NAND2_X1")
-	best, state := nand.MaxStateLeakage(lNom)
-	for s := uint(0); s < 4; s++ {
-		if x := nand.Leakage(s, lNom, nil); x > best {
-			t.Errorf("state %d leakage %g exceeds reported max %g (state %d)", s, x, best, state)
-		}
-	}
-}
-
 func TestVtOffsetsLowerVtMoreLeakage(t *testing.T) {
 	inv := find(t, "INV_X1")
 	dvt := make([]float64, inv.NumDevices)

@@ -178,15 +178,6 @@ func (l *Library) Cell(name string) (*CellChar, error) {
 	return nil, fmt.Errorf("charlib: cell %q not characterized", name)
 }
 
-// Names returns the characterized cell names in order.
-func (l *Library) Names() []string {
-	out := make([]string, len(l.Cells))
-	for i := range l.Cells {
-		out[i] = l.Cells[i].Name
-	}
-	return out
-}
-
 // VtMeanFactor returns the multiplicative correction to the mean leakage
 // due to purely random per-device Vt fluctuation: E[e^(−ΔVt/(n·vT))] for
 // ΔVt ~ N(0, σ_Vt²). As the paper notes (§2.1), this affects the mean only;

@@ -90,8 +90,3 @@ func MCPairCorr(a, b *StateChar, rhoL, mu, sigma float64, samples int, rng *rand
 	}
 	return (sxy/n - mx*my) / math.Sqrt(vx*vy)
 }
-
-// SimplifiedCorr implements the §3.1.2 simplified assumption
-// ρ_leak ≈ ρ_L, used when cells were characterized by Monte Carlo and no
-// (a, b, c) triplet is available.
-func SimplifiedCorr(rhoL float64) float64 { return rhoL }

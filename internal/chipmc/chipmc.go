@@ -75,7 +75,7 @@ const (
 	// SamplerFFT forces the circulant-embedding grid sampler.
 	SamplerFFT
 	// SamplerQMC draws trials from a scrambled-Sobol low-discrepancy
-	// sequence instead of pseudo-random deviates, batching trial fields in
+	// sequence instead of pseudo-random deviates, drawing trial fields in
 	// Dietrich–Newsam pairs through one 2-D FFT pass on large designs and
 	// feeding the dense-Cholesky field directly on small ones. Same
 	// estimand and unbiasedness as the other samplers, materially fewer
@@ -196,11 +196,6 @@ type Result struct {
 // MeanSE returns the standard error of the sampled mean, the natural
 // tolerance unit when comparing the MC mean against an analytic estimator.
 func (r Result) MeanSE() float64 { return stats.MeanSE(r.Std, r.Samples) }
-
-// StdSE returns the normal-theory standard error of the sampled standard
-// deviation. The per-trial totals are lognormal-ish, so the true error is
-// somewhat larger; callers widen the z multiplier to absorb that.
-func (r Result) StdSE() float64 { return stats.StdSE(r.Std, r.Samples) }
 
 // gateState holds the per-gate sampling tables.
 type gateState struct {

@@ -60,7 +60,7 @@ func TestFFTSamplerMatchesDense(t *testing.T) {
 	if d := math.Abs(fft.Mean - dense.Mean); d > meanTol {
 		t.Errorf("FFT mean %.6g vs dense %.6g: |Δ| = %.3g > %.3g", fft.Mean, dense.Mean, d, meanTol)
 	}
-	stdTol := z * math.Hypot(dense.StdSE(), fft.StdSE())
+	stdTol := z * math.Hypot(stats.StdSE(dense.Std, dense.Samples), stats.StdSE(fft.Std, fft.Samples))
 	if d := math.Abs(fft.Std - dense.Std); d > stdTol {
 		t.Errorf("FFT σ %.6g vs dense %.6g: |Δ| = %.3g > %.3g", fft.Std, dense.Std, d, stdTol)
 	}
@@ -127,9 +127,9 @@ func TestFFTSampler100kGates(t *testing.T) {
 	}
 	// σ carries both MC sampling error and the linear estimator's grid
 	// regrouping error (~1%); z·StdSE dominates at this trial count.
-	if d := math.Abs(mc.Std - lin.Std); d > z*mc.StdSE()+0.02*lin.Std {
+	if d := math.Abs(mc.Std - lin.Std); d > z*stats.StdSE(mc.Std, mc.Samples)+0.02*lin.Std {
 		t.Errorf("100k σ: MC %.6g vs linear %.6g (|Δ| = %.3g > %.3g)",
-			mc.Std, lin.Std, d, z*mc.StdSE()+0.02*lin.Std)
+			mc.Std, lin.Std, d, z*stats.StdSE(mc.Std, mc.Samples)+0.02*lin.Std)
 	}
 	// The dense sampler must refuse a design this size.
 	_, err = Run(Config{Lib: lib, Proc: proc, SignalProb: 0.5, Samples: 48,

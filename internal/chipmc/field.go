@@ -28,8 +28,7 @@ import (
 //   - pairField: the circulant-embedding torus, drawn in Dietrich–Newsam
 //     pairs — trials 2p and 2p+1 read the real and imaginary parts of pair
 //     p's inverse-transformed torus — for fft trials, grid-qmc trials
-//     (qmc.go, a batch of pairs per 2-D FFT pass) and every IS trial on a
-//     grid;
+//     (qmc.go) and every IS trial on a grid;
 //   - tiledField: one shared D2D deviate plus per-tile WID pair tori
 //     (tiled.go);
 //   - tiltedDenseField: the D2D deviate plus the within-die Cholesky, for IS
@@ -41,10 +40,10 @@ import (
 // A field draws the correlated channel lengths of chip trials.
 type field interface {
 	// block is the number of consecutive trials one parallel work item
-	// covers, and begin prepares the work item of trials [lo, hi) on worker
-	// w. Only the pair fields (pairField, tiledField) do work here.
+	// covers, and begin prepares the work item starting at trial lo on
+	// worker w. Only the pair fields (pairField, tiledField) do work here.
 	block() int
-	begin(w, lo, hi int) error
+	begin(w, lo int) error
 	// fill draws trial's per-gate channel lengths into ls on worker w. rng
 	// was seeded from the run's trial stream, and the per-gate state and Vt
 	// draws continue from it afterwards. tilt shifts the shared D2D deviate
@@ -57,8 +56,8 @@ type field interface {
 // trial.
 type perTrial struct{}
 
-func (perTrial) block() int              { return 1 }
-func (perTrial) begin(_, _, _ int) error { return nil }
+func (perTrial) block() int           { return 1 }
+func (perTrial) begin(_, _ int) error { return nil }
 
 // engine runs trial sets over one design: the gate state tables and each
 // worker's PRNG and channel-length buffer, shared by the primary and tail
@@ -120,7 +119,7 @@ func (e *engine) block(op string, w, blk int, s *trialSet) error {
 	per := s.f.block()
 	lo := blk * per
 	hi := min(lo+per, len(s.totals))
-	if err := s.f.begin(w, lo, hi); err != nil {
+	if err := s.f.begin(w, lo); err != nil {
 		return lkerr.Wrap(lkerr.Numerical, op, err)
 	}
 	primary := s.weights == nil
@@ -189,11 +188,10 @@ func newDenseField(ctx context.Context, cfg Config, qmc bool, name string, pl *p
 }
 
 // pairField samples the circulant-embedding torus in Dietrich–Newsam pairs:
-// a work item is one pair — a batch of pairs on the qmc route — trials 2p
-// and 2p+1 of pair p, and an odd trial count leaves the last pair's
-// imaginary field unread. Pair p's spectrum comes from its own stream
-// (pairStream, keyed by p), so totals are bitwise invariant under the
-// worker count and the batch size. Each trial's D2D deviate comes from its
+// a work item is one pair p — trials 2p and 2p+1 — and an odd trial count
+// leaves the last pair's imaginary field unread. Pair p's spectrum comes
+// from its own stream (pairStream, keyed by p), so totals are bitwise
+// invariant under the worker count. Each trial's D2D deviate comes from its
 // own trial stream, ahead of its per-gate draws — or, on the qmc route,
 // from coordinates 0/1 of Sobol point p, whose further coordinates replace
 // the leading spectral modes (qmc.go).
@@ -203,71 +201,56 @@ type pairField struct {
 	seq        *randvar.SobolSeq // nil off the qmc route
 	modes      []int
 	qdims      int
-	batchPairs int
 	pairStream stats.Stream
 	bufs       []pairBuf
 }
 
-// pairBuf is one worker's batch: the pair toruses, the FFT scratch, the
-// Sobol deviates of the qmc route, and one extracted field.
+// pairBuf is one worker's pair: its torus, the FFT scratch, the Sobol
+// deviates of the qmc route, and one extracted field.
 type pairBuf struct {
 	rng     *rand.Rand   // per-pair spectrum stream
-	toruses []complex128 // batchPairs × TorusLen pair spectra
+	torus   []complex128 // the pair spectrum
 	scratch []complex128 // fft column scratch
-	zq      []float64    // one Sobol point's normal deviates
-	z0      []float64    // (z0a, z0b) per pair in the batch, qmc route
+	zq      []float64    // Sobol point p's normals; zq[0], zq[1] are the D2D deviates
 	field   []float64    // the current trial's extracted field
-	p0      int          // first pair of the batch
 }
 
-// newPairField builds the grid field over gs, one pair per work item. On
-// the fft route and for IS trials every mode comes from the pair stream
-// labelled label; newQMCPairField adds the Sobol sequence and batching.
+// newPairField builds the grid field over gs. On the fft route and for IS
+// trials every mode comes from the pair stream labelled label;
+// newQMCPairField adds the Sobol sequence.
 func newPairField(cfg Config, name, label string, gs *randvar.GridSampler, sites []int, workers int) *pairField {
 	return &pairField{
 		gs:         gs,
 		sites:      sites,
-		batchPairs: 1,
 		pairStream: stats.NewStream(cfg.Seed, "chipmc/"+name+"/"+label),
 		bufs:       make([]pairBuf, workers),
 	}
 }
 
-func (f *pairField) block() int { return 2 * f.batchPairs }
+func (f *pairField) block() int { return 2 }
 
-// begin fills the batch's pair spectra and runs one inverse FFT pass over
-// them. Everything a pair needs is keyed by its global index p, so batch
-// grouping cannot change it.
-func (f *pairField) begin(w, lo, hi int) error {
+// begin fills pair p = lo/2's spectrum and inverse-transforms it.
+func (f *pairField) begin(w, lo int) error {
 	gs := f.gs
-	tlen := gs.TorusLen()
 	b := &f.bufs[w]
 	if b.rng == nil {
 		tm, tn := gs.TorusDims()
 		b.rng = rand.New(rand.NewSource(1))
-		b.toruses = make([]complex128, f.batchPairs*tlen)
+		b.torus = make([]complex128, gs.TorusLen())
 		b.scratch = make([]complex128, fft.Scratch2DLen(tm, tn))
 		b.zq = make([]float64, f.qdims)
-		b.z0 = make([]float64, 2*f.batchPairs)
 		b.field = make([]float64, gs.Sites())
 	}
-	b.p0 = lo / 2
-	np := (hi - lo + 1) / 2
-	for j := 0; j < np; j++ {
-		p := b.p0 + j
-		torus := b.toruses[j*tlen : (j+1)*tlen]
-		b.rng.Seed(f.pairStream.SeedFor(p))
-		gs.FillPairSpectrum(b.rng, torus)
-		if f.seq == nil {
-			continue
-		}
+	p := lo / 2
+	b.rng.Seed(f.pairStream.SeedFor(p))
+	gs.FillPairSpectrum(b.rng, b.torus)
+	if f.seq != nil {
 		f.seq.NormalsInto(uint32(p), b.zq)
-		b.z0[2*j], b.z0[2*j+1] = b.zq[0], b.zq[1]
 		for m, k := range f.modes {
-			gs.SetMode(torus, k, b.zq[2+2*m], b.zq[3+2*m])
+			gs.SetMode(b.torus, k, b.zq[2+2*m], b.zq[3+2*m])
 		}
 	}
-	return inversePairs(gs, b.toruses[:np*tlen], np, b.scratch)
+	return inversePair(gs, b.torus, b.scratch)
 }
 
 // fill hands trial 2p the real-part field of pair p and trial 2p+1 the
@@ -276,26 +259,24 @@ func (f *pairField) fill(w int, rng *rand.Rand, ls []float64, trial int, tilt fl
 	b := &f.bufs[w]
 	var z0 float64
 	if f.seq != nil {
-		z0 = b.z0[trial-2*b.p0]
+		z0 = b.zq[trial%2]
 	} else {
 		z0 = rng.NormFloat64()
 	}
-	tlen := f.gs.TorusLen()
-	j := trial/2 - b.p0
-	f.gs.ExtractPair(b.toruses[j*tlen:(j+1)*tlen], trial%2, z0+tilt, b.field)
+	f.gs.ExtractPair(b.torus, trial%2, z0+tilt, b.field)
 	for g, s := range f.sites {
 		ls[g] = b.field[s]
 	}
 	return z0, nil
 }
 
-// inversePairs inverse-transforms np pair toruses of gs in one batched pass,
-// computing only the grid's Rows×Cols corner that ExtractPair reads; a
-// WID-free sampler's 1×1 torus is kept whole.
-func inversePairs(gs *randvar.GridSampler, toruses []complex128, np int, scratch []complex128) error {
+// inversePair inverse-transforms a pair torus of gs, computing only the
+// grid's Rows×Cols corner that ExtractPair reads; a WID-free sampler's 1×1
+// torus is kept whole.
+func inversePair(gs *randvar.GridSampler, torus, scratch []complex128) error {
 	tm, tn := gs.TorusDims()
 	g := gs.Grid()
-	return fft.Transform2DBatchInto(toruses, np, tm, tn, min(g.Rows, tm), min(g.Cols, tn), true, scratch)
+	return fft.Transform2DInto(torus, tm, tn, min(g.Rows, tm), min(g.Cols, tn), true, scratch)
 }
 
 // tiltedDenseField is the dense route's IS field. It decomposes the field

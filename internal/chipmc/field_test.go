@@ -13,8 +13,7 @@ import (
 // TestTrialBodyAllocs pins the trial loop at zero allocations once a
 // worker's buffers are warm, for every field — the primary fields and the
 // importance-sampled tail fields alike. Each run is one work item of the
-// loop's own block body: one dense trial, one batch of grid pairs, or one
-// tiled pair.
+// loop's own block body: one dense trial, one grid pair, or one tiled pair.
 func TestTrialBodyAllocs(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 100)
 	cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, IncludeVt: true}
@@ -113,7 +112,7 @@ func TestPairFieldsTilt(t *testing.T) {
 			plain := make([]float64, len(nl.Gates))
 			tilted := make([]float64, len(nl.Gates))
 			const lo = 6
-			if err := f.begin(0, lo, lo+f.block()); err != nil {
+			if err := f.begin(0, lo); err != nil {
 				t.Fatal(err)
 			}
 			for trial := lo; trial < lo+2; trial++ {

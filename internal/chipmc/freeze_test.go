@@ -25,8 +25,6 @@ type freezeRoute struct {
 	// denseLimit overrides autoDenseLimit (0 keeps the default), routing the
 	// 100-gate fixture to the grid fields.
 	denseLimit int
-	// batch overrides the grid-qmc batch size (0 keeps the default).
-	batch int
 	// embedFault injects an embedding failure, driving the dense fallback.
 	embedFault bool
 	// want is the frozen hash of the run's KeepTrials totals plus every
@@ -57,14 +55,10 @@ var freezeRoutes = []freezeRoute{
 		want: "5baa21bca8ae5417"},
 	{name: "qmc-dense", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC },
 		want: "690361c97eb213b6"},
-	{name: "qmc-grid-b1", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC },
-		denseLimit: 8, batch: 1, want: "456a76a26a9ce56f"},
-	{name: "qmc-grid-b2", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC },
-		denseLimit: 8, batch: 2, want: "456a76a26a9ce56f"},
-	{name: "qmc-grid-b7", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC },
-		denseLimit: 8, batch: 7, want: "456a76a26a9ce56f"},
-	{name: "qmc-grid-b8", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC; c.IncludeVt = true },
-		denseLimit: 8, batch: 8, want: "4186b88d706f6c0a"},
+	{name: "qmc-grid", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC },
+		denseLimit: 8, want: "456a76a26a9ce56f"},
+	{name: "qmc-grid-vt", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC; c.IncludeVt = true },
+		denseLimit: 8, want: "4186b88d706f6c0a"},
 	{name: "tiled-2", mutate: func(c *Config, _ float64) { c.Tiles = 2 },
 		want: "279f4c54a23b552a"},
 	{name: "tiled-3", mutate: func(c *Config, _ float64) { c.Tiles = 3; c.IncludeVt = true },
@@ -94,8 +88,8 @@ var freezeRoutes = []freezeRoute{
 
 // TestRouteFreeze pins every Monte-Carlo route bitwise: each row's totals
 // and summary must hash to the frozen value at 1, 3 and 8 workers. It is
-// also the workers × batch × tiles determinism hammer (make race-parallel
-// runs it under the race detector).
+// also the workers × tiles determinism hammer (make race-parallel runs it
+// under the race detector).
 func TestRouteFreeze(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 100)
 	base := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Samples: 61, Seed: 17, KeepTrials: true}
@@ -132,10 +126,6 @@ func runFrozen(t *testing.T, rt freezeRoute, cfg Config, nl *netlist.Netlist, pl
 		old := autoDenseLimit
 		autoDenseLimit = rt.denseLimit
 		defer func() { autoDenseLimit = old }()
-	}
-	if rt.batch != 0 {
-		qmcBatch = rt.batch
-		defer func() { qmcBatch = DefaultBatch }()
 	}
 	if rt.embedFault {
 		fault.Arm(fault.SiteFFTSetup, fault.Action{Kind: fault.Error})

@@ -30,17 +30,6 @@ import (
 // Per-gate state and Vt draws stay pseudo-random from the trial stream in
 // both fields, exactly as in the dense/fft samplers.
 
-// DefaultBatch is the number of trial fields per batched FFT pass of the
-// qmc pair field. Eight 32×32 toruses are ≈128 KiB of complex spectrum —
-// comfortably cache-resident per worker while still amortizing the
-// column-block twiddle walk.
-const DefaultBatch = 8
-
-// qmcBatch is the batch size the qmc pair field runs with; a variable (not
-// const) only so the determinism tests can prove results do not depend on
-// it.
-var qmcBatch = DefaultBatch
-
 // qmcSeq builds the run's Sobol sequence: dims low-discrepancy dimensions,
 // scramble seed derived from (Config.Seed, netlist name) through the same
 // FNV stream construction as the trial streams, and the optional
@@ -66,7 +55,6 @@ func qmcSeq(cfg Config, name string, dims int) (*randvar.SobolSeq, error) {
 // p.
 func newQMCPairField(ctx context.Context, cfg Config, name string, gs *randvar.GridSampler, sites []int, workers int) (*pairField, error) {
 	f := newPairField(cfg, name, "qpair#", gs, sites, workers)
-	f.batchPairs = max(1, (qmcBatch+1)/2)
 	f.modes = gs.TopModes((randvar.SobolMaxDims - 2) / 2)
 	f.qdims = 2 + 2*len(f.modes)
 	var err error

@@ -7,13 +7,12 @@ import (
 
 	"leakest/internal/fault"
 	"leakest/internal/lkerr"
+	"leakest/internal/stats"
 )
 
 // TestQMCDeterminism is the §9 contract extended to the qmc sampler: on
 // both trial bodies the per-trial totals must be bitwise identical at any
-// worker count AND any batch size (the two knobs that regroup work without
-// being allowed to change it). Run with -race this doubles as the qmc race
-// hammer.
+// worker count. Run with -race this doubles as the qmc race hammer.
 func TestQMCDeterminism(t *testing.T) {
 	lib, proc, nl, pl := testSetup(t, 100)
 	for _, path := range []string{"dense", "grid"} {
@@ -23,31 +22,25 @@ func TestQMCDeterminism(t *testing.T) {
 			defer func() { autoDenseLimit = old }()
 		}
 		var ref Result
-		first := true
-		for _, workers := range []int{1, 4, 8} {
-			for _, batch := range []int{1, 3, 8, 64} {
-				cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Samples: 121,
-					Seed: 8, Sampler: SamplerQMC, Workers: workers,
-					KeepTrials: true, IncludeVt: true}
-				qmcBatch = batch
-				got, err := Run(cfg, nl, pl)
-				qmcBatch = DefaultBatch
-				if err != nil {
-					t.Fatalf("%s workers=%d batch=%d: %v", path, workers, batch, err)
-				}
-				if first {
-					ref, first = got, false
-					continue
-				}
-				if got.Mean != ref.Mean || got.Std != ref.Std {
-					t.Fatalf("%s workers=%d batch=%d changed moments: µ %v vs %v, σ %v vs %v",
-						path, workers, batch, got.Mean, ref.Mean, got.Std, ref.Std)
-				}
-				for i := range ref.Trials {
-					if got.Trials[i] != ref.Trials[i] {
-						t.Fatalf("%s workers=%d batch=%d: trial %d differs bitwise",
-							path, workers, batch, i)
-					}
+		for i, workers := range []int{1, 4, 8} {
+			cfg := Config{Lib: lib, Proc: proc, SignalProb: 0.5, Samples: 121,
+				Seed: 8, Sampler: SamplerQMC, Workers: workers,
+				KeepTrials: true, IncludeVt: true}
+			got, err := Run(cfg, nl, pl)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", path, workers, err)
+			}
+			if i == 0 {
+				ref = got
+				continue
+			}
+			if got.Mean != ref.Mean || got.Std != ref.Std {
+				t.Fatalf("%s workers=%d changed moments: µ %v vs %v, σ %v vs %v",
+					path, workers, got.Mean, ref.Mean, got.Std, ref.Std)
+			}
+			for i := range ref.Trials {
+				if got.Trials[i] != ref.Trials[i] {
+					t.Fatalf("%s workers=%d: trial %d differs bitwise", path, workers, i)
 				}
 			}
 		}
@@ -98,7 +91,7 @@ func checkQMCMoments(t *testing.T, path string, qmc, dense Result) {
 	if d := math.Abs(qmc.Mean - dense.Mean); d > meanTol {
 		t.Errorf("%s-qmc mean %.6g vs dense %.6g: |Δ| = %.3g > %.3g", path, qmc.Mean, dense.Mean, d, meanTol)
 	}
-	stdTol := z * math.Hypot(dense.StdSE(), qmc.StdSE())
+	stdTol := z * math.Hypot(stats.StdSE(dense.Std, dense.Samples), stats.StdSE(qmc.Std, qmc.Samples))
 	if d := math.Abs(qmc.Std - dense.Std); d > stdTol {
 		t.Errorf("%s-qmc σ %.6g vs dense %.6g: |Δ| = %.3g > %.3g", path, qmc.Std, dense.Std, d, stdTol)
 	}

@@ -70,7 +70,7 @@ func (f *tiledField) block() int { return 2 }
 
 // begin draws pair lo/2 tile by tile and gathers both of its channels onto
 // the tile's gates.
-func (f *tiledField) begin(w, lo, _ int) error {
+func (f *tiledField) begin(w, lo int) error {
 	b := &f.bufs[w]
 	if b.rng == nil {
 		var tlen, slen, sites, gates int
@@ -98,7 +98,7 @@ func (f *tiledField) begin(w, lo, _ int) error {
 		torus := b.torus[:gs.TorusLen()]
 		b.rng.Seed(f.streams[ti].SeedFor(lo / 2))
 		gs.FillPairSpectrum(b.rng, torus)
-		if err := inversePairs(gs, torus, 1, b.scratch); err != nil {
+		if err := inversePair(gs, torus, b.scratch); err != nil {
 			return err
 		}
 		field := b.field[:gs.Sites()]

@@ -124,7 +124,7 @@ func TestTiledMatchesMonolithic(t *testing.T) {
 	}
 	// σ carries the border approximation on top of sampling error; allow an
 	// extra 3% of σ for the dropped cross-tile WID covariance.
-	stdTol := z*math.Hypot(mono.StdSE(), tiled.StdSE()) + 0.03*mono.Std
+	stdTol := z*math.Hypot(stats.StdSE(mono.Std, mono.Samples), stats.StdSE(tiled.Std, tiled.Samples)) + 0.03*mono.Std
 	if d := math.Abs(tiled.Std - mono.Std); d > stdTol {
 		t.Errorf("tiled σ %.6g vs mono %.6g: |Δ| = %.3g > %.3g", tiled.Std, mono.Std, d, stdTol)
 	}

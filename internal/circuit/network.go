@@ -87,30 +87,6 @@ func (n *Network) AssignVtIndices(next int) int {
 	}
 }
 
-// NumDevices returns the number of MOSFETs in the network.
-func (n *Network) NumDevices() int {
-	if n.kind == kindDevice {
-		return 1
-	}
-	total := 0
-	for _, c := range n.children {
-		total += c.NumDevices()
-	}
-	return total
-}
-
-// Devices appends the MOSFETs of the network to out in Vt-index order
-// (construction order) and returns the extended slice.
-func (n *Network) Devices(out []device.MOSFET) []device.MOSFET {
-	if n.kind == kindDevice {
-		return append(out, n.dev)
-	}
-	for _, c := range n.children {
-		out = c.Devices(out)
-	}
-	return out
-}
-
 // Env is the evaluation environment of one leakage query: the signal
 // voltages (cell inputs and internal stage outputs), the shared channel
 // length, and optional per-device threshold-voltage offsets.

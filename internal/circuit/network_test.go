@@ -202,17 +202,6 @@ func TestVtOffsetsThroughNetwork(t *testing.T) {
 	}
 }
 
-func TestNumDevicesAndDevices(t *testing.T) {
-	netw := Parallel(Series(Dev(nmos(0.3), 0), Dev(nmos(0.3), 1)), Dev(pmos(0.5), 2))
-	if got := netw.NumDevices(); got != 3 {
-		t.Errorf("NumDevices = %d, want 3", got)
-	}
-	devs := netw.Devices(nil)
-	if len(devs) != 3 || devs[2].Kind != device.PMOS {
-		t.Errorf("Devices wrong: %v", devs)
-	}
-}
-
 func TestSingleChildUnwrapped(t *testing.T) {
 	d := Dev(nmos(0.3), 0)
 	if Series(d) != d || Parallel(d) != d {

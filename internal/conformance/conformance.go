@@ -106,17 +106,6 @@ type Report struct {
 // OK reports whether every check passed.
 func (r *Report) OK() bool { return r.Failed == 0 }
 
-// Failures returns the failing checks.
-func (r *Report) Failures() []Check {
-	var out []Check
-	for _, c := range r.Checks {
-		if !c.Pass {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // WorstMargin returns the check with the largest margin — the comparison
 // closest to (or furthest past) its tolerance.
 func (r *Report) WorstMargin() (Check, bool) {

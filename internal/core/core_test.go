@@ -163,7 +163,7 @@ func TestCovarianceStructure(t *testing.T) {
 		if got := m.CovAtDist(1e6); math.Abs(got-floor) > 1e-9*floor {
 			t.Errorf("%v: C(∞) = %g, want floor %g", mode, got, floor)
 		}
-		if m.CorrAtDist(1e6) <= 0 {
+		if floor <= 0 {
 			t.Errorf("%v: correlation floor missing", mode)
 		}
 	}

@@ -57,12 +57,6 @@ func (d Distribution) CDF(x float64) float64 {
 	return randvar.NormalCDF(math.Log(x), d.mu, d.sigma)
 }
 
-// Exceedance returns P(leakage > budget) — the fraction of manufactured
-// dies whose leakage exceeds a power budget.
-func (d Distribution) Exceedance(budget float64) float64 {
-	return 1 - d.CDF(budget)
-}
-
 // YieldBudget returns the leakage budget that yields the requested fraction
 // of dies: the smallest budget B with P(leakage ≤ B) ≥ yield.
 func (d Distribution) YieldBudget(yield float64) (float64, error) {

@@ -32,11 +32,6 @@ func TestDistributionMatchesMoments(t *testing.T) {
 			t.Errorf("CDF∘Quantile(%g) = %g", q, got)
 		}
 	}
-	// Exceedance complements CDF.
-	b := d.Quantile(0.9)
-	if got := d.Exceedance(b); math.Abs(got-0.1) > 1e-9 {
-		t.Errorf("exceedance at p90 = %g, want 0.1", got)
-	}
 	if d.CDF(0) != 0 || d.CDF(-1) != 0 {
 		t.Errorf("CDF must vanish for non-positive leakage")
 	}

@@ -92,7 +92,7 @@ func TestFastTruthSingleTileIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := FastTrueStats(m, nl, pl, pl.Grid.MaxDist()+1)
+	fast, err := FastTrueStats(m, nl, pl, math.Hypot(pl.Grid.W(), pl.Grid.H())+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestLagKernelBitwiseMatchesSerialRef(t *testing.T) {
 							label, workers, got.Mean, got.Std, wantMean, wantStd)
 					}
 					for _, tiles := range []int{1, 2, 3, 7} {
-						got, err := m.EstimateTiled(tiles, nil)
+						got, err := m.EstimateTiledCtx(context.Background(), tiles, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -305,14 +305,6 @@ func (m *Model) CovAtDist(d float64) float64 {
 	return m.CovAtCorr(m.Proc.TotalCorr(d))
 }
 
-// CorrAtDist returns ρ_XI(d) = C_XI(d)/σ²_XI for d > 0.
-func (m *Model) CorrAtDist(d float64) float64 {
-	if m.variance == 0 {
-		return 0
-	}
-	return m.CovAtDist(d) / m.variance
-}
-
 // CellStats returns the state-weighted effective (mean, sigma) of a cell
 // type at the spec's signal probability, under the model's mode. Used by
 // the O(n²) true-leakage computation for placed designs.

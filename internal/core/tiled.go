@@ -171,19 +171,14 @@ func (m *Model) tileGrid(tiles int, tileGates []int) (rows, cols int, parts []pl
 	return rows, cols, parts, counts, nil
 }
 
-// EstimateTiled computes the full-chip statistics with the tiled linear
+// EstimateTiledCtx computes the full-chip statistics with the tiled linear
 // method: the die is partitioned into a tiles×tiles arrangement, per-tile
 // moments come from the linear method on each tile's own sub-grid (reported
 // in Result.TileStats), and the global moments combine the tiles through the
 // exact inter-tile pair populations of tileLagCounts — bitwise identical to
-// the monolithic EstimateLinear at every tile and worker count.
-func (m *Model) EstimateTiled(tiles int, tileGates []int) (Result, error) {
-	return m.EstimateTiledCtx(context.Background(), tiles, tileGates)
-}
-
-// EstimateTiledCtx is EstimateTiled with cancellation and tile telemetry:
-// the lag loop checks ctx once per grid column, and the per-tile stats pass
-// reports tile progress and observes tile_duration_seconds per tile.
+// the monolithic EstimateLinear at every tile and worker count. The lag loop
+// checks ctx once per grid column, and the per-tile stats pass reports tile
+// progress and observes tile_duration_seconds per tile.
 func (m *Model) EstimateTiledCtx(ctx context.Context, tiles int, tileGates []int) (Result, error) {
 	ctx, end := timeMethod(ctx, "linear-tiled", "estimate.linear-tiled")
 	defer end()
@@ -283,19 +278,13 @@ func (m *Model) tileStats(ctx context.Context, parts []placement.Tile, counts []
 	return out, nil
 }
 
-// EstimateTiledIntegral2D computes the statistics with the tiled variant of
-// the §3.2.1 quadrature: each tile gets its own 2-D rectangular integral
+// EstimateTiledIntegral2DCtx computes the statistics with the tiled variant
+// of the §3.2.1 quadrature: each tile gets its own 2-D rectangular integral
 // over its sub-die, and cross-tile covariance is evaluated at tile-centroid
 // granularity. Unlike the tiled linear method this is an approximation —
 // the centroid collapse ignores within-tile position spread across tile
 // pairs — and is envelope-gated by the conformance harness rather than
-// held to bitwise identity.
-func (m *Model) EstimateTiledIntegral2D(tiles int, tileGates []int) (Result, error) {
-	return m.EstimateTiledIntegral2DCtx(context.Background(), tiles, tileGates)
-}
-
-// EstimateTiledIntegral2DCtx is EstimateTiledIntegral2D with stage telemetry
-// attached to ctx.
+// held to bitwise identity. Stage telemetry is attached to ctx.
 func (m *Model) EstimateTiledIntegral2DCtx(ctx context.Context, tiles int, tileGates []int) (Result, error) {
 	ctx, end := timeMethod(ctx, "integral2d-tiled", "estimate.integral2d-tiled")
 	defer end()

@@ -59,7 +59,7 @@ func TestTiledLinearBitwiseEqualsMonolithic(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.Workers = workers
-				got, err := m.EstimateTiled(tiles, nil)
+				got, err := m.EstimateTiledCtx(context.Background(), tiles, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func TestTiledLinearBitwiseEqualsMonolithic(t *testing.T) {
 // perfectly-correlated limit.
 func TestTiledTileStats(t *testing.T) {
 	m := newTestModel(t, 576, Analytic)
-	res, err := m.EstimateTiled(3, nil)
+	res, err := m.EstimateTiledCtx(context.Background(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTiledExplicitGateCounts(t *testing.T) {
 	counts[1] = 50
 	counts[2] = 25
 	counts[3] = 1
-	res, err := m.EstimateTiled(2, counts)
+	res, err := m.EstimateTiledCtx(context.Background(), 2, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestTiledExplicitGateCounts(t *testing.T) {
 		{-1, 577, 0, 0},
 		{100, 100, 100, 100},
 	} {
-		if _, err := m.EstimateTiled(2, bad); !lkerr.IsCode(err, lkerr.InvalidInput) {
+		if _, err := m.EstimateTiledCtx(context.Background(), 2, bad); !lkerr.IsCode(err, lkerr.InvalidInput) {
 			t.Fatalf("counts %v: got %v, want InvalidInput", bad, err)
 		}
 	}
-	if _, err := m.EstimateTiled(0, nil); !lkerr.IsCode(err, lkerr.InvalidInput) {
+	if _, err := m.EstimateTiledCtx(context.Background(), 0, nil); !lkerr.IsCode(err, lkerr.InvalidInput) {
 		t.Fatalf("tiles=0: want InvalidInput")
 	}
 }
@@ -208,7 +208,7 @@ func TestTiledIntegralCloseToMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tiles := range []int{2, 3, 4} {
-		res, err := m.EstimateTiledIntegral2D(tiles, nil)
+		res, err := m.EstimateTiledIntegral2DCtx(context.Background(), tiles, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -178,17 +178,3 @@ func (m MOSFET) OffLeakage(l, dvt float64) float64 {
 	// Gate at 0, source at 0, drain at Vdd.
 	return math.Abs(m.Ids(0, 0, m.Tech.Vdd, l, dvt))
 }
-
-// OnCurrent returns the saturated on-current magnitude of the device.
-func (m MOSFET) OnCurrent(l, dvt float64) float64 {
-	if m.Kind == PMOS {
-		return math.Abs(m.Ids(0, m.Tech.Vdd, 0, l, dvt))
-	}
-	return math.Abs(m.Ids(m.Tech.Vdd, 0, m.Tech.Vdd, l, dvt))
-}
-
-// SubthresholdSwing returns the modelled subthreshold swing in mV/decade,
-// n·vT·ln10·1000.
-func (t Tech) SubthresholdSwing() float64 {
-	return t.N * t.VT * math.Ln10 * 1000
-}

@@ -41,7 +41,7 @@ func TestKindString(t *testing.T) {
 func TestSubthresholdSlope(t *testing.T) {
 	// Leakage should decrease by 10× per swing S of gate underdrive.
 	m := NewMOSFET(NMOS, 0.3, 0.09)
-	s := m.Tech.SubthresholdSwing() / 1000 // volts per decade
+	s := m.Tech.N * m.Tech.VT * math.Ln10 // swing n·vT·ln10, volts per decade
 	if s < 0.07 || s > 0.11 {
 		t.Fatalf("swing = %g V/dec, outside plausible range", s)
 	}
@@ -59,7 +59,10 @@ func TestOffLeakageMagnitude(t *testing.T) {
 	for _, k := range []Kind{NMOS, PMOS} {
 		m := NewMOSFET(k, 0.3, 0.09)
 		off := m.OffLeakage(m.LNominal, 0)
-		on := m.OnCurrent(m.LNominal, 0)
+		on := math.Abs(m.Ids(m.Tech.Vdd, 0, m.Tech.Vdd, m.LNominal, 0)) // saturated on-current
+		if k == PMOS {
+			on = math.Abs(m.Ids(0, m.Tech.Vdd, 0, m.LNominal, 0))
+		}
 		if off < 1e-10 || off > 1e-6 {
 			t.Errorf("%v off leakage %g A implausible", k, off)
 		}

@@ -43,8 +43,6 @@ const (
 	SiteTruthRow = "core/truth-row"
 	// SiteLinearAccum corrupts the linear estimator's covariance mass.
 	SiteLinearAccum = "core/linear-accumulate"
-	// SiteGridTrial fires once per grid-model factor-space trial.
-	SiteGridTrial = "gridmodel/trial"
 	// SiteFFTSetup fires inside the chipmc.fft_setup stage; armed with Error
 	// it makes the circulant-embedding construction report failure, driving
 	// the documented dense-sampler fallback.

@@ -1,7 +1,7 @@
 // Package fft is a dependency-free iterative radix-2 fast Fourier
 // transform used by the circulant-embedding Monte-Carlo sampler
 // (internal/randvar): 1-D complex and real transforms plus one cache-blocked
-// 2-D entry point, Transform2DBatchInto, over row-major buffers.
+// 2-D entry point, Transform2DInto, over row-major buffers.
 //
 // The 2-D transform computes only a caller-named top-left corner: the
 // sampler reads a Rows×Cols grid out of a torus at least twice as large
@@ -157,7 +157,7 @@ func TransformReal(dst []complex128, src []float64) error {
 // strided gather still reads whole cache lines.
 const colBlock = 16
 
-// Scratch2DLen returns the scratch length Transform2DBatchInto requires for
+// Scratch2DLen returns the scratch length Transform2DInto requires for
 // a rows×cols transform.
 func Scratch2DLen(rows, cols int) int {
 	b := colBlock
@@ -167,12 +167,11 @@ func Scratch2DLen(rows, cols int) int {
 	return rows * b
 }
 
-// Transform2DBatchInto computes the in-place 2-D DFT of batch row-major
-// rows×cols buffers stored contiguously in x (member b occupies
-// x[b·rows·cols : (b+1)·rows·cols]), keeping only the top-left
-// keepRows×keepCols corner of each member: after the call the corner holds
-// bitwise the values of the full transform, and every point outside it is
-// unspecified. keepRows = rows, keepCols = cols is the full transform.
+// Transform2DInto computes the in-place 2-D DFT of the row-major rows×cols
+// buffer x, keeping only its top-left keepRows×keepCols corner: after the
+// call the corner holds bitwise the values of the full transform, and every
+// point outside it is unspecified. keepRows = rows, keepCols = cols is the
+// full transform.
 //
 // The row pass transforms every row (each column transform reads all rows)
 // but computes only outputs < keepCols; the column pass gathers, transforms
@@ -180,21 +179,11 @@ func Scratch2DLen(rows, cols int) int {
 // rows < keepRows. The circulant-embedding sampler reads a Rows×Cols corner
 // of a torus at least twice as wide and tall, so the pruning skips about
 // half of the column pass and the last butterfly stages' unread halves.
-//
-// Each member's butterfly sequence is independent of batch, so every
-// member is bitwise identical to a standalone (batch 1) transform — the
-// property the qmc sampler's batch-invariance contract rests on. Batching
-// buys locality, not different math: within each column block the
-// gather/transform/scatter runs across all members while the block's
-// twiddle walk is hot. scratch needs Scratch2DLen(rows, cols) elements
-// regardless of batch, so per-trial callers stay allocation-free.
-func Transform2DBatchInto(x []complex128, batch, rows, cols, keepRows, keepCols int, inverse bool, scratch []complex128) error {
-	if batch < 1 {
-		return fmt.Errorf("fft: batch %d must be positive", batch)
-	}
-	stride := rows * cols
-	if len(x) != batch*stride {
-		return fmt.Errorf("fft: buffer length %d != %d×%d×%d", len(x), batch, rows, cols)
+// scratch needs Scratch2DLen(rows, cols) elements, so per-trial callers
+// stay allocation-free.
+func Transform2DInto(x []complex128, rows, cols, keepRows, keepCols int, inverse bool, scratch []complex128) error {
+	if len(x) != rows*cols {
+		return fmt.Errorf("fft: buffer length %d != %d×%d", len(x), rows, cols)
 	}
 	if !IsPow2(rows) || !IsPow2(cols) {
 		return fmt.Errorf("fft: dimensions %d×%d are not powers of two", rows, cols)
@@ -205,41 +194,34 @@ func Transform2DBatchInto(x []complex128, batch, rows, cols, keepRows, keepCols 
 	if need := Scratch2DLen(rows, cols); len(scratch) < need {
 		return fmt.Errorf("fft: scratch length %d < required %d", len(scratch), need)
 	}
-	for b := 0; b < batch; b++ {
-		t := x[b*stride : (b+1)*stride]
-		for r := 0; r < rows; r++ {
-			row := t[r*cols : (r+1)*cols]
-			bitReverse(row)
-			butterflies(row, inverse, keepCols)
-		}
+	for r := 0; r < rows; r++ {
+		row := x[r*cols : (r+1)*cols]
+		bitReverse(row)
+		butterflies(row, inverse, keepCols)
 	}
 	if rows == 1 {
 		return nil
 	}
 	// Columns in blocks: gather colBlock adjacent kept columns into
 	// contiguous per-column vectors, transform each, scatter the kept rows
-	// back — for every batch member while the block offset (and its
-	// twiddle footprint) stays hot.
+	// back.
 	for c0 := 0; c0 < keepCols; c0 += colBlock {
 		bc := min(colBlock, keepCols-c0)
-		for b := 0; b < batch; b++ {
-			t := x[b*stride : (b+1)*stride]
-			for r := 0; r < rows; r++ {
-				row := t[r*cols+c0 : r*cols+c0+bc]
-				for j, v := range row {
-					scratch[j*rows+r] = v
-				}
+		for r := 0; r < rows; r++ {
+			row := x[r*cols+c0 : r*cols+c0+bc]
+			for j, v := range row {
+				scratch[j*rows+r] = v
 			}
-			for j := 0; j < bc; j++ {
-				col := scratch[j*rows : (j+1)*rows]
-				bitReverse(col)
-				butterflies(col, inverse, keepRows)
-			}
-			for r := 0; r < keepRows; r++ {
-				row := t[r*cols+c0 : r*cols+c0+bc]
-				for j := range row {
-					row[j] = scratch[j*rows+r]
-				}
+		}
+		for j := 0; j < bc; j++ {
+			col := scratch[j*rows : (j+1)*rows]
+			bitReverse(col)
+			butterflies(col, inverse, keepRows)
+		}
+		for r := 0; r < keepRows; r++ {
+			row := x[r*cols+c0 : r*cols+c0+bc]
+			for j := range row {
+				row[j] = scratch[j*rows+r]
 			}
 		}
 	}

@@ -151,75 +151,41 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-// TestTransform2DBatchBitwise pins the batch-invariance contract: every
-// member of a batched transform must be bitwise identical to a standalone
-// (batch 1) transform of the same data, at every batch size and for odd and
-// even batches alike.
-func TestTransform2DBatchBitwise(t *testing.T) {
-	for _, dims := range [][2]int{{1, 8}, {4, 4}, {8, 2}, {16, 32}, {32, 16}} {
-		rows, cols := dims[0], dims[1]
-		stride := rows * cols
-		for _, batch := range []int{1, 2, 3, 5, 8} {
-			for _, inverse := range []bool{false, true} {
-				src := randComplex(batch*stride, int64(rows*1000+cols*10+batch))
-				got := append([]complex128(nil), src...)
-				scratch := make([]complex128, Scratch2DLen(rows, cols))
-				if err := Transform2DBatchInto(got, batch, rows, cols, rows, cols, inverse, scratch); err != nil {
-					t.Fatal(err)
-				}
-				for b := 0; b < batch; b++ {
-					want := append([]complex128(nil), src[b*stride:(b+1)*stride]...)
-					if err := transform2D(want, rows, cols, inverse); err != nil {
-						t.Fatal(err)
-					}
-					for k := range want {
-						if got[b*stride+k] != want[k] {
-							t.Fatalf("%dx%d batch=%d inverse=%v member %d: point %d differs bitwise (%v vs %v)",
-								rows, cols, batch, inverse, b, k, got[b*stride+k], want[k])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTransform2DBatchRejects pins the batch validation errors.
-func TestTransform2DBatchRejects(t *testing.T) {
+// TestTransform2DRejects pins the validation errors.
+func TestTransform2DRejects(t *testing.T) {
 	scratch := make([]complex128, Scratch2DLen(4, 4))
-	x := make([]complex128, 32)
+	x := make([]complex128, 16)
 	for _, c := range []struct {
-		what                                  string
-		x                                     []complex128
-		batch, rows, cols, keepRows, keepCols int
-		scratch                               []complex128
+		what                           string
+		x                              []complex128
+		rows, cols, keepRows, keepCols int
+		scratch                        []complex128
 	}{
-		{"batch 0", x, 0, 4, 4, 4, 4, scratch},
-		{"length mismatch", x, 3, 4, 4, 4, 4, scratch},
-		{"short buffer", x[:5], 1, 4, 4, 4, 4, scratch},
-		{"non-power-of-two dims", x[:18], 2, 3, 3, 3, 3, scratch},
-		{"short scratch", x, 2, 4, 4, 4, 4, scratch[:1]},
-		{"zero kept rows", x, 2, 4, 4, 0, 4, scratch},
-		{"zero kept cols", x, 2, 4, 4, 4, 0, scratch},
-		{"kept rows past the transform", x, 2, 4, 4, 5, 4, scratch},
-		{"kept cols past the transform", x, 2, 4, 4, 4, 5, scratch},
+		{"length mismatch", append(x, 0), 4, 4, 4, 4, scratch},
+		{"short buffer", x[:5], 4, 4, 4, 4, scratch},
+		{"non-power-of-two dims", x[:9], 3, 3, 3, 3, scratch},
+		{"short scratch", x, 4, 4, 4, 4, scratch[:1]},
+		{"zero kept rows", x, 4, 4, 0, 4, scratch},
+		{"zero kept cols", x, 4, 4, 4, 0, scratch},
+		{"kept rows past the transform", x, 4, 4, 5, 4, scratch},
+		{"kept cols past the transform", x, 4, 4, 4, 5, scratch},
 	} {
-		if err := Transform2DBatchInto(c.x, c.batch, c.rows, c.cols, c.keepRows, c.keepCols, false, c.scratch); err == nil {
+		if err := Transform2DInto(c.x, c.rows, c.cols, c.keepRows, c.keepCols, false, c.scratch); err == nil {
 			t.Errorf("%s must be rejected", c.what)
 		}
 	}
 }
 
-// transform2D is the full single-member 2-D transform every corner and
-// batch result is compared against.
+// transform2D is the full 2-D transform every corner result is compared
+// against.
 func transform2D(x []complex128, rows, cols int, inverse bool) error {
-	return Transform2DBatchInto(x, 1, rows, cols, rows, cols, inverse, make([]complex128, Scratch2DLen(rows, cols)))
+	return Transform2DInto(x, rows, cols, rows, cols, inverse, make([]complex128, Scratch2DLen(rows, cols)))
 }
 
 // TestTransform2DCornerBitwise pins the corner contract: for random shapes
 // up to 256×256 (including single rows and columns), random kept corners
-// (including 1×1 and the whole transform), batches of 1–3 and both
-// directions, every kept point equals the full transform's bitwise.
+// (including 1×1 and the whole transform) and both directions, every kept
+// point equals the full transform's bitwise.
 func TestTransform2DCornerBitwise(t *testing.T) {
 	rng := stats.NewRNG(5, "fft-corner")
 	dims := []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
@@ -230,27 +196,22 @@ func TestTransform2DCornerBitwise(t *testing.T) {
 		shapes = append(shapes, shape{rows, cols, 1 + rng.Intn(rows), 1 + rng.Intn(cols)})
 	}
 	for i, sh := range shapes {
-		stride := sh.rows * sh.cols
-		batch := 1 + i%3
 		inverse := i%2 == 1
-		src := randComplex(batch*stride, int64(100+i))
+		src := randComplex(sh.rows*sh.cols, int64(100+i))
 		got := append([]complex128(nil), src...)
-		if err := Transform2DBatchInto(got, batch, sh.rows, sh.cols, sh.keepRows, sh.keepCols, inverse,
+		if err := Transform2DInto(got, sh.rows, sh.cols, sh.keepRows, sh.keepCols, inverse,
 			make([]complex128, Scratch2DLen(sh.rows, sh.cols))); err != nil {
 			t.Fatal(err)
 		}
-		for b := 0; b < batch; b++ {
-			want := append([]complex128(nil), src[b*stride:(b+1)*stride]...)
-			if err := transform2D(want, sh.rows, sh.cols, inverse); err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < sh.keepRows; r++ {
-				for c := 0; c < sh.keepCols; c++ {
-					k := r*sh.cols + c
-					if got[b*stride+k] != want[k] {
-						t.Fatalf("%+v batch=%d inverse=%v member %d: (%d,%d) differs bitwise (%v vs %v)",
-							sh, batch, inverse, b, r, c, got[b*stride+k], want[k])
-					}
+		want := append([]complex128(nil), src...)
+		if err := transform2D(want, sh.rows, sh.cols, inverse); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < sh.keepRows; r++ {
+			for c := 0; c < sh.keepCols; c++ {
+				if k := r*sh.cols + c; got[k] != want[k] {
+					t.Fatalf("%+v inverse=%v: (%d,%d) differs bitwise (%v vs %v)",
+						sh, inverse, r, c, got[k], want[k])
 				}
 			}
 		}
@@ -269,7 +230,7 @@ func BenchmarkTransform2DCorner(b *testing.B) {
 		b.Run(fmt.Sprintf("keep=%dx%d", keep, keep), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(x, src)
-				if err := Transform2DBatchInto(x, 1, n, n, keep, keep, true, scratch); err != nil {
+				if err := Transform2DInto(x, n, n, keep, keep, true, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}

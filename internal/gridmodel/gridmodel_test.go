@@ -48,7 +48,7 @@ func setup(t *testing.T, n int) (Config, *netlist.Netlist, *placement.Placement)
 }
 
 func TestNewValidation(t *testing.T) {
-	cfg, _, pl := setup(t, 16)
+	cfg, nl, pl := setup(t, 16)
 	if _, err := New(Config{}, pl.Grid); err == nil {
 		t.Errorf("empty config accepted")
 	}
@@ -68,32 +68,11 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Regions() != 8 {
-		t.Errorf("default grid dim = %d", m.Regions())
+	if m.regions != 8 {
+		t.Errorf("default grid dim = %d", m.regions)
 	}
-	if m.Factors() <= 0 || m.Factors() > 64 {
-		t.Errorf("factor count %d implausible", m.Factors())
-	}
-}
-
-func TestPCATruncationReducesFactors(t *testing.T) {
-	cfg, _, pl := setup(t, 400)
-	cfg.GridDim = 8
-	full, err := New(Config{Lib: cfg.Lib, Proc: cfg.Proc, GridDim: 8, PCAFraction: 1}, pl.Grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc, err := New(Config{Lib: cfg.Lib, Proc: cfg.Proc, GridDim: 8, PCAFraction: 0.95}, pl.Grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("factors: full %d, 95%% %d (of %d regions)", full.Factors(), trunc.Factors(), 64)
-	if trunc.Factors() >= full.Factors() {
-		t.Errorf("PCA truncation did not reduce dimensions: %d vs %d", trunc.Factors(), full.Factors())
-	}
-	// With a strong D2D floor, a handful of factors dominates.
-	if trunc.Factors() > 32 {
-		t.Errorf("95%% of spectrum needs %d factors — quantization suspect", trunc.Factors())
+	if _, _, err := m.Moments(nl, pl, -1); err == nil {
+		t.Errorf("Moments accepted bad probability")
 	}
 }
 
@@ -130,7 +109,7 @@ func TestMomentsMatchTrueStats(t *testing.T) {
 		t.Errorf("grid σ %.4g vs true %.4g (%.2f%%)", std, truth.Std, e)
 	}
 	t.Logf("grid (%d regions): σ=%.4g, true σ=%.4g (%.2f%%)",
-		m.Regions()*m.Regions(), std, truth.Std, math.Abs(stats.RelErr(std, truth.Std)))
+		m.regions*m.regions, std, truth.Std, math.Abs(stats.RelErr(std, truth.Std)))
 }
 
 func TestMomentsRefinesWithGrid(t *testing.T) {
@@ -165,51 +144,5 @@ func TestMomentsRefinesWithGrid(t *testing.T) {
 	}
 	if fine > 3 {
 		t.Errorf("16×16 grid error %.3f%% too large", fine)
-	}
-}
-
-func TestSampleDistributionMatchesMoments(t *testing.T) {
-	cfg, nl, pl := setup(t, 225)
-	cfg.GridDim = 10
-	m, err := New(cfg, pl.Grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, std, err := m.Moments(nl, pl, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := m.SampleDistribution(nl, pl, 0.5, 4000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("moments: µ=%.4g σ=%.4g | sampled: µ=%.4g σ=%.4g (k=%d factors)",
-		mean, std, dist.Mean, dist.Std, dist.Factors)
-	se := std / math.Sqrt(float64(dist.Samples))
-	if math.Abs(dist.Mean-mean) > 6*se {
-		t.Errorf("sampled mean %.5g vs analytic %.5g", dist.Mean, mean)
-	}
-	if e := math.Abs(stats.RelErr(dist.Std, std)); e > 10 {
-		t.Errorf("sampled σ %.5g vs analytic %.5g (%.1f%%)", dist.Std, std, e)
-	}
-	if !(dist.Q05 < dist.Mean && dist.Mean < dist.Q95) {
-		t.Errorf("quantiles disordered")
-	}
-}
-
-func TestSampleDistributionErrors(t *testing.T) {
-	cfg, nl, pl := setup(t, 16)
-	m, err := New(cfg, pl.Grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.SampleDistribution(nl, pl, 0.5, 2, 1); err == nil {
-		t.Errorf("too-few samples accepted")
-	}
-	if _, err := m.SampleDistribution(nl, pl, 2, 100, 1); err == nil {
-		t.Errorf("bad signal probability accepted")
-	}
-	if _, _, err := m.Moments(nl, pl, -1); err == nil {
-		t.Errorf("Moments accepted bad probability")
 	}
 }

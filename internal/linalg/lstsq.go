@@ -106,13 +106,3 @@ func PolyFit(xs, ys []float64, deg int) ([]float64, error) {
 	}
 	return LeastSquares(a, ys)
 }
-
-// PolyEval evaluates the polynomial with coefficients c (lowest order first)
-// at x using Horner's rule.
-func PolyEval(c []float64, x float64) float64 {
-	s := 0.0
-	for i := len(c) - 1; i >= 0; i-- {
-		s = s*x + c[i]
-	}
-	return s
-}

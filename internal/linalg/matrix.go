@@ -1,7 +1,7 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
 // leakage estimator: a row-major dense matrix type, Cholesky factorization
-// (for sampling correlated process fields), triangular solves, and linear
-// least squares (for the a·e^(bL+cL²) leakage fit).
+// (for sampling correlated process fields) and linear least squares (for
+// the a·e^(bL+cL²) leakage fit).
 //
 // The package is deliberately minimal and dependency-free; it implements only
 // the well-conditioned, symmetric-positive-definite and small-overdetermined
@@ -41,15 +41,6 @@ func NewMatrixFrom(r, c int, data []float64) *Matrix {
 	}
 	m := NewMatrix(r, c)
 	copy(m.data, data)
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
 	return m
 }
 
@@ -96,72 +87,6 @@ func (m *Matrix) Clone() *Matrix {
 	return NewMatrixFrom(m.rows, m.cols, m.data)
 }
 
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.cols; k++ {
-			a := mi[k]
-			if a == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := range oi {
-				oi[j] += a * bk[j]
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.cols != len(x) {
-		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d · %d", m.rows, m.cols, len(x)))
-	}
-	y := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between m
-// and b. The matrices must have identical shape.
-func (m *Matrix) MaxAbsDiff(b *Matrix) float64 {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic("linalg: shape mismatch in MaxAbsDiff")
-	}
-	max := 0.0
-	for i, v := range m.data {
-		if d := math.Abs(v - b.data[i]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -175,22 +100,6 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// IsSymmetric reports whether the matrix is square and symmetric to within
-// tol on each element pair.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ErrNotPositiveDefinite is returned by Cholesky when the input matrix is not
@@ -301,50 +210,4 @@ func CholeskyJittered(a *Matrix, maxJitter float64) (*Matrix, float64, error) {
 		}
 	}
 	return nil, 0, fmt.Errorf("linalg: Cholesky failed even with jitter %g: %w", maxJitter, err)
-}
-
-// SolveLowerTriangular solves L·x = b for x, where L is lower triangular.
-func SolveLowerTriangular(l *Matrix, b []float64) []float64 {
-	n := l.rows
-	if l.cols != n || len(b) != n {
-		panic("linalg: dimension mismatch in SolveLowerTriangular")
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		row := l.Row(i)
-		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s / row[i]
-	}
-	return x
-}
-
-// SolveUpperTriangular solves U·x = b for x, where U is upper triangular.
-func SolveUpperTriangular(u *Matrix, b []float64) []float64 {
-	n := u.rows
-	if u.cols != n || len(b) != n {
-		panic("linalg: dimension mismatch in SolveUpperTriangular")
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		row := u.Row(i)
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s / row[i]
-	}
-	return x
-}
-
-// SolveSPD solves a·x = b for symmetric positive definite a via Cholesky.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	y := SolveLowerTriangular(l, b)
-	return SolveUpperTriangular(l.T(), y), nil
 }

@@ -12,6 +12,31 @@ func almostEq(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
+// mulT returns a·aᵀ, summing in ascending k.
+func mulT(a *Matrix) *Matrix {
+	out := NewMatrix(a.Rows(), a.Rows())
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Rows(); j++ {
+			for k := 0; k < a.Cols(); k++ {
+				out.Add(i, j, a.At(i, k)*a.At(j, k))
+			}
+		}
+	}
+	return out
+}
+
+// maxAbsDiff returns the largest element-wise |a − b| of two equal-shape
+// matrices.
+func maxAbsDiff(a, b *Matrix) float64 {
+	max := 0.0
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			max = math.Max(max, math.Abs(a.At(i, j)-b.At(i, j)))
+		}
+	}
+	return max
+}
+
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	if m.Rows() != 2 || m.Cols() != 3 {
@@ -28,38 +53,10 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 1) != 10 {
 		t.Errorf("Add failed: got %g", m.At(0, 1))
 	}
-	tr := m.T()
-	if tr.Rows() != 3 || tr.Cols() != 2 || tr.At(2, 1) != 6 {
-		t.Errorf("transpose wrong: %v", tr)
-	}
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) == 99 {
 		t.Errorf("Clone aliases original")
-	}
-}
-
-func TestIdentityMul(t *testing.T) {
-	id := Identity(4)
-	a := NewMatrix(4, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			a.Set(i, j, float64(i*4+j+1))
-		}
-	}
-	if got := id.Mul(a); got.MaxAbsDiff(a) != 0 {
-		t.Errorf("I*A != A")
-	}
-	if got := a.Mul(id); got.MaxAbsDiff(a) != 0 {
-		t.Errorf("A*I != A")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	a := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	y := a.MulVec([]float64{1, 1, 1})
-	if y[0] != 6 || y[1] != 15 {
-		t.Errorf("MulVec = %v, want [6 15]", y)
 	}
 }
 
@@ -81,7 +78,7 @@ func randomSPD(rng *rand.Rand, n int) *Matrix {
 			b.Set(i, j, rng.NormFloat64())
 		}
 	}
-	a := b.Mul(b.T())
+	a := mulT(b)
 	for i := 0; i < n; i++ {
 		a.Add(i, i, float64(n))
 	}
@@ -96,8 +93,7 @@ func TestCholeskyReconstructs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: Cholesky: %v", n, err)
 		}
-		rec := l.Mul(l.T())
-		if d := rec.MaxAbsDiff(a); d > 1e-9*float64(n) {
+		if d := maxAbsDiff(mulT(l), a); d > 1e-9*float64(n) {
 			t.Errorf("n=%d: |LLᵀ-A| = %g too large", n, d)
 		}
 		// L must be lower triangular.
@@ -132,8 +128,7 @@ func TestCholeskyJittered(t *testing.T) {
 	if jit <= 0 {
 		t.Errorf("expected nonzero jitter, got %g", jit)
 	}
-	rec := l.Mul(l.T())
-	if d := rec.MaxAbsDiff(a); d > 1e-2 {
+	if d := maxAbsDiff(mulT(l), a); d > 1e-2 {
 		t.Errorf("jittered reconstruction too far: %g", d)
 	}
 	// On an SPD matrix it must not jitter at all.
@@ -222,42 +217,6 @@ func TestCholeskyBlockedBitwise(t *testing.T) {
 	}
 }
 
-func TestTriangularSolves(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(12)
-		a := randomSPD(rng, n)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		b := a.MulVec(x)
-		got, err := SolveSPD(a, b)
-		if err != nil {
-			t.Fatalf("SolveSPD: %v", err)
-		}
-		for i := range x {
-			if !almostEq(got[i], x[i], 1e-8) {
-				t.Fatalf("trial %d: x[%d] = %g, want %g", trial, i, got[i], x[i])
-			}
-		}
-	}
-}
-
-func TestIsSymmetric(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{1, 2, 2, 1})
-	if !a.IsSymmetric(0) {
-		t.Errorf("symmetric matrix not detected")
-	}
-	a.Set(0, 1, 2.5)
-	if a.IsSymmetric(1e-9) {
-		t.Errorf("asymmetric matrix not detected")
-	}
-	if NewMatrix(2, 3).IsSymmetric(0) {
-		t.Errorf("non-square matrix reported symmetric")
-	}
-}
-
 // Property: for any random SPD matrix, Cholesky succeeds and reconstructs.
 func TestCholeskyProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -268,7 +227,7 @@ func TestCholeskyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return l.Mul(l.T()).MaxAbsDiff(a) < 1e-8*float64(n)
+		return maxAbsDiff(mulT(l), a) < 1e-8*float64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -279,7 +238,7 @@ func TestLeastSquaresExact(t *testing.T) {
 	// Square, well-conditioned system: LS must reproduce the exact solution.
 	a := NewMatrixFrom(3, 3, []float64{2, 0, 1, 0, 3, -1, 1, -1, 4})
 	want := []float64{1, -2, 0.5}
-	b := a.MulVec(want)
+	b := []float64{2.5, -6.5, 5} // a·want
 	got, err := LeastSquares(a, b)
 	if err != nil {
 		t.Fatalf("LeastSquares: %v", err)
@@ -322,7 +281,7 @@ func TestLeastSquaresErrors(t *testing.T) {
 	if _, err := LeastSquares(b, []float64{1, 2, 3}); err == nil {
 		t.Errorf("expected error for rank-deficient matrix")
 	}
-	if _, err := LeastSquares(Identity(2), []float64{1}); err == nil {
+	if _, err := LeastSquares(NewMatrixFrom(2, 2, []float64{1, 0, 0, 1}), []float64{1}); err == nil {
 		t.Errorf("expected error for rhs length mismatch")
 	}
 }
@@ -348,16 +307,6 @@ func TestPolyFitRecovers(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPolyEval(t *testing.T) {
-	// 1 + 2x + 3x² at x=2 → 17
-	if got := PolyEval([]float64{1, 2, 3}, 2); got != 17 {
-		t.Errorf("PolyEval = %g, want 17", got)
-	}
-	if got := PolyEval(nil, 5); got != 0 {
-		t.Errorf("PolyEval(nil) = %g, want 0", got)
 	}
 }
 

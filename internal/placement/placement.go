@@ -53,9 +53,6 @@ func (g Grid) W() float64 { return float64(g.Cols) * g.SiteW }
 // H returns the die height k·ΔH in µm.
 func (g Grid) H() float64 { return float64(g.Rows) * g.SiteH }
 
-// Area returns the die area in µm².
-func (g Grid) Area() float64 { return g.W() * g.H() }
-
 // Center returns the centre coordinates of the site at (row, col).
 func (g Grid) Center(row, col int) (x, y float64) {
 	return (float64(col) + 0.5) * g.SiteW, (float64(row) + 0.5) * g.SiteH
@@ -130,9 +127,6 @@ func (p *Placement) Dist(i, j int) float64 {
 	xj, yj := p.Pos(j)
 	return math.Hypot(xi-xj, yi-yj)
 }
-
-// MaxDist returns the largest possible distance on the grid (the diagonal).
-func (g Grid) MaxDist() float64 { return math.Hypot(g.W(), g.H()) }
 
 // LagDist returns the centre-to-centre distance of two sites separated by
 // dr rows and dc columns — the canonical distance of one (|Δrow|, |Δcol|)

@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -16,8 +15,8 @@ func TestNewGridShape(t *testing.T) {
 	if g.Rows != 10 || g.Cols != 10 {
 		t.Errorf("100-site square grid = %dx%d", g.Rows, g.Cols)
 	}
-	if g.W() != 20 || g.H() != 20 || g.Area() != 400 {
-		t.Errorf("geometry wrong: W=%g H=%g A=%g", g.W(), g.H(), g.Area())
+	if g.W() != 20 || g.H() != 20 {
+		t.Errorf("geometry wrong: W=%g H=%g", g.W(), g.H())
 	}
 	// Wide aspect.
 	g, _ = NewGrid(100, 2, 2, 4)
@@ -105,14 +104,6 @@ func TestPlacementOverflow(t *testing.T) {
 	rng := stats.NewRNG(1, "overflow")
 	if _, err := Random(rng, g, 100); err == nil {
 		t.Errorf("overfull Random accepted")
-	}
-}
-
-func TestMaxDist(t *testing.T) {
-	g, _ := NewGrid(100, 2, 2, 1)
-	want := math.Hypot(g.W(), g.H())
-	if g.MaxDist() != want {
-		t.Errorf("MaxDist = %g, want %g", g.MaxDist(), want)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package quad provides the numerical-integration and interpolation
-// routines used by the constant-time leakage estimators: adaptive Simpson
-// quadrature (1-D), Gauss–Legendre panels, tensor-product 2-D integration
-// (Eq. 20 of the paper), and natural cubic splines for tabulated functions.
+// routines used by the constant-time leakage estimators: Gauss–Legendre
+// panels, tensor-product 2-D integration (Eq. 20 of the paper), and natural
+// cubic splines for tabulated functions.
 package quad
 
 import (
@@ -14,53 +14,6 @@ type Func1D func(x float64) float64
 
 // Func2D is a scalar function of two variables.
 type Func2D func(x, y float64) float64
-
-// maxSimpsonDepth bounds adaptive recursion; 2^30 panels is far beyond any
-// tolerance achievable in float64.
-const maxSimpsonDepth = 30
-
-// AdaptiveSimpson integrates f over [a, b] to the requested absolute
-// tolerance using adaptive Simpson quadrature with Richardson correction.
-// The interval is pre-split into a fixed number of panels so that narrow
-// features well inside [a, b] cannot be missed by the initial coarse
-// sampling of a single top-level panel.
-func AdaptiveSimpson(f Func1D, a, b, tol float64) float64 {
-	if a == b {
-		return 0
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	const prePanels = 16
-	h := (b - a) / prePanels
-	total := 0.0
-	for i := 0; i < prePanels; i++ {
-		pa := a + float64(i)*h
-		pb := pa + h
-		fa, fm, fb := f(pa), f((pa+pb)/2), f(pb)
-		whole := simpson(pa, pb, fa, fm, fb)
-		total += adaptiveAux(f, pa, pb, fa, fm, fb, whole, tol/prePanels, maxSimpsonDepth)
-	}
-	return total
-}
-
-func simpson(a, b, fa, fm, fb float64) float64 {
-	return (b - a) / 6 * (fa + 4*fm + fb)
-}
-
-func adaptiveAux(f Func1D, a, b, fa, fm, fb, whole, tol float64, depth int) float64 {
-	m := (a + b) / 2
-	lm := (a + m) / 2
-	rm := (m + b) / 2
-	flm, frm := f(lm), f(rm)
-	left := simpson(a, m, fa, flm, fm)
-	right := simpson(m, b, fm, frm, fb)
-	if depth <= 0 || math.Abs(left+right-whole) <= 15*tol {
-		return left + right + (left+right-whole)/15
-	}
-	return adaptiveAux(f, a, m, fa, flm, fm, left, tol/2, depth-1) +
-		adaptiveAux(f, m, b, fm, frm, fb, right, tol/2, depth-1)
-}
 
 // gauss-Legendre abscissas/weights on [-1,1], 16 points (symmetric halves).
 var glx = []float64{
@@ -286,9 +239,6 @@ func (s *Spline) derivAtKnot(i int) float64 {
 
 // Min returns the first knot position.
 func (s *Spline) Min() float64 { return s.xs[0] }
-
-// Max returns the last knot position.
-func (s *Spline) Max() float64 { return s.xs[len(s.xs)-1] }
 
 // Linspace returns n evenly spaced points from a to b inclusive.
 func Linspace(a, b float64, n int) []float64 {

@@ -10,7 +10,7 @@ import (
 // from a pair: circulant embedding draws a *proper* complex white-noise
 // spectrum ξ_k = a_k·(g1 + i·g2), and the real and imaginary parts of its
 // inverse 2-D DFT are two independent N(0, C) fields (Dietrich–Newsam
-// pairing). One pair torus plus one (batched) inverse FFT therefore yields
+// pairing). One pair torus plus one inverse FFT therefore yields
 // two trials for the price of one. A caller fills the spectrum
 // (FillPairSpectrum), inverse-transforms it, and reads each trial's field
 // off one channel (ExtractPair).
@@ -26,8 +26,7 @@ import (
 // two channels across two different (mutually dependent) points would not.
 
 // TorusLen returns the number of complex points one pair torus holds
-// (tm·tn; 1 when the process has no WID component). Callers allocate batch
-// buffers of TorusLen per pair.
+// (tm·tn; 1 when the process has no WID component).
 func (s *GridSampler) TorusLen() int { return s.tm * s.tn }
 
 // TopModes returns the indices of the max largest-amplitude spectral modes
@@ -88,7 +87,7 @@ func (s *GridSampler) TopModes(max int) []int {
 // FillPairSpectrum fills torus (length TorusLen) with one pair's white-noise
 // spectrum ξ_k = scale_k·(g1 + i·g2), consuming exactly 2·modes normals from
 // rng in mode order, so a per-pair PRNG stream yields identical spectra at
-// any worker count or batch size. Modes with zero amplitude (clamped
+// any worker count. Modes with zero amplitude (clamped
 // eigenvalues) are written as zero, and a WID-free sampler writes nothing
 // (its 1×1 torus is never read). Allocation-free.
 func (s *GridSampler) FillPairSpectrum(rng *rand.Rand, torus []complex128) {

@@ -71,7 +71,7 @@ func sampleInto(t *testing.T, s *GridSampler, rng *rand.Rand, field []float64) {
 		torus[k] = complex(a*rng.NormFloat64(), a*rng.NormFloat64())
 	}
 	g := s.grid
-	if err := fft.Transform2DBatchInto(torus, 1, s.tm, s.tn, g.Rows, g.Cols, true, make([]complex128, fft.Scratch2DLen(s.tm, s.tn))); err != nil {
+	if err := fft.Transform2DInto(torus, s.tm, s.tn, g.Rows, g.Cols, true, make([]complex128, fft.Scratch2DLen(s.tm, s.tn))); err != nil {
 		t.Fatal(err)
 	}
 	shift := s.mean + s.sd2d*z0
@@ -102,7 +102,7 @@ func TestPairRealChannelMatchesSampleInto(t *testing.T) {
 		rngB := stats.NewRNG(seed, "pair-ref")
 		z0 := rngB.NormFloat64()
 		s.FillPairSpectrum(rngB, torus)
-		if err := fft.Transform2DBatchInto(torus, 1, tm, tn, tm, tn, true, scratch); err != nil {
+		if err := fft.Transform2DInto(torus, tm, tn, tm, tn, true, scratch); err != nil {
 			t.Fatal(err)
 		}
 		s.ExtractPair(torus, 0, z0, fa)
@@ -140,7 +140,7 @@ func TestPairImagChannelLaw(t *testing.T) {
 	b1 := make([]float64, pairs)
 	for p := 0; p < pairs; p++ {
 		s.FillPairSpectrum(rng, torus)
-		if err := fft.Transform2DBatchInto(torus, 1, tm, tn, tm, tn, true, scratch); err != nil {
+		if err := fft.Transform2DInto(torus, tm, tn, tm, tn, true, scratch); err != nil {
 			t.Fatal(err)
 		}
 		s.ExtractPair(torus, 0, rng.NormFloat64(), fa)
@@ -157,13 +157,13 @@ func TestPairImagChannelLaw(t *testing.T) {
 			t.Errorf("%s channel variance %.4g, want %.4g ± %.2g", name, v, vw, vtol)
 		}
 	}
-	if r := stats.Correlation(a0, a1); math.Abs(r-wantRho) > z {
+	if r := correlation(a0, a1); math.Abs(r-wantRho) > z {
 		t.Errorf("real channel lag-1 correlation %.4f, want %.4f ± %.4f", r, wantRho, z)
 	}
-	if r := stats.Correlation(b0, b1); math.Abs(r-wantRho) > z {
+	if r := correlation(b0, b1); math.Abs(r-wantRho) > z {
 		t.Errorf("imag channel lag-1 correlation %.4f, want %.4f ± %.4f", r, wantRho, z)
 	}
-	if r := stats.Correlation(a0, b0); math.Abs(r) > z {
+	if r := correlation(a0, b0); math.Abs(r) > z {
 		t.Errorf("cross-channel correlation %.4f, want 0 ± %.4f", r, z)
 	}
 }
@@ -330,11 +330,10 @@ func TestSamplePartialInto(t *testing.T) {
 	}
 }
 
-// FuzzBatchedDraw fuzzes the batched pair-field pipeline against the
-// unbatched one: for arbitrary small grids (odd and even, non-square) and
-// batch sizes, filling the same pair spectra and transforming them through
-// one grid-corner Transform2DBatchInto pass must reproduce the per-pair
-// full-torus fields bitwise, with every site finite.
+// FuzzBatchedDraw fuzzes the pair-field pipeline's pruned transform: for
+// arbitrary small grids (odd and even, non-square) and a run of pairs, a
+// pair spectrum transformed through the grid-corner Transform2DInto pass
+// must reproduce the full-torus fields bitwise, with every site finite.
 func FuzzBatchedDraw(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint8(3), int64(1))
 	f.Add(uint8(1), uint8(7), uint8(1), int64(9))
@@ -342,47 +341,37 @@ func FuzzBatchedDraw(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows8, cols8, pairs8 uint8, seed int64) {
 		rows := int(rows8)%8 + 1
 		cols := int(cols8)%8 + 1
-		batchPairs := int(pairs8)%5 + 1
+		pairs := int(pairs8)%5 + 1
 		s := qmcTestSampler(t, rows, cols)
 		tm, tn := s.TorusDims()
-		tlen := s.TorusLen()
 		sites := s.Grid().Sites()
 		scratch := make([]complex128, fft.Scratch2DLen(tm, tn))
-		batched := make([]complex128, batchPairs*tlen)
-		single := make([]complex128, tlen)
+		corner := make([]complex128, s.TorusLen())
+		full := make([]complex128, s.TorusLen())
 		stream := stats.NewStream(seed, "fuzz-batch#")
 		rng := stats.NewRNG(seed, "fuzz-batch-z0")
-		z0 := make([]float64, 2*batchPairs)
-		for i := range z0 {
-			z0[i] = rng.NormFloat64()
-		}
-		fill := func(p int, dst []complex128) {
-			prng := stats.NewRNG(stream.SeedFor(p), "pair")
-			s.FillPairSpectrum(prng, dst)
-		}
-		for p := 0; p < batchPairs; p++ {
-			fill(p, batched[p*tlen:(p+1)*tlen])
-		}
-		if err := fft.Transform2DBatchInto(batched, batchPairs, tm, tn, rows, cols, true, scratch); err != nil {
-			t.Fatal(err)
-		}
 		fa := make([]float64, sites)
 		fb := make([]float64, sites)
 		ra := make([]float64, sites)
 		rb := make([]float64, sites)
-		for p := 0; p < batchPairs; p++ {
-			fill(p, single)
-			if err := fft.Transform2DBatchInto(single, 1, tm, tn, tm, tn, true, scratch); err != nil {
+		for p := 0; p < pairs; p++ {
+			s.FillPairSpectrum(stats.NewRNG(stream.SeedFor(p), "pair"), corner)
+			copy(full, corner)
+			if err := fft.Transform2DInto(corner, tm, tn, rows, cols, true, scratch); err != nil {
 				t.Fatal(err)
 			}
-			s.ExtractPair(single, 0, z0[2*p], ra)
-			s.ExtractPair(single, 1, z0[2*p+1], rb)
-			s.ExtractPair(batched[p*tlen:(p+1)*tlen], 0, z0[2*p], fa)
-			s.ExtractPair(batched[p*tlen:(p+1)*tlen], 1, z0[2*p+1], fb)
+			if err := fft.Transform2DInto(full, tm, tn, tm, tn, true, scratch); err != nil {
+				t.Fatal(err)
+			}
+			za, zb := rng.NormFloat64(), rng.NormFloat64()
+			s.ExtractPair(full, 0, za, ra)
+			s.ExtractPair(full, 1, zb, rb)
+			s.ExtractPair(corner, 0, za, fa)
+			s.ExtractPair(corner, 1, zb, fb)
 			for i := 0; i < sites; i++ {
 				if fa[i] != ra[i] || fb[i] != rb[i] {
-					t.Fatalf("%dx%d batch=%d pair %d site %d: batched (%v, %v) != single (%v, %v)",
-						rows, cols, batchPairs, p, i, fa[i], fb[i], ra[i], rb[i])
+					t.Fatalf("%dx%d pair %d site %d: corner (%v, %v) != full (%v, %v)",
+						rows, cols, p, i, fa[i], fb[i], ra[i], rb[i])
 				}
 				if math.IsNaN(fa[i]) || math.IsInf(fa[i], 0) || math.IsNaN(fb[i]) || math.IsInf(fb[i], 0) {
 					t.Fatalf("non-finite site %d in pair %d", i, p)
@@ -465,7 +454,7 @@ func TestPairChannelsExactLaw(t *testing.T) {
 			for k, a := range s.scale {
 				realized[k] = complex(a*a*mn, 0)
 			}
-			if err := fft.Transform2DBatchInto(realized, 1, tm, tn, tm, tn, true, scratch); err != nil {
+			if err := fft.Transform2DInto(realized, tm, tn, tm, tn, true, scratch); err != nil {
 				t.Fatal(err)
 			}
 			// coef[ch][u·sites + site]: channel ch's coefficient on normal u.
@@ -479,7 +468,7 @@ func TestPairChannelsExactLaw(t *testing.T) {
 				for _, g12 := range [2][2]float64{{1, 0}, {0, 1}} {
 					clear(torus)
 					s.SetMode(torus, k, g12[0], g12[1])
-					if err := fft.Transform2DBatchInto(torus, 1, tm, tn, g.Rows, g.Cols, true, scratch); err != nil {
+					if err := fft.Transform2DInto(torus, tm, tn, g.Rows, g.Cols, true, scratch); err != nil {
 						t.Fatal(err)
 					}
 					for ch := range coef {
@@ -559,10 +548,10 @@ func TestPairChannelsCrossCovariance(t *testing.T) {
 			}
 			band := z * c.kernel(0, 0) / math.Sqrt(pairs)
 			for i, l := range lags {
-				if cv := stats.Covariance(re0, im[i]); math.Abs(cv) > band {
+				if cv := covariance(re0, im[i]); math.Abs(cv) > band {
 					t.Errorf("cov(real site 0, imag lag %v) = %.3g, want 0 ± %.3g", l, cv, band)
 				}
-				if cv := stats.Covariance(im0, re[i]); math.Abs(cv) > band {
+				if cv := covariance(im0, re[i]); math.Abs(cv) > band {
 					t.Errorf("cov(imag site 0, real lag %v) = %.3g, want 0 ± %.3g", l, cv, band)
 				}
 			}

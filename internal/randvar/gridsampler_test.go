@@ -44,7 +44,7 @@ func (d *pairDrawer) draw(t testing.TB, rng *rand.Rand, fa, fb []float64) (z0a, 
 	z0a, z0b = rng.NormFloat64(), rng.NormFloat64()
 	s.FillPairSpectrum(rng, d.torus)
 	tm, tn := s.TorusDims()
-	if err := fft.Transform2DBatchInto(d.torus, 1, tm, tn, min(s.grid.Rows, tm), min(s.grid.Cols, tn), true, d.scratch); err != nil {
+	if err := fft.Transform2DInto(d.torus, tm, tn, min(s.grid.Rows, tm), min(s.grid.Cols, tn), true, d.scratch); err != nil {
 		t.Fatal(err)
 	}
 	s.ExtractPair(d.torus, 0, z0a, fa)
@@ -71,7 +71,7 @@ func TestGridSamplerKernelExactAtEveryLag(t *testing.T) {
 		for k, a := range s.scale {
 			cov[k] = complex(a*a*mn, 0)
 		}
-		if err := fft.Transform2DBatchInto(cov, 1, s.tm, s.tn, s.tm, s.tn, true, make([]complex128, fft.Scratch2DLen(s.tm, s.tn))); err != nil {
+		if err := fft.Transform2DInto(cov, s.tm, s.tn, s.tm, s.tn, true, make([]complex128, fft.Scratch2DLen(s.tm, s.tn))); err != nil {
 			t.Fatal(err)
 		}
 		vw := proc.SigmaWID * proc.SigmaWID
@@ -131,7 +131,7 @@ func TestGridSamplerEmpiricalMoments(t *testing.T) {
 	pl := &placement.Placement{Grid: grid, Site: identitySites(grid.Sites())}
 	for i, p := range partners {
 		want := vd + vw*proc.WIDCorr.Rho(pl.Dist(0, p))
-		got := stats.Covariance(a, bs[i])
+		got := covariance(a, bs[i])
 		// SE of a sample covariance is O(var/√n); allow 5× with headroom.
 		se := 5 * (vd + vw) * 1.5 / math.Sqrt(trials)
 		if math.Abs(got-want) > se {
@@ -239,7 +239,7 @@ func TestGridSamplerLongRangeKernelClamps(t *testing.T) {
 	for k, a := range s.scale {
 		cov[k] = complex(a*a*mn, 0)
 	}
-	if err := fft.Transform2DBatchInto(cov, 1, tm, tn, tm, tn, true, make([]complex128, fft.Scratch2DLen(tm, tn))); err != nil {
+	if err := fft.Transform2DInto(cov, tm, tn, tm, tn, true, make([]complex128, fft.Scratch2DLen(tm, tn))); err != nil {
 		t.Fatal(err)
 	}
 	vw := proc.SigmaWID * proc.SigmaWID

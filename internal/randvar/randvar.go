@@ -19,12 +19,6 @@ import (
 // (the Gaussian tail is overwhelmed by the quadratic growth of the exponent).
 var ErrDiverges = errors.New("randvar: exponential moment diverges")
 
-// NormalPDF returns the density of N(mu, sigma²) at x.
-func NormalPDF(x, mu, sigma float64) float64 {
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
 // NormalCDF returns the cumulative distribution of N(mu, sigma²) at x.
 func NormalCDF(x, mu, sigma float64) float64 {
 	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
@@ -177,7 +171,6 @@ func (p MGFParams) Moments() (mean, std float64, err error) {
 type MVNSampler struct {
 	mean []float64
 	l    *linalg.Matrix
-	z    []float64 // scratch
 }
 
 // NewMVNSampler prepares a sampler for N(mean, cov). cov must be symmetric
@@ -193,25 +186,15 @@ func NewMVNSampler(mean []float64, cov *linalg.Matrix) (*MVNSampler, error) {
 	}
 	m := make([]float64, len(mean))
 	copy(m, mean)
-	return &MVNSampler{mean: m, l: l, z: make([]float64, len(mean))}, nil
+	return &MVNSampler{mean: m, l: l}, nil
 }
 
-// Dim returns the dimensionality of the sampler.
-func (s *MVNSampler) Dim() int { return len(s.mean) }
-
-// Sample fills out with one draw x = mean + L·z, z ~ N(0, I). out must have
-// length Dim. It reuses the sampler's internal scratch, so it is not safe
-// for concurrent use; parallel callers use SampleInto with per-worker
-// scratch instead.
-func (s *MVNSampler) Sample(rng *rand.Rand, out []float64) {
-	s.SampleInto(rng, s.z, out)
-}
-
-// SampleInto is Sample with caller-supplied standard-normal scratch z (length
-// Dim), making the sampler safe for concurrent draws as long as each worker
-// owns its z and out buffers. The draw consumes exactly Dim normals from rng
-// in index order, so a per-trial PRNG stream yields identical fields at any
-// worker count.
+// SampleInto fills out with one draw x = mean + L·z, z ~ N(0, I), using the
+// caller's standard-normal scratch z; out and z have the sampler's
+// dimension. The sampler is safe for concurrent draws as long as each worker
+// owns its z and out buffers. The draw consumes exactly one normal per
+// dimension from rng in index order, so a per-trial PRNG stream yields
+// identical fields at any worker count.
 func (s *MVNSampler) SampleInto(rng *rand.Rand, z, out []float64) {
 	s.SamplePartialInto(rng, z, out, 0)
 }

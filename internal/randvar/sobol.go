@@ -249,9 +249,6 @@ func newSobol(dims int, seed int64, mode int) (*SobolSeq, error) {
 	return s, nil
 }
 
-// Dims returns the number of coordinates per point.
-func (s *SobolSeq) Dims() int { return s.dims }
-
 // sobolMix derives the per-dimension scramble seed from the master seed via
 // the splitmix64 finalizer: dimensions must scramble independently or the
 // joint distribution of a point's coordinates would not be uniform on the
@@ -308,22 +305,12 @@ func (s *SobolSeq) U32(i uint32, d int) uint32 {
 	return x
 }
 
-// PointInto fills dst (length ≤ Dims) with the leading coordinates of point
-// i, each in [0, 1). The +0.5 offset centers each 32-bit fraction in its
-// dyadic cell, keeping coordinates strictly inside (0, 1) so the normal
-// quantile below never sees 0 or 1. Allocation-free.
-func (s *SobolSeq) PointInto(i uint32, dst []float64) {
-	if len(dst) > s.dims {
-		panic(fmt.Sprintf("randvar: sobol point needs %d dims, sequence has %d", len(dst), s.dims))
-	}
-	for d := range dst {
-		dst[d] = (float64(s.U32(i, d)) + 0.5) * 0x1p-32
-	}
-}
-
-// NormalsInto fills dst (length ≤ Dims) with the leading coordinates of
-// point i mapped through the standard-normal quantile — the quasi-random
-// analogue of Dim calls to rng.NormFloat64(). Allocation-free.
+// NormalsInto fills dst (length ≤ the sequence's dims) with the leading
+// coordinates of point i mapped through the standard-normal quantile — the
+// quasi-random analogue of len(dst) calls to rng.NormFloat64(). The +0.5
+// offset centers each 32-bit fraction in its dyadic cell, keeping it
+// strictly inside (0, 1) so the quantile never sees 0 or 1.
+// Allocation-free.
 func (s *SobolSeq) NormalsInto(i uint32, dst []float64) {
 	if len(dst) > s.dims {
 		panic(fmt.Sprintf("randvar: sobol point needs %d dims, sequence has %d", len(dst), s.dims))

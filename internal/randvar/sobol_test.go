@@ -135,7 +135,7 @@ func TestSobolMeanConvergence(t *testing.T) {
 	pt := make([]float64, SobolMaxDims)
 	sums := make([]float64, SobolMaxDims)
 	for i := 0; i < n; i++ {
-		seq.PointInto(uint32(i), pt)
+		pointInto(seq, uint32(i), pt)
 		for d, u := range pt {
 			if u <= 0 || u >= 1 {
 				t.Fatalf("point %d dim %d = %g outside (0,1)", i, d, u)
@@ -150,7 +150,16 @@ func TestSobolMeanConvergence(t *testing.T) {
 	}
 }
 
-// TestSobolNormalsInto cross-checks the quantile mapping against PointInto.
+// pointInto fills dst with the leading coordinates of point i, each
+// centered in its 32-bit dyadic cell: the uniform point NormalsInto maps
+// through the normal quantile.
+func pointInto(s *SobolSeq, i uint32, dst []float64) {
+	for d := range dst {
+		dst[d] = (float64(s.U32(i, d)) + 0.5) * 0x1p-32
+	}
+}
+
+// TestSobolNormalsInto cross-checks the quantile mapping against pointInto.
 func TestSobolNormalsInto(t *testing.T) {
 	seq, err := NewSobol(8, 5)
 	if err != nil {
@@ -159,11 +168,11 @@ func TestSobolNormalsInto(t *testing.T) {
 	u := make([]float64, 8)
 	z := make([]float64, 8)
 	for i := uint32(0); i < 100; i++ {
-		seq.PointInto(i, u)
+		pointInto(seq, i, u)
 		seq.NormalsInto(i, z)
 		for d := range z {
 			if want := NormalQuantile(u[d]); z[d] != want {
-				t.Fatalf("point %d dim %d: NormalsInto %g != Φ⁻¹(PointInto) %g", i, d, z[d], want)
+				t.Fatalf("point %d dim %d: NormalsInto %g != Φ⁻¹(pointInto) %g", i, d, z[d], want)
 			}
 			if math.IsNaN(z[d]) || math.IsInf(z[d], 0) {
 				t.Fatalf("point %d dim %d: non-finite normal %g", i, d, z[d])
@@ -205,12 +214,6 @@ func TestSobolAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("NormalsInto allocates %v times per point, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		seq.PointInto(i, z)
-		i++
-	}); n != 0 {
-		t.Fatalf("PointInto allocates %v times per point, want 0", n)
-	}
 }
 
 // FuzzSobolPoint fuzzes index/seed/dimension combinations: coordinates must
@@ -231,7 +234,7 @@ func FuzzSobolPoint(f *testing.F) {
 		}
 		pt := make([]float64, dims)
 		for _, idx := range []uint32{i, j} {
-			seq.PointInto(idx, pt)
+			pointInto(seq, idx, pt)
 			for d, u := range pt {
 				if !(u > 0 && u < 1) {
 					t.Fatalf("point %d dim %d = %g outside (0,1)", idx, d, u)

@@ -101,26 +101,3 @@ func (c *artifactCache) evictLocked() {
 		c.order = c.order[1:]
 	}
 }
-
-// put inserts a completed entry directly — cache warm-up (and test
-// seeding) without paying a fill. An existing entry wins.
-func (c *artifactCache) put(artifact, key string, val any) {
-	full := artifact + "\x00" + key
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[full]; ok {
-		return
-	}
-	e := &cacheEntry{done: make(chan struct{}), val: val}
-	close(e.done)
-	c.entries[full] = e
-	c.order = append(c.order, full)
-	c.evictLocked()
-}
-
-// len reports the number of completed cached entries (tests only).
-func (c *artifactCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.order)
-}

@@ -183,9 +183,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // workCtx derives the context an admitted request runs under: the caller's
 // context bounded by the request deadline, and additionally canceled when
 // the server lifetime ends (forced shutdown).

@@ -45,7 +45,10 @@ func coreServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.cache.put("library", processKey(spatial.Default90nm()), lib)
+	if _, err := s.cache.get(context.Background(), "library", processKey(spatial.Default90nm()),
+		func() (any, error) { return lib, nil }); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(s.baseCancel)
 	return s
 }

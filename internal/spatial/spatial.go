@@ -12,8 +12,6 @@ package spatial
 import (
 	"fmt"
 	"math"
-
-	"leakest/internal/linalg"
 )
 
 // CorrFunc is a within-die spatial correlation function ρ(d) of the
@@ -281,39 +279,4 @@ func (p *Process) AllWID() *Process {
 	q.SigmaWID = p.TotalSigma()
 	q.SigmaD2D = 0
 	return &q
-}
-
-// ValidatePSD checks that the total channel-length correlation, sampled on
-// a gridDim×gridDim array of points with the given pitch (µm), forms a
-// positive-semidefinite matrix — the condition for the correlation model
-// to be physically realizable (cf. the robust-extraction literature the
-// paper cites as [5]). It returns the relative diagonal jitter that a
-// Cholesky factorization needed: 0 for a cleanly PSD model, a small
-// positive value for round-off-marginal models, or an error if no
-// reasonable jitter repairs it.
-func (p *Process) ValidatePSD(gridDim int, pitch float64) (float64, error) {
-	if gridDim < 2 || gridDim > 64 {
-		return 0, fmt.Errorf("spatial: PSD grid dimension %d outside [2, 64]", gridDim)
-	}
-	if pitch <= 0 {
-		return 0, fmt.Errorf("spatial: non-positive pitch %g", pitch)
-	}
-	n := gridDim * gridDim
-	m := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		xi, yi := float64(i%gridDim)*pitch, float64(i/gridDim)*pitch
-		m.Set(i, i, 1)
-		for j := i + 1; j < n; j++ {
-			xj, yj := float64(j%gridDim)*pitch, float64(j/gridDim)*pitch
-			rho := p.TotalCorr(math.Hypot(xi-xj, yi-yj))
-			m.Set(i, j, rho)
-			m.Set(j, i, rho)
-		}
-	}
-	_, jit, err := linalg.CholeskyJittered(m, 1e-3)
-	if err != nil {
-		return 0, fmt.Errorf("spatial: correlation model not PSD on a %d×%d grid (pitch %g): %w",
-			gridDim, gridDim, pitch, err)
-	}
-	return jit, nil
 }

@@ -83,9 +83,6 @@ func (h *Histogram) Prob(l string) float64 {
 	return 0
 }
 
-// ProbAt returns the probability of the i-th label.
-func (h *Histogram) ProbAt(i int) float64 { return h.probs[i] }
-
 // Sample draws a label according to the distribution.
 func (h *Histogram) Sample(rng *rand.Rand) string {
 	u := rng.Float64()
@@ -94,16 +91,6 @@ func (h *Histogram) Sample(rng *rand.Rand) string {
 		i = len(h.labels) - 1
 	}
 	return h.labels[i]
-}
-
-// SampleN draws n labels and returns the realized counts; useful for
-// generating random circuits matching the histogram in distribution.
-func (h *Histogram) SampleN(rng *rand.Rand, n int) map[string]int {
-	counts := make(map[string]int, h.Len())
-	for i := 0; i < n; i++ {
-		counts[h.Sample(rng)]++
-	}
-	return counts
 }
 
 // TotalVariationDistance returns the total-variation distance between two

@@ -3,7 +3,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -95,38 +94,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MeanStd returns the mean and sample standard deviation in one pass.
-func MeanStd(xs []float64) (mean, std float64) {
-	return Mean(xs), StdDev(xs)
-}
-
-// Covariance returns the unbiased sample covariance of paired samples.
-func Covariance(xs, ys []float64) float64 {
-	n := len(xs)
-	if len(ys) != n {
-		panic(fmt.Sprintf("stats: Covariance length mismatch %d vs %d", n, len(ys)))
-	}
-	if n < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	s := 0.0
-	for i := range xs {
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(n-1)
-}
-
-// Correlation returns the Pearson correlation coefficient of paired samples.
-// It returns 0 when either sample has zero variance.
-func Correlation(xs, ys []float64) float64 {
-	sx, sy := StdDev(xs), StdDev(ys)
-	if sx == 0 || sy == 0 {
-		return 0
-	}
-	return Covariance(xs, ys) / (sx * sy)
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. xs need not be sorted.
 func Quantile(xs []float64, q float64) float64 {
@@ -179,9 +146,6 @@ func (r *Running) Push(x float64) {
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
 }
-
-// N returns the number of samples pushed.
-func (r *Running) N() int { return r.n }
 
 // Mean returns the running mean.
 func (r *Running) Mean() float64 { return r.mean }

@@ -21,37 +21,6 @@ func TestMeanVariance(t *testing.T) {
 	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Errorf("empty/degenerate cases wrong")
 	}
-	m, s := MeanStd(xs)
-	if m != 5 || s != StdDev(xs) {
-		t.Errorf("MeanStd inconsistent")
-	}
-}
-
-func TestCovarianceCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10} // ys = 2xs, perfectly correlated
-	if c := Correlation(xs, ys); math.Abs(c-1) > 1e-12 {
-		t.Errorf("Correlation = %g, want 1", c)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if c := Correlation(xs, neg); math.Abs(c+1) > 1e-12 {
-		t.Errorf("Correlation = %g, want -1", c)
-	}
-	if c := Correlation(xs, []float64{3, 3, 3, 3, 3}); c != 0 {
-		t.Errorf("zero-variance correlation = %g, want 0", c)
-	}
-	if cv := Covariance(xs, ys); math.Abs(cv-2*Variance(xs)) > 1e-12 {
-		t.Errorf("Covariance = %g", cv)
-	}
-}
-
-func TestCovariancePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic on length mismatch")
-		}
-	}()
-	Covariance([]float64{1}, []float64{1, 2})
 }
 
 func TestQuantile(t *testing.T) {
@@ -93,9 +62,6 @@ func TestRunningMatchesBatch(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64()*3 + 7
 		r.Push(xs[i])
-	}
-	if r.N() != 1000 {
-		t.Errorf("N = %d", r.N())
 	}
 	if math.Abs(r.Mean()-Mean(xs)) > 1e-10 {
 		t.Errorf("running mean %g != batch %g", r.Mean(), Mean(xs))
@@ -146,8 +112,8 @@ func TestHistogramBasics(t *testing.T) {
 		t.Errorf("P(absent) = %g, want 0", p)
 	}
 	sum := 0.0
-	for i := 0; i < h.Len(); i++ {
-		sum += h.ProbAt(i)
+	for _, l := range h.Labels() {
+		sum += h.Prob(l)
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("probabilities sum to %g", sum)
@@ -172,7 +138,10 @@ func TestHistogramErrors(t *testing.T) {
 func TestHistogramSampling(t *testing.T) {
 	h, _ := NewHistogram(map[string]float64{"x": 3, "y": 1})
 	rng := NewRNG(9, "hist")
-	counts := h.SampleN(rng, 40000)
+	counts := map[string]int{}
+	for i := 0; i < 40000; i++ {
+		counts[h.Sample(rng)]++
+	}
 	fx := float64(counts["x"]) / 40000
 	if math.Abs(fx-0.75) > 0.02 {
 		t.Errorf("empirical P(x) = %g, want ≈0.75", fx)

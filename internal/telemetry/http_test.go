@@ -71,7 +71,7 @@ func TestPromHandlerDuringConcurrentWrites(t *testing.T) {
 				r.Counter("writes_total").Inc()
 				r.Gauge("level").Set(float64(i))
 				r.Counter(fmt.Sprintf(`sharded_total{w="%d"}`, w)).Inc()
-				r.Histogram("lat_seconds", nil).Observe(float64(i) * 1e-6)
+				r.Histogram("lat_seconds", nil).ObserveEx(float64(i)*1e-6, "")
 			}
 		}(w)
 	}

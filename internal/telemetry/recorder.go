@@ -144,13 +144,8 @@ func (f *FlightRecorder) List() []TraceSummary {
 }
 
 // recorder is the process-wide default flight recorder; nil until
-// EnableFlightRecorder/SetFlightRecorder.
+// EnableFlightRecorder.
 var recorder atomic.Pointer[FlightRecorder]
-
-// SetFlightRecorder installs f as the process-wide flight recorder; nil
-// disables trace retention (the zero-overhead default — Record on a nil
-// recorder is a no-op).
-func SetFlightRecorder(f *FlightRecorder) { recorder.Store(f) }
 
 // Recorder returns the installed flight recorder, or nil.
 func Recorder() *FlightRecorder { return recorder.Load() }

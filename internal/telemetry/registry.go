@@ -152,16 +152,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add increments the gauge by delta with a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -208,9 +198,6 @@ func newHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) { h.ObserveEx(v, "") }
 
 // ObserveEx records one sample and, when traceID is non-empty, stores it as
 // the landing bucket's exemplar (last writer wins).

@@ -18,8 +18,8 @@ func TestCounterConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				r.Counter("c").Inc()
-				r.Histogram("h", DurationBuckets).Observe(0.003)
-				r.Gauge("g").Add(1)
+				r.Histogram("h", DurationBuckets).ObserveEx(0.003, "")
+				r.Gauge("g").Set(goroutines * perG)
 			}
 		}()
 	}
@@ -41,7 +41,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("edges", []float64{1, 2.5})
 	for _, v := range []float64{0.5, 1.0, 1.0001, 2.5, 2.6, 1e9} {
-		h.Observe(v)
+		h.ObserveEx(v, "")
 	}
 	want := []int64{2, 2, 2} // (≤1): 0.5, 1 — (≤2.5): 1.0001, 2.5 — +Inf: 2.6, 1e9
 	got := h.BucketCounts()
@@ -96,9 +96,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter(Label("degradations_total", "reason", "timeout")).Add(2)
 	r.Gauge("g").Set(1.5)
 	h := r.Histogram(Label("h", "stage", "x"), []float64{1, 2})
-	h.Observe(0.5)
-	h.Observe(1)
-	h.Observe(3)
+	h.ObserveEx(0.5, "")
+	h.ObserveEx(1, "")
+	h.ObserveEx(3, "")
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	want := `# TYPE degradations_total counter
@@ -121,7 +121,7 @@ func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(7)
 	r.Gauge("g").Set(0.25)
-	r.Histogram("h", []float64{1}).Observe(0.5)
+	r.Histogram("h", []float64{1}).ObserveEx(0.5, "")
 	snap := r.Snapshot()
 	if snap["c"] != int64(7) {
 		t.Errorf("snapshot counter = %v", snap["c"])
@@ -206,8 +206,8 @@ func TestTileMetricsPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("chipmc_tiles_total").Add(9)
 	h := r.Histogram("tile_duration_seconds", []float64{0.001, 0.01})
-	h.Observe(0.0005)
-	h.Observe(0.002)
+	h.ObserveEx(0.0005, "")
+	h.ObserveEx(0.002, "")
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	want := `# TYPE chipmc_tiles_total counter

@@ -86,13 +86,6 @@ func (t *Trace) SetOutcome(outcome string) {
 	t.mu.Unlock()
 }
 
-// add appends one completed stage to the flat timing breakdown.
-func (t *Trace) add(stage string, d time.Duration) {
-	t.mu.Lock()
-	t.stages = append(t.stages, StageTiming{Stage: stage, Duration: d})
-	t.mu.Unlock()
-}
-
 // Stages returns a copy of the recorded timings, in completion order.
 func (t *Trace) Stages() []StageTiming {
 	t.mu.Lock()

@@ -19,19 +19,12 @@ import (
 	"sync/atomic"
 )
 
-// def is the process-wide default registry; nil until Enable/SetDefault.
+// def is the process-wide default registry; nil until Enable.
 // sinkOn mirrors "def != nil" so hot paths pay one atomic bool load.
 var (
 	def    atomic.Pointer[Registry]
 	sinkOn atomic.Bool
 )
-
-// SetDefault installs r as the process-wide metrics sink; nil disables
-// metrics collection again (the zero-overhead default).
-func SetDefault(r *Registry) {
-	def.Store(r)
-	sinkOn.Store(r != nil)
-}
 
 // Default returns the installed metrics sink, or nil when metrics are off.
 func Default() *Registry { return def.Load() }
@@ -105,17 +98,7 @@ var logger atomic.Pointer[slog.Logger]
 // nil disables logging (the zero-overhead default).
 func SetLogger(l *slog.Logger) { logger.Store(l) }
 
-// Logger returns the installed logger, or nil when logging is disabled.
-func Logger() *slog.Logger { return logger.Load() }
-
-// Infof-style nil-checked logging helpers. args are slog key/value pairs.
-
-// Info logs at Info level when a logger is installed.
-func Info(msg string, args ...any) {
-	if l := logger.Load(); l != nil {
-		l.Info(msg, args...)
-	}
-}
+// Nil-checked logging helpers. args are slog key/value pairs.
 
 // Warn logs at Warn level when a logger is installed.
 func Warn(msg string, args ...any) {
