@@ -55,7 +55,9 @@ var freezeRoutes = []freezeRoute{
 		want: "5baa21bca8ae5417"},
 	{name: "qmc-dense", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC },
 		want: "690361c97eb213b6"},
-	{name: "qmc-grid", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC },
+	// qmc-grid-b1 keeps the name it had when the grid-qmc field batched its
+	// pairs: the field now always runs one pair (b1) per work item.
+	{name: "qmc-grid-b1", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC },
 		denseLimit: 8, want: "456a76a26a9ce56f"},
 	{name: "qmc-grid-vt", mutate: func(c *Config, _ float64) { c.Sampler = SamplerQMC; c.IncludeVt = true },
 		denseLimit: 8, want: "4186b88d706f6c0a"},

@@ -48,7 +48,7 @@ func setup(t *testing.T, n int) (Config, *netlist.Netlist, *placement.Placement)
 }
 
 func TestNewValidation(t *testing.T) {
-	cfg, nl, pl := setup(t, 16)
+	cfg, _, pl := setup(t, 16)
 	if _, err := New(Config{}, pl.Grid); err == nil {
 		t.Errorf("empty config accepted")
 	}
@@ -71,8 +71,18 @@ func TestNewValidation(t *testing.T) {
 	if m.regions != 8 {
 		t.Errorf("default grid dim = %d", m.regions)
 	}
-	if _, _, err := m.Moments(nl, pl, -1); err == nil {
-		t.Errorf("Moments accepted bad probability")
+}
+
+func TestMomentsErrors(t *testing.T) {
+	cfg, nl, pl := setup(t, 16)
+	m, err := New(cfg, pl.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{-1, 2} {
+		if _, _, err := m.Moments(nl, pl, p); err == nil {
+			t.Errorf("Moments accepted signal probability %g", p)
+		}
 	}
 }
 
