@@ -292,8 +292,11 @@ func BenchmarkGateLeakAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkFastTrueLeakage measures the tiled approximate truth against the
-// exact O(n²) at c7552 scale.
+// BenchmarkFastTrueLeakage measures the tiled approximate truth at c7552
+// scale (3,512 gates), below its ≈10⁴-gate crossover: here it is about 2×
+// slower than the exact O(n²) of BenchmarkTrueLeakageWorkers/workers=1
+// (69 ms against 36 ms in BENCH_leakest.json), which is why callers this
+// size should use TrueLeakageContext.
 func BenchmarkFastTrueLeakage(b *testing.B) {
 	lib := benchLib(b)
 	est, err := NewEstimator(lib, experiments.ChipProcess())

@@ -7,9 +7,9 @@
 // distribution. It validates the O(n²) "true leakage" analytics beyond the
 // paper's own validation and powers the Vt-ablation experiment.
 //
-// Two field samplers are available. The dense path factorizes the full n×n
-// covariance (O(n³) setup, O(n²) per trial) and is the historical,
-// bitwise-frozen reference. The FFT path exploits the regular placement
+// Two field samplers are available. The dense path factorizes the n×n
+// within-die covariance (O(n³) setup, O(n²) per trial) and is the exact
+// referee at small sizes. The FFT path exploits the regular placement
 // grid: the stationary WID kernel is circulant-embedded on a torus
 // (randvar.GridSampler), so setup is one 2-D FFT and each pair of trials
 // costs one O(S log S) transform in the torus size S — raising the
@@ -69,8 +69,8 @@ const (
 	// SamplerFFT beyond, falling back to dense if the grid embedding fails
 	// on a small design.
 	SamplerAuto Sampler = iota
-	// SamplerDense forces the dense-Cholesky field (the historical
-	// reference path; bitwise-frozen results).
+	// SamplerDense forces the dense-Cholesky field, the exact referee at
+	// small sizes.
 	SamplerDense
 	// SamplerFFT forces the circulant-embedding grid sampler.
 	SamplerFFT
@@ -264,7 +264,7 @@ func (r Route) Name() string {
 
 // Plan validates cfg for a design of n gates placed on grid and resolves
 // its route. Explicit sampler choices use their own default budget, auto
-// routes small designs to the frozen dense path and large ones to the FFT
+// routes small designs to the dense path and large ones to the FFT
 // path, the qmc sampler rides the grid above the same threshold, and an
 // explicit Config.MaxGates overrides the budget in every mode. Every
 // refused combination is refused here, before any field is built.
@@ -430,7 +430,7 @@ func RunContext(ctx context.Context, cfg Config, nl *netlist.Netlist, pl *placem
 		return Result{}, err
 	}
 	if cfg.Tail != nil {
-		tail, terr := runTail(ctx, cfg, nl.Name, pl, e, f, totals, res)
+		tail, terr := runTail(ctx, cfg, nl.Name, e, f, totals, res)
 		if terr != nil {
 			return Result{}, terr
 		}
@@ -524,12 +524,11 @@ func buildGateStates(cfg Config, nl *netlist.Netlist) ([]gateState, error) {
 	return gates, nil
 }
 
-// newCholesky assembles and factorizes the n×n channel-length covariance
-// over gate positions, Σ_ab = vd + σ_WID²·ρ_wid(d_ab) with vd + σ_WID² on the
-// diagonal, every entry of the mean at mean: the full field (vd = σ_D2D²,
-// mean L_nom) of the dense field, or the zero-mean within-die part alone
-// (vd = 0) behind the tilted dense field.
-func newCholesky(ctx context.Context, op string, proc *spatial.Process, pl *placement.Placement, vd, mean float64) (*randvar.MVNSampler, error) {
+// newCholesky assembles and factorizes the n×n within-die covariance over
+// gate positions, Σ_ab = σ_WID²·ρ_wid(d_ab), the zero-mean field the dense
+// field adds to the die-to-die shift.
+func newCholesky(ctx context.Context, proc *spatial.Process, pl *placement.Placement) (*randvar.MVNSampler, error) {
+	const op = "chipmc.Run"
 	n := len(pl.Site)
 	vw := proc.SigmaWID * proc.SigmaWID
 	endAssemble := telemetry.StartSpan(ctx, "chipmc.assemble")
@@ -538,24 +537,16 @@ func newCholesky(ctx context.Context, op string, proc *spatial.Process, pl *plac
 		if err := lkerr.FromContext(ctx, op); err != nil {
 			return nil, err
 		}
-		cov.Set(a, a, vd+vw)
+		cov.Set(a, a, vw)
 		for b := a + 1; b < n; b++ {
-			rho := 0.0
-			if vw > 0 {
-				rho = proc.WIDCorr.Rho(pl.Dist(a, b))
-			}
-			c := vd + vw*rho
+			c := vw * proc.WIDCorr.Rho(pl.Dist(a, b))
 			cov.Set(a, b, c)
 			cov.Set(b, a, c)
 		}
 	}
 	endAssemble()
-	means := make([]float64, n)
-	for i := range means {
-		means[i] = mean
-	}
 	endChol := telemetry.StartSpan(ctx, "chipmc.cholesky")
-	sampler, err := randvar.NewMVNSampler(means, cov)
+	sampler, err := randvar.NewMVNSampler(cov)
 	endChol()
 	if err != nil {
 		// Factorization failures (non-PD covariance, NaN factor) are

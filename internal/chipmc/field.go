@@ -11,7 +11,6 @@ import (
 	"leakest/internal/parallel"
 	"leakest/internal/placement"
 	"leakest/internal/randvar"
-	"leakest/internal/spatial"
 	"leakest/internal/stats"
 	"leakest/internal/telemetry"
 )
@@ -20,19 +19,23 @@ import (
 // both qmc bodies, tiled, and the importance-sampled tail trials — runs the
 // same body: seed the worker's PRNG from the run's trial stream, let the
 // route's field fill the per-gate channel lengths, evaluate the chip total,
-// and weigh it. Routes differ only in their field:
+// and weigh it.
 //
-//   - denseField: the dense-Cholesky field, with the leading normals taken
-//     from a scrambled-Sobol point on the qmc route (SamplePartialInto;
-//     fixed = 0 is bitwise SampleInto);
+// Every field splits a trial's lengths the way the paper's variation model
+// does: L_g = L_nom + σ_D2D·(z₀+θ) + wid_g, one die-to-die deviate z₀ shared
+// by all gates (tilted by θ on importance-sampled trials) plus a zero-mean
+// within-die field drawn by a randvar sampler. The split lives here alone;
+// the samplers know only the within-die field. Routes differ only in how
+// they draw z₀ and the within-die field:
+//
+//   - denseField: the within-die Cholesky field, with z₀ and the leading
+//     normals taken from a scrambled-Sobol point on the qmc route; the IS
+//     trials of a dense run reuse the primary's factor;
 //   - pairField: the circulant-embedding torus, drawn in Dietrich–Newsam
 //     pairs — trials 2p and 2p+1 read the real and imaginary parts of pair
 //     p's inverse-transformed torus — for fft trials, grid-qmc trials
 //     (qmc.go) and every IS trial on a grid;
-//   - tiledField: one shared D2D deviate plus per-tile WID pair tori
-//     (tiled.go);
-//   - tiltedDenseField: the D2D deviate plus the within-die Cholesky, for IS
-//     trials on the dense route.
+//   - tiledField: per-tile within-die pair tori (tiled.go).
 //
 // Each field owns its per-worker scratch, warmed on a worker's first work
 // item; every work item after that is allocation-free (TestTrialBodyAllocs).
@@ -48,7 +51,7 @@ type field interface {
 	// was seeded from the run's trial stream, and the per-gate state and Vt
 	// draws continue from it afterwards. tilt shifts the shared D2D deviate
 	// by θ; fill returns the raw deviate z₀ the likelihood ratio is formed
-	// from (fields that take no tilt return 0).
+	// from.
 	fill(w int, rng *rand.Rand, ls []float64, trial int, tilt float64) (z0 float64, err error)
 }
 
@@ -145,40 +148,61 @@ func (e *engine) block(op string, w, blk int, s *trialSet) error {
 	return nil
 }
 
-// denseField samples the dense-Cholesky field. On the qmc route the first
-// qdims normals of trial i come from Sobol point i, the rest from the trial
-// stream; with qdims = 0 every normal comes from the stream.
+// denseField samples the dense-Cholesky field: z₀, then the within-die
+// field wid ~ N(0, σ_WID²·ρ) through the Cholesky factor (nil on a WID-free
+// process). z holds z₀ at z[0] and the within-die normals after it. On the
+// qmc route z[:qdims] of trial i comes from Sobol point i and the rest from
+// the trial stream; off it every normal comes from the stream.
 type denseField struct {
 	perTrial
-	mvn   *randvar.MVNSampler
-	seq   *randvar.SobolSeq
-	qdims int
-	z     [][]float64 // per-worker standard-normal scratch
+	lnom, sd2d float64
+	wid        *randvar.MVNSampler
+	seq        *randvar.SobolSeq // nil off the qmc route
+	qdims      int
+	z          [][]float64 // per-worker standard-normal scratch
 }
 
-func (f *denseField) fill(w int, rng *rand.Rand, ls []float64, trial int, _ float64) (float64, error) {
+func (f *denseField) fill(w int, rng *rand.Rand, ls []float64, trial int, tilt float64) (float64, error) {
 	z := f.z[w]
 	if z == nil {
-		z = make([]float64, len(ls))
+		z = make([]float64, 1+len(ls))
 		f.z[w] = z
 	}
-	if f.qdims > 0 {
+	fixed := 0
+	if f.seq != nil {
 		f.seq.NormalsInto(uint32(trial), z[:f.qdims])
+		fixed = f.qdims - 1
+	} else {
+		z[0] = rng.NormFloat64()
 	}
-	f.mvn.SamplePartialInto(rng, z, ls, f.qdims)
-	return 0, nil
+	if f.wid != nil {
+		f.wid.SamplePartialInto(rng, z[1:], ls, fixed)
+	} else {
+		clear(ls)
+	}
+	shift := f.lnom + f.sd2d*(z[0]+tilt)
+	for g := range ls {
+		ls[g] += shift
+	}
+	return z[0], nil
 }
 
-// newDenseField factorizes the full channel-length covariance; qmc selects
-// the low-discrepancy leading dimensions.
+// newDenseField factorizes the within-die covariance, unless the process
+// has none; qmc selects the low-discrepancy leading dimensions: z₀ on
+// coordinate 0, the first within-die normals on coordinates 1 and up.
 func newDenseField(ctx context.Context, cfg Config, qmc bool, name string, pl *placement.Placement, workers int) (*denseField, error) {
-	mvn, err := newCholesky(ctx, "chipmc.Run", cfg.Proc, pl, cfg.Proc.SigmaD2D*cfg.Proc.SigmaD2D, cfg.Proc.LNominal)
-	if err != nil {
-		return nil, err
+	proc := cfg.Proc
+	f := &denseField{lnom: proc.LNominal, sd2d: proc.SigmaD2D, z: make([][]float64, workers)}
+	dims := 1
+	var err error
+	if proc.SigmaWID > 0 {
+		if f.wid, err = newCholesky(ctx, proc, pl); err != nil {
+			return nil, err
+		}
+		dims += len(pl.Site)
 	}
-	f := &denseField{mvn: mvn, z: make([][]float64, workers)}
 	if qmc {
-		f.qdims = min(len(pl.Site), randvar.SobolMaxDims)
+		f.qdims = min(dims, randvar.SobolMaxDims)
 		if f.seq, err = qmcSeq(cfg, name, f.qdims); err != nil {
 			return nil, err
 		}
@@ -196,6 +220,7 @@ func newDenseField(ctx context.Context, cfg Config, qmc bool, name string, pl *p
 // from coordinates 0/1 of Sobol point p, whose further coordinates replace
 // the leading spectral modes (qmc.go).
 type pairField struct {
+	lnom, sd2d float64
 	gs         *randvar.GridSampler
 	sites      []int
 	seq        *randvar.SobolSeq // nil off the qmc route
@@ -220,6 +245,8 @@ type pairBuf struct {
 // newQMCPairField adds the Sobol sequence.
 func newPairField(cfg Config, name, label string, gs *randvar.GridSampler, sites []int, workers int) *pairField {
 	return &pairField{
+		lnom:       cfg.Proc.LNominal,
+		sd2d:       cfg.Proc.SigmaD2D,
 		gs:         gs,
 		sites:      sites,
 		pairStream: stats.NewStream(cfg.Seed, "chipmc/"+name+"/"+label),
@@ -263,9 +290,10 @@ func (f *pairField) fill(w int, rng *rand.Rand, ls []float64, trial int, tilt fl
 	} else {
 		z0 = rng.NormFloat64()
 	}
-	f.gs.ExtractPair(b.torus, trial%2, z0+tilt, b.field)
+	f.gs.ExtractPair(b.torus, trial%2, b.field)
+	shift := f.lnom + f.sd2d*(z0+tilt)
 	for g, s := range f.sites {
-		ls[g] = b.field[s]
+		ls[g] = shift + b.field[s]
 	}
 	return z0, nil
 }
@@ -277,52 +305,4 @@ func inversePair(gs *randvar.GridSampler, torus, scratch []complex128) error {
 	tm, tn := gs.TorusDims()
 	g := gs.Grid()
 	return fft.Transform2DInto(torus, tm, tn, min(g.Rows, tm), min(g.Cols, tn), true, scratch)
-}
-
-// tiltedDenseField is the dense route's IS field. It decomposes the field
-// explicitly — L_g = L_nom + σ_D2D·(z₀+θ) + wid_g with wid ~ N(0, σ_WID²·ρ)
-// — which samples exactly the law of the joint covariance
-// Σ = σ_D2D²·11ᵀ + σ_WID²·R at θ = 0, since the D2D component is a rank-one
-// common term.
-type tiltedDenseField struct {
-	perTrial
-	wid        *randvar.MVNSampler // nil when σ_WID = 0
-	lnom, sd2d float64
-	z          [][]float64
-}
-
-// newTiltedDenseField factorizes the zero-mean within-die covariance. A
-// second O(n³) factorization is acceptable: the dense route is bounded by
-// DefaultMaxGates and tail estimation is opt-in.
-func newTiltedDenseField(ctx context.Context, proc *spatial.Process, pl *placement.Placement, workers int) (*tiltedDenseField, error) {
-	f := &tiltedDenseField{lnom: proc.LNominal, sd2d: proc.SigmaD2D, z: make([][]float64, workers)}
-	if proc.SigmaWID > 0 {
-		wid, err := newCholesky(ctx, "chipmc.Tail", proc, pl, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		f.wid = wid
-	}
-	return f, nil
-}
-
-func (f *tiltedDenseField) fill(w int, rng *rand.Rand, ls []float64, _ int, tilt float64) (float64, error) {
-	z0 := rng.NormFloat64()
-	shift := f.lnom + f.sd2d*(z0+tilt)
-	if f.wid == nil {
-		for g := range ls {
-			ls[g] = shift
-		}
-		return z0, nil
-	}
-	z := f.z[w]
-	if z == nil {
-		z = make([]float64, len(ls))
-		f.z[w] = z
-	}
-	f.wid.SampleInto(rng, z, ls)
-	for g := range ls {
-		ls[g] += shift
-	}
-	return z0, nil
 }

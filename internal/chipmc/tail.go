@@ -8,7 +8,6 @@ import (
 
 	"leakest/internal/fault"
 	"leakest/internal/lkerr"
-	"leakest/internal/placement"
 	"leakest/internal/randvar"
 	"leakest/internal/stats"
 	"leakest/internal/telemetry"
@@ -243,7 +242,7 @@ func selectTilt(tc *TailConfig, res Result, gates []gateState, lnom float64) flo
 // requested — the importance-sampled deep-tail exceedance with its health-
 // gated fallback. The IS trials run through the primary's engine on the
 // tilted counterpart of its field (tailField).
-func runTail(ctx context.Context, cfg Config, name string, pl *placement.Placement,
+func runTail(ctx context.Context, cfg Config, name string,
 	e *engine, primary field, totals []float64, res Result) (*TailStats, error) {
 	const op = "chipmc.Tail"
 	tc := cfg.Tail
@@ -284,10 +283,7 @@ func runTail(ctx context.Context, cfg Config, name string, pl *placement.Placeme
 		return ts, nil
 	}
 
-	f, err := tailField(ctx, cfg, name, pl, primary, len(e.bufs))
-	if err != nil {
-		return nil, err
-	}
+	f := tailField(cfg, name, primary, len(e.bufs))
 	scale := tc.WeightScale
 	if scale == 0 {
 		scale = 1
@@ -356,20 +352,22 @@ func runTail(ctx context.Context, cfg Config, name string, pl *placement.Placeme
 // tailField returns the IS counterpart of a primary field. Every grid
 // route tilts the D2D deviates of pseudo-random pairs: the fft and qmc-grid
 // routes get the pair field on pair streams of their own (tailpair#), the
-// tiled field its per-(tile, pair) streams of the same name; each IS trial
-// still draws its raw z₀ and per-gate states from the one tail stream. The
-// dense route — whose joint Cholesky has no separate D2D coordinate — gets
-// the tilted dense field.
-func tailField(ctx context.Context, cfg Config, name string, pl *placement.Placement, primary field, workers int) (field, error) {
+// tiled field its per-(tile, pair) streams of the same name. The dense
+// route hands its field over without the Sobol sequence, so one Cholesky
+// factor serves the primary and the IS trials. Each IS trial draws its raw
+// z₀ and per-gate states from the one tail stream.
+func tailField(cfg Config, name string, primary field, workers int) field {
 	switch f := primary.(type) {
 	case *pairField:
 		t := newPairField(cfg, name, "tailpair#", f.gs, f.sites, workers)
 		t.bufs = f.bufs
-		return t, nil
+		return t
 	case *tiledField:
 		t := *f
 		t.streams = tileStreams(cfg, name, len(f.slots), "tailpair#")
-		return &t, nil
+		return &t
 	}
-	return newTiltedDenseField(ctx, cfg.Proc, pl, workers)
+	t := *primary.(*denseField)
+	t.seq = nil
+	return &t
 }

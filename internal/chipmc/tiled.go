@@ -48,11 +48,11 @@ type tileSlot struct {
 // streams[t] keyed by p, so totals are bitwise invariant under the worker
 // count; the primary and the IS trials differ only in those streams.
 type tiledField struct {
-	sigmaD2D float64
-	slots    []tileSlot
-	samplers []*randvar.GridSampler
-	streams  []stats.Stream
-	bufs     []tiledBuf
+	lnom, sd2d float64
+	slots      []tileSlot
+	samplers   []*randvar.GridSampler
+	streams    []stats.Stream
+	bufs       []tiledBuf
 }
 
 // tiledBuf is one worker's scratch, sized for the largest sampler geometry
@@ -63,13 +63,13 @@ type tiledBuf struct {
 	torus   []complex128
 	scratch []complex128
 	field   []float64
-	wid     [2][]float64 // indexed by gate; [0] real channel, [1] imaginary
+	wid     [2][]float64 // L_nom + WID, indexed by gate; [0] real channel, [1] imaginary
 }
 
 func (f *tiledField) block() int { return 2 }
 
-// begin draws pair lo/2 tile by tile and gathers both of its channels onto
-// the tile's gates.
+// begin draws pair lo/2 tile by tile and gathers both of its channels,
+// offset by L_nom, onto the tile's gates.
 func (f *tiledField) begin(w, lo int) error {
 	b := &f.bufs[w]
 	if b.rng == nil {
@@ -103,9 +103,9 @@ func (f *tiledField) begin(w, lo int) error {
 		}
 		field := b.field[:gs.Sites()]
 		for ch, wid := range b.wid {
-			gs.ExtractPair(torus, ch, 0, field)
+			gs.ExtractPair(torus, ch, field)
 			for i, g := range slot.gates {
-				wid[g] = field[slot.sites[i]]
+				wid[g] = f.lnom + field[slot.sites[i]]
 			}
 		}
 	}
@@ -117,7 +117,7 @@ func (f *tiledField) begin(w, lo int) error {
 // exactly as on the monolithic grid field.
 func (f *tiledField) fill(w int, rng *rand.Rand, ls []float64, trial int, tilt float64) (float64, error) {
 	z0 := rng.NormFloat64()
-	shift := f.sigmaD2D * (z0 + tilt)
+	shift := f.sd2d * (z0 + tilt)
 	for g, v := range f.bufs[w].wid[trial%2] {
 		ls[g] = v + shift
 	}
@@ -156,7 +156,6 @@ func newTiledField(ctx context.Context, cfg Config, name string, pl *placement.P
 
 	endSetup := telemetry.StartSpan(ctx, "chipmc.tile_setup")
 	defer endSetup()
-	widProc := cfg.Proc.WIDOnly()
 	type dims struct{ rows, cols int }
 	samplerIdx := make(map[dims]int)
 	var samplers []*randvar.GridSampler
@@ -169,7 +168,7 @@ func newTiledField(ctx context.Context, cfg Config, name string, pl *placement.P
 		idx, ok := samplerIdx[d]
 		if !ok {
 			sub := placement.Grid{Rows: d.rows, Cols: d.cols, SiteW: grid.SiteW, SiteH: grid.SiteH}
-			gs, gerr := randvar.NewGridSamplerContext(ctx, widProc, sub)
+			gs, gerr := randvar.NewGridSamplerContext(ctx, cfg.Proc, sub)
 			if gerr == nil {
 				if ferr := fault.Failure(fault.SiteFFTSetup); ferr != nil {
 					gs, gerr = nil, ferr
@@ -189,7 +188,8 @@ func newTiledField(ctx context.Context, cfg Config, name string, pl *placement.P
 	}
 
 	return &tiledField{
-		sigmaD2D: cfg.Proc.SigmaD2D,
+		lnom:     cfg.Proc.LNominal,
+		sd2d:     cfg.Proc.SigmaD2D,
 		slots:    slots,
 		samplers: samplers,
 		streams:  tileStreams(cfg, name, len(parts), "pair#"),

@@ -36,7 +36,8 @@ const (
 	// qmcFixtureName labels every check of the suite.
 	qmcFixtureName = "qmc-fig6"
 	// qmcGates is the fixture size: a 6×6 die, small enough that the dense
-	// qmc path runs fully low-discrepancy (36 ≤ randvar.SobolMaxDims).
+	// qmc path runs fully low-discrepancy (the D2D deviate plus 36
+	// within-die normals: 1 + 36 = 37 = randvar.SobolMaxDims).
 	qmcGates = 36
 	// qmcRefTrials sizes the frozen pseudo-random referee runs.
 	qmcRefTrials = 4000

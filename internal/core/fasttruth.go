@@ -23,6 +23,14 @@ import (
 // correlation length keeps the σ error well under a percent (validated in
 // the tests and the accuracy/speed trade-off benchmark).
 //
+// The T²·p² term and the per-tile setup make it slower than the exact
+// pair loop below about 10⁴ gates. Measured on a 2-core Xeon host with
+// ChipProcess (exact at 1 / 2 workers, best of 3): 3,512 gates 15.9 /
+// 11.8 ms exact against 41–43 ms here; 11,236 gates 169 / 113 ms against
+// 145–155 ms; 30,000 gates 2.35 / 1.12 s against 0.35 s; 60,000 gates
+// 14.0 / 7.45 s against 0.74–0.79 s, with σ errors of −0.11 % to −0.026 %.
+// Below the crossover the exact TrueStats is both faster and exact.
+//
 // A non-positive tile selects the default: a quarter of the process's
 // effective correlation range (clamped to at least two site pitches). The
 // placed design is the one the model's spec was extracted from (ExtractSpec

@@ -16,7 +16,7 @@ import (
 // off one channel (ExtractPair).
 //
 // On the quasi-Monte-Carlo route the low-discrepancy deviates drive the
-// pair's shared D2D scalars and the leading spectral modes (the largest
+// leading spectral modes (the largest
 // per-mode amplitudes, where nearly all of the field variance lives, via
 // TopModes and SetMode); the remaining modes stay pseudo-random from the
 // pair's own PRNG stream. Both channels of an overwritten mode come from
@@ -108,22 +108,18 @@ func (s *GridSampler) SetMode(torus []complex128, k int, g1, g2 float64) {
 	torus[k] = complex(a*g1, a*g2)
 }
 
-// ExtractPair reads one of the two independent fields out of an
-// inverse-transformed pair torus: channel 0 is the real part, channel 1 the
-// imaginary part, each shifted by the trial's D2D term L_nom + σ_D2D·z0.
-// Only the grid's Rows×Cols corner of the torus is read. field must have
-// length Sites. An importance-sampling caller passes the tilted deviate
-// z0 + θ; at θ = 0 the field is bitwise that of z0. Allocation-free.
-func (s *GridSampler) ExtractPair(torus []complex128, channel int, z0 float64, field []float64) {
+// ExtractPair reads one of the two independent zero-mean WID fields out of
+// an inverse-transformed pair torus: channel 0 is the real part, channel 1
+// the imaginary part. Only the grid's Rows×Cols corner of the torus is read,
+// and a WID-free sampler writes zeros. field must have length Sites.
+// Allocation-free.
+func (s *GridSampler) ExtractPair(torus []complex128, channel int, field []float64) {
 	g := s.grid
 	if len(field) != g.Sites() {
 		panic(fmt.Sprintf("randvar: pair field length %d != %d sites", len(field), g.Sites()))
 	}
-	shift := s.mean + s.sd2d*z0
 	if s.scale == nil {
-		for i := range field {
-			field[i] = shift
-		}
+		clear(field)
 		return
 	}
 	if len(torus) != s.tm*s.tn {
@@ -134,11 +130,11 @@ func (s *GridSampler) ExtractPair(torus []complex128, channel int, z0 float64, f
 		out := field[r*g.Cols : (r+1)*g.Cols]
 		if channel == 0 {
 			for c := range out {
-				out[c] = shift + real(row[c])
+				out[c] = real(row[c])
 			}
 		} else {
 			for c := range out {
-				out[c] = shift + imag(row[c])
+				out[c] = imag(row[c])
 			}
 		}
 	}

@@ -16,8 +16,6 @@ import (
 func qmcTestSampler(t testing.TB, rows, cols int) *GridSampler {
 	t.Helper()
 	proc := &spatial.Process{
-		LNominal: 0.1,
-		SigmaD2D: 0,
 		SigmaWID: 0.004,
 		WIDCorr:  spatial.TruncatedExpCorr{Lambda: 3, R: 6},
 	}
@@ -60,12 +58,10 @@ func TestTopModesOrder(t *testing.T) {
 }
 
 // sampleInto draws one grid field the direct way, an independent reference
-// for the pair pipeline: the D2D deviate first, then the white-noise
-// spectrum in mode order, one inverse transform of the grid corner, and the
-// real part shifted by L_nom + σ_D2D·z₀.
+// for the pair pipeline: the white-noise spectrum in mode order, one
+// inverse transform of the grid corner, and its real part.
 func sampleInto(t *testing.T, s *GridSampler, rng *rand.Rand, field []float64) {
 	t.Helper()
-	z0 := rng.NormFloat64()
 	torus := make([]complex128, s.tm*s.tn)
 	for k, a := range s.scale {
 		torus[k] = complex(a*rng.NormFloat64(), a*rng.NormFloat64())
@@ -74,18 +70,17 @@ func sampleInto(t *testing.T, s *GridSampler, rng *rand.Rand, field []float64) {
 	if err := fft.Transform2DInto(torus, s.tm, s.tn, g.Rows, g.Cols, true, make([]complex128, fft.Scratch2DLen(s.tm, s.tn))); err != nil {
 		t.Fatal(err)
 	}
-	shift := s.mean + s.sd2d*z0
 	for r := 0; r < g.Rows; r++ {
 		for c := 0; c < g.Cols; c++ {
-			field[r*g.Cols+c] = shift + real(torus[r*s.tn+c])
+			field[r*g.Cols+c] = real(torus[r*s.tn+c])
 		}
 	}
 }
 
 // TestPairRealChannelMatchesSampleInto is the frozen-law anchor of the
 // Dietrich–Newsam pairing: feeding FillPairSpectrum from the same PRNG
-// stream the single-field draw uses (D2D deviate first, then the spectrum
-// in mode order), the pair's REAL channel — after a full-torus transform —
+// stream the single-field draw uses (the spectrum in mode order), the
+// pair's REAL channel — after a full-torus transform —
 // must reproduce that field bitwise; the imaginary channel is the extra,
 // independent field.
 func TestPairRealChannelMatchesSampleInto(t *testing.T) {
@@ -99,14 +94,12 @@ func TestPairRealChannelMatchesSampleInto(t *testing.T) {
 	scratch := make([]complex128, fft.Scratch2DLen(tm, tn))
 	for seed := int64(1); seed <= 5; seed++ {
 		sampleInto(t, s, stats.NewRNG(seed, "pair-ref"), ref)
-		rngB := stats.NewRNG(seed, "pair-ref")
-		z0 := rngB.NormFloat64()
-		s.FillPairSpectrum(rngB, torus)
+		s.FillPairSpectrum(stats.NewRNG(seed, "pair-ref"), torus)
 		if err := fft.Transform2DInto(torus, tm, tn, tm, tn, true, scratch); err != nil {
 			t.Fatal(err)
 		}
-		s.ExtractPair(torus, 0, z0, fa)
-		s.ExtractPair(torus, 1, -z0, fb)
+		s.ExtractPair(torus, 0, fa)
+		s.ExtractPair(torus, 1, fb)
 		for i := range ref {
 			if fa[i] != ref[i] {
 				t.Fatalf("seed %d site %d: pair real channel %v != single-field draw %v",
@@ -143,8 +136,8 @@ func TestPairImagChannelLaw(t *testing.T) {
 		if err := fft.Transform2DInto(torus, tm, tn, tm, tn, true, scratch); err != nil {
 			t.Fatal(err)
 		}
-		s.ExtractPair(torus, 0, rng.NormFloat64(), fa)
-		s.ExtractPair(torus, 1, rng.NormFloat64(), fb)
+		s.ExtractPair(torus, 0, fa)
+		s.ExtractPair(torus, 1, fb)
 		a0[p], a1[p] = fa[0], fa[1]
 		b0[p], b1[p] = fb[0], fb[1]
 	}
@@ -198,20 +191,18 @@ func TestSetModeOverride(t *testing.T) {
 	}
 }
 
-// TestSamplePartialIntoBlockedBitwise pins the register-blocked mean + L·z
-// to the one-row scalar reference bitwise, at sizes covering every residue
-// mod 4 and with fixed ∈ {0, 1, n}.
+// TestSamplePartialIntoBlockedBitwise pins the register-blocked L·z to the
+// one-row scalar reference bitwise, at sizes covering every residue mod 4
+// and with fixed ∈ {0, 1, n}.
 func TestSamplePartialIntoBlockedBitwise(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 130} {
-		mean := make([]float64, n)
 		cov := linalg.NewMatrix(n, n)
 		for i := 0; i < n; i++ {
-			mean[i] = 0.1 + 0.001*float64(i)
 			for j := 0; j < n; j++ {
 				cov.Set(i, j, 1e-4*math.Pow(0.9, math.Abs(float64(i-j))))
 			}
 		}
-		s, err := NewMVNSampler(mean, cov)
+		s, err := NewMVNSampler(cov)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +216,7 @@ func TestSamplePartialIntoBlockedBitwise(t *testing.T) {
 			s.SamplePartialInto(rng, z, out, fixed)
 			for i := 0; i < n; i++ {
 				row := s.l.Row(i)
-				want := mean[i]
+				want := 0.0
 				for j := 0; j <= i; j++ {
 					want += row[j] * z[j]
 				}
@@ -274,19 +265,34 @@ func TestTopModesMatchesFullSort(t *testing.T) {
 	}
 }
 
+// mvnDraw is the unblocked reference draw of s: n normals from rng in index
+// order into z, then out = L·z row by row.
+func mvnDraw(s *MVNSampler, rng *rand.Rand, z, out []float64) {
+	for i := range z {
+		z[i] = rng.NormFloat64()
+	}
+	for i := range out {
+		acc := 0.0
+		for j, v := range s.l.Row(i)[:i+1] {
+			acc += v * z[j]
+		}
+		out[i] = acc
+	}
+}
+
 // TestSamplePartialInto pins the dense-qmc hook: with fixed = 0 it is
-// bitwise SampleInto; with fixed = n it consumes nothing from the PRNG and
-// is a pure deterministic map of the supplied deviates.
+// bitwise the reference draw from the same stream; with fixed = n it
+// consumes nothing from the PRNG and is a pure deterministic map of the
+// supplied deviates.
 func TestSamplePartialInto(t *testing.T) {
 	const n = 6
-	mean := make([]float64, n)
 	cov := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			cov.Set(i, j, 2*math.Pow(0.5, math.Abs(float64(i-j))))
 		}
 	}
-	s, err := NewMVNSampler(mean, cov)
+	s, err := NewMVNSampler(cov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +303,11 @@ func TestSamplePartialInto(t *testing.T) {
 	rng1 := stats.NewRNG(11, "partial")
 	rng2 := stats.NewRNG(11, "partial")
 	for i := 0; i < 20; i++ {
-		s.SampleInto(rng1, z1, out1)
+		mvnDraw(s, rng1, z1, out1)
 		s.SamplePartialInto(rng2, z2, out2, 0)
 		for j := range out1 {
 			if out1[j] != out2[j] {
-				t.Fatalf("draw %d dim %d: fixed=0 %v != SampleInto %v", i, j, out2[j], out1[j])
+				t.Fatalf("draw %d dim %d: fixed=0 %v != reference draw %v", i, j, out2[j], out1[j])
 			}
 		}
 	}
@@ -349,7 +355,6 @@ func FuzzBatchedDraw(f *testing.F) {
 		corner := make([]complex128, s.TorusLen())
 		full := make([]complex128, s.TorusLen())
 		stream := stats.NewStream(seed, "fuzz-batch#")
-		rng := stats.NewRNG(seed, "fuzz-batch-z0")
 		fa := make([]float64, sites)
 		fb := make([]float64, sites)
 		ra := make([]float64, sites)
@@ -363,11 +368,10 @@ func FuzzBatchedDraw(f *testing.F) {
 			if err := fft.Transform2DInto(full, tm, tn, tm, tn, true, scratch); err != nil {
 				t.Fatal(err)
 			}
-			za, zb := rng.NormFloat64(), rng.NormFloat64()
-			s.ExtractPair(full, 0, za, ra)
-			s.ExtractPair(full, 1, zb, rb)
-			s.ExtractPair(corner, 0, za, fa)
-			s.ExtractPair(corner, 1, zb, fb)
+			s.ExtractPair(full, 0, ra)
+			s.ExtractPair(full, 1, rb)
+			s.ExtractPair(corner, 0, fa)
+			s.ExtractPair(corner, 1, fb)
 			for i := 0; i < sites; i++ {
 				if fa[i] != ra[i] || fb[i] != rb[i] {
 					t.Fatalf("%dx%d pair %d site %d: corner (%v, %v) != full (%v, %v)",
@@ -397,16 +401,13 @@ func (c pairLawCase) kernel(dr, dc int) float64 {
 	return vw * c.proc.WIDCorr.Rho(c.s.Grid().LagDist(dr, dc))
 }
 
-// pairLawCases returns the two embeddings the pair-law tests run on, both
-// zero-mean and WID-only so a channel is exactly its WID field: an exact
-// embedding of the short-range test kernel, and the clamped grid-minimal
-// embedding of the default process's 4 mm kernel.
+// pairLawCases returns the two embeddings the pair-law tests run on: an
+// exact embedding of the short-range test kernel, and the clamped
+// grid-minimal embedding of the default process's 4 mm kernel.
 func pairLawCases(t *testing.T) []pairLawCase {
 	t.Helper()
 	exact := gridTestProcess()
-	exact.LNominal, exact.SigmaD2D = 0, 0
 	clamped := spatial.Default90nm()
-	clamped.LNominal, clamped.SigmaD2D = 0, 0
 	cases := []pairLawCase{
 		{name: "exact", proc: exact},
 		{name: "clamped", proc: clamped},
@@ -472,7 +473,7 @@ func TestPairChannelsExactLaw(t *testing.T) {
 						t.Fatal(err)
 					}
 					for ch := range coef {
-						s.ExtractPair(torus, ch, 0, field)
+						s.ExtractPair(torus, ch, field)
 						coef[ch] = append(coef[ch], field...)
 					}
 				}

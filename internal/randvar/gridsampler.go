@@ -64,15 +64,13 @@ const embedClampBudget = 0.05
 // grid-minimal torus, clamps the (small, budgeted) negative eigenvalue mass
 // to zero, and renormalizes the spectrum so the site variance stays exactly
 // σ_WID²; ClampBias reports the resulting lag-covariance bias bound. The
-// fully shared D2D component is a scalar shift σ_D2D·z₀ added on top,
-// matching the dense sampler's Σ = σ_D2D² + σ_WID²·ρ_WID(d) decomposition.
+// fields are zero-mean: the nominal length and the die-to-die shift shared
+// by every site are the chip Monte Carlo's to add (internal/chipmc).
 type GridSampler struct {
 	grid   placement.Grid
 	tm, tn int
-	mean   float64
-	sd2d   float64
 	// scale[k] = sqrt(max(λ_k, 0)/(tm·tn)); nil when the process has no WID
-	// component (the field degenerates to the shared D2D shift).
+	// component (the field is zero).
 	scale []float64
 	// clampBias is the clamped negative spectral mass relative to the kernel
 	// variance; 0 for an exact embedding.
@@ -96,7 +94,7 @@ func NewGridSamplerContext(ctx context.Context, proc *spatial.Process, grid plac
 }
 
 // NewGridSampler builds the embedding for the process's WID kernel on the
-// grid. It fails when the kernel has significantly negative eigenvalue mass
+// grid; only σ_WID and the kernel are read. It fails when the kernel has significantly negative eigenvalue mass
 // even after torus enlargement — a kernel that is not (approximately)
 // positive definite on the plane.
 func NewGridSampler(proc *spatial.Process, grid placement.Grid) (*GridSampler, error) {
@@ -111,7 +109,7 @@ func NewGridSampler(proc *spatial.Process, grid placement.Grid) (*GridSampler, e
 	if err := fault.Failure(fault.SiteGridEmbed); err != nil {
 		return nil, err
 	}
-	s := &GridSampler{grid: grid, mean: proc.LNominal, sd2d: proc.SigmaD2D}
+	s := &GridSampler{grid: grid}
 	vw := proc.SigmaWID * proc.SigmaWID
 	if vw == 0 {
 		s.tm, s.tn = 1, 1

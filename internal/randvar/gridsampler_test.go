@@ -36,20 +36,18 @@ func newPairDrawer(s *GridSampler) *pairDrawer {
 		scratch: make([]complex128, fft.Scratch2DLen(tm, tn))}
 }
 
-// draw fills fa and fb with one pair of fields: the two D2D deviates are
-// the stream's first two normals, the white-noise spectrum the rest.
-func (d *pairDrawer) draw(t testing.TB, rng *rand.Rand, fa, fb []float64) (z0a, z0b float64) {
+// draw fills fa and fb with one pair of fields from the white-noise
+// spectrum rng draws.
+func (d *pairDrawer) draw(t testing.TB, rng *rand.Rand, fa, fb []float64) {
 	t.Helper()
 	s := d.s
-	z0a, z0b = rng.NormFloat64(), rng.NormFloat64()
 	s.FillPairSpectrum(rng, d.torus)
 	tm, tn := s.TorusDims()
 	if err := fft.Transform2DInto(d.torus, tm, tn, min(s.grid.Rows, tm), min(s.grid.Cols, tn), true, d.scratch); err != nil {
 		t.Fatal(err)
 	}
-	s.ExtractPair(d.torus, 0, z0a, fa)
-	s.ExtractPair(d.torus, 1, z0b, fb)
-	return z0a, z0b
+	s.ExtractPair(d.torus, 0, fa)
+	s.ExtractPair(d.torus, 1, fb)
 }
 
 // Property required by the embedding: the torus covariance implied by the
@@ -94,8 +92,8 @@ func TestGridSamplerKernelExactAtEveryLag(t *testing.T) {
 
 // The sampled fields' empirical moments — real and imaginary channels
 // pooled, since they are independent draws of one law — must match the
-// dense model Σ_ab = σ_D2D² + σ_WID²·ρ(d_ab) within Monte-Carlo standard
-// error.
+// zero-mean within-die model Σ_ab = σ_WID²·ρ(d_ab) within Monte-Carlo
+// standard error.
 func TestGridSamplerEmpiricalMoments(t *testing.T) {
 	proc := gridTestProcess()
 	grid := placement.Grid{Rows: 8, Cols: 8, SiteW: 2, SiteH: 2}
@@ -123,17 +121,16 @@ func TestGridSamplerEmpiricalMoments(t *testing.T) {
 			bs[i][tr], bs[i][tr+1] = fa[p], fb[p]
 		}
 	}
-	if m := stats.Mean(a); math.Abs(m-proc.LNominal) > 5*proc.TotalSigma()/math.Sqrt(trials) {
-		t.Errorf("field mean %g vs nominal %g", m, proc.LNominal)
+	if m := stats.Mean(a); math.Abs(m) > 5*proc.SigmaWID/math.Sqrt(trials) {
+		t.Errorf("field mean %g, want 0", m)
 	}
-	vd := proc.SigmaD2D * proc.SigmaD2D
 	vw := proc.SigmaWID * proc.SigmaWID
 	pl := &placement.Placement{Grid: grid, Site: identitySites(grid.Sites())}
 	for i, p := range partners {
-		want := vd + vw*proc.WIDCorr.Rho(pl.Dist(0, p))
+		want := vw * proc.WIDCorr.Rho(pl.Dist(0, p))
 		got := covariance(a, bs[i])
 		// SE of a sample covariance is O(var/√n); allow 5× with headroom.
-		se := 5 * (vd + vw) * 1.5 / math.Sqrt(trials)
+		se := 5 * vw * 1.5 / math.Sqrt(trials)
 		if math.Abs(got-want) > se {
 			t.Errorf("cov(site 0, site %d) = %g, want %g ± %g", p, got, want, se)
 		}
@@ -149,8 +146,7 @@ func identitySites(n int) []int {
 }
 
 // Two samplers over the same stream must agree bitwise, and the WID-free
-// process must produce constant fields equal to mean + σ_D2D·z₀ on both
-// channels.
+// (D2D-only) process must produce zero fields on both channels.
 func TestGridSamplerDeterminismAndD2DOnly(t *testing.T) {
 	proc := gridTestProcess()
 	grid := placement.Grid{Rows: 6, Cols: 10, SiteW: 2, SiteH: 2}
@@ -175,13 +171,10 @@ func TestGridSamplerDeterminismAndD2DOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := stats.NewRNG(7, "d2d-only")
-	wantA := d2d.LNominal + d2d.SigmaD2D*want.NormFloat64()
-	wantB := d2d.LNominal + d2d.SigmaD2D*want.NormFloat64()
 	newPairDrawer(sd).draw(t, stats.NewRNG(7, "d2d-only"), f1, g1)
 	for i := range f1 {
-		if f1[i] != wantA || g1[i] != wantB {
-			t.Fatalf("D2D-only fields not constant at %d: (%v, %v) vs (%v, %v)", i, f1[i], g1[i], wantA, wantB)
+		if f1[i] != 0 || g1[i] != 0 {
+			t.Fatalf("D2D-only fields not zero at %d: (%v, %v)", i, f1[i], g1[i])
 		}
 	}
 }
@@ -290,41 +283,5 @@ func TestGridSamplerSampleAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() { d.draw(t, rng, fa, fb) })
 	if allocs != 0 {
 		t.Errorf("pair draw allocates %.1f times, want 0", allocs)
-	}
-}
-
-// TestGridSamplerTiltedDraw pins the importance-sampling contract of
-// ExtractPair: the deviate z₀ + 0 gives bitwise the field of z₀, and at
-// z₀ + θ every site of either channel moves by exactly σ_D2D·θ while the
-// WID texture — the site-to-site differences — stays bitwise unchanged.
-func TestGridSamplerTiltedDraw(t *testing.T) {
-	proc := gridTestProcess()
-	grid := placement.Grid{Rows: 6, Cols: 10, SiteW: 2, SiteH: 2}
-	s, err := NewGridSampler(proc, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := newPairDrawer(s)
-	plain := make([]float64, s.Sites())
-	other := make([]float64, s.Sites())
-	tilted := make([]float64, s.Sites())
-	z0, _ := d.draw(t, stats.NewRNG(3, "tilt"), plain, other)
-	const theta = 2.5
-	for ch := 0; ch < 2; ch++ {
-		s.ExtractPair(d.torus, ch, z0, plain)
-		s.ExtractPair(d.torus, ch, z0+0, tilted)
-		for i := range plain {
-			if tilted[i] != plain[i] {
-				t.Fatalf("channel %d: z₀+0 field differs from z₀ at site %d: %v vs %v", ch, i, tilted[i], plain[i])
-			}
-		}
-		s.ExtractPair(d.torus, ch, z0+theta, tilted)
-		// Every site moves by σ_D2D·θ up to one rounding of the final add,
-		// which also pins that the WID texture is untouched by the tilt.
-		for i := range plain {
-			if dv := tilted[i] - plain[i] - proc.SigmaD2D*theta; math.Abs(dv) > 1e-15 {
-				t.Fatalf("channel %d site %d moved by %v, want σ_D2D·θ = %v", ch, i, tilted[i]-plain[i], proc.SigmaD2D*theta)
-			}
-		}
 	}
 }

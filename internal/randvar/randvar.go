@@ -166,47 +166,36 @@ func (p MGFParams) Moments() (mean, std float64, err error) {
 	return m1, math.Sqrt(v), nil
 }
 
-// MVNSampler draws samples from a multivariate normal N(mean, Σ) using a
-// pre-computed Cholesky factor of Σ.
+// MVNSampler draws samples from a zero-mean multivariate normal N(0, Σ)
+// using a pre-computed Cholesky factor of Σ.
 type MVNSampler struct {
-	mean []float64
-	l    *linalg.Matrix
+	l *linalg.Matrix
 }
 
-// NewMVNSampler prepares a sampler for N(mean, cov). cov must be symmetric
-// positive (semi-)definite; a tiny diagonal jitter is applied if needed.
-func NewMVNSampler(mean []float64, cov *linalg.Matrix) (*MVNSampler, error) {
-	if cov.Rows() != len(mean) || cov.Cols() != len(mean) {
-		return nil, fmt.Errorf("randvar: cov %dx%d incompatible with mean length %d",
-			cov.Rows(), cov.Cols(), len(mean))
+// NewMVNSampler prepares a sampler for N(0, cov). cov must be square and
+// symmetric positive (semi-)definite; a tiny diagonal jitter is applied if
+// needed.
+func NewMVNSampler(cov *linalg.Matrix) (*MVNSampler, error) {
+	if cov.Rows() != cov.Cols() {
+		return nil, fmt.Errorf("randvar: cov %dx%d is not square", cov.Rows(), cov.Cols())
 	}
 	l, _, err := linalg.CholeskyJittered(cov, 1e-6)
 	if err != nil {
 		return nil, fmt.Errorf("randvar: covariance factorization: %w", err)
 	}
-	m := make([]float64, len(mean))
-	copy(m, mean)
-	return &MVNSampler{mean: m, l: l}, nil
+	return &MVNSampler{l: l}, nil
 }
 
-// SampleInto fills out with one draw x = mean + L·z, z ~ N(0, I), using the
+// SamplePartialInto fills out with one draw x = L·z, z ~ N(0, I), using the
 // caller's standard-normal scratch z; out and z have the sampler's
-// dimension. The sampler is safe for concurrent draws as long as each worker
-// owns its z and out buffers. The draw consumes exactly one normal per
-// dimension from rng in index order, so a per-trial PRNG stream yields
-// identical fields at any worker count.
-func (s *MVNSampler) SampleInto(rng *rand.Rand, z, out []float64) {
-	s.SamplePartialInto(rng, z, out, 0)
-}
-
-// SamplePartialInto is SampleInto except the leading fixed entries of z are
-// taken as the caller supplied them — the quasi-MC hook: low-discrepancy
-// deviates drive the first Cholesky directions (which carry the most field
-// variance; with a D2D component the first column is the dominant shared
-// shift), and only z[fixed:] is drawn from rng, in index order. With
-// fixed = 0 the draw is bitwise identical to SampleInto. Allocation-free.
+// dimension. The leading fixed entries of z are taken as the caller
+// supplied them — the quasi-MC hook: low-discrepancy deviates drive the
+// first Cholesky directions — and only z[fixed:] is drawn from rng, in
+// index order, so a per-trial PRNG stream yields identical fields at any
+// worker count. The sampler is safe for concurrent draws as long as each
+// worker owns its z and out buffers. Allocation-free.
 func (s *MVNSampler) SamplePartialInto(rng *rand.Rand, z, out []float64, fixed int) {
-	n := len(s.mean)
+	n := s.l.Rows()
 	if len(out) != n {
 		panic(fmt.Sprintf("randvar: Sample out length %d != dim %d", len(out), n))
 	}
@@ -219,18 +208,18 @@ func (s *MVNSampler) SamplePartialInto(rng *rand.Rand, z, out []float64, fixed i
 	for i := fixed; i < n; i++ {
 		z[i] = rng.NormFloat64()
 	}
-	// Four rows of mean + L·z per pass over their shared prefix z[:i+1],
-	// then rows i+1..i+3 add their 1–3 trailing terms. Each row accumulates
-	// from mean[i] in ascending j, exactly as the one-row loop below does,
-	// so every output is bitwise the unblocked draw's while each z[j] is
-	// loaded once per four rows.
+	// Four rows of L·z per pass over their shared prefix z[:i+1], then rows
+	// i+1..i+3 add their 1–3 trailing terms. Each row accumulates from 0 in
+	// ascending j, exactly as the one-row loop below does, so every output
+	// is bitwise the unblocked draw's while each z[j] is loaded once per
+	// four rows.
 	i := 0
 	for ; i+3 < n; i += 4 {
 		zp := z[:i+1]
 		r0 := s.l.Row(i)[:len(zp)]
 		r1, r2, r3 := s.l.Row(i+1), s.l.Row(i+2), s.l.Row(i+3)
 		p1, p2, p3 := r1[:len(zp)], r2[:len(zp)], r3[:len(zp)]
-		a0, a1, a2, a3 := s.mean[i], s.mean[i+1], s.mean[i+2], s.mean[i+3]
+		var a0, a1, a2, a3 float64
 		for j, v := range zp {
 			a0 += r0[j] * v
 			a1 += p1[j] * v
@@ -248,7 +237,7 @@ func (s *MVNSampler) SamplePartialInto(rng *rand.Rand, z, out []float64, fixed i
 	}
 	for ; i < n; i++ {
 		row := s.l.Row(i)[:i+1]
-		acc := s.mean[i]
+		acc := 0.0
 		for j, v := range z[:i+1] {
 			acc += row[j] * v
 		}

@@ -365,8 +365,9 @@ func processKey(proc *spatial.Process) string {
 		proc.LNominal, proc.SigmaD2D, proc.SigmaWID, proc.SigmaVt, corrName(proc)))
 }
 
-// embeddingKey content-hashes the inputs the FFT torus embedding depends on:
-// the process (mean, D2D and WID sigma, kernel) and the placement grid.
+// embeddingKey content-hashes the FFT torus embedding's inputs. The
+// embedding reads only σ_WID, the kernel and the placement grid; the key
+// hashes the whole process anyway, so it is a superset of those inputs.
 func embeddingKey(proc *spatial.Process, rows, cols int, siteW, siteH float64) string {
 	return hashKey("embedding", processKey(proc),
 		fmt.Sprintf("%dx%d@%gx%g", rows, cols, siteW, siteH))

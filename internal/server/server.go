@@ -50,10 +50,6 @@ type Config struct {
 	QueueCap int
 	// MaxJobs caps live (queued+running) asynchronous jobs (default 64).
 	MaxJobs int
-	// KeepJobs caps retained finished jobs (default 256).
-	KeepJobs int
-	// CacheEntries caps completed artifact-cache entries (default 64).
-	CacheEntries int
 	// DefaultTimeout bounds a request that sets no timeout_ms (default 60s).
 	DefaultTimeout time.Duration
 	// Cells is the transistor-level cell set characterized per process
@@ -78,12 +74,6 @@ func (c *Config) setDefaults() {
 	if c.MaxJobs < 1 {
 		c.MaxJobs = 64
 	}
-	if c.KeepJobs < 1 {
-		c.KeepJobs = 256
-	}
-	if c.CacheEntries < 1 {
-		c.CacheEntries = 64
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
@@ -94,6 +84,13 @@ func (c *Config) setDefaults() {
 		c.EstimatorWorkers = 1
 	}
 }
+
+// keepJobs caps retained finished jobs, and cacheEntries caps completed
+// artifact-cache entries.
+const (
+	keepJobs     = 256
+	cacheEntries = 64
+)
 
 // execFn runs an admitted request; it is a seam so admission tests can
 // substitute deterministic work.
@@ -127,8 +124,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		adm:   newAdmission(cfg.Workers, cfg.QueueCap),
-		cache: newArtifactCache(cfg.CacheEntries),
-		jobs:  newJobSet(cfg.MaxJobs, cfg.KeepJobs),
+		cache: newArtifactCache(cacheEntries),
+		jobs:  newJobSet(cfg.MaxJobs, keepJobs),
 		rec:   telemetry.EnableFlightRecorder(),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -293,9 +290,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	tr := telemetry.NewTrace()
 	tr.SetID(id)
 	ctx = telemetry.WithTrace(ctx, tr)
+	// The 202 reports the job as accepted: snapshot it before it can run.
+	snap := j.snapshot()
 	s.wg.Add(1)
 	go s.runJob(ctx, cancel, j, tr)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	writeJSON(w, http.StatusAccepted, snap)
 }
 
 // runJob executes one asynchronous job through the shared admission pool.

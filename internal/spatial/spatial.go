@@ -261,15 +261,6 @@ func Default90nm() *Process {
 	}
 }
 
-// WIDOnly returns a copy of p with the D2D component removed, used by the
-// validation experiments that isolate within-die effects (Section 3.1.2
-// runs both configurations). The total sigma shrinks accordingly.
-func (p *Process) WIDOnly() *Process {
-	q := *p
-	q.SigmaD2D = 0
-	return &q
-}
-
 // AllWID returns a copy of p with the D2D variance folded into the WID
 // component, keeping the total sigma unchanged. This is the "solely WID
 // variations" configuration of §3.1.2 that remains consistent with a

@@ -158,12 +158,10 @@ func TestTotalSigmaAndCorr(t *testing.T) {
 		t.Errorf("CorrFloor = %g, want 0.36", got)
 	}
 	// WID-only process: floor is zero.
-	w := p.WIDOnly()
+	w := *p
+	w.SigmaD2D = 0
 	if w.CorrFloor() != 0 {
-		t.Errorf("WIDOnly floor = %g", w.CorrFloor())
-	}
-	if w.SigmaD2D != 0 || p.SigmaD2D == 0 {
-		t.Errorf("WIDOnly must zero D2D without mutating the original")
+		t.Errorf("WID-only floor = %g", w.CorrFloor())
 	}
 	// Degenerate process (no variation): correlation 0 by convention.
 	z := &Process{LNominal: 0.09}
