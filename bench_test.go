@@ -369,6 +369,27 @@ func BenchmarkEstimateLinear(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateTiled measures the tiled linear estimator on
+// BenchmarkEstimateLinear's million-gate design with 4 tiles per axis: the
+// same lag pass as the linear method, which also sums every tile shape's
+// lag box, plus the per-tile moments.
+func BenchmarkEstimateTiled(b *testing.B) {
+	lib := benchLib(b)
+	est, err := NewEstimator(lib, experiments.ChipProcess())
+	if err != nil {
+		b.Fatal(err)
+	}
+	est.Workers = envWorkers(b)
+	est.Tiles = 4
+	design := Design{Hist: benchHist(b), N: 1000000, W: 2000, H: 2000, SignalProb: 0.5}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := est.EstimateContext(context.Background(), design, Linear); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEstimateConstantTime measures the constant-time integral
 // estimator on the same million-gate design.
 func BenchmarkEstimateConstantTime(b *testing.B) {

@@ -33,6 +33,7 @@ import (
 // benchmarks sweep many sizes and are reported without one.
 var gateCounts = map[string]int{
 	"EstimateLinear":       1000000,
+	"EstimateTiled":        1000000,
 	"EstimateConstantTime": 1000000,
 	"TrueLeakage":          383,  // c880
 	"TrueLeakageWorkers":   3512, // c7552

@@ -115,7 +115,10 @@ func WriteSyntheticStream(w io.Writer, name string, rows, cols int, siteW, siteH
 // monolithic linear estimator fed the same (histogram, N, W, H);
 // Result.TileStats carries the per-tile picture using the stream's actual
 // per-tile populations when the model partition matches the stream's (it
-// does whenever the header's tiles fit both grid dimensions). Under a
+// does whenever the header's tiles fit both grid dimensions). The tile
+// stats come from the same lag pass as the global moments, so they cost no
+// second covariance evaluation, are bitwise the same at any worker count,
+// and a one-tile stream's TileStat has the Result's moments. Under a
 // non-zero Budget the ladder serves the estimate: the tiled linear method is
 // its O(n) rung, the O(1) integral its floor.
 func (e *Estimator) EstimateStream(ctx context.Context, r io.Reader, signalProb float64) (res Result, err error) {

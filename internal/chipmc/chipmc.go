@@ -531,6 +531,7 @@ func newCholesky(ctx context.Context, proc *spatial.Process, pl *placement.Place
 	const op = "chipmc.Run"
 	n := len(pl.Site)
 	vw := proc.SigmaWID * proc.SigmaWID
+	corr := proc.Prepare()
 	endAssemble := telemetry.StartSpan(ctx, "chipmc.assemble")
 	cov := linalg.NewMatrix(n, n)
 	for a := 0; a < n; a++ {
@@ -539,7 +540,7 @@ func newCholesky(ctx context.Context, proc *spatial.Process, pl *placement.Place
 		}
 		cov.Set(a, a, vw)
 		for b := a + 1; b < n; b++ {
-			c := vw * proc.WIDCorr.Rho(pl.Dist(a, b))
+			c := vw * corr.WID(pl.Dist(a, b))
 			cov.Set(a, b, c)
 			cov.Set(b, a, c)
 		}

@@ -4,19 +4,25 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"leakest/internal/fault"
 	"leakest/internal/parallel"
 	"leakest/internal/quad"
+	"leakest/internal/spatial"
 	"leakest/internal/telemetry"
 )
 
 // lagKernel sums the RG covariance over the lag lattice of the model's RG
-// array — the Eq. 17 regrouping shared by the linear, tiled and per-tile
-// sums (DESIGN.md §16). Lag (i, j), at d = hypot(i·dw, j·dh), carries the
-// integer pair population wc[i]·wr[j] of tileLagCounts.
+// array — the Eq. 17 regrouping shared by the linear and tiled sums
+// (DESIGN.md §16). Lag (i, j), at d = hypot(i·dw, j·dh), carries the
+// integer pair population wc[i]·wr[j] of tileLagCounts. The process's
+// d-independent correlation terms are prepared once per kernel, so a lag
+// costs one Hypot, one ρ_WID evaluation and one F spline lookup.
 type lagKernel struct {
 	m         *Model
+	corr      spatial.PreparedCorr
 	dw, dh, r float64 // r: the WID correlation range
 }
 
@@ -26,12 +32,35 @@ func (m *Model) newLagKernel(rows, cols int) lagKernel {
 	if m.Proc.SigmaWID > 0 && m.Proc.WIDCorr != nil {
 		r = m.Proc.WIDCorr.Range()
 	}
-	return lagKernel{m: m, dw: m.Spec.W / float64(cols), dh: m.Spec.H / float64(rows), r: r}
+	return lagKernel{m: m, corr: m.Proc.Prepare(), dw: m.Spec.W / float64(cols), dh: m.Spec.H / float64(rows), r: r}
+}
+
+// lagBox is the lag lattice of one rows×cols array: lag (i, j) for
+// i < cols, j < rows, with population lagCount(cols, i)·lagCount(rows, j).
+// A lag pass that sums the box leaves column i's sum in colSums[i], cols
+// long.
+type lagBox struct {
+	rows, cols int
+	colSums    []float64
+}
+
+// lagCount is lagCounts(dim)[i]: dim ordered pairs at lag 0, 2·(dim − i)
+// at lag i > 0.
+func lagCount(dim, i int) int64 {
+	if i == 0 {
+		return int64(dim)
+	}
+	return 2 * int64(dim-i)
 }
 
 // column adds the lags (i, j) of column i, j ascending and (0, 0) skipped,
-// to sum with weights wc·wr[j], and returns the new sum and how many lags
-// lie within r.
+// to a sum with weights wc·wr[j], and returns that sum and how many lags
+// lie within r. Each lag's covariance is evaluated once: with boxes, the
+// walk keeps the in-range ones in covs, as long as the tallest box, then
+// sums column i of every box that holds it, with the box's own weights and
+// the same range tail, into the box's colSums[i]. Boxes lie within the
+// global lattice of wr, and a box's sum is bitwise the one a walk of its
+// own lattice would give.
 //
 // Beyond r the spatial.CorrFunc contract gives ρ_WID = 0, so every such
 // lag has the covariance F(ρ_floor) of the column's first lag past r; the
@@ -43,64 +72,114 @@ func (m *Model) newLagKernel(rows, cols int) lagKernel {
 // past that, one step of dh raises the exact distance by at least dh/√2,
 // a relative rise of at least 1/(2(j+1)), far above Hypot's few-ulp
 // rounding error for any grid side below ~10¹³ (TestLagDistanceMonotone).
-func (k *lagKernel) column(sum float64, i int, wc int64, wr []int64) (float64, int) {
+func (k *lagKernel) column(i int, wc int64, wr []int64, boxes []lagBox, covs []float64) (float64, int) {
 	x := float64(i) * k.dw
 	first := 0
 	if i == 0 {
 		first = 1
 	}
+	// Lags [first, end) lie within r; every lag from end on has covariance
+	// tail, and a zero tail adds nothing.
+	end, tail := len(wr), 0.0
+	sum := 0.0
 	var seg quad.Segment
 	for j := first; j < len(wr); j++ {
 		d := math.Hypot(x, float64(j)*k.dh)
-		cov := k.m.covAtCorrFrom(k.m.Proc.TotalCorr(d), &seg)
+		cov := k.m.covAtCorrFrom(k.corr.At(d), &seg)
 		if d > k.r {
-			if cov != 0 { // a zero floor adds nothing: skip the tail
-				for t := j; t < len(wr); t++ {
-					sum += float64(wc*wr[t]) * cov
-				}
-			}
-			return sum, j - first
+			end, tail = j, cov
+			break
 		}
 		sum += float64(wc*wr[j]) * cov
+		if j < len(covs) {
+			covs[j] = cov
+		}
 	}
-	return sum, len(wr) - first
+	if tail != 0 {
+		for _, n := range wr[end:] {
+			sum += float64(wc*n) * tail
+		}
+	}
+	for _, bx := range boxes {
+		if i >= len(bx.colSums) { // beyond the box, or a box the walk does not sum
+			continue
+		}
+		w, s := lagCount(bx.cols, i), 0.0
+		for j := first; j < min(end, bx.rows); j++ {
+			s += float64(w*lagCount(bx.rows, j)) * covs[j]
+		}
+		if tail != 0 {
+			for t := end; t < bx.rows; t++ {
+				s += float64(w*lagCount(bx.rows, t)) * tail
+			}
+		}
+		bx.colSums[i] = s
+	}
+	return sum, end - first
 }
 
 // latticeVariance returns the Eq. 17 variance of the model's rows×cols RG
 // array, N·σ²_XI plus the off-diagonal lag sum with the lag populations
 // wc (columns) and wr (rows), occupancy-scaled by N(N−1)/(S(S−1)) when
-// the array has S ≠ N sites. Each column sums into its own slot and the
-// slots merge in index order, so the result is bitwise identical at any
-// worker count; ctx is checked, and progress reported, once per column.
-// The count of lags within the WID range, the ones evaluated one by one,
-// goes on the current span as lags_in_range.
-func (m *Model) latticeVariance(ctx context.Context, op, stage string, rows, cols int, wc, wr []int64) (variance float64, note string, err error) {
+// the array has S ≠ N sites. The same pass sums each of tiles, the lag
+// boxes of the tile shapes, and returns their unscaled off-diagonal sums
+// in tileOff; a box of the global lattice's own shape (one tile) takes the
+// global sum. Each column sums into its own slots and the slots merge in
+// index order, so every sum is bitwise identical at any worker count; ctx
+// is checked, and progress reported, once per column. The count of lags
+// within the WID range, the ones evaluated one by one, goes on the current
+// span as lags_in_range.
+func (m *Model) latticeVariance(ctx context.Context, op, stage string, rows, cols int, wc, wr []int64, tiles []lagBox) (variance float64, tileOff []float64, note string, err error) {
 	kern := m.newLagKernel(rows, cols)
+	boxes := slices.Clone(tiles)
+	tall := 0 // the tallest summed box's rows
+	for b, bx := range boxes {
+		if bx.cols != cols || bx.rows != rows { // else the global sum serves it
+			boxes[b].colSums = make([]float64, bx.cols)
+			tall = max(tall, bx.rows)
+		}
+	}
+	covs := make([][]float64, parallel.Resolve(m.Workers, cols)) // per worker
+	if tall > 0 {
+		for w := range covs {
+			covs[w] = make([]float64, tall)
+		}
+	}
 	rep := telemetry.StartProgress(ctx, stage, int64(cols))
 	colOff := make([]float64, cols)
-	colIn := make([]int, cols)
+	var in atomic.Int64 // an integer sum: the same in any order
 	tick := parallel.NewTicker(rep)
-	err = parallel.ForEach(ctx, op, m.Workers, cols, func(_, i int) error {
-		colOff[i], colIn[i] = kern.column(0, i, wc[i], wr)
+	err = parallel.ForEach(ctx, op, m.Workers, cols, func(w, i int) error {
+		var n int
+		colOff[i], n = kern.column(i, wc[i], wr, boxes, covs[w])
+		in.Add(int64(n))
 		tick.Tick()
 		return nil
 	})
 	if err != nil {
 		rep.Done(tick.Count())
-		return 0, "", err
+		return 0, nil, "", err
 	}
-	off, in := 0.0, 0
-	for i, v := range colOff {
+	off := 0.0
+	for _, v := range colOff {
 		off += v
-		in += colIn[i]
 	}
 	rep.Done(int64(cols))
-	telemetry.SpanAttrInt(ctx, "lags_in_range", int64(in))
+	telemetry.SpanAttrInt(ctx, "lags_in_range", in.Load())
+	tileOff = make([]float64, len(boxes))
+	for b, bx := range boxes {
+		if bx.colSums == nil {
+			tileOff[b] = off
+		}
+		for _, v := range bx.colSums {
+			tileOff[b] += v
+		}
+	}
 	off = fault.Corrupt(fault.SiteLinearAccum, off)
 	n := float64(m.Spec.N)
 	if s := rows * cols; s != m.Spec.N {
 		off *= n * (n - 1) / (float64(s) * float64(s-1))
 		note = fmt.Sprintf("occupancy-scaled: %d gates on %d×%d=%d sites", m.Spec.N, rows, cols, s)
 	}
-	return n*m.variance + off, note, nil
+	return n*m.variance + off, tileOff, note, nil
 }

@@ -13,15 +13,12 @@ import (
 // serialLagRef is the per-lag loop the linear, tiled and per-tile sums ran
 // before the shared kernel: every lag (i, j) ≠ (0, 0) of a rows×cols array
 // evaluates F(ρ(d)) with multiplicity count·(cols−i)·(rows−j), zero
-// covariances skipped. With perColumn each column sums on its own and the
-// columns merge in index order (EstimateLinear); without, one running sum
-// covers the lattice (the per-tile sums).
-func serialLagRef(m *Model, rows, cols int, dw, dh float64, perColumn bool) float64 {
-	off, sum := 0.0, 0.0
+// covariances skipped. Each column sums on its own and the columns merge
+// in index order, the one summation rule of the global and per-tile sums.
+func serialLagRef(m *Model, rows, cols int, dw, dh float64) float64 {
+	off := 0.0
 	for i := 0; i < cols; i++ {
-		if perColumn {
-			sum = 0
-		}
+		sum := 0.0
 		for j := 0; j < rows; j++ {
 			if i == 0 && j == 0 {
 				continue
@@ -38,20 +35,15 @@ func serialLagRef(m *Model, rows, cols int, dw, dh float64, perColumn bool) floa
 			}
 			sum += count * mult * cov
 		}
-		if perColumn {
-			off += sum
-		}
+		off += sum
 	}
-	if perColumn {
-		return off
-	}
-	return sum
+	return off
 }
 
 // refVariance is the variance of n gates on a rows×cols array from
 // serialLagRef, occupancy-scaled as the estimators scale it.
-func refVariance(m *Model, n, rows, cols int, dw, dh float64, perColumn bool) float64 {
-	off := serialLagRef(m, rows, cols, dw, dh, perColumn)
+func refVariance(m *Model, n, rows, cols int, dw, dh float64) float64 {
+	off := serialLagRef(m, rows, cols, dw, dh)
 	if s := rows * cols; s != n {
 		occ := 0.0
 		if n > 1 && s > 1 {
@@ -109,7 +101,7 @@ func lagFixtureSpecs(t *testing.T, name string) []DesignSpec {
 // The shared lag kernel must reproduce the per-lag loop bit for bit: the
 // monolithic and tiled σ (tiles 1, 2, 3, 7, uneven edges included) and
 // every TileStat, in the Analytic and MCSimplified modes, at 1, 3 and 8
-// workers.
+// workers; one tile's stats are the chip's.
 func TestLagKernelBitwiseMatchesSerialRef(t *testing.T) {
 	lib := testLib(t)
 	for name, proc := range lagFixtureProcesses() {
@@ -123,7 +115,7 @@ func TestLagKernelBitwiseMatchesSerialRef(t *testing.T) {
 				rows, cols := m.modelGrid()
 				dw, dh := spec.W/float64(cols), spec.H/float64(rows)
 				wantMean := float64(spec.N) * m.mu
-				wantStd := math.Sqrt(refVariance(m, spec.N, rows, cols, dw, dh, true))
+				wantStd := math.Sqrt(refVariance(m, spec.N, rows, cols, dw, dh))
 				for _, workers := range []int{1, 3, 8} {
 					m.Workers = workers
 					got, err := m.EstimateLinear()
@@ -143,13 +135,16 @@ func TestLagKernelBitwiseMatchesSerialRef(t *testing.T) {
 							t.Fatalf("%s workers=%d tiles=%d: tiled (%x, %x), ref (%x, %x)",
 								label, workers, tiles, got.Mean, got.Std, wantMean, wantStd)
 						}
+						if tiles == 1 && (got.TileStats[0].Mean != got.Mean || got.TileStats[0].Std != got.Std) {
+							t.Fatalf("%s workers=%d: one tile %+v, chip (%x, %x)", label, workers, got.TileStats[0], got.Mean, got.Std)
+						}
 						_, _, parts, counts, err := m.tileGrid(tiles, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
 						for idx, ts := range got.TileStats {
 							tp, nt := parts[idx], counts[idx]
-							std := math.Sqrt(refVariance(m, nt, tp.Rows(), tp.Cols(), dw, dh, false))
+							std := math.Sqrt(refVariance(m, nt, tp.Rows(), tp.Cols(), dw, dh))
 							if ts.Std != std || ts.Mean != float64(nt)*m.mu || ts.Gates != nt {
 								t.Fatalf("%s workers=%d tiles=%d tile %d: (%d, %x, %x), ref (%d, %x, %x)",
 									label, workers, tiles, idx, ts.Gates, ts.Mean, ts.Std, nt, float64(nt)*m.mu, std)

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"leakest/internal/lkerr"
-	"leakest/internal/parallel"
 	"leakest/internal/placement"
 	"leakest/internal/telemetry"
 )
@@ -20,7 +18,8 @@ import (
 // the combination is exact — every ordered site pair belongs to exactly one
 // (tile, tile) pair, and regrouping those pair populations by lag reproduces
 // the monolithic Eq. 17 multiplicities integer-for-integer — so the tiled
-// result is bitwise identical to the monolithic one at any tile count. The
+// result is bitwise identical to the monolithic one at any tile count, and
+// the tiles' standalone moments come out of the same lag pass. The
 // quadrature variant evaluates cross-tile covariance at tile-centroid
 // granularity and is envelope-gated instead.
 
@@ -176,9 +175,11 @@ func (m *Model) tileGrid(tiles int, tileGates []int) (rows, cols int, parts []pl
 // moments come from the linear method on each tile's own sub-grid (reported
 // in Result.TileStats), and the global moments combine the tiles through the
 // exact inter-tile pair populations of tileLagCounts — bitwise identical to
-// the monolithic EstimateLinear at every tile and worker count. The lag loop
-// checks ctx once per grid column, and the per-tile stats pass reports tile
-// progress and observes tile_duration_seconds per tile.
+// the monolithic EstimateLinear at every tile and worker count. One lag pass
+// serves both: each lag's covariance is evaluated once and added to the
+// global sum and to the lag box of every tile shape that holds it, so the
+// tiled estimate evaluates exactly the lags the linear one does. The lag
+// loop checks ctx once per grid column.
 func (m *Model) EstimateTiledCtx(ctx context.Context, tiles int, tileGates []int) (Result, error) {
 	ctx, end := timeMethod(ctx, "linear-tiled", "estimate.linear-tiled")
 	defer end()
@@ -187,15 +188,12 @@ func (m *Model) EstimateTiledCtx(ctx context.Context, tiles int, tileGates []int
 		return Result{}, err
 	}
 	telemetry.SpanAttrInt(ctx, "tiles", int64(len(parts)))
+	boxes, shapeOf := tileBoxes(parts)
 	// The lag populations assembled from the tiles equal the monolithic
 	// ones integer for integer (tileLagCounts), so the lag sum — and the
 	// result — is bitwise EstimateLinear's.
-	variance, note, err := m.latticeVariance(ctx, "core.EstimateTiled", "estimate.linear-tiled", k, cols,
-		tileLagCounts(placement.TileEdges(cols, tiles), cols), tileLagCounts(placement.TileEdges(k, tiles), k))
-	if err != nil {
-		return Result{}, err
-	}
-	stats, err := m.tileStats(ctx, parts, counts, m.newLagKernel(k, cols))
+	variance, boxOff, note, err := m.latticeVariance(ctx, "core.EstimateTiled", "estimate.linear-tiled", k, cols,
+		tileLagCounts(placement.TileEdges(cols, tiles), cols), tileLagCounts(placement.TileEdges(k, tiles), k), boxes)
 	if err != nil {
 		return Result{}, err
 	}
@@ -206,48 +204,37 @@ func (m *Model) EstimateTiledCtx(ctx context.Context, tiles int, tileGates []int
 		GridRows:  k,
 		GridCols:  cols,
 		Note:      note,
-		TileStats: stats,
+		TileStats: m.tileStats(parts, counts, shapeOf, boxOff),
 	}.checkFinite("core.EstimateTiled")
 }
 
-// tileStats computes each tile's standalone linear-method moments. Interior
-// tiles share their sub-grid dimensions, so the off-diagonal lag sum is
-// cached per distinct (rows, cols) — at most four combinations under the
-// largest-remainder partition — and only the occupancy scaling differs per
-// tile. Tiles are sharded into owned slots merged in index order.
-func (m *Model) tileStats(ctx context.Context, parts []placement.Tile, counts []int, kern lagKernel) ([]TileStat, error) {
-	across := tilesAcross(parts)
-
-	type dims struct{ rows, cols int }
-	offCache := make(map[dims]float64)
-	var cacheMu sync.Mutex
-	offFor := func(d dims) float64 {
-		cacheMu.Lock()
-		v, ok := offCache[d]
-		cacheMu.Unlock()
-		if ok {
-			return v
+// tileBoxes returns the lag box of each distinct tile shape — at most four
+// (rows, cols) combinations under placement.TileEdges, whose tile sides
+// differ by at most one site — and each tile's index into them.
+func tileBoxes(parts []placement.Tile) (boxes []lagBox, shapeOf []int) {
+	shapeOf = make([]int, len(parts))
+	for idx, t := range parts {
+		b := 0
+		for b < len(boxes) && (boxes[b].cols != t.Cols() || boxes[b].rows != t.Rows()) {
+			b++
 		}
-		wc, wr := lagCounts(d.cols), lagCounts(d.rows)
-		sum := 0.0
-		for i := range wc {
-			sum, _ = kern.column(sum, i, wc[i], wr)
+		if b == len(boxes) {
+			boxes = append(boxes, lagBox{rows: t.Rows(), cols: t.Cols()})
 		}
-		cacheMu.Lock()
-		offCache[d] = sum
-		cacheMu.Unlock()
-		return sum
+		shapeOf[idx] = b
 	}
+	return boxes, shapeOf
+}
 
-	rep := telemetry.StartProgress(ctx, "estimate.tiles", int64(len(parts)))
-	tick := parallel.NewTicker(rep)
+// tileStats computes each tile's standalone linear-method moments from the
+// off-diagonal lag sum of its shape, boxOff[shapeOf[tile]], scaled for the
+// tile's occupancy.
+func (m *Model) tileStats(parts []placement.Tile, counts, shapeOf []int, boxOff []float64) []TileStat {
+	across := tilesAcross(parts)
 	out := make([]TileStat, len(parts))
-	err := parallel.ForEach(ctx, "core.TileStats", m.Workers, len(parts), func(_, idx int) error {
-		start := time.Now()
-		t := parts[idx]
-		nt := counts[idx]
-		st := t.Sites()
-		off := offFor(dims{rows: t.Rows(), cols: t.Cols()})
+	for idx, t := range parts {
+		nt, st := counts[idx], t.Sites()
+		off := boxOff[shapeOf[idx]]
 		if st != nt {
 			occ := 0.0
 			if nt > 1 && st > 1 {
@@ -255,27 +242,16 @@ func (m *Model) tileStats(ctx context.Context, parts []placement.Tile, counts []
 			}
 			off *= occ
 		}
-		variance := float64(nt)*m.variance + off
 		out[idx] = TileStat{
 			Index: idx,
 			Row:   idx / across,
 			Col:   idx % across,
 			Gates: nt,
 			Mean:  float64(nt) * m.mu,
-			Std:   math.Sqrt(variance),
+			Std:   math.Sqrt(float64(nt)*m.variance + off),
 		}
-		if telemetry.MetricsOn() {
-			telemetry.ObserveSeconds("tile_duration_seconds", time.Since(start).Seconds())
-		}
-		tick.Tick()
-		return nil
-	})
-	if err != nil {
-		rep.Done(tick.Count())
-		return nil, err
 	}
-	rep.Done(int64(len(parts)))
-	return out, nil
+	return out
 }
 
 // EstimateTiledIntegral2DCtx computes the statistics with the tiled variant

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"leakest/internal/lkerr"
 	"leakest/internal/placement"
+	"leakest/internal/spatial"
 )
 
 // TestTileLagCountsClosedForm checks the decomposition identity the tiled
@@ -233,5 +235,53 @@ func TestTiledCancellation(t *testing.T) {
 	cancel()
 	if _, err := m.EstimateTiledCtx(ctx, 2, nil); !lkerr.IsCode(err, lkerr.Canceled) {
 		t.Fatalf("got %v, want Canceled", err)
+	}
+}
+
+// countingCorr counts the Rho calls of the correlation it wraps; the lag
+// pass's workers call it concurrently.
+type countingCorr struct {
+	spatial.CorrFunc
+	calls *atomic.Int64
+}
+
+func (c countingCorr) Rho(d float64) float64 {
+	c.calls.Add(1)
+	return c.CorrFunc.Rho(d)
+}
+
+// The tiled linear method evaluates each lag's correlation once: its tile
+// stats come from the same lag pass as the global sum, so it calls Rho
+// exactly as often as the linear method on the same model.
+func TestTiledEvaluatesEachLagOnce(t *testing.T) {
+	var calls atomic.Int64
+	proc := testProcess()
+	proc.WIDCorr = countingCorr{proc.WIDCorr, &calls}
+	for _, spec := range []DesignSpec{
+		{Hist: testHist(t), N: 900, W: 400, H: 300, SignalProb: 0.5},
+		{Hist: testHist(t), N: 700, W: 500, H: 200, SignalProb: 0.5}, // occupancy-scaled
+	} {
+		m, err := NewModel(testLib(t), proc, spec, Analytic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Workers = 3
+		calls.Store(0)
+		if _, err := m.EstimateLinearCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		linear := calls.Load()
+		if linear == 0 {
+			t.Fatalf("N=%d: the linear method never evaluated ρ_WID", spec.N)
+		}
+		for _, tiles := range []int{2, 3, 5} {
+			calls.Store(0)
+			if _, err := m.EstimateTiledCtx(context.Background(), tiles, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := calls.Load(); got != linear {
+				t.Errorf("N=%d tiles=%d: %d Rho calls, linear makes %d", spec.N, tiles, got, linear)
+			}
+		}
 	}
 }

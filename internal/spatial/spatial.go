@@ -103,18 +103,38 @@ type TruncatedExpCorr struct {
 	R      float64 // support radius, µm
 }
 
-// Rho implements CorrFunc.
+// Rho implements CorrFunc. It returns before computing the tail when
+// d ≥ R, so a one-off call past the support costs no exp.
 func (t TruncatedExpCorr) Rho(d float64) float64 {
 	if d >= t.R {
 		return 0
 	}
+	return t.terms().rho(d)
+}
+
+// truncExpTerms is a TruncatedExpCorr with its d-independent terms
+// computed: tail = exp(−R/λ) and 1 − tail.
+type truncExpTerms struct {
+	lambda, r, tail, oneMinusTail float64
+}
+
+func (t TruncatedExpCorr) terms() truncExpTerms {
 	tail := math.Exp(-t.R / t.Lambda)
-	if tail == 1 {
+	return truncExpTerms{lambda: t.Lambda, r: t.R, tail: tail, oneMinusTail: 1 - tail}
+}
+
+// rho is the truncated exponential's one formula, shared by Rho and
+// PreparedCorr.
+func (t truncExpTerms) rho(d float64) float64 {
+	if d >= t.r {
+		return 0
+	}
+	if t.tail == 1 {
 		// R/λ underflowed: the decay is flat across the whole support (the
 		// λ → ∞ limit), and the generic form would divide 0 by 0.
 		return 1
 	}
-	return (math.Exp(-d/t.Lambda) - tail) / (1 - tail)
+	return (math.Exp(-d/t.lambda) - t.tail) / t.oneMinusTail
 }
 
 // Range implements CorrFunc.
@@ -181,16 +201,59 @@ func (p *Process) TotalSigma() float64 {
 //
 //	ρ_L(d) = (σ_D2D² + σ_WID²·ρ_WID(d)) / (σ_D2D² + σ_WID²).
 func (p *Process) TotalCorr(d float64) float64 {
+	c := p.split()
+	return c.At(d)
+}
+
+// PreparedCorr is a Process's total correlation ρ_L(d) with every term
+// that does not depend on d computed once: σ_D2D², σ_WID² and their sum
+// and, for a TruncatedExpCorr, its tail exp(−R/λ) and 1 − tail. At(d) is
+// bitwise Process.TotalCorr(d) and WID(d) bitwise WIDCorr.Rho(d); loops
+// that evaluate the correlation at many distances build one with Prepare.
+// It is a plain value: building and copying one allocates nothing.
+type PreparedCorr struct {
+	vd, vw, tot float64
+	wid         CorrFunc // read only when vw > 0
+	trunc       bool     // te holds wid's terms
+	te          truncExpTerms
+}
+
+// Prepare returns the process's PreparedCorr.
+func (p *Process) Prepare() PreparedCorr {
+	c := p.split()
+	if te, ok := c.wid.(TruncatedExpCorr); ok && c.vw > 0 {
+		c.trunc, c.te = true, te.terms()
+	}
+	return c
+}
+
+// split is Prepare without the truncated exponential's terms, which WID
+// then leaves to WIDCorr.Rho: a one-off TotalCorr past the support thus
+// costs no exp, as before the prepared form existed.
+func (p *Process) split() PreparedCorr {
 	vd := p.SigmaD2D * p.SigmaD2D
 	vw := p.SigmaWID * p.SigmaWID
-	if vd+vw == 0 {
+	return PreparedCorr{vd: vd, vw: vw, tot: vd + vw, wid: p.WIDCorr}
+}
+
+// At returns ρ_L(d), bitwise Process.TotalCorr(d).
+func (c *PreparedCorr) At(d float64) float64 {
+	if c.tot == 0 {
 		return 0
 	}
-	rw := 0.0
-	if vw > 0 {
-		rw = p.WIDCorr.Rho(d)
+	return (c.vd + c.vw*c.WID(d)) / c.tot
+}
+
+// WID returns ρ_WID(d), bitwise WIDCorr.Rho(d), and 0 on a process
+// without WID variation.
+func (c *PreparedCorr) WID(d float64) float64 {
+	switch {
+	case c.vw == 0:
+		return 0
+	case c.trunc:
+		return c.te.rho(d)
 	}
-	return (vd + vw*rw) / (vd + vw)
+	return c.wid.Rho(d)
 }
 
 // CorrFloor returns the distance→∞ limit of TotalCorr, the constant ρ_C the

@@ -242,3 +242,85 @@ func TestDefault90nmShape(t *testing.T) {
 		t.Errorf("unexpected default correlation %s", p.WIDCorr.Name())
 	}
 }
+
+// refRho and refTotalCorr are the correlations as written before
+// PreparedCorr: the variance split and the truncated exponential's tail
+// derived on every call.
+func refRho(c CorrFunc, d float64) float64 {
+	t, ok := c.(TruncatedExpCorr)
+	if !ok {
+		return c.Rho(d)
+	}
+	if d >= t.R {
+		return 0
+	}
+	tail := math.Exp(-t.R / t.Lambda)
+	if tail == 1 {
+		return 1
+	}
+	return (math.Exp(-d/t.Lambda) - tail) / (1 - tail)
+}
+
+func refTotalCorr(p *Process, d float64) float64 {
+	vd := p.SigmaD2D * p.SigmaD2D
+	vw := p.SigmaWID * p.SigmaWID
+	if vd+vw == 0 {
+		return 0
+	}
+	rw := 0.0
+	if vw > 0 {
+		rw = refRho(p.WIDCorr, d)
+	}
+	return (vd + vw*rw) / (vd + vw)
+}
+
+// PreparedCorr.At and WID are bitwise TotalCorr, WIDCorr.Rho and the
+// per-call formulas over a distance sweep that hits each support radius
+// and the next float past it, for every family, a flat truncated
+// exponential (λ ≫ R, tail = 1), and WID-free, D2D-free and variation-free
+// processes.
+func TestPreparedCorrBitwise(t *testing.T) {
+	flat := TruncatedExpCorr{Lambda: 1e20, R: 1000}
+	if math.Exp(-flat.R/flat.Lambda) != 1 {
+		t.Fatal("the flat fixture's tail is not 1")
+	}
+	corrs := append(corrFuncs(), flat, TruncatedExpCorr{Lambda: 30, R: 50})
+	var procs []*Process
+	for _, c := range corrs {
+		for _, s := range [][2]float64{{0.002, 0.003}, {0, 0.003}, {0.002, 0}, {0, 0}} {
+			procs = append(procs, &Process{LNominal: 0.09, SigmaD2D: s[0], SigmaWID: s[1], WIDCorr: c})
+		}
+	}
+	procs = append(procs, &Process{LNominal: 0.09, SigmaD2D: 0.002}) // no WIDCorr at all
+	for _, p := range procs {
+		c := p.Prepare()
+		ds := []float64{0, 1e-9, 0.5, 7, 30, 49.999, 333, 999.5, 1e4, 1e7, math.Inf(1)}
+		if p.WIDCorr != nil {
+			if r := p.WIDCorr.Range(); !math.IsInf(r, 1) {
+				ds = append(ds, r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1)))
+			}
+		}
+		for _, d := range ds {
+			want := refTotalCorr(p, d)
+			for name, got := range map[string]float64{"At": c.At(d), "TotalCorr": p.TotalCorr(d)} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%+v d=%g: %s = %x, want %x", *p, d, name, got, want)
+				}
+			}
+			if p.SigmaWID > 0 {
+				want := refRho(p.WIDCorr, d)
+				for name, got := range map[string]float64{"WID": c.WID(d), "Rho": p.WIDCorr.Rho(d)} {
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%+v d=%g: %s = %x, want %x", *p, d, name, got, want)
+					}
+				}
+			} else if c.WID(d) != 0 {
+				t.Errorf("%+v d=%g: WID-free WID = %g", *p, d, c.WID(d))
+			}
+		}
+	}
+	p := Default90nm()
+	if n := testing.AllocsPerRun(100, func() { p.TotalCorr(1500) }); n != 0 {
+		t.Errorf("TotalCorr allocates %v times per call", n)
+	}
+}

@@ -190,10 +190,10 @@ type streamCase struct {
 // allocation. Regenerate only deliberately: LEAKEST_FREEZE_PRINT=1.
 var streamFreeze = []streamCase{
 	{tiles: 1, mean: 0x3f03c85cc7d49b91, std: 0x3ee8feeb610c3933, method: "linear-tiled",
-		tileStats: "0/0/0/800/0x3f03c85cc7d49b91/0x3ee8feeb610c393a"},
+		tileStats: "0/0/0/800/0x3f03c85cc7d49b91/0x3ee8feeb610c3933"},
 	{tiles: 2, mean: 0x3f03c85cc7d49b91, std: 0x3ee8feeb610c3933, method: "linear-tiled",
 		tileStats: "0/0/0/225/0x3ee6416860cf2f03/0x3ecca249aa0ed206;1/0/1/225/0x3ee6416860cf2f03/0x3ecca249aa0ed206;" +
-			"2/1/0/225/0x3ee6416860cf2f03/0x3ecca14374203f4a;3/1/1/125/0x3ed8ba73f9c9c275/0x3ec0255d1b57557f"},
+			"2/1/0/225/0x3ee6416860cf2f03/0x3ecca14374203f4c;3/1/1/125/0x3ed8ba73f9c9c275/0x3ec0255d1b575580"},
 }
 
 const streamFreezeGates = 800
@@ -218,47 +218,55 @@ func tileStatsKey(ts []TileStat) string {
 	return strings.Join(parts, ";")
 }
 
-// TestStreamFreeze pins EstimateStream's unbudgeted result bitwise, and the
-// span names and attributes perfbench reads: estimate.stream with its gate
-// count, netlist.stream_scan and estimate.linear-tiled.
+// TestStreamFreeze pins EstimateStream's unbudgeted result bitwise at 1, 3
+// and 8 workers, and the span names and attributes perfbench reads:
+// estimate.stream with its gate count, netlist.stream_scan and
+// estimate.linear-tiled. A one-tile stream's only TileStat has the chip's
+// moments.
 func TestStreamFreeze(t *testing.T) {
 	print := os.Getenv("LEAKEST_FREEZE_PRINT") != ""
 	est := coreEstimator(t)
 	for _, c := range streamFreeze {
 		t.Run(fmt.Sprintf("tiles=%d", c.tiles), func(t *testing.T) {
-			tr := NewTrace()
-			res, err := est.EstimateStream(WithTrace(context.Background(), tr), bytes.NewReader(synthStream(t, c.tiles)), 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seen := map[string]bool{}
-			for _, sp := range tr.Snapshot().Spans {
-				seen[sp.Stage] = true
-				if sp.Stage != "estimate.stream" {
-					continue
+			for _, workers := range []int{1, 3, 8} {
+				est.Workers = workers
+				tr := NewTrace()
+				res, err := est.EstimateStream(WithTrace(context.Background(), tr), bytes.NewReader(synthStream(t, c.tiles)), 0.5)
+				if err != nil {
+					t.Fatal(err)
 				}
-				gates := false
-				for _, a := range sp.Attrs {
-					gates = gates || a.Key == "gates" && a.Value == int64(streamFreezeGates)
+				seen := map[string]bool{}
+				for _, sp := range tr.Snapshot().Spans {
+					seen[sp.Stage] = true
+					if sp.Stage != "estimate.stream" {
+						continue
+					}
+					gates := false
+					for _, a := range sp.Attrs {
+						gates = gates || a.Key == "gates" && a.Value == int64(streamFreezeGates)
+					}
+					if !gates {
+						t.Errorf("estimate.stream attributes %v lack gates=%d", sp.Attrs, streamFreezeGates)
+					}
 				}
-				if !gates {
-					t.Errorf("estimate.stream attributes %v lack gates=%d", sp.Attrs, streamFreezeGates)
+				for _, stage := range []string{"estimate.stream", "netlist.stream_scan", "estimate.linear-tiled"} {
+					if !seen[stage] {
+						t.Errorf("no %s span", stage)
+					}
 				}
-			}
-			for _, stage := range []string{"estimate.stream", "netlist.stream_scan", "estimate.linear-tiled"} {
-				if !seen[stage] {
-					t.Errorf("no %s span", stage)
+				got := streamCase{tiles: c.tiles, mean: math.Float64bits(res.Mean), std: math.Float64bits(res.Std),
+					method: res.Method, tileStats: tileStatsKey(res.TileStats)}
+				if print {
+					fmt.Printf("{tiles: %d, mean: %#x, std: %#x, method: %q,\n\t\ttileStats: %q},\n",
+						got.tiles, got.mean, got.std, got.method, got.tileStats)
+					return
 				}
-			}
-			got := streamCase{tiles: c.tiles, mean: math.Float64bits(res.Mean), std: math.Float64bits(res.Std),
-				method: res.Method, tileStats: tileStatsKey(res.TileStats)}
-			if print {
-				fmt.Printf("{tiles: %d, mean: %#x, std: %#x, method: %q,\n\t\ttileStats: %q},\n",
-					got.tiles, got.mean, got.std, got.method, got.tileStats)
-				return
-			}
-			if got != c {
-				t.Errorf("stream result\n%+v\nfrozen\n%+v", got, c)
+				if got != c {
+					t.Errorf("workers=%d: stream result\n%+v\nfrozen\n%+v", workers, got, c)
+				}
+				if c.tiles == 1 && (res.TileStats[0].Mean != res.Mean || res.TileStats[0].Std != res.Std) {
+					t.Errorf("workers=%d: one tile %+v, chip (%x, %x)", workers, res.TileStats[0], res.Mean, res.Std)
+				}
 			}
 		})
 	}
