@@ -41,13 +41,16 @@ server-smoke:
 # tracecheck pins the tracing layer's zero-overhead contract: with no trace,
 # no registry and no logger attached, every instrumentation hook — and the
 # chipmc trial loop they sit on, over every field including the
-# importance-sampled tail fields — must be allocation-free. The AllocsPerRun
-# tests fail on any regression, so this is the cheap CI gate for changes that
-# touch the disabled telemetry path.
+# importance-sampled tail fields — must be allocation-free, and the O(n) lag
+# pass of the linear and tiled estimators must allocate no more than its
+# fixed per-estimate slices (TestLagPassAllocs), nothing per column or lag.
+# The AllocsPerRun tests fail on any regression, so this is the cheap CI gate
+# for changes that touch the disabled telemetry path or the lag kernel.
 tracecheck:
 	$(GO) test ./internal/telemetry/ -run 'TestDisabledTracingAllocFree|TestSpanNoopWhenAllSinksOff'
 	$(GO) test ./internal/chipmc/ -run 'TestTrialBodyAllocs'
 	$(GO) test ./internal/randvar/ -run TestSobolAllocs
+	$(GO) test ./internal/core/ -run TestLagPassAllocs
 
 # A short fuzz pass over the .bench parser; CI runs the seed corpus via
 # `go test`, this target digs further locally.
@@ -58,8 +61,9 @@ fuzz:
 # worker pool and its four call sites, including the truth pair loop's
 # type-grouped row order (ClassTables: worker invariance at 1, 3 and 8
 # workers) and the shared lag kernel of the linear and tiled estimators
-# (LagKernel: bitwise equal to the serial per-lag loop at 1, 3 and 8
-# workers) and the chipmc trial loop's workers × tiles hammer
+# (LagKernelMatchesSerialRef: within a few ulps of the serial per-lag loop,
+# and linear, tiled and tile stats bitwise equal at 1, 3 and 8 workers) and
+# the chipmc trial loop's workers × tiles hammer
 # (RouteFreeze: every Monte-Carlo route bitwise frozen at 1, 3 and 8
 # workers, tile counts 2 and 3). The full `race` target covers them too;
 # this one is the fast CI job for parallel-path changes.

@@ -30,7 +30,7 @@ func bruteStd(m *core.Model, rows, cols int) float64 {
 		for b := a + 1; b < s; b++ {
 			rb, cb := b/cols, b%cols
 			d := math.Hypot(float64(ca-cb)*dw, float64(ra-rb)*dh)
-			off += 2 * m.CovAtDist(d)
+			off += 2 * m.CovAtCorr(m.Proc.TotalCorr(d))
 		}
 	}
 	return math.Sqrt(float64(s)*m.RGVariance() + off)

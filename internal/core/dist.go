@@ -123,7 +123,7 @@ func (m *Model) BreakdownLinear() (VarianceBreakdown, error) {
 				continue
 			}
 			d := math.Hypot(float64(i)*dw, float64(j)*dh)
-			cov := m.CovAtCorr(m.Proc.TotalCorr(d))
+			cov := m.CovAtDist(d)
 			mult := float64((cols - i) * (k - j))
 			count := 4.0
 			if i == 0 || j == 0 {

@@ -162,7 +162,7 @@ func (m *Model) rectVariance(n, w, h float64) (variance float64, nx, ny int) {
 	}
 	nx, ny = scale(w), scale(h)
 	integrand := func(x, y float64) float64 {
-		return (w - x) * (h - y) * m.CovAtCorr(m.Proc.TotalCorr(math.Hypot(x, y)))
+		return (w - x) * (h - y) * m.covAt(math.Hypot(x, y))
 	}
 	area := w * h
 	variance = 4 * n * n / (area * area) * quad.Integrate2D(integrand, 0, w, 0, h, nx, ny)
@@ -210,7 +210,7 @@ func (m *Model) EstimatePolarCtx(ctx context.Context) (Result, error) {
 	floor := m.CovAtCorr(m.Proc.CorrFloor())
 	g := func(r float64) float64 { return 0.5*r*r - (w+h)*r + math.Pi/2*w*h }
 	integrand := func(r float64) float64 {
-		c := m.CovAtCorr(m.Proc.TotalCorr(r)) - floor
+		c := m.covAt(r) - floor
 		return c * r * g(r)
 	}
 	n := float64(m.Spec.N)

@@ -9,30 +9,38 @@ import (
 
 	"leakest/internal/fault"
 	"leakest/internal/parallel"
-	"leakest/internal/quad"
-	"leakest/internal/spatial"
 	"leakest/internal/telemetry"
 )
 
 // lagKernel sums the RG covariance over the lag lattice of the model's RG
 // array — the Eq. 17 regrouping shared by the linear and tiled sums
 // (DESIGN.md §16). Lag (i, j), at d = hypot(i·dw, j·dh), carries the
-// integer pair population wc[i]·wr[j] of tileLagCounts. The process's
-// d-independent correlation terms are prepared once per kernel, so a lag
-// costs one Hypot, one ρ_WID evaluation and one F spline lookup.
+// integer pair population wc[i]·wr[j] of tileLagCounts. A lag within the
+// WID range costs one Hypot, one ρ_WID evaluation and one cubic of the
+// model's widCov; the lags past it share one covariance, added as one
+// product per column.
 type lagKernel struct {
-	m         *Model
-	corr      spatial.PreparedCorr
+	cov       *widCov
 	dw, dh, r float64 // r: the WID correlation range
+	// tail is the covariance of every lag past r, F(ρ_floor); sumWR is
+	// Σ wr, so Σ_{j≥end} wr[j] = sumWR − Σ_{j<end} wr[j].
+	tail  float64
+	sumWR int64
 }
 
-// newLagKernel builds the kernel for the model's rows×cols RG array.
-func (m *Model) newLagKernel(rows, cols int) lagKernel {
-	r := 0.0 // without WID variation TotalCorr never reads ρ_WID
+// newLagKernel builds the kernel for the model's rows×cols RG array with
+// row lag populations wr.
+func (m *Model) newLagKernel(rows, cols int, wr []int64) lagKernel {
+	r := 0.0 // without WID variation ρ_WID is 0 at every lag
 	if m.Proc.SigmaWID > 0 && m.Proc.WIDCorr != nil {
 		r = m.Proc.WIDCorr.Range()
 	}
-	return lagKernel{m: m, corr: m.Proc.Prepare(), dw: m.Spec.W / float64(cols), dh: m.Spec.H / float64(rows), r: r}
+	var sum int64
+	for _, n := range wr {
+		sum += n
+	}
+	return lagKernel{cov: &m.cov, dw: m.Spec.W / float64(cols), dh: m.Spec.H / float64(rows), r: r,
+		tail: m.cov.at(0), sumWR: sum}
 }
 
 // lagBox is the lag lattice of one rows×cols array: lag (i, j) for
@@ -53,6 +61,16 @@ func lagCount(dim, i int) int64 {
 	return 2 * int64(dim-i)
 }
 
+// lagTailCount is Σ_{t≥end} lagCount(dim, t), the population of the lags
+// from end on, for 0 ≤ end < dim: dim² from 0, (dim−end)(dim−end+1)
+// from end > 0.
+func lagTailCount(dim, end int) int64 {
+	if end == 0 {
+		return int64(dim) * int64(dim)
+	}
+	return int64(dim-end) * int64(dim-end+1)
+}
+
 // column adds the lags (i, j) of column i, j ascending and (0, 0) skipped,
 // to a sum with weights wc·wr[j], and returns that sum and how many lags
 // lie within r. Each lag's covariance is evaluated once: with boxes, the
@@ -63,43 +81,39 @@ func lagCount(dim, i int) int64 {
 // own lattice would give.
 //
 // Beyond r the spatial.CorrFunc contract gives ρ_WID = 0, so every such
-// lag has the covariance F(ρ_floor) of the column's first lag past r; the
-// kernel adds that value for the rest of the column, in the same order,
-// instead of evaluating F(ρ(d)) per lag, so the sum is bitwise the per-lag
-// one. The rest of the column is past r because, for a fixed x = i·dw, the
-// computed Hypot(x, y) never decreases as y = float64(j)·dh grows: while
-// y ≤ x each correctly rounded step of x·√(1+(y/x)²) is monotone in y;
-// past that, one step of dh raises the exact distance by at least dh/√2,
-// a relative rise of at least 1/(2(j+1)), far above Hypot's few-ulp
+// lag has the covariance tail = F(ρ_floor); the walk stops at the
+// column's first lag past r and adds the rest of the column as one
+// product, tail times the integer population of the lags left. The rest
+// of the column is past r because, for a fixed x = i·dw, the computed
+// Hypot(x, y) never decreases as y = float64(j)·dh grows: while y ≤ x
+// each correctly rounded step of x·√(1+(y/x)²) is monotone in y; past
+// that, one step of dh raises the exact distance by at least dh/√2, a
+// relative rise of at least 1/(2(j+1)), far above Hypot's few-ulp
 // rounding error for any grid side below ~10¹³ (TestLagDistanceMonotone).
 func (k *lagKernel) column(i int, wc int64, wr []int64, boxes []lagBox, covs []float64) (float64, int) {
 	x := float64(i) * k.dw
 	first := 0
+	var before int64 // Σ wr[j] over j < end
 	if i == 0 {
-		first = 1
+		first, before = 1, wr[0]
 	}
-	// Lags [first, end) lie within r; every lag from end on has covariance
-	// tail, and a zero tail adds nothing.
-	end, tail := len(wr), 0.0
+	// Lags [first, end) lie within r.
+	end := len(wr)
 	sum := 0.0
-	var seg quad.Segment
 	for j := first; j < len(wr); j++ {
 		d := math.Hypot(x, float64(j)*k.dh)
-		cov := k.m.covAtCorrFrom(k.corr.At(d), &seg)
 		if d > k.r {
-			end, tail = j, cov
+			end = j
 			break
 		}
+		cov := k.cov.at(k.cov.corr.WID(d))
 		sum += float64(wc*wr[j]) * cov
+		before += wr[j]
 		if j < len(covs) {
 			covs[j] = cov
 		}
 	}
-	if tail != 0 {
-		for _, n := range wr[end:] {
-			sum += float64(wc*n) * tail
-		}
-	}
+	sum += float64(wc*(k.sumWR-before)) * k.tail
 	for _, bx := range boxes {
 		if i >= len(bx.colSums) { // beyond the box, or a box the walk does not sum
 			continue
@@ -108,10 +122,8 @@ func (k *lagKernel) column(i int, wc int64, wr []int64, boxes []lagBox, covs []f
 		for j := first; j < min(end, bx.rows); j++ {
 			s += float64(w*lagCount(bx.rows, j)) * covs[j]
 		}
-		if tail != 0 {
-			for t := end; t < bx.rows; t++ {
-				s += float64(w*lagCount(bx.rows, t)) * tail
-			}
+		if end < bx.rows {
+			s += float64(w*lagTailCount(bx.rows, end)) * k.tail
 		}
 		bx.colSums[i] = s
 	}
@@ -130,7 +142,7 @@ func (k *lagKernel) column(i int, wc int64, wr []int64, boxes []lagBox, covs []f
 // within the WID range, the ones evaluated one by one, goes on the current
 // span as lags_in_range.
 func (m *Model) latticeVariance(ctx context.Context, op, stage string, rows, cols int, wc, wr []int64, tiles []lagBox) (variance float64, tileOff []float64, note string, err error) {
-	kern := m.newLagKernel(rows, cols)
+	kern := m.newLagKernel(rows, cols, wr)
 	boxes := slices.Clone(tiles)
 	tall := 0 // the tallest summed box's rows
 	for b, bx := range boxes {

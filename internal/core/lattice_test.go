@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"leakest/internal/placement"
 	"leakest/internal/spatial"
 	"leakest/internal/telemetry"
 )
@@ -98,15 +99,34 @@ func lagFixtureSpecs(t *testing.T, name string) []DesignSpec {
 	}
 }
 
-// The shared lag kernel must reproduce the per-lag loop bit for bit: the
-// monolithic and tiled σ (tiles 1, 2, 3, 7, uneven edges included) and
-// every TileStat, in the Analytic and MCSimplified modes, at 1, 3 and 8
-// workers; one tile's stats are the chip's.
-func TestLagKernelBitwiseMatchesSerialRef(t *testing.T) {
+// ulps is the distance between two finite non-negative floats in units
+// in the last place.
+func ulps(a, b float64) uint64 {
+	x, y := math.Float64bits(a), math.Float64bits(b)
+	if x < y {
+		x, y = y, x
+	}
+	return x - y
+}
+
+// lagRefULPs bounds how far the lag kernel's σ may lie from serialLagRef's.
+// The kernel evaluates F(ρ_L(d)) as widCov's cubic in ρ_WID instead of the
+// F spline at TotalCorr(d), and adds the range tail as one product instead
+// of lag by lag; both round differently from the reference, never by more
+// than a few ulps of σ over lagFixtureProcesses (largest seen: 2 ulps).
+const lagRefULPs = 4
+
+// The shared lag kernel must reproduce the per-lag loop to within
+// lagRefULPs: the monolithic σ and every TileStat, in all three modes. The
+// tiled σ (tiles 1, 2, 3, 7, uneven edges included) must equal the
+// linear σ bit for bit, and every result and TileStat must be bitwise the
+// same at 1, 3 and 8 workers; one tile's stats are the chip's.
+func TestLagKernelMatchesSerialRef(t *testing.T) {
 	lib := testLib(t)
+	worst := uint64(0)
 	for name, proc := range lagFixtureProcesses() {
 		for _, spec := range lagFixtureSpecs(t, name) {
-			for _, mode := range []Mode{Analytic, MCSimplified} {
+			for _, mode := range []Mode{Analytic, MCSimplified, AnalyticSimplified} {
 				m, err := NewModel(lib, proc, spec, mode)
 				if err != nil {
 					t.Fatal(err)
@@ -114,30 +134,51 @@ func TestLagKernelBitwiseMatchesSerialRef(t *testing.T) {
 				label := fmt.Sprintf("%s N=%d %gx%g %v", name, spec.N, spec.W, spec.H, mode)
 				rows, cols := m.modelGrid()
 				dw, dh := spec.W/float64(cols), spec.H/float64(rows)
+				m.Workers = 1
+				lin, err := m.EstimateLinear()
+				if err != nil {
+					t.Fatal(err)
+				}
 				wantMean := float64(spec.N) * m.mu
 				wantStd := math.Sqrt(refVariance(m, spec.N, rows, cols, dw, dh))
+				u := ulps(lin.Std, wantStd)
+				if lin.Mean != wantMean || u > lagRefULPs {
+					t.Fatalf("%s: linear (%x, %x), ref (%x, %x): %d ulps", label, lin.Mean, lin.Std, wantMean, wantStd, u)
+				}
+				worst = max(worst, u)
+				tileStats := map[int][]TileStat{} // per tile count, at workers 1
 				for _, workers := range []int{1, 3, 8} {
 					m.Workers = workers
 					got, err := m.EstimateLinear()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got.Mean != wantMean || got.Std != wantStd {
-						t.Fatalf("%s workers=%d: linear (%x, %x), ref (%x, %x)",
-							label, workers, got.Mean, got.Std, wantMean, wantStd)
+					if got.Mean != lin.Mean || got.Std != lin.Std {
+						t.Fatalf("%s workers=%d: linear (%x, %x), workers=1 (%x, %x)",
+							label, workers, got.Mean, got.Std, lin.Mean, lin.Std)
 					}
 					for _, tiles := range []int{1, 2, 3, 7} {
 						got, err := m.EstimateTiledCtx(context.Background(), tiles, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got.Mean != wantMean || got.Std != wantStd {
-							t.Fatalf("%s workers=%d tiles=%d: tiled (%x, %x), ref (%x, %x)",
-								label, workers, tiles, got.Mean, got.Std, wantMean, wantStd)
+						if got.Mean != lin.Mean || got.Std != lin.Std {
+							t.Fatalf("%s workers=%d tiles=%d: tiled (%x, %x), linear (%x, %x)",
+								label, workers, tiles, got.Mean, got.Std, lin.Mean, lin.Std)
 						}
 						if tiles == 1 && (got.TileStats[0].Mean != got.Mean || got.TileStats[0].Std != got.Std) {
 							t.Fatalf("%s workers=%d: one tile %+v, chip (%x, %x)", label, workers, got.TileStats[0], got.Mean, got.Std)
 						}
+						if workers > 1 {
+							for idx, ts := range got.TileStats {
+								if ts != tileStats[tiles][idx] {
+									t.Fatalf("%s workers=%d tiles=%d tile %d: %+v, workers=1 %+v",
+										label, workers, tiles, idx, ts, tileStats[tiles][idx])
+								}
+							}
+							continue
+						}
+						tileStats[tiles] = got.TileStats
 						_, _, parts, counts, err := m.tileGrid(tiles, nil)
 						if err != nil {
 							t.Fatal(err)
@@ -145,12 +186,104 @@ func TestLagKernelBitwiseMatchesSerialRef(t *testing.T) {
 						for idx, ts := range got.TileStats {
 							tp, nt := parts[idx], counts[idx]
 							std := math.Sqrt(refVariance(m, nt, tp.Rows(), tp.Cols(), dw, dh))
-							if ts.Std != std || ts.Mean != float64(nt)*m.mu || ts.Gates != nt {
-								t.Fatalf("%s workers=%d tiles=%d tile %d: (%d, %x, %x), ref (%d, %x, %x)",
-									label, workers, tiles, idx, ts.Gates, ts.Mean, ts.Std, nt, float64(nt)*m.mu, std)
+							u := ulps(ts.Std, std)
+							if u > lagRefULPs || ts.Mean != float64(nt)*m.mu || ts.Gates != nt {
+								t.Fatalf("%s tiles=%d tile %d: (%d, %x, %x), ref (%d, %x, %x): %d ulps",
+									label, tiles, idx, ts.Gates, ts.Mean, ts.Std, nt, float64(nt)*m.mu, std, u)
 							}
+							worst = max(worst, u)
 						}
 					}
+				}
+			}
+		}
+	}
+	t.Logf("largest distance from serialLagRef: %d ulps", worst)
+}
+
+// widCovRelTol bounds widCov's relative distance from CovAtCorr(TotalCorr(d)):
+// the composed cubic and the spline evaluate the same polynomial in
+// different bases, and measured at most 4.3e-16 relative over every lag of
+// lagFixtureProcesses in all three modes.
+const widCovRelTol = 1e-15
+
+// The composed covariance must match the F spline at TotalCorr(d) at every
+// lag of the lag fixtures, in all three modes, give the correlation
+// floor's covariance bit for bit at ρ_WID = 0, and pass a NaN through.
+func TestComposedCovMatchesSpline(t *testing.T) {
+	lib := testLib(t)
+	worst := 0.0
+	for name, proc := range lagFixtureProcesses() {
+		for _, spec := range lagFixtureSpecs(t, name) {
+			for _, mode := range []Mode{Analytic, MCSimplified, AnalyticSimplified} {
+				m, err := NewModel(lib, proc, spec, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				floor := m.CovAtCorr(proc.CorrFloor())
+				if got := m.cov.at(0); math.Float64bits(got) != math.Float64bits(floor) {
+					t.Fatalf("%s %v: composed covariance at ρ_WID = 0 is %x, CovAtCorr(floor) %x", name, mode, got, floor)
+				}
+				if got := m.cov.at(math.NaN()); !math.IsNaN(got) {
+					t.Fatalf("%s %v: composed covariance at ρ_WID = NaN is %g, want NaN as CovAtCorr gives", name, mode, got)
+				}
+				rows, cols := m.modelGrid()
+				dw, dh := spec.W/float64(cols), spec.H/float64(rows)
+				for i := 0; i < cols; i++ {
+					for j := 0; j < rows; j++ {
+						if i == 0 && j == 0 {
+							continue
+						}
+						d := math.Hypot(float64(i)*dw, float64(j)*dh)
+						got, want := m.CovAtDist(d), m.CovAtCorr(proc.TotalCorr(d))
+						rel := math.Abs(got-want) / want
+						if want == 0 {
+							rel = math.Abs(got)
+						}
+						if !(rel <= widCovRelTol) {
+							t.Fatalf("%s %v lag (%d, %d), d = %g: composed %x, spline %x (rel %.3g)", name, mode, i, j, d, got, want, rel)
+						}
+						worst = max(worst, rel)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("largest relative distance: %.3g", worst)
+}
+
+// The closed-form range tails must equal the explicit sums they replace:
+// lagTailCount against Σ_{t≥end} lagCount, and the global walk's
+// sumWR − Σ_{j<end} wr[j] against Σ_{j≥end} wr[j], with wr from
+// tileLagCounts of several tile edges, for every end.
+func TestRangeTailCounts(t *testing.T) {
+	for dim := 1; dim <= 40; dim++ {
+		for end := 0; end < dim; end++ {
+			want := int64(0)
+			for u := end; u < dim; u++ {
+				want += lagCount(dim, u)
+			}
+			if got := lagTailCount(dim, end); got != want {
+				t.Fatalf("dim %d end %d: lagTailCount %d, Σ lagCount %d", dim, end, got, want)
+			}
+		}
+		for _, tiles := range []int{1, 2, 3, 7} {
+			wr := tileLagCounts(placement.TileEdges(dim, tiles), dim)
+			total := int64(0)
+			for _, n := range wr {
+				total += n
+			}
+			before := int64(0)
+			for end := 0; end <= dim; end++ {
+				want := int64(0)
+				for _, n := range wr[end:] {
+					want += n
+				}
+				if got := total - before; got != want {
+					t.Fatalf("dim %d tiles %d end %d: Σwr − prefix %d, Σ wr[end:] %d", dim, tiles, end, got, want)
+				}
+				if end < dim {
+					before += wr[end]
 				}
 			}
 		}
@@ -202,7 +335,7 @@ func TestLagKernelInRangeSpanAttr(t *testing.T) {
 		}
 		rows, cols := m.modelGrid()
 		dw, dh := tc.spec.W/float64(cols), tc.spec.H/float64(rows)
-		r := m.newLagKernel(rows, cols).r
+		r := m.newLagKernel(rows, cols, lagCounts(rows)).r
 		want := 0
 		for i := 0; i < cols; i++ {
 			for j := 0; j < rows; j++ {
@@ -239,6 +372,38 @@ func TestLagKernelInRangeSpanAttr(t *testing.T) {
 			if got != int64(want) {
 				t.Errorf("%s %s: lags_in_range = %v, want %d", tc.proc, stage, got, want)
 			}
+		}
+	}
+}
+
+// The lag pass allocates a fixed set of slices per estimate — the lag
+// populations, the column slots, the per-worker covariance buffers and,
+// tiled, the box slots and tile stats — and nothing per column or lag.
+// The bounds are the counts before the lag kernel composed F with ρ_WID
+// (serial pool, so no goroutine enters the count).
+func TestLagPassAllocs(t *testing.T) {
+	m := newTestModel(t, 10000, Analytic)
+	m.Workers = 1
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func() error
+	}{
+		{"EstimateLinearCtx", 8, func() error { _, err := m.EstimateLinearCtx(ctx); return err }},
+		{"EstimateTiledCtx", 22, func() error { _, err := m.EstimateTiledCtx(ctx, 4, nil); return err }},
+	} {
+		var err error
+		got := testing.AllocsPerRun(20, func() {
+			if e := tc.run(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got > tc.max {
+			t.Errorf("%s: %v allocations per run, want at most %v", tc.name, got, tc.max)
 		}
 	}
 }

@@ -123,6 +123,7 @@ type Model struct {
 	variance  float64 // σ²_XI
 	sumWSigma float64 // Σ w·σ, for the simplified correlation mode
 	fSpline   *quad.Spline
+	cov       widCov // F(ρ_L(d)) as a cubic in ρ_WID(d), for callers holding d
 
 	pairCache map[[2]string]*quad.Spline
 	cellCache map[string][2]float64
@@ -169,6 +170,13 @@ func NewModelCtx(ctx context.Context, lib *charlib.Library, proc *spatial.Proces
 		pairCache: make(map[[2]string]*quad.Spline),
 		cellCache: make(map[string][2]float64),
 	}
+	nv := 0 // at least the variant count, so vars is allocated once
+	for _, name := range spec.Hist.Labels() {
+		if cc, err := lib.Cell(name); err == nil {
+			nv += len(cc.States)
+		}
+	}
+	m.vars = make([]variant, 0, nv)
 	for _, name := range spec.Hist.Labels() {
 		alpha := spec.Hist.Prob(name)
 		if alpha == 0 {
@@ -214,15 +222,19 @@ func NewModelCtx(ctx context.Context, lib *charlib.Library, proc *spatial.Proces
 			return nil, err
 		}
 	}
+	m.buildWIDCov()
 	return m, nil
 }
 
 // buildFSpline tabulates F(ρ_L) = Σ_v Σ_u w_v w_u Cov(X_v, X_u | ρ_L) over
-// a ρ grid (Eq. 10 over the variant space).
+// a ρ grid (Eq. 10 over the variant space): covGridPoints uniform knots
+// k/(covGridPoints−1), the ones widCov.piece indexes.
 func (m *Model) buildFSpline(ctx context.Context) error {
 	mu, sigma := m.Proc.LNominal, m.Proc.TotalSigma()
-	rhos := quad.Linspace(0, 1, covGridPoints)
-	fs := make([]float64, len(rhos))
+	var rhos, fs [covGridPoints]float64 // NewSpline copies them
+	for k := range rhos {
+		rhos[k] = float64(k) / (covGridPoints - 1)
+	}
 	for k, rho := range rhos {
 		if err := lkerr.FromContext(ctx, "core.NewModel"); err != nil {
 			return err
@@ -248,7 +260,7 @@ func (m *Model) buildFSpline(ctx context.Context) error {
 		}
 		fs[k] = total
 	}
-	sp, err := quad.NewSpline(rhos, fs)
+	sp, err := quad.NewSpline(rhos[:], fs[:])
 	if err != nil {
 		return fmt.Errorf("core: F spline: %w", err)
 	}
@@ -265,13 +277,7 @@ func (m *Model) RGVariance() float64 { return m.variance }
 // CovAtCorr returns F(ρ_L), the RG leakage covariance between two distinct
 // sites whose channel-length correlation is ρ_L (Eq. 10). In MCSimplified
 // mode the ρ_leak = ρ_L assumption gives F(ρ) = ρ·(Σ w σ)².
-func (m *Model) CovAtCorr(rho float64) float64 { return m.covAtCorrFrom(rho, nil) }
-
-// covAtCorrFrom is CovAtCorr with the F spline's segment walked from *seg,
-// the previous call's segment, which it then updates; a nil seg bisects.
-// quad.LocateFrom finds the segment the bisection would, so the result is
-// bitwise CovAtCorr's either way.
-func (m *Model) covAtCorrFrom(rho float64, seg *quad.Segment) float64 {
+func (m *Model) CovAtCorr(rho float64) float64 {
 	if rho <= 0 {
 		// Uncorrelated lengths ⇒ independent leakages across sites.
 		return 0
@@ -282,14 +288,7 @@ func (m *Model) covAtCorrFrom(rho float64, seg *quad.Segment) float64 {
 	if m.Mode.usesSimplifiedCorr() {
 		return rho * m.sumWSigma * m.sumWSigma
 	}
-	var g quad.Segment
-	if seg == nil {
-		g = m.fSpline.Locate(rho)
-	} else {
-		g = m.fSpline.LocateFrom(*seg, rho)
-		*seg = g
-	}
-	v := m.fSpline.EvalSegment(g)
+	v := m.fSpline.Eval(rho)
 	if v < 0 {
 		v = 0
 	}
@@ -302,7 +301,89 @@ func (m *Model) CovAtDist(d float64) float64 {
 	if d == 0 {
 		return m.variance
 	}
-	return m.CovAtCorr(m.Proc.TotalCorr(d))
+	return m.covAt(d)
+}
+
+// covAt returns F(ρ_L(d)), the covariance of two sites at distance d > 0,
+// from the composed cubic of widCov.
+func (m *Model) covAt(d float64) float64 { return m.cov.at(m.cov.corr.WID(d)) }
+
+// widCov is F(ρ_L) composed with the process's correlation split: with
+// a = σ_D2D²/σ² and b = σ_WID²/σ², ρ_L = a + b·w for w = ρ_WID, so on each
+// of the F spline's covGridPoints−1 knot intervals F is a cubic in w. Each
+// piece holds that cubic in the power basis about its lower end w0 in w
+// (the spline's own coefficients about ρ = a + b·w0, times bᵐ), so one
+// distance costs one ρ_WID evaluation, an index and a Horner step, with no
+// divide. The piece holding w = 0, the correlation floor, is expanded about
+// w = 0 with c₀ = CovAtCorr(CorrFloor()), so every distance past the WID
+// range gets exactly the floor's covariance; with no floor (a = 0) the
+// clamp gives 0 there and c₀ stays the spline's own F(0), which keeps the
+// piece continuous. In the simplified modes every piece is the one line
+// F = (a + b·w)·(Σ w σ)².
+type widCov struct {
+	corr   spatial.PreparedCorr
+	a, b   float64
+	pieces [covGridPoints - 1]struct {
+		w0 float64
+		c  [4]float64
+	}
+}
+
+// buildWIDCov composes the model's covariance with its process's split.
+func (m *Model) buildWIDCov() {
+	vd := m.Proc.SigmaD2D * m.Proc.SigmaD2D
+	vw := m.Proc.SigmaWID * m.Proc.SigmaWID
+	c := &m.cov
+	c.corr = m.Proc.Prepare()
+	c.a, c.b = m.Proc.CorrFloor(), vw/(vd+vw)
+	floor := m.CovAtCorr(c.a)
+	if m.Mode.usesSimplifiedCorr() {
+		s2 := m.sumWSigma * m.sumWSigma
+		for k := range c.pieces {
+			c.pieces[k].c = [4]float64{floor, c.b * s2}
+		}
+		return
+	}
+	k0 := c.piece(c.a)
+	for k := range c.pieces {
+		p := &c.pieces[k]
+		x0 := c.a
+		if k != k0 {
+			if c.b == 0 { // ρ_L ≡ a: no other piece is reached
+				continue
+			}
+			p.w0 = (float64(k)/(covGridPoints-1) - c.a) / c.b
+			x0 = c.a + c.b*p.w0
+		}
+		p.c = m.fSpline.Cubic(k, x0)
+		for i, bm := 1, 1.0; i < 4; i++ {
+			bm *= c.b
+			p.c[i] *= bm
+		}
+	}
+	if c.a > 0 {
+		c.pieces[k0].c[0] = floor
+	}
+}
+
+// piece returns the index of the F spline interval holding ρ_L = x > 0 on
+// covGridPoints uniform knots over [0, 1], the last one from x = 1 on. A
+// NaN x gets a valid index too, and its NaN then reaches the result.
+func (c *widCov) piece(x float64) int {
+	return min(max(int(x*(covGridPoints-1)), 0), covGridPoints-2)
+}
+
+// at returns F(a + b·w) with CovAtCorr's clamps: 0 for ρ_L ≤ 0, ρ_WID
+// above 1 taken as 1, and a negative covariance as 0.
+func (c *widCov) at(w float64) float64 {
+	w = min(w, 1)
+	x := c.a + c.b*w
+	if x <= 0 {
+		return 0
+	}
+	p := &c.pieces[c.piece(x)]
+	t := w - p.w0
+	return max(p.c[0]+t*(p.c[1]+t*(p.c[2]+t*p.c[3])), 0)
 }
 
 // CellStats returns the state-weighted effective (mean, sigma) of a cell

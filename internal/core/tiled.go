@@ -313,7 +313,7 @@ func (m *Model) EstimateTiledIntegral2DCtx(ctx context.Context, tiles int, tileG
 			}
 			xb, yb := parts[b].Centroid(grid)
 			d := math.Hypot(xa-xb, ya-yb)
-			cov := m.CovAtCorr(m.Proc.TotalCorr(d))
+			cov := m.CovAtDist(d)
 			if cov == 0 {
 				continue
 			}

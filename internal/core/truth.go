@@ -137,6 +137,7 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 	// here (the model caches were warmed above).
 	order := rowsByType(gt, len(types))
 	cols := pl.Grid.Cols
+	corr := m.Proc.Prepare() // At is bitwise TotalCorr
 	rep := telemetry.StartProgress(ctx, "core.truth", int64(n))
 	tick := parallel.NewTicker(rep)
 	rowVar := make([]float64, n)
@@ -164,7 +165,7 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 			row := pairSpl[gt[a]]
 			for b := a + 1; b < n; b++ {
 				d := math.Hypot(xa-xs[b], ya-ys[b])
-				rho := m.Proc.TotalCorr(d)
+				rho := corr.At(d)
 				if rho <= 0 {
 					continue
 				}
@@ -234,9 +235,10 @@ func buildClassTables(m *Model, grid placement.Grid, pairSpl [][]*quad.Spline) (
 			byPair[j][i] = tab
 		}
 	}
+	corr := m.Proc.Prepare() // At is bitwise TotalCorr
 	for dr := 0; dr < grid.Rows; dr++ {
 		for dc := 0; dc < grid.Cols; dc++ {
-			rho := m.Proc.TotalCorr(grid.LagDist(dr, dc))
+			rho := corr.At(grid.LagDist(dr, dc))
 			if rho <= 0 {
 				continue
 			}

@@ -159,33 +159,6 @@ func (s *Spline) Locate(x float64) Segment {
 	return Segment{lo: lo, x: x}
 }
 
-// LocateFrom returns Locate(x) for any hint, found by walking the knots
-// from hint — the segment of an earlier x on this spline — instead of
-// bisecting. A caller whose x moves by about a knot per call (a lag
-// column's ρ) pays one or two predictable comparisons instead of the
-// bisection's unpredictable branches.
-func (s *Spline) LocateFrom(hint Segment, x float64) Segment {
-	if x != x {
-		return s.Locate(x) // NaN: the bisection ends on segment n−2
-	}
-	xs := s.xs
-	last := len(xs) - 2 // the last interior segment
-	lo := min(max(hint.lo, 0), last)
-	for lo > 0 && x < xs[lo] {
-		lo--
-	}
-	for lo < last && x >= xs[lo+1] {
-		lo++
-	}
-	switch {
-	case x <= xs[0]:
-		lo = -1
-	case x >= xs[last+1]:
-		lo = last + 1
-	}
-	return Segment{lo: lo, x: x}
-}
-
 // EvalSegment evaluates the spline on a segment located on a spline with
 // the same knots (this one or any other for which SameKnots holds).
 // Outside the knot range, the boundary cubic segment's linear tangent is
@@ -210,6 +183,24 @@ func (s *Spline) EvalSegment(g Segment) float64 {
 	b := (x - s.xs[lo]) / h
 	return a*s.ys[lo] + b*s.ys[hi] +
 		((a*a*a-a)*s.y2[lo]+(b*b*b-b)*s.y2[hi])*h*h/6
+}
+
+// Cubic returns the cubic of interval k, between knots k and k+1, in the
+// power basis about x0: S(x) = c[0] + c[1]·t + c[2]·t² + c[3]·t³ with
+// t = x − x0, its value and Taylor coefficients at x0. A caller that
+// evaluates one interval many times, or composes it with a linear map of
+// x, pays no divide per evaluation.
+func (s *Spline) Cubic(k int, x0 float64) [4]float64 {
+	h := s.xs[k+1] - s.xs[k]
+	a := (s.xs[k+1] - x0) / h
+	b := (x0 - s.xs[k]) / h
+	ylo, yhi, zlo, zhi := s.ys[k], s.ys[k+1], s.y2[k], s.y2[k+1]
+	return [4]float64{
+		a*ylo + b*yhi + ((a*a*a-a)*zlo+(b*b*b-b)*zhi)*h*h/6,
+		(yhi-ylo)/h - (3*a*a-1)/6*h*zlo + (3*b*b-1)/6*h*zhi,
+		(a*zlo + b*zhi) / 2,
+		(zhi - zlo) / (6 * h),
+	}
 }
 
 // SameKnots reports whether o has exactly the knots of s, bit for bit, so

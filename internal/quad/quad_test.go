@@ -3,7 +3,6 @@ package quad
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -216,63 +215,33 @@ func TestSegmentSharedEvalBitwise(t *testing.T) {
 	}
 }
 
-// LocateFrom must return exactly Locate's segment whatever the hint: on
-// monotone and random sequences, on knots, at and beyond both ends, for
-// infinities and NaN (which the bisection sends to segment n−2), and on
-// irregular knot spacings down to two knots.
-func TestLocateFromMatchesLocate(t *testing.T) {
+// Cubic's power basis must reproduce EvalSegment across its interval,
+// about either end or an interior point, on regular and irregular knots.
+func TestCubicMatchesEvalSegment(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	grids := [][]float64{Linspace(0, 1, 33), {0, 1}, {-2, -1.5, 0, 0.25, 3}}
-	irregular := []float64{0}
-	for len(irregular) < 20 {
-		irregular = append(irregular, irregular[len(irregular)-1]+rng.Float64()+1e-3)
+	xs := []float64{0, 0.3, 0.35, 1, 2.5, 2.6}
+	ys := make([]float64, len(xs))
+	for i := range ys {
+		ys[i] = 1 + rng.Float64()
 	}
-	grids = append(grids, irregular)
-	for _, xs := range grids {
-		s, err := NewSpline(xs, xs)
+	for _, grid := range [][2][]float64{{Linspace(0, 1, 33), Linspace(0, 1, 33)}, {xs, ys}} {
+		s, err := NewSpline(grid[0], grid[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := xs[0], xs[len(xs)-1]
-		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), lo, hi,
-			math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1)), lo - 1, hi + 1}
-		special = append(special, xs...)
-		var seqs [][]float64
-		// Monotone sweeps in both directions, through every knot.
-		up := Linspace(lo-0.5, hi+0.5, 301)
-		up = append(up, xs...)
-		sort.Float64s(up)
-		down := make([]float64, len(up))
-		for i, x := range up {
-			down[len(up)-1-i] = x
-		}
-		seqs = append(seqs, up, down)
-		// Random jumps mixed with the special points.
-		jumps := make([]float64, 400)
-		for i := range jumps {
-			if rng.Intn(4) == 0 {
-				jumps[i] = special[rng.Intn(len(special))]
-			} else {
-				jumps[i] = lo - 1 + (hi-lo+2)*rng.Float64()
-			}
-		}
-		seqs = append(seqs, jumps, special)
-		for _, seq := range seqs {
-			hint := s.Locate(seq[0])
-			for _, x := range seq {
-				got, want := s.LocateFrom(hint, x), s.Locate(x)
-				if got.lo != want.lo || math.Float64bits(got.x) != math.Float64bits(want.x) {
-					t.Fatalf("knots %v, hint %d, x=%v: LocateFrom %d, Locate %d", xs, hint.lo, x, got.lo, want.lo)
-				}
-				hint = got
-			}
-		}
-		// Every hint a caller can hold, including the extrapolation and
-		// unlocated markers, against every special point.
-		for h := unlocated; h <= len(xs)-1; h++ {
-			for _, x := range special {
-				if got, want := s.LocateFrom(Segment{lo: h}, x), s.Locate(x); got.lo != want.lo {
-					t.Fatalf("knots %v, hint %d, x=%v: LocateFrom %d, Locate %d", xs, h, x, got.lo, want.lo)
+		kn := grid[0]
+		for k := 0; k+1 < len(kn); k++ {
+			lo, hi := kn[k], kn[k+1]
+			for _, x0 := range []float64{lo, hi, lo + 0.3*(hi-lo)} {
+				c := s.Cubic(k, x0)
+				for q := 0; q <= 16; q++ {
+					x := lo + float64(q)/16*(hi-lo)
+					dx := x - x0
+					got := c[0] + dx*(c[1]+dx*(c[2]+dx*c[3]))
+					want := s.EvalSegment(Segment{lo: k, x: x})
+					if math.Abs(got-want) > 1e-14*math.Max(1, math.Abs(want)) {
+						t.Fatalf("knots %v interval %d about %g: S(%g) = %g, EvalSegment %g", kn, k, x0, x, got, want)
+					}
 				}
 			}
 		}

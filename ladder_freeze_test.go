@@ -64,17 +64,17 @@ var ladderFreeze = []ladderCase{
 	{name: "late/max-pairs/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxPairs: 1769},
 		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4d, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/max-gates", late: true, budget: EstimateBudget{MaxGates: 59},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d196, method: "integral-2d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/max-gates/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxGates: 59},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d196, method: "integral-2d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/timeout-fault", late: true, slowTruth: true, budget: EstimateBudget{Timeout: 40 * time.Millisecond},
 		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4d, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/timeout-fault/tiles", late: true, tiles: 2, slowTruth: true, budget: EstimateBudget{Timeout: 40 * time.Millisecond},
 		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4d, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/timeout", late: true, budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d196, method: "integral-2d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/timeout/tiles", late: true, tiles: 2, budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d196, method: "integral-2d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 }
 
 // runLadderCase runs one frozen case and returns its result and the span.
