@@ -369,6 +369,28 @@ func BenchmarkEstimateLinear(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateLinearDefault measures the linear-time estimator where
+// the per-lag covariance dominates: a million gates on DefaultProcess
+// (λ = 1 mm, R = 4 mm) over a 6 mm die, so about a third of the 10⁶ lags
+// lie within R and are evaluated one by one, against under 0.3 % on
+// BenchmarkEstimateLinear's ChipProcess, where nearly every lag is the
+// range tail.
+func BenchmarkEstimateLinearDefault(b *testing.B) {
+	lib := benchLib(b)
+	est, err := NewEstimator(lib, DefaultProcess())
+	if err != nil {
+		b.Fatal(err)
+	}
+	est.Workers = envWorkers(b)
+	design := Design{Hist: benchHist(b), N: 1000000, W: 6000, H: 6000, SignalProb: 0.5}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := est.EstimateContext(context.Background(), design, Linear); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEstimateTiled measures the tiled linear estimator on
 // BenchmarkEstimateLinear's million-gate design with 4 tiles per axis: the
 // same lag pass as the linear method, which also sums every tile shape's

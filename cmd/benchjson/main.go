@@ -32,18 +32,19 @@ import (
 // count, so ns/op can be read as time-per-design-size. Experiment-table
 // benchmarks sweep many sizes and are reported without one.
 var gateCounts = map[string]int{
-	"EstimateLinear":       1000000,
-	"EstimateTiled":        1000000,
-	"EstimateConstantTime": 1000000,
-	"TrueLeakage":          383,  // c880
-	"TrueLeakageWorkers":   3512, // c7552
-	"FastTrueLeakage":      3512, // c7552
-	"Floorplan":            130000,
-	"ChipMCFFT":            10000,
-	"ChipMCQMC":            10000,
-	"TruthClassed":         11236, // 106², Fig. 6's largest size
-	"ChipMCTiled":          1000000,
-	"EstimateStream":       10000000,
+	"EstimateLinear":        1000000,
+	"EstimateLinearDefault": 1000000,
+	"EstimateTiled":         1000000,
+	"EstimateConstantTime":  1000000,
+	"TrueLeakage":           383,  // c880
+	"TrueLeakageWorkers":    3512, // c7552
+	"FastTrueLeakage":       3512, // c7552
+	"Floorplan":             130000,
+	"ChipMCFFT":             10000,
+	"ChipMCQMC":             10000,
+	"TruthClassed":          11236, // 106², Fig. 6's largest size
+	"ChipMCTiled":           1000000,
+	"EstimateStream":        10000000,
 }
 
 // budgets collects the repeatable -budget NAME=DURATION flags.

@@ -101,8 +101,7 @@ func (m *Model) EstimateLinearCtx(ctx context.Context) (Result, error) {
 	ctx, end := timeMethod(ctx, "linear", "estimate.linear")
 	defer end()
 	k, cols := m.modelGrid()
-	variance, _, note, err := m.latticeVariance(ctx, "core.EstimateLinear", "estimate.linear",
-		k, cols, lagCounts(cols), lagCounts(k), nil)
+	variance, _, note, err := m.latticeVariance(ctx, "core.EstimateLinear", "estimate.linear", k, cols, nil)
 	if err != nil {
 		return Result{}, err
 	}

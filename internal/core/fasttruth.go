@@ -127,6 +127,7 @@ func FastTrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement, tile 
 		}
 		return rho
 	}
+	corr := m.Proc.Prepare() // At is bitwise TotalCorr
 	for _, k := range keys {
 		b := buckets[k]
 		for i := 0; i < len(b.gates); i++ {
@@ -135,7 +136,7 @@ func FastTrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement, tile 
 			for j := i + 1; j < len(b.gates); j++ {
 				bb := b.gates[j]
 				d := math.Hypot(xs[a]-xs[bb], ys[a]-ys[bb])
-				rho := m.Proc.TotalCorr(d)
+				rho := corr.At(d)
 				if rho <= 0 {
 					continue
 				}
@@ -152,7 +153,7 @@ func FastTrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement, tile 
 		for j := i + 1; j < len(keys); j++ {
 			bj := buckets[keys[j]]
 			d := math.Hypot(bi.cx-bj.cx, bi.cy-bj.cy)
-			rho := m.Proc.TotalCorr(d)
+			rho := corr.At(d)
 			if rho <= 0 {
 				continue
 			}

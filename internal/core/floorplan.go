@@ -128,11 +128,12 @@ func EstimateFloorplan(lib *charlib.Library, proc *spatial.Process, blocks []Blo
 	for i := range blocks {
 		tiles[i] = tilesOf(i)
 	}
+	corr := proc.Prepare() // At is bitwise TotalCorr
 	for i := range blocks {
 		for j := i + 1; j < len(blocks); j++ {
 			for _, ta := range tiles[i] {
 				for _, tb := range tiles[j] {
-					rho := proc.TotalCorr(math.Hypot(ta.x-tb.x, ta.y-tb.y))
+					rho := corr.At(math.Hypot(ta.x-tb.x, ta.y-tb.y))
 					if rho > 0 {
 						inter += 2 * ta.mass * tb.mass * rho
 					}

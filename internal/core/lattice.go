@@ -14,33 +14,21 @@ import (
 
 // lagKernel sums the RG covariance over the lag lattice of the model's RG
 // array — the Eq. 17 regrouping shared by the linear and tiled sums
-// (DESIGN.md §16). Lag (i, j), at d = hypot(i·dw, j·dh), carries the
-// integer pair population wc[i]·wr[j] of tileLagCounts. A lag within the
-// WID range costs one Hypot, one ρ_WID evaluation and one cubic of the
-// model's widCov; the lags past it share one covariance, added as one
-// product per column.
+// (DESIGN.md §16). Lag (i, j), at d = √(x² + y²) for x = i·dw, y = j·dh,
+// carries the integer pair population lagCount(cols, i)·lagCount(rows, j).
+// A lag within the WID range costs one Sqrt and one evaluation of the
+// model's widCov (for the exponential family a divide, one Exp, an index
+// and a Horner step); the lags past it share the floor's covariance, added
+// as one product per column.
 type lagKernel struct {
-	cov       *widCov
-	dw, dh, r float64 // r: the WID correlation range
-	// tail is the covariance of every lag past r, F(ρ_floor); sumWR is
-	// Σ wr, so Σ_{j≥end} wr[j] = sumWR − Σ_{j<end} wr[j].
-	tail  float64
-	sumWR int64
+	cov        *widCov
+	rows, cols int
+	dw, dh     float64
 }
 
-// newLagKernel builds the kernel for the model's rows×cols RG array with
-// row lag populations wr.
-func (m *Model) newLagKernel(rows, cols int, wr []int64) lagKernel {
-	r := 0.0 // without WID variation ρ_WID is 0 at every lag
-	if m.Proc.SigmaWID > 0 && m.Proc.WIDCorr != nil {
-		r = m.Proc.WIDCorr.Range()
-	}
-	var sum int64
-	for _, n := range wr {
-		sum += n
-	}
-	return lagKernel{cov: &m.cov, dw: m.Spec.W / float64(cols), dh: m.Spec.H / float64(rows), r: r,
-		tail: m.cov.at(0), sumWR: sum}
+// newLagKernel builds the kernel for the model's rows×cols RG array.
+func (m *Model) newLagKernel(rows, cols int) lagKernel {
+	return lagKernel{cov: &m.cov, rows: rows, cols: cols, dw: m.Spec.W / float64(cols), dh: m.Spec.H / float64(rows)}
 }
 
 // lagBox is the lag lattice of one rows×cols array: lag (i, j) for
@@ -52,8 +40,8 @@ type lagBox struct {
 	colSums    []float64
 }
 
-// lagCount is lagCounts(dim)[i]: dim ordered pairs at lag 0, 2·(dim − i)
-// at lag i > 0.
+// lagCount is the ordered site-pair population of lag i along a dimension
+// of dim sites: dim pairs at lag 0, 2·(dim − i) at lag i > 0.
 func lagCount(dim, i int) int64 {
 	if i == 0 {
 		return int64(dim)
@@ -62,7 +50,7 @@ func lagCount(dim, i int) int64 {
 }
 
 // lagTailCount is Σ_{t≥end} lagCount(dim, t), the population of the lags
-// from end on, for 0 ≤ end < dim: dim² from 0, (dim−end)(dim−end+1)
+// from end on, for 0 ≤ end ≤ dim: dim² from 0, (dim−end)(dim−end+1)
 // from end > 0.
 func lagTailCount(dim, end int) int64 {
 	if end == 0 {
@@ -72,48 +60,47 @@ func lagTailCount(dim, end int) int64 {
 }
 
 // column adds the lags (i, j) of column i, j ascending and (0, 0) skipped,
-// to a sum with weights wc·wr[j], and returns that sum and how many lags
-// lie within r. Each lag's covariance is evaluated once: with boxes, the
-// walk keeps the in-range ones in covs, as long as the tallest box, then
-// sums column i of every box that holds it, with the box's own weights and
-// the same range tail, into the box's colSums[i]. Boxes lie within the
-// global lattice of wr, and a box's sum is bitwise the one a walk of its
-// own lattice would give.
+// to a sum with their populations as weights, and returns that sum and how
+// many lags lie within the WID range r. Each lag's covariance is evaluated
+// once: with boxes, the walk keeps the in-range ones in covs, as long as
+// the tallest box, then sums column i of every box that holds it, with the
+// box's own populations and the same range tail, into the box's
+// colSums[i]. A box's sum is bitwise the one a walk of its own lattice
+// would give.
 //
 // Beyond r the spatial.CorrFunc contract gives ρ_WID = 0, so every such
-// lag has the covariance tail = F(ρ_floor); the walk stops at the
-// column's first lag past r and adds the rest of the column as one
-// product, tail times the integer population of the lags left. The rest
-// of the column is past r because, for a fixed x = i·dw, the computed
-// Hypot(x, y) never decreases as y = float64(j)·dh grows: while y ≤ x
-// each correctly rounded step of x·√(1+(y/x)²) is monotone in y; past
-// that, one step of dh raises the exact distance by at least dh/√2, a
-// relative rise of at least 1/(2(j+1)), far above Hypot's few-ulp
-// rounding error for any grid side below ~10¹³ (TestLagDistanceMonotone).
-func (k *lagKernel) column(i int, wc int64, wr []int64, boxes []lagBox, covs []float64) (float64, int) {
+// lag has the floor's covariance; the walk stops at the column's first lag
+// past r and adds the rest of the column as one product, the floor times
+// the integer population of the lags left. The rest of the column is past
+// r because the computed √(x² + y²) never decreases as y = float64(j)·dh
+// grows: rounded square, add and square root are each monotone
+// (TestLagDistanceMonotone).
+func (k *lagKernel) column(i int, boxes []lagBox, covs []float64) (float64, int) {
+	c := k.cov
 	x := float64(i) * k.dw
+	x2 := x * x
+	wc := lagCount(k.cols, i)
 	first := 0
-	var before int64 // Σ wr[j] over j < end
 	if i == 0 {
-		first, before = 1, wr[0]
+		first = 1
 	}
 	// Lags [first, end) lie within r.
-	end := len(wr)
+	end := k.rows
 	sum := 0.0
-	for j := first; j < len(wr); j++ {
-		d := math.Hypot(x, float64(j)*k.dh)
-		if d > k.r {
+	for j := first; j < k.rows; j++ {
+		y := float64(j) * k.dh
+		d := math.Sqrt(x2 + y*y)
+		if d > c.r {
 			end = j
 			break
 		}
-		cov := k.cov.at(k.cov.corr.WID(d))
-		sum += float64(wc*wr[j]) * cov
-		before += wr[j]
+		cov := c.at(c.feature(d))
+		sum += float64(wc*lagCount(k.rows, j)) * cov
 		if j < len(covs) {
 			covs[j] = cov
 		}
 	}
-	sum += float64(wc*(k.sumWR-before)) * k.tail
+	sum += float64(wc*lagTailCount(k.rows, end)) * c.floor
 	for _, bx := range boxes {
 		if i >= len(bx.colSums) { // beyond the box, or a box the walk does not sum
 			continue
@@ -123,7 +110,7 @@ func (k *lagKernel) column(i int, wc int64, wr []int64, boxes []lagBox, covs []f
 			s += float64(w*lagCount(bx.rows, j)) * covs[j]
 		}
 		if end < bx.rows {
-			s += float64(w*lagTailCount(bx.rows, end)) * k.tail
+			s += float64(w*lagTailCount(bx.rows, end)) * c.floor
 		}
 		bx.colSums[i] = s
 	}
@@ -131,9 +118,8 @@ func (k *lagKernel) column(i int, wc int64, wr []int64, boxes []lagBox, covs []f
 }
 
 // latticeVariance returns the Eq. 17 variance of the model's rows×cols RG
-// array, N·σ²_XI plus the off-diagonal lag sum with the lag populations
-// wc (columns) and wr (rows), occupancy-scaled by N(N−1)/(S(S−1)) when
-// the array has S ≠ N sites. The same pass sums each of tiles, the lag
+// array, N·σ²_XI plus the off-diagonal lag sum, occupancy-scaled by
+// N(N−1)/(S(S−1)) when the array has S ≠ N sites. The same pass sums each of tiles, the lag
 // boxes of the tile shapes, and returns their unscaled off-diagonal sums
 // in tileOff; a box of the global lattice's own shape (one tile) takes the
 // global sum. Each column sums into its own slots and the slots merge in
@@ -141,8 +127,8 @@ func (k *lagKernel) column(i int, wc int64, wr []int64, boxes []lagBox, covs []f
 // is checked, and progress reported, once per column. The count of lags
 // within the WID range, the ones evaluated one by one, goes on the current
 // span as lags_in_range.
-func (m *Model) latticeVariance(ctx context.Context, op, stage string, rows, cols int, wc, wr []int64, tiles []lagBox) (variance float64, tileOff []float64, note string, err error) {
-	kern := m.newLagKernel(rows, cols, wr)
+func (m *Model) latticeVariance(ctx context.Context, op, stage string, rows, cols int, tiles []lagBox) (variance float64, tileOff []float64, note string, err error) {
+	kern := m.newLagKernel(rows, cols)
 	boxes := slices.Clone(tiles)
 	tall := 0 // the tallest summed box's rows
 	for b, bx := range boxes {
@@ -163,7 +149,7 @@ func (m *Model) latticeVariance(ctx context.Context, op, stage string, rows, col
 	tick := parallel.NewTicker(rep)
 	err = parallel.ForEach(ctx, op, m.Workers, cols, func(w, i int) error {
 		var n int
-		colOff[i], n = kern.column(i, wc[i], wr, boxes, covs[w])
+		colOff[i], n = kern.column(i, boxes, covs[w])
 		in.Add(int64(n))
 		tick.Tick()
 		return nil

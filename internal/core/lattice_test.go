@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"leakest/internal/placement"
 	"leakest/internal/spatial"
 	"leakest/internal/telemetry"
 )
@@ -57,8 +56,12 @@ func refVariance(m *Model, n, rows, cols int, dw, dh float64) float64 {
 
 // lagFixtureProcesses covers finite ranges with a D2D floor (the tail adds
 // F(ρ_floor)), a zero floor (the tail is skipped), no WID term at all
-// (every lag is tail), infinite ranges (no tail), and a pitch that puts
-// lags exactly on R. Each keeps the shared library's total sigma.
+// (every lag is tail), infinite ranges (no tail; exp-short's far lags
+// underflow exp(−d/λ) to 0), a pitch that puts lags exactly on R, with
+// and without a floor (on-R-wid: F(ρ_L = 0) is 0 there, not the spline's
+// rounding-level F(0)), and a near-flat truncation (R/λ = 10⁻², so
+// ρ_WID = (e − tail)·s with s ≈ 100). Each keeps the shared library's
+// total sigma.
 func lagFixtureProcesses() map[string]*spatial.Process {
 	base := spatial.Default90nm()
 	with := func(c spatial.CorrFunc) *spatial.Process {
@@ -76,16 +79,20 @@ func lagFixtureProcesses() map[string]*spatial.Process {
 		"exp":         with(spatial.ExpCorr{Lambda: 800}),
 		"gauss":       with(spatial.GaussCorr{Lambda: 1500}),
 		"on-R":        with(spatial.TruncatedExpCorr{Lambda: 30, R: 50}),
+		"on-R-wid":    with(spatial.TruncatedExpCorr{Lambda: 30, R: 50}).AllWID(),
+		"near-flat":   with(spatial.TruncatedExpCorr{Lambda: 1e4, R: 100}),
+		"exp-short":   with(spatial.ExpCorr{Lambda: 20}),
 	}
 }
 
 // lagFixtureSpecs returns square and rectangular, full and
 // occupancy-scaled designs whose dies span a few correlation lengths; for
-// "on-R" the pitch is exactly 10 µm, so lags (5,0), (3,4), (4,3) and
-// (0,5) lie exactly on R = 50 µm.
+// "on-R", "on-R-wid" and "near-flat" the pitch is exactly 10 µm, so lags
+// (5,0), (3,4), (4,3) and (0,5) lie exactly on R = 50 µm and (10,0),
+// (6,8), (8,6) and (0,10) on near-flat's R = 100 µm.
 func lagFixtureSpecs(t *testing.T, name string) []DesignSpec {
 	h := testHist(t)
-	if name == "on-R" {
+	if name == "on-R" || name == "on-R-wid" || name == "near-flat" {
 		return []DesignSpec{
 			{Hist: h, N: 400, W: 200, H: 200, SignalProb: 0.5},
 			{Hist: h, N: 600, W: 300, H: 200, SignalProb: 0.5},
@@ -110,10 +117,11 @@ func ulps(a, b float64) uint64 {
 }
 
 // lagRefULPs bounds how far the lag kernel's σ may lie from serialLagRef's.
-// The kernel evaluates F(ρ_L(d)) as widCov's cubic in ρ_WID instead of the
-// F spline at TotalCorr(d), and adds the range tail as one product instead
-// of lag by lag; both round differently from the reference, never by more
-// than a few ulps of σ over lagFixtureProcesses (largest seen: 2 ulps).
+// The kernel evaluates F(ρ_L(d)) as widCov's cubic in its feature of
+// d = √(x² + y²) instead of the F spline at TotalCorr(Hypot(x, y)), and
+// adds the range tail as one product instead of lag by lag; both round
+// differently from the reference, never by more than a few ulps of σ over
+// lagFixtureProcesses (largest seen: 2 ulps).
 const lagRefULPs = 4
 
 // The shared lag kernel must reproduce the per-lag loop to within
@@ -203,13 +211,20 @@ func TestLagKernelMatchesSerialRef(t *testing.T) {
 
 // widCovRelTol bounds widCov's relative distance from CovAtCorr(TotalCorr(d)):
 // the composed cubic and the spline evaluate the same polynomial in
-// different bases, and measured at most 4.3e-16 relative over every lag of
-// lagFixtureProcesses in all three modes.
+// different bases and variables, and measured at most 4.4e-16 relative over
+// every lag of lagFixtureProcesses in all three modes.
 const widCovRelTol = 1e-15
 
+// lagDist is the lag kernel's distance of lag (i, j) on a dw×dh pitch.
+func lagDist(i, j int, dw, dh float64) float64 {
+	x, y := float64(i)*dw, float64(j)*dh
+	return math.Sqrt(x*x + y*y)
+}
+
 // The composed covariance must match the F spline at TotalCorr(d) at every
-// lag of the lag fixtures, in all three modes, give the correlation
-// floor's covariance bit for bit at ρ_WID = 0, and pass a NaN through.
+// lag of the lag fixtures, in all three modes; give the correlation
+// floor's covariance bit for bit at and past the edge of a finite WID
+// range, where ρ_WID is 0; and pass a NaN feature through.
 func TestComposedCovMatchesSpline(t *testing.T) {
 	lib := testLib(t)
 	worst := 0.0
@@ -221,11 +236,22 @@ func TestComposedCovMatchesSpline(t *testing.T) {
 					t.Fatal(err)
 				}
 				floor := m.CovAtCorr(proc.CorrFloor())
-				if got := m.cov.at(0); math.Float64bits(got) != math.Float64bits(floor) {
-					t.Fatalf("%s %v: composed covariance at ρ_WID = 0 is %x, CovAtCorr(floor) %x", name, mode, got, floor)
+				past := []float64{math.Inf(1)} // past every finite range; e = 0 for an infinite one
+				if r := m.cov.r; r < 0 {       // no WID variation
+					past = append(past, 0, 1)
+				} else if !math.IsInf(r, 1) {
+					past = append(past, r, math.Nextafter(r, math.Inf(1)), 2*r)
+				}
+				for _, d := range past {
+					if got := m.covAt(d); math.Float64bits(got) != math.Float64bits(floor) {
+						t.Fatalf("%s %v: composed covariance at d = %g (R = %g) is %x, CovAtCorr(floor) %x", name, mode, d, m.cov.r, got, floor)
+					}
+				}
+				if got := m.cov.floor; math.Float64bits(got) != math.Float64bits(floor) {
+					t.Fatalf("%s %v: the range tail's covariance is %x, CovAtCorr(floor) %x", name, mode, got, floor)
 				}
 				if got := m.cov.at(math.NaN()); !math.IsNaN(got) {
-					t.Fatalf("%s %v: composed covariance at ρ_WID = NaN is %g, want NaN as CovAtCorr gives", name, mode, got)
+					t.Fatalf("%s %v: composed covariance at a NaN feature is %g, want NaN as CovAtCorr gives", name, mode, got)
 				}
 				rows, cols := m.modelGrid()
 				dw, dh := spec.W/float64(cols), spec.H/float64(rows)
@@ -234,7 +260,7 @@ func TestComposedCovMatchesSpline(t *testing.T) {
 						if i == 0 && j == 0 {
 							continue
 						}
-						d := math.Hypot(float64(i)*dw, float64(j)*dh)
+						d := lagDist(i, j, dw, dh)
 						got, want := m.CovAtDist(d), m.CovAtCorr(proc.TotalCorr(d))
 						rel := math.Abs(got-want) / want
 						if want == 0 {
@@ -253,12 +279,11 @@ func TestComposedCovMatchesSpline(t *testing.T) {
 }
 
 // The closed-form range tails must equal the explicit sums they replace:
-// lagTailCount against Σ_{t≥end} lagCount, and the global walk's
-// sumWR − Σ_{j<end} wr[j] against Σ_{j≥end} wr[j], with wr from
-// tileLagCounts of several tile edges, for every end.
+// lagTailCount(dim, end) against Σ_{t≥end} lagCount for every end up to
+// dim, which makes the whole population, lagTailCount(dim, 0), dim².
 func TestRangeTailCounts(t *testing.T) {
 	for dim := 1; dim <= 40; dim++ {
-		for end := 0; end < dim; end++ {
+		for end := 0; end <= dim; end++ {
 			want := int64(0)
 			for u := end; u < dim; u++ {
 				want += lagCount(dim, u)
@@ -267,41 +292,25 @@ func TestRangeTailCounts(t *testing.T) {
 				t.Fatalf("dim %d end %d: lagTailCount %d, Σ lagCount %d", dim, end, got, want)
 			}
 		}
-		for _, tiles := range []int{1, 2, 3, 7} {
-			wr := tileLagCounts(placement.TileEdges(dim, tiles), dim)
-			total := int64(0)
-			for _, n := range wr {
-				total += n
-			}
-			before := int64(0)
-			for end := 0; end <= dim; end++ {
-				want := int64(0)
-				for _, n := range wr[end:] {
-					want += n
-				}
-				if got := total - before; got != want {
-					t.Fatalf("dim %d tiles %d end %d: Σwr − prefix %d, Σ wr[end:] %d", dim, tiles, end, got, want)
-				}
-				if end < dim {
-					before += wr[end]
-				}
-			}
+		if got := lagTailCount(dim, 0); got != int64(dim)*int64(dim) {
+			t.Fatalf("dim %d: population %d, want dim²", dim, got)
 		}
 	}
 }
 
 // The range tail rests on the computed lag distance never falling as the
 // row lag grows within a column. Sweep columns of many pitches and aspect
-// ratios, including the exact-on-R pitch.
+// ratios, including the exact-on-R pitch and pitches whose squares
+// underflow to 0 or overflow to +Inf.
 func TestLagDistanceMonotone(t *testing.T) {
-	pitches := [][2]float64{{10, 10}, {1, 1}, {0.3, 7}, {7, 0.3}, {1e-3, 2.5}, {333.3, 0.1}, {2.2, 2.2}}
+	pitches := [][2]float64{{10, 10}, {1, 1}, {0.3, 7}, {7, 0.3}, {1e-3, 2.5}, {333.3, 0.1}, {2.2, 2.2},
+		{1e-170, 1e-170}, {1e155, 1e155}, {1e-170, 1}, {1, 1e155}}
 	for _, p := range pitches {
 		dw, dh := p[0], p[1]
 		for _, i := range []int{0, 1, 2, 3, 5, 17, 100, 999, 2048} {
-			x := float64(i) * dw
-			prev := math.Hypot(x, 0)
+			prev := lagDist(i, 0, dw, dh)
 			for j := 1; j < 4096; j++ {
-				d := math.Hypot(x, float64(j)*dh)
+				d := lagDist(i, j, dw, dh)
 				if d < prev {
 					t.Fatalf("pitch %v, column %d: d(%d) = %x < d(%d) = %x", p, i, j, d, j-1, prev)
 				}
@@ -315,7 +324,10 @@ func TestLagDistanceMonotone(t *testing.T) {
 // exactly the lags within the WID range — all of them without a finite
 // range, none without a WID term, and in between the lags with d ≤ R
 // (on-R: i² + j² ≤ 25 on a 10 µm pitch, 6+5+5+5+4+1 for i = 0…5 less
-// (0, 0)).
+// (0, 0)). The count and σ hold at extreme pitches too: at 10⁻¹⁷⁰ µm the
+// kernel's x² + y² underflows to 0 and every lag lies within R; at 10¹⁵⁵
+// µm it overflows to +Inf and every lag is past a finite R, or evaluated
+// at exp(−∞) = 0 under an infinite one.
 func TestLagKernelInRangeSpanAttr(t *testing.T) {
 	lib := testLib(t)
 	procs := lagFixtureProcesses()
@@ -328,6 +340,9 @@ func TestLagKernelInRangeSpanAttr(t *testing.T) {
 		{"d2d-only", DesignSpec{Hist: testHist(t), N: 400, W: 9000, H: 9000, SignalProb: 0.5}, 0},
 		{"on-R", DesignSpec{Hist: testHist(t), N: 400, W: 200, H: 200, SignalProb: 0.5}, 25},
 		{"default90nm", DesignSpec{Hist: testHist(t), N: 700, W: 16000, H: 4000, SignalProb: 0.5}, -1},
+		{"on-R", DesignSpec{Hist: testHist(t), N: 400, W: 2e-169, H: 2e-169, SignalProb: 0.5}, 399},
+		{"on-R", DesignSpec{Hist: testHist(t), N: 400, W: 2e156, H: 2e156, SignalProb: 0.5}, 0},
+		{"exp", DesignSpec{Hist: testHist(t), N: 400, W: 2e156, H: 2e156, SignalProb: 0.5}, 399},
 	} {
 		m, err := NewModel(lib, procs[tc.proc], tc.spec, Analytic)
 		if err != nil {
@@ -335,7 +350,14 @@ func TestLagKernelInRangeSpanAttr(t *testing.T) {
 		}
 		rows, cols := m.modelGrid()
 		dw, dh := tc.spec.W/float64(cols), tc.spec.H/float64(rows)
-		r := m.newLagKernel(rows, cols, lagCounts(rows)).r
+		lin, err := m.EstimateLinear()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if std := math.Sqrt(refVariance(m, tc.spec.N, rows, cols, dw, dh)); ulps(lin.Std, std) > lagRefULPs {
+			t.Fatalf("%s %gx%g: linear σ %x, ref %x", tc.proc, tc.spec.W, tc.spec.H, lin.Std, std)
+		}
+		r := m.cov.r
 		want := 0
 		for i := 0; i < cols; i++ {
 			for j := 0; j < rows; j++ {
@@ -376,11 +398,11 @@ func TestLagKernelInRangeSpanAttr(t *testing.T) {
 	}
 }
 
-// The lag pass allocates a fixed set of slices per estimate — the lag
-// populations, the column slots, the per-worker covariance buffers and,
-// tiled, the box slots and tile stats — and nothing per column or lag.
-// The bounds are the counts before the lag kernel composed F with ρ_WID
-// (serial pool, so no goroutine enters the count).
+// The lag pass allocates a fixed set of slices per estimate — the column
+// slots, the per-worker covariance buffers and, tiled, the box slots and
+// tile stats — and nothing per column or lag: the lag populations are
+// closed forms. The bounds are the counts measured with a serial pool, so
+// no goroutine enters the count.
 func TestLagPassAllocs(t *testing.T) {
 	m := newTestModel(t, 10000, Analytic)
 	m.Workers = 1
@@ -390,8 +412,8 @@ func TestLagPassAllocs(t *testing.T) {
 		max  float64
 		run  func() error
 	}{
-		{"EstimateLinearCtx", 8, func() error { _, err := m.EstimateLinearCtx(ctx); return err }},
-		{"EstimateTiledCtx", 22, func() error { _, err := m.EstimateTiledCtx(ctx, 4, nil); return err }},
+		{"EstimateLinearCtx", 6, func() error { _, err := m.EstimateLinearCtx(ctx); return err }},
+		{"EstimateTiledCtx", 18, func() error { _, err := m.EstimateTiledCtx(ctx, 4, nil); return err }},
 	} {
 		var err error
 		got := testing.AllocsPerRun(20, func() {

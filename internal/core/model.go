@@ -123,7 +123,7 @@ type Model struct {
 	variance  float64 // σ²_XI
 	sumWSigma float64 // Σ w·σ, for the simplified correlation mode
 	fSpline   *quad.Spline
-	cov       widCov // F(ρ_L(d)) as a cubic in ρ_WID(d), for callers holding d
+	cov       widCov // F(ρ_L(d)) as a cubic in a feature of d, for callers holding d
 
 	pairCache map[[2]string]*quad.Spline
 	cellCache map[string][2]float64
@@ -305,84 +305,125 @@ func (m *Model) CovAtDist(d float64) float64 {
 }
 
 // covAt returns F(ρ_L(d)), the covariance of two sites at distance d > 0,
-// from the composed cubic of widCov.
-func (m *Model) covAt(d float64) float64 { return m.cov.at(m.cov.corr.WID(d)) }
+// from the composed cubic of widCov: the floor's covariance past the WID
+// range, the piece at d's feature within it.
+func (m *Model) covAt(d float64) float64 {
+	c := &m.cov
+	if d > c.r {
+		return c.floor
+	}
+	return c.at(c.feature(d))
+}
 
-// widCov is F(ρ_L) composed with the process's correlation split: with
-// a = σ_D2D²/σ² and b = σ_WID²/σ², ρ_L = a + b·w for w = ρ_WID, so on each
-// of the F spline's covGridPoints−1 knot intervals F is a cubic in w. Each
-// piece holds that cubic in the power basis about its lower end w0 in w
-// (the spline's own coefficients about ρ = a + b·w0, times bᵐ), so one
-// distance costs one ρ_WID evaluation, an index and a Horner step, with no
-// divide. The piece holding w = 0, the correlation floor, is expanded about
-// w = 0 with c₀ = CovAtCorr(CorrFloor()), so every distance past the WID
-// range gets exactly the floor's covariance; with no floor (a = 0) the
-// clamp gives 0 there and c₀ stays the spline's own F(0), which keeps the
-// piece continuous. In the simplified modes every piece is the one line
-// F = (a + b·w)·(Σ w σ)².
+// widCov is F(ρ_L) composed with the process's correlation split and,
+// for the exponential family, with the exponential's own affine map. With
+// a = σ_D2D²/σ² and b = σ_WID²/σ², ρ_L = a + b·ρ_WID, and ρ_WID is
+// (e − tail)·s in a feature e of the distance: e = exp(−d/λ) with
+// tail = exp(−R/λ) and s = 1/(1 − tail) for a TruncatedExpCorr (tail = 0,
+// s = 1 for an ExpCorr), and e = ρ_WID(d) itself, tail = 0 and s = 1, for
+// every other CorrFunc. So ρ_L = a + b·s·(e − tail), and on each of the F
+// spline's covGridPoints−1 knot intervals F is a cubic in e. Each piece
+// holds that cubic in the power basis about its lower end's rounded
+// e-domain point e0 (the spline's own coefficients at the ρ_L of that
+// rounded e0, times (b·s)ᵐ): e − e0 is then exact where e is near e0, and
+// a near-flat truncation (tail → 1) does not magnify e0's rounding by s.
+// For the exponential family e is exp(−d/λ) bitwise as Rho computes it,
+// since s magnifies any rounding of e; so one distance costs a divide, an
+// Exp, an index and a Horner step, with no Rho call. The piece holding
+// the floor is expanded about e = tail, ρ_L = a, where Cubic's c₀ is the
+// spline's own value, so a distance at a finite range's edge gets the
+// floor's covariance; with no floor (a = 0) at clamps ρ_L ≤ 0, e ≤ tail,
+// to 0 as CovAtCorr does, not to the spline's rounding-level F(0). In the
+// simplified modes every piece is the one line
+// F = (a + b·s·(e − tail))·(Σ w σ)².
 type widCov struct {
-	corr   spatial.PreparedCorr
-	a, b   float64
-	pieces [covGridPoints - 1]struct {
-		w0 float64
+	wid         spatial.CorrFunc // the feature is wid.Rho(d) when !exp
+	exp         bool             // the feature is exp(−d/lambda)
+	lambda      float64          // the exponential's λ
+	r           float64          // the WID range; −∞ without WID variation
+	floor       float64          // F(ρ_floor), the covariance of every d > r
+	alpha, beta float64          // a distance's piece is int(alpha + beta·e)
+	zero        float64          // the feature at ρ_L = 0
+	pieces      [covGridPoints - 1]struct {
+		e0 float64
 		c  [4]float64
 	}
 }
 
-// buildWIDCov composes the model's covariance with its process's split.
+// buildWIDCov composes the model's covariance with its process's split
+// and correlation function.
 func (m *Model) buildWIDCov() {
 	vd := m.Proc.SigmaD2D * m.Proc.SigmaD2D
 	vw := m.Proc.SigmaWID * m.Proc.SigmaWID
 	c := &m.cov
-	c.corr = m.Proc.Prepare()
-	c.a, c.b = m.Proc.CorrFloor(), vw/(vd+vw)
-	floor := m.CovAtCorr(c.a)
+	a, b := m.Proc.CorrFloor(), vw/(vd+vw)
+	c.floor, c.r = m.CovAtCorr(a), math.Inf(-1)
+	tail, s := 0.0, 1.0 // ρ_WID = (e − tail)·s
+	if vw > 0 {
+		c.wid, c.r = m.Proc.WIDCorr, m.Proc.WIDCorr.Range()
+		switch f := c.wid.(type) {
+		case spatial.ExpCorr:
+			c.exp, c.lambda = true, f.Lambda
+		case spatial.TruncatedExpCorr:
+			// e at d = R is tail bitwise; with tail = 1 (R/λ underflowed)
+			// ρ_WID is 1 across the support and Rho serves as the feature.
+			if t := math.Exp(-f.R / f.Lambda); t < 1 {
+				c.exp, c.lambda, tail, s = true, f.Lambda, t, 1/(1-t)
+			}
+		}
+	}
+	bs := b * s
+	c.alpha, c.beta = (covGridPoints-1)*(a-bs*tail), (covGridPoints-1)*bs
+	c.zero = tail - a/bs
 	if m.Mode.usesSimplifiedCorr() {
 		s2 := m.sumWSigma * m.sumWSigma
 		for k := range c.pieces {
-			c.pieces[k].c = [4]float64{floor, c.b * s2}
+			c.pieces[k].e0, c.pieces[k].c = tail, [4]float64{c.floor, bs * s2}
 		}
 		return
 	}
-	k0 := c.piece(c.a)
+	k0 := c.piece(tail)
 	for k := range c.pieces {
 		p := &c.pieces[k]
-		x0 := c.a
+		p.e0 = tail
 		if k != k0 {
-			if c.b == 0 { // ρ_L ≡ a: no other piece is reached
+			if b == 0 { // ρ_L ≡ a: no other piece is reached
 				continue
 			}
-			p.w0 = (float64(k)/(covGridPoints-1) - c.a) / c.b
-			x0 = c.a + c.b*p.w0
+			p.e0 = tail + (float64(k)/(covGridPoints-1)-a)/bs
 		}
-		p.c = m.fSpline.Cubic(k, x0)
+		p.c = m.fSpline.Cubic(k, a+bs*(p.e0-tail))
 		for i, bm := 1, 1.0; i < 4; i++ {
-			bm *= c.b
+			bm *= bs
 			p.c[i] *= bm
 		}
 	}
-	if c.a > 0 {
-		c.pieces[k0].c[0] = floor
+}
+
+// feature returns the e of distance d ≥ 0 within the WID range.
+func (c *widCov) feature(d float64) float64 {
+	if c.exp {
+		return math.Exp(-d / c.lambda)
 	}
+	return c.wid.Rho(d)
 }
 
-// piece returns the index of the F spline interval holding ρ_L = x > 0 on
-// covGridPoints uniform knots over [0, 1], the last one from x = 1 on. A
-// NaN x gets a valid index too, and its NaN then reaches the result.
-func (c *widCov) piece(x float64) int {
-	return min(max(int(x*(covGridPoints-1)), 0), covGridPoints-2)
+// piece returns the index of the F spline interval holding the feature e,
+// the last one from ρ_L = 1 on and the first below ρ_L = 0. A NaN e gets a
+// valid index too, and its NaN then reaches the result.
+func (c *widCov) piece(e float64) int {
+	return min(max(int(c.alpha+c.beta*e), 0), covGridPoints-2)
 }
 
-// at returns F(a + b·w) with CovAtCorr's clamps: 0 for ρ_L ≤ 0, ρ_WID
-// above 1 taken as 1, and a negative covariance as 0.
-func (c *widCov) at(w float64) float64 {
-	w = min(w, 1)
-	x := c.a + c.b*w
-	if x <= 0 {
+// at returns F(ρ_L) at feature e with CovAtCorr's clamps at 0: 0 for
+// ρ_L ≤ 0 (with no floor, the lags on a finite range's edge) and for a
+// negative covariance.
+func (c *widCov) at(e float64) float64 {
+	if e <= c.zero {
 		return 0
 	}
-	p := &c.pieces[c.piece(x)]
-	t := w - p.w0
+	p := &c.pieces[c.piece(e)]
+	t := e - p.e0
 	return max(p.c[0]+t*(p.c[1]+t*(p.c[2]+t*p.c[3])), 0)
 }
 

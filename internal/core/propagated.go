@@ -42,11 +42,12 @@ func PropagatedTrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement,
 		corrSig[g] = cs
 		xs[g], ys[g] = pl.Pos(g)
 	}
+	corr := m.Proc.Prepare() // At is bitwise TotalCorr
 	for a := 0; a < n; a++ {
 		xa, ya, sa := xs[a], ys[a], corrSig[a]
 		for b := a + 1; b < n; b++ {
 			d := math.Hypot(xa-xs[b], ya-ys[b])
-			rho := m.Proc.TotalCorr(d)
+			rho := corr.At(d)
 			if rho <= 0 {
 				continue
 			}

@@ -40,44 +40,6 @@ type TileStat struct {
 	Std  float64 `json:"std"`
 }
 
-// tileLagCounts regroups the ordered site-pair population of one dimension
-// by lag, assembling it from the tile decomposition: for every ordered pair
-// of tile intervals [s₁,e₁)×[s₂,e₂) and every lag i, the pairs (c, c+i)
-// with c in the first interval and c+i in the second number
-// max(0, min(e₁, e₂−i) − max(s₁, s₂−i)). Summed over all interval pairs
-// (and doubled for i > 0 to cover the −i direction) this reproduces the
-// monolithic lag population exactly: lc[0] = dim, lc[i] = 2·(dim − i).
-// The counts are integers, so the decomposition is exact — this is what
-// makes the tiled linear method bitwise identical to the monolithic one.
-func tileLagCounts(edges []int, dim int) []int64 {
-	t := len(edges) - 1
-	lc := make([]int64, dim)
-	for a := 0; a < t; a++ {
-		for b := 0; b < t; b++ {
-			s1, e1 := edges[a], edges[a+1]
-			s2, e2 := edges[b], edges[b+1]
-			lo := max(0, s2-(e1-1))
-			hi := min(dim-1, e2-1-s1)
-			for i := lo; i <= hi; i++ {
-				ov := min(e1, e2-i) - max(s1, s2-i)
-				if ov <= 0 {
-					continue
-				}
-				if i == 0 {
-					lc[0] += int64(ov)
-				} else {
-					lc[i] += 2 * int64(ov)
-				}
-			}
-		}
-	}
-	return lc
-}
-
-// lagCounts is the lag population of a whole dimension: tileLagCounts for
-// one tile.
-func lagCounts(dim int) []int64 { return tileLagCounts([]int{0, dim}, dim) }
-
 // tilesAcross recovers the tile-arrangement width from a row-major
 // partition: the tiles of the first tile row share Row0.
 func tilesAcross(parts []placement.Tile) int {
@@ -174,7 +136,8 @@ func (m *Model) tileGrid(tiles int, tileGates []int) (rows, cols int, parts []pl
 // method: the die is partitioned into a tiles×tiles arrangement, per-tile
 // moments come from the linear method on each tile's own sub-grid (reported
 // in Result.TileStats), and the global moments combine the tiles through the
-// exact inter-tile pair populations of tileLagCounts — bitwise identical to
+// exact inter-tile pair populations, which regroup by lag into the
+// monolithic ones integer for integer — bitwise identical to
 // the monolithic EstimateLinear at every tile and worker count. One lag pass
 // serves both: each lag's covariance is evaluated once and added to the
 // global sum and to the lag box of every tile shape that holds it, so the
@@ -190,10 +153,9 @@ func (m *Model) EstimateTiledCtx(ctx context.Context, tiles int, tileGates []int
 	telemetry.SpanAttrInt(ctx, "tiles", int64(len(parts)))
 	boxes, shapeOf := tileBoxes(parts)
 	// The lag populations assembled from the tiles equal the monolithic
-	// ones integer for integer (tileLagCounts), so the lag sum — and the
-	// result — is bitwise EstimateLinear's.
-	variance, boxOff, note, err := m.latticeVariance(ctx, "core.EstimateTiled", "estimate.linear-tiled", k, cols,
-		tileLagCounts(placement.TileEdges(cols, tiles), cols), tileLagCounts(placement.TileEdges(k, tiles), k), boxes)
+	// ones integer for integer (TestTileLagCountsClosedForm), so the lag
+	// sum — and the result — is bitwise EstimateLinear's.
+	variance, boxOff, note, err := m.latticeVariance(ctx, "core.EstimateTiled", "estimate.linear-tiled", k, cols, boxes)
 	if err != nil {
 		return Result{}, err
 	}

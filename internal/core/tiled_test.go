@@ -11,21 +11,56 @@ import (
 	"leakest/internal/spatial"
 )
 
+// tileLagCounts regroups the ordered site-pair population of one dimension
+// by lag, assembling it from a tile decomposition with the given edges:
+// for every ordered pair of tile intervals [s₁,e₁)×[s₂,e₂) and every lag
+// i, the pairs (c, c+i) with c in the first interval and c+i in the second
+// number max(0, min(e₁, e₂−i) − max(s₁, s₂−i)), doubled for i > 0 to cover
+// the −i direction.
+func tileLagCounts(edges []int, dim int) []int64 {
+	t := len(edges) - 1
+	lc := make([]int64, dim)
+	for a := 0; a < t; a++ {
+		for b := 0; b < t; b++ {
+			s1, e1 := edges[a], edges[a+1]
+			s2, e2 := edges[b], edges[b+1]
+			for i := max(0, s2-(e1-1)); i <= min(dim-1, e2-1-s1); i++ {
+				ov := min(e1, e2-i) - max(s1, s2-i)
+				if ov <= 0 {
+					continue
+				}
+				if i == 0 {
+					lc[0] += int64(ov)
+				} else {
+					lc[i] += 2 * int64(ov)
+				}
+			}
+		}
+	}
+	return lc
+}
+
 // TestTileLagCountsClosedForm checks the decomposition identity the tiled
 // linear method rests on: assembling the per-lag ordered-pair population
-// from the tile intervals reproduces the closed forms lc[0] = dim and
-// lc[i] = 2·(dim − i) exactly, for every tile count.
+// from the tile intervals reproduces the closed form lagCount exactly, for
+// every tile count and for uneven hand-made edges, so the lag pass can
+// weight every lag with lagCount alone. The counts are integers, so the
+// decomposition is exact — this is what makes the tiled linear method
+// bitwise identical to the monolithic one.
 func TestTileLagCountsClosedForm(t *testing.T) {
 	for _, dim := range []int{1, 2, 5, 17, 64, 100} {
-		for _, tiles := range []int{1, 2, 3, 5, 8, 100} {
-			edges := placement.TileEdges(dim, tiles)
+		edgeSets := [][]int{{0, dim}}
+		for _, tiles := range []int{1, 2, 3, 5, 7, 8, 100} {
+			edgeSets = append(edgeSets, placement.TileEdges(dim, tiles))
+		}
+		if dim >= 5 { // uneven: one-site, empty and wide tiles
+			edgeSets = append(edgeSets, []int{0, 1, 1, 4, dim - 1, dim}, []int{0, dim - 2, dim})
+		}
+		for _, edges := range edgeSets {
 			lc := tileLagCounts(edges, dim)
-			if lc[0] != int64(dim) {
-				t.Fatalf("dim=%d t=%d: lc[0] = %d, want %d", dim, tiles, lc[0], dim)
-			}
-			for i := 1; i < dim; i++ {
-				if lc[i] != 2*int64(dim-i) {
-					t.Fatalf("dim=%d t=%d: lc[%d] = %d, want %d", dim, tiles, i, lc[i], 2*(dim-i))
+			for i := range dim {
+				if lc[i] != lagCount(dim, i) {
+					t.Fatalf("dim=%d edges=%v: lc[%d] = %d, lagCount %d", dim, edges, i, lc[i], lagCount(dim, i))
 				}
 			}
 		}

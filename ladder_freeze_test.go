@@ -60,21 +60,21 @@ var ladderFreeze = []ladderCase{
 	{name: "late/truth/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxGates: 60},
 		mean: 0x3ec22d6dd11dd866, std: 0x3ea795907daa6fe7, method: "true-n2", keys: "method"},
 	{name: "late/max-pairs", late: true, budget: EstimateBudget{MaxPairs: 1769},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4d, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/max-pairs/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxPairs: 1769},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4d, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/max-gates", late: true, budget: EstimateBudget{MaxGates: 59},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d196, method: "integral-2d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/max-gates/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxGates: 59},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d196, method: "integral-2d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/timeout-fault", late: true, slowTruth: true, budget: EstimateBudget{Timeout: 40 * time.Millisecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4d, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/timeout-fault/tiles", late: true, tiles: 2, slowTruth: true, budget: EstimateBudget{Timeout: 40 * time.Millisecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4d, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/timeout", late: true, budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d196, method: "integral-2d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/timeout/tiles", late: true, tiles: 2, budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d196, method: "integral-2d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 }
 
 // runLadderCase runs one frozen case and returns its result and the span.
@@ -193,7 +193,7 @@ var streamFreeze = []streamCase{
 		tileStats: "0/0/0/800/0x3f03c85cc7d49b91/0x3ee8feeb610c3933"},
 	{tiles: 2, mean: 0x3f03c85cc7d49b91, std: 0x3ee8feeb610c3933, method: "linear-tiled",
 		tileStats: "0/0/0/225/0x3ee6416860cf2f03/0x3ecca249aa0ed206;1/0/1/225/0x3ee6416860cf2f03/0x3ecca249aa0ed206;" +
-			"2/1/0/225/0x3ee6416860cf2f03/0x3ecca14374203f4c;3/1/1/125/0x3ed8ba73f9c9c275/0x3ec0255d1b575580"},
+			"2/1/0/225/0x3ee6416860cf2f03/0x3ecca14374203f4b;3/1/1/125/0x3ed8ba73f9c9c275/0x3ec0255d1b575580"},
 }
 
 const streamFreezeGates = 800
