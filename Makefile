@@ -58,9 +58,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadBench -fuzztime=30s ./internal/netlist/
 
 # race-parallel is a focused race-detector pass over the deterministic
-# worker pool and its four call sites, including the truth pair loop's
-# type-grouped row order (ClassTables: worker invariance at 1, 3 and 8
-# workers) and the shared lag kernel of the linear and tiled estimators
+# worker pool and its four call sites, including the truth pass's
+# per-worker integer lag counts (TruthWorkerInvariance: bitwise equal at
+# 1, 3 and 8 workers) and the shared lag kernel of the linear and tiled estimators
 # (LagKernelMatchesSerialRef: within a few ulps of the serial per-lag loop,
 # and linear, tiled and tile stats bitwise equal at 1, 3 and 8 workers) and
 # the chipmc trial loop's workers × tiles hammer
@@ -68,7 +68,7 @@ fuzz:
 # workers, tile counts 2 and 3). The full `race` target covers them too;
 # this one is the fast CI job for parallel-path changes.
 race-parallel:
-	$(GO) test -race ./internal/parallel/ ./internal/core/ -run 'Parallel|Sharding|ForEach|Ticker|ClassTables|LagKernel'
+	$(GO) test -race ./internal/parallel/ ./internal/core/ -run 'Parallel|Sharding|ForEach|Ticker|TruthWorkerInvariance|LagKernel'
 	$(GO) test -race ./internal/chipmc/ -run 'TestRouteFreeze'
 	$(GO) test -race . -run 'TestDeterminism|TestParallel|TestWorkersField'
 

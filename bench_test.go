@@ -292,30 +292,6 @@ func BenchmarkGateLeakAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkFastTrueLeakage measures the tiled approximate truth at c7552
-// scale (3,512 gates), below its ≈10⁴-gate crossover: here it is about 2×
-// slower than the exact O(n²) of BenchmarkTrueLeakageWorkers/workers=1
-// (69 ms against 36 ms in BENCH_leakest.json), which is why callers this
-// size should use TrueLeakageContext.
-func BenchmarkFastTrueLeakage(b *testing.B) {
-	lib := benchLib(b)
-	est, err := NewEstimator(lib, experiments.ChipProcess())
-	if err != nil {
-		b.Fatal(err)
-	}
-	est.Workers = envWorkers(b)
-	nl, pl, err := ISCASCircuit(lib, "c7552", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := est.FastTrueLeakage(nl, pl, 0.5, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTemperatureSweep regenerates EX3: full-chip leakage statistics
 // across junction temperature, with per-temperature re-characterization.
 func BenchmarkTemperatureSweep(b *testing.B) {
@@ -666,6 +642,34 @@ func BenchmarkTruthClassed(b *testing.B) {
 	}
 	est.Workers = envWorkers(b)
 	nl, err := RandomCircuit(lib, 2, "truth-classed", 11236, 16, benchHist(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := AutoPlace(nl, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := est.TrueLeakageContext(context.Background(), nl, pl, 0.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTruthLarge measures the exact truth pass at 30,000 gates on
+// ChipProcess (R = 120 µm at the 2 µm pitch, a 61×61 lag box on a 174×173
+// grid), past the size where the O(n²) pair loop took seconds: each gate
+// counts only its neighbours within R, and the pairs past R join one
+// floor product per type pair.
+func BenchmarkTruthLarge(b *testing.B) {
+	lib := benchLib(b)
+	est, err := NewEstimator(lib, experiments.ChipProcess())
+	if err != nil {
+		b.Fatal(err)
+	}
+	est.Workers = envWorkers(b)
+	nl, err := RandomCircuit(lib, 2, "truth-large", 30000, 16, benchHist(b))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -38,11 +38,11 @@ var gateCounts = map[string]int{
 	"EstimateConstantTime":  1000000,
 	"TrueLeakage":           383,  // c880
 	"TrueLeakageWorkers":    3512, // c7552
-	"FastTrueLeakage":       3512, // c7552
 	"Floorplan":             130000,
 	"ChipMCFFT":             10000,
 	"ChipMCQMC":             10000,
 	"TruthClassed":          11236, // 106², Fig. 6's largest size
+	"TruthLarge":            30000,
 	"ChipMCTiled":           1000000,
 	"EstimateStream":        10000000,
 }

@@ -334,32 +334,6 @@ func (e *Estimator) Breakdown(design Design) (VarianceBreakdown, error) {
 	return m.BreakdownLinear()
 }
 
-// FastTrueLeakage approximates the O(n²) true leakage by spatial tiling
-// (tile edge in µm; 0 selects an automatic fraction of the correlation
-// length); its σ stays within 0.11 % of exact on ChipProcess designs of
-// 3,512 to 60,000 gates. It pays off only above about 10⁴ gates. On a
-// 2-core Xeon host it takes 41–43 ms at 3,512 gates where the exact
-// TrueLeakageContext takes 16 ms on one worker; 145–155 ms at 11,236
-// gates against 169 ms (113 ms on two workers); and 0.35 s at 30,000
-// gates against 2.35 s (1.12 s). Below about 10⁴ gates use
-// TrueLeakageContext.
-func (e *Estimator) FastTrueLeakage(nl *Netlist, pl *Placement, signalProb, tile float64) (res Result, err error) {
-	defer lkerr.RecoverInto(&err, "leakest.FastTrueLeakage")
-	design, err := e.ExtractDesign(nl, pl, signalProb)
-	if err != nil {
-		return Result{}, err
-	}
-	m, err := e.model(design)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err = core.FastTrueStats(m, nl, pl, tile)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.finish(res), nil
-}
-
 // Block is one rectangular region of a heterogeneous floorplan, with its
 // own cell population (see EstimateFloorplan).
 type Block = core.Block

@@ -288,7 +288,7 @@ func (h *harness) runPlaced(ctx context.Context, fx Fixture, m *core.Model) erro
 		return err
 	}
 	h.check(fx.Name, "truth/mean-vs-serial-reference", KindExact, truth.Mean, refMean, Exact(),
-		"row-sharded Eq. 15 vs an independent serial accumulation")
+		"Eq. 15 on integer lag counts vs an independent serial pair loop")
 	h.check(fx.Name, "truth/std-vs-serial-reference", KindExact, truth.Std, refStd, Exact(), "")
 	h.check(fx.Name, "truth/mean-identity", KindExact, truth.Mean,
 		float64(n)*em.MeanPerGate(), Exact(),

@@ -115,9 +115,9 @@ func serialTruthRef(m *core.Model, nl *netlist.Netlist, pl *placement.Placement)
 }
 
 // serialPairSum evaluates Eq. 15 over every gate pair of a placed netlist
-// with the pair correlation rho(a, b, distance). It accumulates per row in
-// index order, the same order the sharded production loop merges its
-// rows, so the comparison with TrueStats is exact.
+// with the pair correlation rho(a, b, distance), accumulating per row in
+// index order. TrueStats adds the same terms grouped by type pair and
+// lag, so the two agree to a few ulps: ULP-class under Exact().
 func serialPairSum(m *core.Model, nl *netlist.Netlist, pl *placement.Placement,
 	rho func(a, b int, d float64) float64) (mean, std float64, err error) {
 	n := len(nl.Gates)

@@ -432,8 +432,8 @@ func TestExtractSpec(t *testing.T) {
 }
 
 // TestExtractSpecRejectsInvalidPlacement: ExtractSpec is the door of every
-// analytic late-mode path (TrueStats, PropagatedTrueStats, FastTrueStats
-// and the gridmodel experiments extract first), so it refuses each broken
+// analytic late-mode path (TrueStats, PropagatedTrueStats and the
+// gridmodel experiments extract first), so it refuses each broken
 // placement with a typed InvalidInput naming it as the operation.
 func TestExtractSpecRejectsInvalidPlacement(t *testing.T) {
 	nl := &netlist.Netlist{Name: "x", NumPI: 1}

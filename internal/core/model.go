@@ -445,33 +445,36 @@ func (m *Model) CellStats(typ string) (mu, sigma float64, err error) {
 
 // PairCovAtCorr returns the state-weighted leakage covariance between one
 // gate of type a and one of type b whose channel lengths have correlation
-// rho. Results are tabulated per type pair on the ρ grid and splined, so
-// repeated queries inside the O(n²) loop are cheap.
+// rho, from the type pair's spline over ρ (pairSpline).
 func (m *Model) PairCovAtCorr(a, b string, rho float64) (float64, error) {
 	if rho <= 0 {
 		return 0, nil
 	}
-	if rho > 1 {
-		rho = 1
+	sp, err := m.pairSpline(a, b)
+	if err != nil {
+		return 0, err
 	}
+	return max(sp.Eval(min(rho, 1)), 0), nil
+}
+
+// pairSpline returns the covariance of one gate of type a and one of type
+// b as a spline over ρ_L on the covGridPoints uniform knots, built once per
+// unordered type pair and cached on the model (not safe for concurrent
+// first use).
+func (m *Model) pairSpline(a, b string) (*quad.Spline, error) {
 	key := [2]string{a, b}
 	if b < a {
 		key = [2]string{b, a}
 	}
-	sp, ok := m.pairCache[key]
-	if !ok {
-		var err error
-		sp, err = m.buildPairSpline(key[0], key[1])
-		if err != nil {
-			return 0, err
-		}
-		m.pairCache[key] = sp
+	if sp, ok := m.pairCache[key]; ok {
+		return sp, nil
 	}
-	v := sp.Eval(rho)
-	if v < 0 {
-		v = 0
+	sp, err := m.buildPairSpline(key[0], key[1])
+	if err != nil {
+		return nil, err
 	}
-	return v, nil
+	m.pairCache[key] = sp
+	return sp, nil
 }
 
 func (m *Model) buildPairSpline(a, b string) (*quad.Spline, error) {

@@ -24,76 +24,68 @@ func TrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement) (Result, 
 	return TrueStatsCtx(context.Background(), m, nl, pl)
 }
 
-// maxClassTableEntries bounds the total size of the distance-class kernel
-// tables (float64 entries across all type pairs): 2^24 entries are 128 MiB,
-// past which TrueStatsCtx silently keeps the untabulated per-pair loop.
-const maxClassTableEntries = 1 << 24
-
-// TrueStatsCtx is TrueStats with cancellation: the O(n²) pair loop checks
-// ctx once per outer row — where it also reports progress — so a cancel
-// lands within one row's work.
+// TrueStatsCtx is TrueStats with cancellation: ctx is checked, and progress
+// reported, once per gate.
 //
-// When the placement grid has far fewer (|Δrow|, |Δcol|) lag classes than
-// gate pairs — the usual case — the per-pair kernel work (distance, total
-// correlation, spline evaluation) is precomputed once per class and type
-// pair, turning the O(n²) inner loop into an indexed table lookup. The
-// per-pair accumulation order is unchanged, and at the default power-of-two
-// site pitch the class distances are bitwise equal to the per-pair
-// distances, so the tabulated sum is bitwise identical to the historical
-// loop (guarded by tests and the conformance ULP identities).
+// A pair's covariance depends only on its two gate types and its grid lag,
+// so the pass counts the pairs of each (unordered type pair, lag) as
+// integers and evaluates each lag's covariance once: Eq. 17's multiplicity
+// trick on a real placement. Each gate scans the later sites (row-major
+// half plane) inside the lag box that holds every lag with d ≤ R, the WID
+// range: the whole grid when R is infinite or covers the die, nothing
+// without WID variation. A pair outside the box lies past R, where ρ_L is
+// the floor, so each type pair's remaining pairs — n_i·n_j, or n_i(n_i−1)/2
+// for i = j, minus its box counts — add one product at F(ρ_floor). Workers
+// count into their own int32 slots, merged by integer addition, so the
+// result is bitwise identical at any worker count; against a per-pair loop
+// it differs only in the order of its float additions (a few ulps).
 func TrueStatsCtx(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement.Placement) (Result, error) {
-	n := len(nl.Gates)
-	classes := int64(pl.Grid.Rows) * int64(pl.Grid.Cols)
-	pairs := int64(n) * int64(n-1) / 2
-	useTables := classes <= pairs/4 && classes <= maxClassTableEntries
-	return trueStats(ctx, m, nl, pl, useTables)
-}
-
-// trueStats is TrueStatsCtx with the class-table decision explicit, so the
-// equivalence of the two inner loops is directly testable.
-func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement.Placement, useTables bool) (Result, error) {
 	const op = "core.TrueStats"
-	defer telemetry.StartSpan(ctx, "core.truth")()
+	ctx, end := telemetry.WithSpan(ctx, "core.truth")
+	defer end()
 	n := len(nl.Gates)
 
-	// Index the gate types and pre-build the pairwise covariance splines.
+	// The type pairs' covariance splines, unordered pair {i, j} at index
+	// pairOf[i·nt+j]. Every pair spline is tabulated on the same ρ knots,
+	// so a lag locates its segment once for all of them; splines whose
+	// knots differ would be evaluated at the wrong place.
 	types := nl.SortedTypes()
-	tIdx := make(map[string]int, len(types))
+	nt := len(types)
+	tIdx := make(map[string]int32, nt)
 	for i, t := range types {
-		tIdx[t] = i
+		tIdx[t] = int32(i)
 	}
-	pairSpl := make([][]*quad.Spline, len(types))
-	for i := range pairSpl {
-		pairSpl[i] = make([]*quad.Spline, len(types))
-	}
+	pairOf := make([]int, nt*nt)
+	var spl []*quad.Spline
+	var pairs [][2]int // the types i ≤ j of each pair
 	for i, a := range types {
 		if err := lkerr.FromContext(ctx, op); err != nil {
 			return Result{}, err
 		}
-		for j := i; j < len(types); j++ {
-			b := types[j]
-			// Warm the model cache, then grab the spline directly.
-			if _, err := m.PairCovAtCorr(a, b, 0.5); err != nil {
+		for j := i; j < nt; j++ {
+			sp, err := m.pairSpline(a, types[j])
+			if err != nil {
 				return Result{}, err
 			}
-			key := [2]string{a, b}
-			if b < a {
-				key = [2]string{b, a}
+			if len(spl) > 0 && !spl[0].SameKnots(sp) {
+				return Result{}, lkerr.New(lkerr.Numerical, op,
+					"pair spline %s/%s does not share the ρ knots of %s/%s", a, types[j], types[0], types[0])
 			}
-			sp := m.pairCache[key]
-			pairSpl[i][j] = sp
-			pairSpl[j][i] = sp
+			pairOf[i*nt+j], pairOf[j*nt+i] = len(spl), len(spl)
+			spl = append(spl, sp)
+			pairs = append(pairs, [2]int{i, j})
 		}
 	}
 
-	// Per-gate effective stats and positions.
-	mean := 0.0
-	variance := 0.0
-	gt := make([]int, n)
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	rs := make([]int, n)
-	cs := make([]int, n)
+	// Per-gate moments in gate order, and the type grid: each site's gate
+	// type, −1 where the site is empty.
+	mean, variance := 0.0, 0.0
+	grid := pl.Grid
+	tg := make([]int32, grid.Sites())
+	for s := range tg {
+		tg[s] = -1
+	}
+	perType := make([]int64, nt)
 	for g, gate := range nl.Gates {
 		mu, sigma, err := m.CellStats(gate.Type)
 		if err != nil {
@@ -101,95 +93,60 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 		}
 		mean += mu
 		variance += sigma * sigma
-		gt[g] = tIdx[gate.Type]
-		xs[g], ys[g] = pl.Pos(g)
-		rs[g], cs[g] = pl.RowCol(g)
+		t := tIdx[gate.Type]
+		tg[pl.Site[g]] = t
+		perType[t]++
 	}
 
-	// Distance-class kernel tables: one row-sum term per (type pair, lag
-	// class), replacing the per-pair Hypot/TotalCorr/spline-eval chain with
-	// an indexed load.
-	var classTabs [][][]float64
-	if useTables {
-		nt := int64(len(types)) * int64(len(types)+1) / 2
-		if int64(pl.Grid.Rows)*int64(pl.Grid.Cols)*nt > maxClassTableEntries {
-			useTables = false
-		}
-	}
-	if useTables {
-		endPre := telemetry.StartSpan(ctx, "truth.class_precompute")
-		var err error
-		classTabs, err = buildClassTables(m, pl.Grid, pairSpl)
-		endPre()
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	// Pairwise covariances (Eq. 15's off-diagonal part). The upper
-	// triangle is sharded by row: each row a owns slot rowVar[a] and sums
-	// its b > a pairs left to right exactly as the serial loop did, and
-	// the rows are merged in index order below, so the result is bitwise
-	// identical at any worker count. Rows are visited grouped by gate
-	// type (stable within a type), so one row type's class tables stay in
-	// cache across consecutive rows; the visiting order never reaches the
-	// sum. The splines, class tables, and per-gate tables are read-only
-	// here (the model caches were warmed above).
-	order := rowsByType(gt, len(types))
-	cols := pl.Grid.Cols
-	corr := m.Proc.Prepare() // At is bitwise TotalCorr
-	rep := telemetry.StartProgress(ctx, "core.truth", int64(n))
-	tick := parallel.NewTicker(rep)
-	rowVar := make([]float64, n)
-	err := parallel.ForEach(ctx, op, m.Workers, n, func(_, k int) error {
-		fault.Hit(fault.SiteTruthRow)
-		a := order[k]
-		sum := 0.0
-		if classTabs != nil {
-			ra, ca := rs[a], cs[a]
-			row := classTabs[gt[a]]
-			for b := a + 1; b < n; b++ {
-				// Branch-free |Δrow| and |Δcol|: on randomly placed gates
-				// the sign of each lag is a coin flip per pair. The table
-				// entry is already 2·cov, or 0 for a skipped pair.
-				dr := ra - rs[b]
-				neg := dr >> 63
-				dr = (dr ^ neg) - neg
-				dc := ca - cs[b]
-				neg = dc >> 63
-				dc = (dc ^ neg) - neg
-				sum += row[gt[b]][dr*cols+dc]
-			}
-		} else {
-			xa, ya := xs[a], ys[a]
-			row := pairSpl[gt[a]]
-			for b := a + 1; b < n; b++ {
-				d := math.Hypot(xa-xs[b], ya-ys[b])
-				rho := corr.At(d)
-				if rho <= 0 {
-					continue
-				}
-				if rho > 1 {
-					rho = 1
-				}
-				cov := row[gt[b]].Eval(rho)
-				if cov > 0 {
-					sum += 2 * cov
-				}
-			}
-		}
-		rowVar[a] = sum
-		tick.Tick()
-		return nil
-	})
+	bx := newTruthBox(grid, m.cov.r)
+	counts, err := bx.count(ctx, op, m.Workers, tg, nt, pairOf)
 	if err != nil {
-		rep.Done(tick.Count())
 		return Result{}, err
 	}
-	for _, v := range rowVar {
-		variance += v
+
+	// Each counted lag's covariance once, then the pairs past the box at
+	// the floor: PreparedCorr.At past R is vd/(vd+vw), bitwise CorrFloor,
+	// so a floor pair weighs the same inside the box and out of it.
+	endPre := telemetry.StartSpan(ctx, "truth.class_precompute")
+	np := len(spl)
+	corr := m.Proc.Prepare() // At is bitwise TotalCorr
+	inBox := make([]int64, np)
+	var window int64
+	lags := bx.rows * bx.cols
+	for dr := 0; dr < bx.rows; dr++ {
+		for dc := 0; dc < bx.cols; dc++ {
+			located := false
+			var rho float64
+			var seg quad.Segment
+			for p := range np {
+				c := counts[p*lags+dr*bx.cols+dc]
+				if c == 0 {
+					continue
+				}
+				inBox[p] += int64(c)
+				if !located {
+					rho = corr.At(grid.LagDist(dr, dc))
+					seg, located = spl[0].Locate(min(rho, 1)), true
+				}
+				variance += float64(c) * pairCov2(spl[p], seg, rho)
+			}
+		}
 	}
-	rep.Done(int64(n))
+	rho := m.Proc.CorrFloor()
+	for p, ij := range pairs {
+		ni, nj := perType[ij[0]], perType[ij[1]]
+		total := ni * nj
+		if ij[0] == ij[1] {
+			total = ni * (ni - 1) / 2
+		}
+		window += inBox[p]
+		if rest := total - inBox[p]; rest != 0 {
+			variance += float64(rest) * pairCov2(spl[p], spl[p].Locate(min(rho, 1)), rho)
+		}
+	}
+	endPre()
+
+	telemetry.SpanAttrInt(ctx, "pairs_in_window", window)
 	telemetry.Add("truth_pairs_total", int64(n)*int64(n-1)/2)
 	variance = fault.Corrupt(fault.SiteTruthRow, variance)
 	return Result{
@@ -199,87 +156,136 @@ func trueStats(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement
 	}.checkFinite(op)
 }
 
-// buildClassTables precomputes, for every (|Δrow|, |Δcol|) lag class of the
-// grid and every type pair, the pairwise leakage covariance the inner loop
-// would otherwise derive per pair: ρ = TotalCorr(LagDist), clamped to at
-// most 1, then the pair spline at ρ. An entry holds the pair's whole
-// contribution to a row sum, 2·cov, and zero where ρ ≤ 0 or cov ≤ 0 (the
-// terms the per-pair loop skips), so the inner loop is a plain add: 2·cov
-// is exact and adding +0 leaves the (never −0) row sum unchanged, which
-// keeps the sum bitwise equal to the per-pair loop's. Every pair spline is
-// tabulated on the same ρ knots, so each class locates its spline segment
-// once and evaluates all p(p+1)/2 pair splines on it; each unordered type
-// pair shares one table. Splines whose knots differ from the first one's
-// are an internal error, since a shared segment would then evaluate them
-// at the wrong place.
-func buildClassTables(m *Model, grid placement.Grid, pairSpl [][]*quad.Spline) ([][][]float64, error) {
-	nt := len(pairSpl)
-	nc := grid.Rows * grid.Cols
-	base := pairSpl[0][0]
-	var spl []*quad.Spline
-	var tabs [][]float64
-	byPair := make([][][]float64, nt)
-	for i := range byPair {
-		byPair[i] = make([][]float64, nt)
+// pairCov2 is one pair's contribution to the variance at total correlation
+// rho, located at seg on the pair spline's knots: 2·cov, with ρ ≤ 0 and a
+// negative covariance contributing 0 as in CovAtCorr.
+func pairCov2(sp *quad.Spline, seg quad.Segment, rho float64) float64 {
+	if rho <= 0 {
+		return 0
 	}
-	for i := 0; i < nt; i++ {
-		for j := i; j < nt; j++ {
-			if !base.SameKnots(pairSpl[i][j]) {
-				return nil, lkerr.New(lkerr.Numerical, "core.TrueStats",
-					"pair splines %d/%d do not share the ρ knots of pair 0/0", i, j)
-			}
-			tab := make([]float64, nc)
-			spl = append(spl, pairSpl[i][j])
-			tabs = append(tabs, tab)
-			byPair[i][j] = tab
-			byPair[j][i] = tab
-		}
-	}
-	corr := m.Proc.Prepare() // At is bitwise TotalCorr
-	for dr := 0; dr < grid.Rows; dr++ {
-		for dc := 0; dc < grid.Cols; dc++ {
-			rho := corr.At(grid.LagDist(dr, dc))
-			if rho <= 0 {
-				continue
-			}
-			if rho > 1 {
-				rho = 1
-			}
-			k := dr*grid.Cols + dc
-			seg := base.Locate(rho)
-			for p, sp := range spl {
-				if cov := sp.EvalSegment(seg); cov > 0 {
-					tabs[p][k] = 2 * cov
-				}
-			}
-		}
-	}
-	return byPair, nil
+	return 2 * max(sp.EvalSegment(seg), 0)
 }
 
-// rowsByType returns the row indices 0..n−1 grouped by gate type in type
-// order, ascending within each type (a counting sort of gt).
-func rowsByType(gt []int, ntypes int) []int {
-	start := make([]int, ntypes+1)
-	for _, t := range gt {
-		start[t+1]++
+// truthBox is the lag box of the truth pass: lags (dr, dc) with
+// 0 ≤ dr < rows and 0 ≤ dc < cols, which holds every lag of the grid with
+// LagDist ≤ R.
+type truthBox struct {
+	grid       placement.Grid
+	rows, cols int
+}
+
+// newTruthBox returns the lag box of a WID range r on grid: r < 0 (no WID
+// variation) gives an empty box.
+func newTruthBox(grid placement.Grid, r float64) truthBox {
+	return truthBox{
+		grid: grid,
+		rows: boxReach(r, grid.SiteH, grid.Rows) + 1,
+		cols: boxReach(r, grid.SiteW, grid.Cols) + 1,
 	}
-	for t := 1; t <= ntypes; t++ {
-		start[t] += start[t-1]
+}
+
+// boxReach returns the largest lag k < n along an axis of pitch p with
+// k·p ≤ r (LagDist ≥ k·p, so any lag past it lies beyond r): −1 for r < 0,
+// n − 1 when r covers the axis or is infinite.
+func boxReach(r, p float64, n int) int {
+	switch {
+	case r < 0:
+		return -1
+	case !(r/p < float64(n)):
+		return n - 1
 	}
-	order := make([]int, len(gt))
-	for a, t := range gt {
-		order[start[t]] = a
-		start[t]++
+	k := min(int(r/p), n-1)
+	for k+1 < n && float64(k+1)*p <= r {
+		k++
 	}
-	return order
+	for k >= 0 && float64(k)*p > r {
+		k--
+	}
+	return k
+}
+
+// count returns the pair counts of the placed type grid tg (nt types, −1
+// on an empty site) per unordered type pair and box lag, at index
+// pairOf[i·nt+j]·L + dr·cols + dc with L = rows·cols. Every gate scans the
+// later sites of the box, in row-major order, on one task per gate, and
+// counts into its own type's block of ordered (type, partner) streams: a
+// site holds its partner stream's offset, the one past the last type's
+// when it is empty, so the scan neither branches nor looks a pair up.
+// Each worker counts into its own nt(nt+1)·L int32 slots; the slots
+// merge, and each ordered pair folds into its unordered one, by integer
+// addition.
+func (bx truthBox) count(ctx context.Context, op string, workers int, tg []int32, nt int, pairOf []int) ([]int32, error) {
+	lags := bx.rows * bx.cols
+	block := (nt + 1) * lags // a gate type's streams, the empty one last
+	so := make([]int32, len(tg))
+	gates := make([]int, 0, len(tg)) // occupied sites, row-major
+	for s, t := range tg {
+		so[s] = int32(nt * lags)
+		if t >= 0 {
+			so[s] = t * int32(lags)
+			gates = append(gates, s)
+		}
+	}
+	nw := max(parallel.Resolve(workers, len(gates)), 1)
+	cnt := make([][]int32, nw)
+	for w := range cnt {
+		cnt[w] = make([]int32, nt*block)
+	}
+	rows, cols := bx.grid.Rows, bx.grid.Cols
+	rep := telemetry.StartProgress(ctx, "core.truth", int64(len(gates)))
+	tick := parallel.NewTicker(rep)
+	err := parallel.ForEach(ctx, op, workers, len(gates), func(w, k int) error {
+		fault.Hit(fault.SiteTruthRow)
+		s := gates[k]
+		ra, ca := s/cols, s%cols
+		c, base := cnt[w], int(tg[s])*block
+		lo, hi := max(ca-bx.cols+1, 0), min(ca+bx.cols, cols) // the box's site columns
+		for r := ra; r < min(ra+bx.rows, rows); r++ {
+			row := so[r*cols : (r+1)*cols]
+			lag := base + (r-ra)*bx.cols // the stream index of dc = 0
+			if r > ra {
+				for col, o := range row[lo:ca] { // dc = ca − lo − col
+					c[lag+ca-lo-col+int(o)]++
+				}
+			}
+			first := ca
+			if r == ra {
+				first = ca + 1
+			}
+			for col, o := range row[first:hi] { // dc = first − ca + col
+				c[lag+first-ca+col+int(o)]++
+			}
+		}
+		tick.Tick()
+		return nil
+	})
+	if err != nil {
+		rep.Done(tick.Count())
+		return nil, err
+	}
+	rep.Done(int64(len(gates)))
+	for _, c := range cnt[1:] {
+		for i, v := range c {
+			cnt[0][i] += v
+		}
+	}
+	out := make([]int32, nt*(nt+1)/2*lags)
+	for i := 0; i < nt; i++ {
+		for j := 0; j < nt; j++ {
+			dst := out[pairOf[i*nt+j]*lags:][:lags]
+			for l, v := range cnt[0][i*block+j*lags:][:lags] {
+				dst[l] += v
+			}
+		}
+	}
+	return out, nil
 }
 
 // ExtractSpec derives the high-level design characteristics (Fig. 1) from a
 // placed netlist — the late-mode extraction step: cell-usage histogram,
 // gate count, and layout dimensions. Every analytic late-mode path passes
-// here first, so this is where the placement is checked; TrueStats,
-// PropagatedTrueStats and FastTrueStats trust it.
+// here first, so this is where the placement is checked; TrueStats and
+// PropagatedTrueStats trust it.
 func ExtractSpec(nl *netlist.Netlist, pl *placement.Placement, signalProb float64) (DesignSpec, error) {
 	const op = "core.ExtractSpec"
 	if err := pl.Validate(len(nl.Gates)); err != nil {

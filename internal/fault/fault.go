@@ -38,8 +38,8 @@ const (
 	// use this site — Arm is test-only — it mis-weights via
 	// chipmc.TailConfig.WeightScale instead.)
 	SiteISWeight = "chipmc/is-weight"
-	// SiteTruthRow fires once per row of the O(n²) true-leakage pair loop
-	// and can corrupt the accumulated variance.
+	// SiteTruthRow fires once per gate of the true-leakage pass and can
+	// corrupt the accumulated variance.
 	SiteTruthRow = "core/truth-row"
 	// SiteLinearAccum corrupts the linear estimator's covariance mass.
 	SiteLinearAccum = "core/linear-accumulate"

@@ -1,12 +1,15 @@
 // Package parallel is the deterministic worker pool behind the pipeline's
 // four long loops: chip-level Monte-Carlo trials (chipmc), per-(cell, state)
-// characterization (charlib), the O(n²) pair-sum rows (core.TrueStats), and
-// the linear estimator's distance-vector columns (core.EstimateLinear).
+// characterization (charlib), the truth pass's per-gate lag counts
+// (core.TrueStats), and the linear estimator's distance-vector columns
+// (core.EstimateLinear).
 //
 // The pool trades no reproducibility for speed. Its determinism contract:
 //
 //   - Tasks are independent: fn(i) may read shared immutable state and must
-//     write only to slots owned by index i (totals[i], rowSums[i], …).
+//     write only to slots owned by index i (totals[i], colSums[i], …), or
+//     add integers to slots owned by its worker (integer addition
+//     commutes, so any claim order gives the same merged counts).
 //   - Any randomness inside a task comes from a PRNG stream derived from
 //     (seed, i), never from a stream shared across tasks.
 //   - Callers merge per-index partial results in fixed index order on the

@@ -131,8 +131,8 @@ func (p *Placement) Dist(i, j int) float64 {
 // LagDist returns the centre-to-centre distance of two sites separated by
 // dr rows and dc columns — the canonical distance of one (|Δrow|, |Δcol|)
 // lag class. On a grid there are only Rows·Cols distinct classes, which the
-// distance-class kernel tables (core.TrueStats) and the circulant-embedding
-// sampler (randvar) key off. At the default power-of-two site pitch the
+// truth pass's per-lag covariances (core.TrueStats) and the
+// circulant-embedding sampler (randvar) key off. At the default power-of-two site pitch the
 // products below are exact, so LagDist agrees bitwise with the Dist of any
 // site pair in the class.
 func (g Grid) LagDist(dr, dc int) float64 {

@@ -108,8 +108,8 @@ func TestPlacementOverflow(t *testing.T) {
 }
 
 // Property: LagDist of a lag class matches Dist of every site pair in that
-// class bitwise at the default (power-of-two) pitch — the invariant that lets
-// the distance-class kernel tables reuse per-pair golden values unchanged.
+// class bitwise at the default (power-of-two) pitch, so a per-lag
+// covariance is the one every pair of that lag would get.
 func TestLagDistMatchesPairDist(t *testing.T) {
 	g, _ := NewGrid(64, DefaultSitePitch, DefaultSitePitch, 1)
 	p, err := RowMajor(g, 64)

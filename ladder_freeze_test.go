@@ -56,9 +56,9 @@ var ladderFreeze = []ladderCase{
 	{name: "early/timeout/tiles", tiles: 2, budget: EstimateBudget{Timeout: time.Nanosecond},
 		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a521c6d1, method: "integral-2d", degraded: true, reason: "o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "late/truth", late: true, budget: EstimateBudget{MaxPairs: 1770},
-		mean: 0x3ec22d6dd11dd866, std: 0x3ea795907daa6fe7, method: "true-n2", keys: "method"},
+		mean: 0x3ec22d6dd11dd866, std: 0x3ea795907daa6fe5, method: "true-n2", keys: "method"},
 	{name: "late/truth/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxGates: 60},
-		mean: 0x3ec22d6dd11dd866, std: 0x3ea795907daa6fe7, method: "true-n2", keys: "method"},
+		mean: 0x3ec22d6dd11dd866, std: 0x3ea795907daa6fe5, method: "true-n2", keys: "method"},
 	{name: "late/max-pairs", late: true, budget: EstimateBudget{MaxPairs: 1769},
 		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/max-pairs/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxPairs: 1769},

@@ -428,9 +428,9 @@ func (e *Estimator) EstimateNetlist(nl *Netlist, pl *Placement, signalProb float
 
 // TrueLeakageContext computes the O(n²) pairwise-covariance statistics of a
 // specific placed design — the expensive late-mode baseline the estimators
-// are validated against. The pair loop checks ctx once per row — reporting
-// progress there — so a cancel stops the computation within one row's work
-// and returns a typed Canceled / DeadlineExceeded error. Under a non-zero
+// are validated against. The truth pass checks ctx once per gate —
+// reporting progress there — so a cancel stops the computation within one
+// gate's scan and returns a typed Canceled / DeadlineExceeded error. Under a non-zero
 // Budget the degradation ladder falls O(n²) → O(n) → O(1) whenever a rung
 // trips it; Tiles is ignored (truth is monolithic). The Result carries the
 // extraction/model/pair-loop timing breakdown.

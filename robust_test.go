@@ -51,10 +51,6 @@ func TestPlacedDesignDoors(t *testing.T) {
 			_, err := est.EstimateNetlist(nl, p, 0.5, Linear)
 			return err
 		},
-		"FastTrueLeakage": func(p *Placement) error {
-			_, err := est.FastTrueLeakage(nl, p, 0.5, 0)
-			return err
-		},
 	}
 	edit := func(f func(site []int) []int) *Placement {
 		return &Placement{Grid: pl.Grid, Site: f(append([]int(nil), pl.Site...))}
