@@ -97,21 +97,96 @@ func truthCases(t *testing.T) []struct {
 	}
 }
 
-// The truth pass must match the per-pair double loop of Eq. 15 to within
-// truthRefULPs of σ, and its mean bit for bit (both add the gate means in
-// gate order).
-func TestTruthMatchesPairReference(t *testing.T) {
+// truthCaseDesign builds the design of the truthCases entry called name.
+func truthCaseDesign(t *testing.T, name string) (*Model, *netlist.Netlist, *placement.Placement) {
+	t.Helper()
 	for _, tc := range truthCases(t) {
-		m, nl, pl := truthDesign(t, tc.n, tc.grid, tc.proc)
-		got, err := TrueStats(m, nl, pl)
-		if err != nil {
-			t.Fatal(err)
+		if tc.name == name {
+			return truthDesign(t, tc.n, tc.grid, tc.proc)
 		}
-		mean, variance := naiveTruthVariance(t, m, nl, pl)
-		if d := ulps(got.Std, math.Sqrt(variance)); d > truthRefULPs || got.Mean != mean {
-			t.Errorf("%s: (µ, σ) = (%x, %x), pair loop (%x, %x): σ %d ulps apart",
-				tc.name, got.Mean, got.Std, mean, math.Sqrt(variance), d)
+	}
+	t.Fatalf("no truth case %q", name)
+	return nil, nil, nil
+}
+
+// checkPairReference holds the truth pass to the per-pair double loop of
+// Eq. 15: σ within truthRefULPs, the mean bit for bit (both add the gate
+// means in gate order).
+func checkPairReference(t *testing.T, name string, m *Model, nl *netlist.Netlist, pl *placement.Placement) {
+	t.Helper()
+	got, err := TrueStats(m, nl, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, variance := naiveTruthVariance(t, m, nl, pl)
+	if d := ulps(got.Std, math.Sqrt(variance)); d > truthRefULPs || got.Mean != mean {
+		t.Errorf("%s: (µ, σ) = (%x, %x), pair loop (%x, %x): σ %d ulps apart",
+			name, got.Mean, got.Std, mean, math.Sqrt(variance), d)
+	}
+}
+
+// maxLagDistULPs is the largest gap, in ulps, between a gate pair's
+// centre-to-centre distance and the LagDist of its (row, column) lag, at
+// which the truth pass evaluates the pair's covariance.
+func maxLagDistULPs(pl *placement.Placement) uint64 {
+	var worst uint64
+	for a := range pl.Site {
+		ra, ca := pl.RowCol(a)
+		for b := a + 1; b < len(pl.Site); b++ {
+			rb, cb := pl.RowCol(b)
+			lag := pl.Grid.LagDist(max(ra-rb, rb-ra), max(ca-cb, cb-ca))
+			worst = max(worst, ulps(lag, pl.Dist(a, b)))
 		}
+	}
+	return worst
+}
+
+// At the default power-of-two pitch every lag distance is bit for bit the
+// pair distance, so the truth pass evaluates each pair's covariance at
+// exactly the pair loop's argument and differs from it only in summation
+// order.
+func TestClassTablesBitwiseIdenticalAtDefaultPitch(t *testing.T) {
+	m, nl, pl := truthCaseDesign(t, "default-pitch")
+	if d := maxLagDistULPs(pl); d != 0 {
+		t.Errorf("a lag distance lies %d ulps from its pair distance at the default pitch", d)
+	}
+	checkPairReference(t, "default-pitch", m, nl, pl)
+}
+
+// On a non-power-of-two pitch a lag distance differs from the pair
+// distance by the rounding of the site centres (up to 13 ulps here); the
+// truth must still match the pair loop.
+func TestClassTablesMatchOnOddPitch(t *testing.T) {
+	m, nl, pl := truthCaseDesign(t, "odd-pitch")
+	if maxLagDistULPs(pl) == 0 {
+		t.Errorf("every lag distance equals its pair distance: the case no longer exercises an inexact pitch")
+	}
+	checkPairReference(t, "odd-pitch", m, nl, pl)
+}
+
+// Off the square (Rows ≠ Cols) the pass's dr·cols+dc lag indexing must
+// still reproduce the pair loop, with enough gate types that several type
+// pairs share each lag.
+func TestClassTablesBitwiseIdenticalOnRectangularGrid(t *testing.T) {
+	m, nl, pl := truthCaseDesign(t, "rectangular")
+	if pl.Grid.Rows == pl.Grid.Cols {
+		t.Fatalf("want a rectangular grid, got %d×%d", pl.Grid.Rows, pl.Grid.Cols)
+	}
+	if k := len(nl.SortedTypes()); k < 5 {
+		t.Fatalf("want ≥ 5 gate types, got %d", k)
+	}
+	if d := maxLagDistULPs(pl); d != 0 {
+		t.Errorf("a lag distance lies %d ulps from its pair distance on the %d×%d grid", d, pl.Grid.Rows, pl.Grid.Cols)
+	}
+	checkPairReference(t, "rectangular", m, nl, pl)
+}
+
+// The short-range, spherical and d2d-only cases, whose pitch cases have
+// tests of their own above, must match the pair loop too.
+func TestTruthMatchesPairReference(t *testing.T) {
+	for _, name := range []string{"short-range", "spherical", "d2d-only"} {
+		m, nl, pl := truthCaseDesign(t, name)
+		checkPairReference(t, name, m, nl, pl)
 	}
 }
 
