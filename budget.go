@@ -19,11 +19,10 @@ import (
 // failing; the Result records the chosen method and the degradation reason.
 //
 // The budget is the Estimator's Budget field. The degradation ladder is
-// O(n²) true leakage (TrueLeakageContext) → O(n) linear → O(1) integral
-// (polar when applicable, 2-D rectangular otherwise); under a non-zero
-// budget EstimateContext ignores its method and starts at the O(n) rung,
-// as does EstimateStream, whose O(n) rung is the tiled linear method on the
-// stream's scanned per-tile counts.
+// O(n²) true leakage (TrueLeakageContext) → O(n) linear → O(1) polar
+// integral; under a non-zero budget EstimateContext ignores its method and
+// starts at the O(n) rung, as does EstimateStream, whose O(n) rung is the
+// tiled linear method on the stream's scanned per-tile counts.
 // Monte Carlo does not degrade and ignores the budget. Every fall
 // down the ladder is also reported through the telemetry layer: a
 // degradations_total{reason=...} counter increment and a warning log, so a
@@ -141,7 +140,9 @@ func (e *Estimator) rungs(truth runFunc, t tiling) []rung {
 	table := []rung{
 		{"o(n²)", EstimateBudget.allowsTruth, truth},
 		{"o(n)", EstimateBudget.allowsLinear, t.linear},
-		{"o(1)", nil, constantTime},
+		{"o(1)", nil, func(ctx context.Context, m *core.Model) (Result, error) {
+			return m.EstimatePolarCtx(ctx)
+		}},
 	}
 	if truth == nil {
 		return table[1:]
@@ -190,15 +191,6 @@ func resultAttrs(ctx context.Context, res Result) {
 		telemetry.SpanAttrBool(ctx, "degraded", true)
 		telemetry.SpanAttrStr(ctx, "degrade_reason", res.DegradeReason)
 	}
-}
-
-// constantTime runs the O(1) rung: the polar integral when the correlation
-// range permits it, the 2-D rectangular integral otherwise.
-func constantTime(ctx context.Context, m *core.Model) (Result, error) {
-	if res, err := m.EstimatePolarCtx(ctx); err == nil {
-		return res, nil
-	}
-	return m.EstimateIntegral2DCtx(ctx)
 }
 
 // reasonOf renders a degradation cause for DegradeReason.

@@ -111,8 +111,8 @@ func TestTrueLeakageBudgetedGateBoundary(t *testing.T) {
 	if !res2.Degraded {
 		t.Fatal("MaxGates=n-1 must degrade")
 	}
-	if res2.Method != "polar-1d" && res2.Method != "integral-2d" {
-		t.Errorf("degraded method = %q, want a constant-time integral", res2.Method)
+	if res2.Method != "polar-1d" {
+		t.Errorf("degraded method = %q, want polar-1d", res2.Method)
 	}
 	if !strings.Contains(res2.DegradeReason, "o(n²) skipped") || !strings.Contains(res2.DegradeReason, "o(n) skipped") {
 		t.Errorf("DegradeReason must name both skipped rungs; got %q", res2.DegradeReason)
@@ -177,8 +177,8 @@ func TestEstimateBudgetedGateBoundary(t *testing.T) {
 	if !res2.Degraded {
 		t.Fatal("MaxGates=n-1 must degrade")
 	}
-	if res2.Method != "polar-1d" && res2.Method != "integral-2d" {
-		t.Errorf("degraded method = %q, want a constant-time integral", res2.Method)
+	if res2.Method != "polar-1d" {
+		t.Errorf("degraded method = %q, want polar-1d", res2.Method)
 	}
 	if delta != 1 {
 		t.Errorf("degradations_total{reason=\"max-gates\"} += %d, want 1 (early mode has one gate-bounded rung)", delta)
@@ -202,8 +202,8 @@ func TestBudgetTimeoutCountsPerRung(t *testing.T) {
 	if !res.Degraded {
 		t.Fatal("a 1 ns per-rung deadline must degrade")
 	}
-	if res.Method != "polar-1d" && res.Method != "integral-2d" {
-		t.Errorf("method = %q, want a constant-time integral", res.Method)
+	if res.Method != "polar-1d" {
+		t.Errorf("method = %q, want polar-1d", res.Method)
 	}
 	if !strings.Contains(res.DegradeReason, "timed out") {
 		t.Errorf("DegradeReason = %q, want a timeout mention", res.DegradeReason)

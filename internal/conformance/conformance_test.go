@@ -214,9 +214,6 @@ func TestFixtures(t *testing.T) {
 		if fx.N() < 1 {
 			t.Errorf("%s: empty grid", fx.Name)
 		}
-		if fx.PolarOK && fx.PolarRefused {
-			t.Errorf("%s: polar cannot both succeed and refuse", fx.Name)
-		}
 	}
 	for name, seen := range want {
 		if !seen {

@@ -19,11 +19,6 @@ type Fixture struct {
 	// occupancy scaling and the brute-force reference is exact.
 	Rows, Cols int
 	SignalProb float64
-	// PolarOK marks fixtures whose correlation range fits the die, so the
-	// polar estimator must succeed; PolarRefused marks fixtures where it
-	// must return a typed InvalidInput instead. Both false skips polar.
-	PolarOK      bool
-	PolarRefused bool
 	// Placed adds the placed-circuit checks (O(n²) truth vs an independent
 	// serial reference, truth vs the RG estimate); MC adds the chip-level
 	// Monte-Carlo cross-validation. Both only make sense on square grids.
@@ -33,8 +28,6 @@ type Fixture struct {
 	// corner (non-paper λ/pitch ratios, extreme aspect, n = 1) carry an
 	// explicit measured bound instead.
 	IntErrBoundPct float64
-	// PolarErrBoundPct bounds the |polar vs integral-2d| σ error (percent).
-	PolarErrBoundPct float64
 }
 
 // N returns the gate count.
@@ -96,9 +89,9 @@ func Fixtures(short bool) ([]Fixture, error) {
 	if short {
 		side = 16
 	}
-	// Chip-scale within-die correlation (the EXPERIMENTS.md process) and a
-	// tight one whose hard range fits even the short die, so the polar
-	// estimator is exercised in both modes.
+	// Chip-scale within-die correlation (the EXPERIMENTS.md process), whose
+	// range exceeds the die, and a tight one whose hard range fits even the
+	// short die, so the polar weight is exercised on both of its branches.
 	chip := spatial.TruncatedExpCorr{Lambda: 30, R: 120}
 	tight := spatial.TruncatedExpCorr{Lambda: 6, R: 24}
 
@@ -109,8 +102,7 @@ func Fixtures(short bool) ([]Fixture, error) {
 			// Monte-Carlo cross-validation.
 			Name: "baseline", Proc: corner(chip), Hist: mixed,
 			Rows: side, Cols: side, SignalProb: 0.5,
-			PolarRefused: true, // R = 120 µm exceeds the die side
-			Placed:       true, MC: true,
+			Placed: true, MC: true,
 			// Off the E7 corner (different mix and signal probability than
 			// the paper sweep): measured ≈2.4 % at the short side, bounded
 			// with ~3× margin.
@@ -118,13 +110,12 @@ func Fixtures(short bool) ([]Fixture, error) {
 		},
 		{
 			// Extreme λ/R ratio, small side: correlation dies within three
-			// site pitches, the polar method applies. The λ/pitch ratio is
+			// site pitches, inside the die. The λ/pitch ratio is
 			// far off the E7 corner, so the integral bound is the measured
 			// envelope of this fixture (site granularity dominates).
 			Name: "tight-corr", Proc: corner(tight), Hist: mixed,
 			Rows: side, Cols: side, SignalProb: 0.3,
-			PolarOK:        true,
-			IntErrBoundPct: 30, PolarErrBoundPct: 2,
+			IntErrBoundPct: 30,
 		},
 		{
 			// Degenerate 1×1 layout: one gate, one site. The continuum
@@ -146,39 +137,35 @@ func Fixtures(short bool) ([]Fixture, error) {
 			// agree with the 2-D integral almost exactly.
 			Name: "all-d2d", Proc: allD2D(), Hist: mixed,
 			Rows: 12, Cols: 12, SignalProb: 0.5,
-			PolarOK:        true,
-			IntErrBoundPct: 5, PolarErrBoundPct: 0.01,
+			IntErrBoundPct: 5,
 		},
 		{
 			// All-WID split with the tight range: no covariance floor.
 			Name: "all-wid", Proc: allWID(tight), Hist: mixed,
 			Rows: side, Cols: side, SignalProb: 0.5,
-			PolarOK:        true,
-			IntErrBoundPct: 30, PolarErrBoundPct: 2,
+			IntErrBoundPct: 30,
 		},
 		{
-			// λ/R far beyond the die: the polar method must refuse with a
-			// typed InvalidInput; the near-constant covariance makes the
-			// 2-D integral nearly exact.
+			// λ/R far beyond the die diagonal: the near-constant covariance
+			// makes the 2-D integral nearly exact.
 			Name: "wide-corr", Proc: corner(spatial.TruncatedExpCorr{Lambda: 500, R: 2000}), Hist: mixed,
 			Rows: 12, Cols: 12, SignalProb: 0.5,
-			PolarRefused:   true,
 			IntErrBoundPct: 5,
 		},
 		{
 			// Extreme aspect ratio: 16:1 die, correlation range taller than
-			// the short edge (polar refuses), integral error dominated by
-			// the narrow dimension.
+			// the short edge, integral error dominated by the narrow
+			// dimension.
 			Name: "skinny", Proc: corner(tight), Hist: mixed,
 			Rows: 4, Cols: 64, SignalProb: 0.5,
-			PolarRefused:   true,
 			IntErrBoundPct: 30,
 		},
 	}, nil
 }
 
 // mutationFixtures are the fixtures the mutation self-check runs: baseline
-// covers the placed truth path, tight-corr covers the polar path.
+// covers the placed truth path, and the two cover both branches of the
+// polar weight.
 var mutationFixtures = []string{"baseline", "tight-corr"}
 
 // placedCircuit draws the seeded random circuit of a placed fixture from

@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -10,7 +9,6 @@ import (
 	"leakest/internal/charlib"
 	"leakest/internal/chipmc"
 	"leakest/internal/core"
-	"leakest/internal/lkerr"
 	"leakest/internal/placement"
 	"leakest/internal/stats"
 )
@@ -225,28 +223,17 @@ func (h *harness) runFixture(ctx context.Context, fx Fixture) error {
 		RelPct(intBound), detail)
 
 	// --- O(1) polar integral --------------------------------------------
-	polar, perr := m.EstimatePolarCtx(ctx)
-	switch {
-	case fx.PolarRefused:
-		h.checkBehavior(fx.Name, "polar/typed-refusal",
-			perr != nil && errors.Is(perr, lkerr.ErrInvalidInput),
-			fmt.Sprintf("correlation range beyond min(W,H) must refuse with InvalidInput; got %v", perr))
-	case fx.PolarOK:
-		if perr != nil {
-			return perr
-		}
-		h.mutate("polar", &polar.Mean, &polar.Std)
-		h.check(fx.Name, "polar/mean-identity", KindExact, polar.Mean, nMean, Exact(), "")
-		h.check(fx.Name, "polar/std-vs-refined-quadrature", KindExact,
-			polar.Std, polarRefStd(m), Tolerance{Rel: 1e-3},
-			"same Eqs. 25–26 integrand at twice the panel count")
-		pBound := fx.PolarErrBoundPct
-		if pBound == 0 {
-			pBound, _ = RecordedEnvelope("e7.polar_err", n)
-		}
-		h.check(fx.Name, "polar/std-vs-integral2d", KindApprox, polar.Std, integ.Std,
-			RelPct(pBound), "the two O(1) continuum approximations must agree")
+	polar, err := m.EstimatePolarCtx(ctx)
+	if err != nil {
+		return err
 	}
+	h.mutate("polar", &polar.Mean, &polar.Std)
+	h.check(fx.Name, "polar/mean-identity", KindExact, polar.Mean, nMean, Exact(), "")
+	h.check(fx.Name, "polar/std-vs-refined-quadrature", KindExact,
+		polar.Std, integral2DRefStd(m), Tolerance{Rel: 1e-6},
+		"Eq. 20 in polar coordinates against the Cartesian form at doubled panel density")
+	h.check(fx.Name, "polar/std-vs-integral2d", KindApprox, polar.Std, integ.Std,
+		Tolerance{Rel: 1e-5}, "the polar and Cartesian quadratures of one Eq. 20 must agree")
 
 	if fx.Placed {
 		if err := h.runPlaced(ctx, fx, m); err != nil {

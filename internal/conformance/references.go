@@ -40,7 +40,9 @@ func bruteStd(m *core.Model, rows, cols int) float64 {
 // doubled relative to the production estimator. Agreement to ~0.1 % shows
 // the production quadrature resolved the integrand; any error in the
 // integrand itself appears identically on both sides and is caught by the
-// separate integral-vs-linear envelope check.
+// separate integral-vs-linear envelope check. It also referees the polar
+// estimator, which integrates the same Eq. 20 in polar coordinates: a
+// wrong angular weight cannot cancel out of a Cartesian quadrature.
 func integral2DRefStd(m *core.Model) float64 {
 	w, h := m.Spec.W, m.Spec.H
 	n := float64(m.Spec.N)
@@ -64,43 +66,6 @@ func integral2DRefStd(m *core.Model) float64 {
 	}
 	integral := quad.Integrate2D(integrand, 0, w, 0, h, panels(w), panels(h))
 	variance := 4 * n * n / (area * area) * integral
-	if variance < 0 {
-		variance = 0
-	}
-	return math.Sqrt(variance)
-}
-
-// polarRefStd evaluates the Eqs. 25–26 polar integral with doubled panel
-// density. Callers only invoke it on fixtures where the production polar
-// estimator succeeded, so the Dmax ≤ min(W, H) precondition holds.
-func polarRefStd(m *core.Model) float64 {
-	w, h := m.Spec.W, m.Spec.H
-	n := float64(m.Spec.N)
-	area := w * h
-	dmax := 0.0
-	if m.Proc.SigmaWID > 0 && m.Proc.WIDCorr != nil {
-		dmax = m.Proc.WIDCorr.Range()
-		if math.IsInf(dmax, 1) {
-			dmax = m.Proc.EffectiveRange(1e-4)
-		}
-	}
-	floor := m.CovAtCorr(m.Proc.CorrFloor())
-	integrand := func(r float64) float64 {
-		c := m.CovAtCorr(m.Proc.TotalCorr(r)) - floor
-		return c * r * (0.5*r*r - (w+h)*r + math.Pi/2*w*h)
-	}
-	lam := m.Proc.EffectiveRange(0.5)
-	panels := 32
-	if lam > 0 {
-		if p := int(math.Ceil(16 * dmax / lam)); p > panels {
-			panels = p
-		}
-	}
-	if panels > 512 {
-		panels = 512
-	}
-	integral := quad.GaussLegendrePanels(integrand, 0, dmax, panels)
-	variance := 4*n*n/(area*area)*integral + n*n*floor
 	if variance < 0 {
 		variance = 0
 	}

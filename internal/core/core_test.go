@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
+	"leakest/internal/quad"
 	"leakest/internal/spatial"
 	"leakest/internal/stats"
 )
@@ -264,30 +266,88 @@ func TestIntegralConvergesToLinear(t *testing.T) {
 }
 
 func TestPolarMatchesIntegral2D(t *testing.T) {
-	// With a finite-range correlation well inside the die, the polar
-	// single integral must agree with the 2-D integral.
-	m := newTestModel(t, 4096, Analytic) // die 128×128 µm, R = 120 µm
-	p2, err := m.EstimateIntegral2D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := m.EstimatePolar()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := math.Abs(stats.RelErr(p1.Std, p2.Std)); e > 0.5 {
-		t.Errorf("polar σ=%.6g vs 2-D σ=%.6g (%.3f%% apart)", p1.Std, p2.Std, e)
-	}
-	if p1.Mean != p2.Mean {
-		t.Errorf("means differ: %g vs %g", p1.Mean, p2.Mean)
+	// Polar is Eq. 20 in polar coordinates on the exact angular weight, so
+	// it must agree with the 2-D integral wherever the correlation range
+	// falls: inside the die, between its sides, past its diagonal, and for
+	// an infinite-range correlation.
+	exp := testProcess()
+	exp.WIDCorr = spatial.ExpCorr{Lambda: 30}
+	rect := squareSpec(t, 3025)
+	rect.W, rect.H = 200, 60
+	for _, tc := range []struct {
+		name string
+		proc *spatial.Process
+		spec DesignSpec
+	}{
+		{"R<min(W,H)", testProcess(), squareSpec(t, 4096)}, // 128 µm die, R = 120 µm
+		{"R>diagonal", testProcess(), squareSpec(t, 64)},   // 16 µm die
+		{"min<R<max", testProcess(), rect},                 // 3,025 gates on 200×60 µm
+		{"infinite-range", exp, squareSpec(t, 4096)},       // ρ < 1e-4 past the diagonal
+	} {
+		m, err := NewModel(testLib(t), tc.proc, tc.spec, Analytic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := m.EstimateIntegral2D()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1, err := m.EstimatePolar()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if e := math.Abs(p1.Std/p2.Std - 1); e > 1e-6 {
+			t.Errorf("%s: polar σ=%.10g vs 2-D σ=%.10g (%.3g apart)", tc.name, p1.Std, p2.Std, e)
+		}
+		if p1.Mean != p2.Mean {
+			t.Errorf("%s: means differ: %g vs %g", tc.name, p1.Mean, p2.Mean)
+		}
 	}
 }
 
-func TestPolarRejectsWideCorrelation(t *testing.T) {
-	// Die smaller than the correlation range: polar must refuse.
-	m := newTestModel(t, 64, Analytic) // die 16×16 µm < R = 120 µm
-	if _, err := m.EstimatePolar(); err == nil {
-		t.Errorf("polar accepted correlation range beyond the die")
+func TestPolarWeight(t *testing.T) {
+	// The closed-form weight against a fine θ quadrature of its definition,
+	// ∫₀^{π/2} (W − r·cos θ)₊·(H − r·sin θ)₊ dθ, on both die orientations at
+	// every branch: inside the short side, at each side, between them, at
+	// the diagonal and past it.
+	for _, d := range [][2]float64{{200, 60}, {60, 200}} {
+		w, h := d[0], d[1]
+		short, long, diag := math.Min(w, h), math.Max(w, h), math.Hypot(w, h)
+		for _, r := range []float64{0, 0.5 * short, short, (short + long) / 2, long, (long + diag) / 2, diag, 1.5 * diag} {
+			// The clipped integrand has kinks where a factor reaches zero;
+			// each smooth piece gets its own 2,000 panels.
+			clipped := func(th float64) float64 {
+				s, c := math.Sincos(th)
+				return math.Max(0, w-r*c) * math.Max(0, h-r*s)
+			}
+			cuts := []float64{0, math.Pi / 2}
+			if r > w {
+				cuts = append(cuts, math.Acos(w/r))
+			}
+			if r > h {
+				cuts = append(cuts, math.Asin(h/r))
+			}
+			slices.Sort(cuts)
+			ref := 0.0
+			for i := 1; i < len(cuts); i++ {
+				ref += quad.GaussLegendrePanels(clipped, cuts[i-1], cuts[i], 2000)
+			}
+			got := polarWeight(r, w, h)
+			switch {
+			case r > diag:
+				if got != 0 {
+					t.Errorf("W=%g H=%g r=%g: G = %g past the diagonal, want 0", w, h, r, got)
+				}
+			case r == diag:
+				if math.Abs(got) > 1e-12*w*h {
+					t.Errorf("W=%g H=%g r=%g: G = %g at the diagonal, want 0", w, h, r, got)
+				}
+			default:
+				if e := math.Abs(got/ref - 1); e > 1e-10 {
+					t.Errorf("W=%g H=%g r=%g: G = %.12g, quadrature %.12g (%.3g apart)", w, h, r, got, ref, e)
+				}
+			}
+		}
 	}
 }
 

@@ -172,24 +172,27 @@ func (m *Model) rectVariance(n, w, h float64) (variance float64, nx, ny int) {
 }
 
 // EstimatePolar computes the statistics with the constant-time 1-D polar
-// integral of §3.2.2 (Eqs. 25–26):
+// integral of §3.2.2 (Eqs. 25–26), Eq. 20 in polar coordinates:
 //
-//	σ² ≈ 4·(n²/A²)·∫₀^{Dmax} C'(r)·r·g(r) dr + n²·C_floor
-//	g(r) = 0.5·r² − (W+H)·r + (π/2)·W·H
+//	σ² ≈ 4·(n²/A²)·∫₀^{min(Dmax, D)} C'(r)·r·G(r) dr + n²·C_floor
 //
-// where C'(r) = C_XI(r) − C_floor and C_floor is the D2D covariance floor.
-// The method requires the within-die correlation to vanish within
-// min(W, H); otherwise an error directs the caller to the 2-D method.
+// where C'(r) = C_XI(r) − C_floor, C_floor is the D2D covariance floor,
+// D = √(W²+H²) is the die diagonal and G is the exact angular weight
+// (polarWeight). G is the paper's g(r) = 0.5·r² − (W+H)·r + (π/2)·W·H up
+// to min(W, H) and has a closed form beyond, so the method applies to
+// every correlation range.
 func (m *Model) EstimatePolar() (Result, error) {
 	return m.EstimatePolarCtx(context.Background())
 }
 
 // EstimatePolarCtx is EstimatePolar with stage telemetry attached to ctx.
 func (m *Model) EstimatePolarCtx(ctx context.Context) (Result, error) {
+	_, end := timeMethod(ctx, "polar-1d", "estimate.polar-1d")
+	defer end()
 	w, h := m.Spec.W, m.Spec.H
 	// A pure-D2D process has no within-die term: C'(r) is identically zero
 	// and only the covariance floor survives, so the integration range is
-	// empty and the method always applies.
+	// empty.
 	dmax := 0.0
 	if m.Proc.SigmaWID > 0 && m.Proc.WIDCorr != nil {
 		dmax = m.Proc.WIDCorr.Range()
@@ -197,36 +200,35 @@ func (m *Model) EstimatePolarCtx(ctx context.Context) (Result, error) {
 			dmax = m.Proc.EffectiveRange(1e-4)
 		}
 	}
-	if dmax > math.Min(w, h) {
-		return Result{}, lkerr.New(lkerr.InvalidInput, "core.EstimatePolar",
-			"polar method needs correlation range %.4g ≤ min(W,H) = %.4g; use EstimateIntegral2D",
-			dmax, math.Min(w, h))
-	}
-	// The span starts after the applicability check so a refused attempt
-	// (Auto falling through to the 2-D integral) leaves no timing entry.
-	_, end := timeMethod(ctx, "polar-1d", "estimate.polar-1d")
-	defer end()
 	floor := m.CovAtCorr(m.Proc.CorrFloor())
-	g := func(r float64) float64 { return 0.5*r*r - (w+h)*r + math.Pi/2*w*h }
 	integrand := func(r float64) float64 {
 		c := m.covAt(r) - floor
-		return c * r * g(r)
+		return c * r * polarWeight(r, w, h)
 	}
 	n := float64(m.Spec.N)
 	area := w * h
 	// The integrand varies on the correlation-length scale; a few panels
 	// per length give quadrature error far below the model error.
 	lam := m.Proc.EffectiveRange(0.5)
-	panels := 16
-	if lam > 0 {
-		if p := int(math.Ceil(8 * dmax / lam)); p > panels {
-			panels = p
+	panels := func(span float64) int {
+		p := 16
+		if lam > 0 {
+			if q := int(math.Ceil(8 * span / lam)); q > p {
+				p = q
+			}
+		}
+		return min(p, 256)
+	}
+	// G has kinks at both die sides, so each smooth piece of the range
+	// gets its own panels; nothing lies past the diagonal, where G = 0.
+	top := math.Min(dmax, math.Hypot(w, h))
+	integral, lo := 0.0, 0.0
+	for _, hi := range [...]float64{math.Min(w, h), math.Max(w, h), top} {
+		if hi = math.Min(hi, top); hi > lo {
+			integral += quad.GaussLegendrePanels(integrand, lo, hi, panels(hi-lo))
+			lo = hi
 		}
 	}
-	if panels > 256 {
-		panels = 256
-	}
-	integral := quad.GaussLegendrePanels(integrand, 0, dmax, panels)
 	variance := 4*n*n/(area*area)*integral + n*n*floor
 	if variance < 0 {
 		variance = 0
@@ -237,6 +239,31 @@ func (m *Model) EstimatePolarCtx(ctx context.Context) (Result, error) {
 		Method: "polar-1d",
 		Note:   fmt.Sprintf("Dmax = %.4g µm", dmax),
 	}.checkFinite("core.EstimatePolar")
+}
+
+// polarWeight is the exact angular weight of Eq. 20 in polar coordinates,
+//
+//	G(r) = ∫₀^{π/2} (W − r·cos θ)₊·(H − r·sin θ)₊ dθ.
+//
+// For r ≤ min(W, H) both factors stay positive and G is the paper's g(r).
+// Beyond, the integrand lives on θ ∈ [acos(min(1, W/r)), asin(min(1, H/r))],
+// where its antiderivative is W·H·θ + W·r·cos θ − H·r·sin θ + ½·r²·sin²θ;
+// past the die diagonal that interval is empty and G = 0.
+func polarWeight(r, w, h float64) float64 {
+	if r <= math.Min(w, h) {
+		return 0.5*r*r - (w+h)*r + math.Pi/2*w*h
+	}
+	// cos θ_W = min(1, W/r) and sin θ_H = min(1, H/r), so the bounds' other
+	// trigonometric values are square roots.
+	cw, sh := math.Min(1, w/r), math.Min(1, h/r)
+	lo, hi := math.Acos(cw), math.Asin(sh)
+	if hi <= lo {
+		return 0
+	}
+	f := func(t, s, c float64) float64 {
+		return w*h*t + w*r*c - h*r*s + 0.5*r*r*s*s
+	}
+	return f(hi, sh, math.Sqrt(1-sh*sh)) - f(lo, math.Sqrt(1-cw*cw), cw)
 }
 
 // EstimateNaive is the no-correlation baseline in the style of the early

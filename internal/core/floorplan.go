@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"leakest/internal/charlib"
+	"leakest/internal/lkerr"
 	"leakest/internal/spatial"
 )
 
@@ -49,23 +50,28 @@ func (m *Model) CorrMass() float64 { return m.sumWSigma }
 
 // EstimateFloorplan combines the blocks into full-chip statistics.
 func EstimateFloorplan(lib *charlib.Library, proc *spatial.Process, blocks []Block, mode Mode) (FloorplanResult, error) {
+	const op = "core.EstimateFloorplan"
 	if len(blocks) == 0 {
-		return FloorplanResult{}, fmt.Errorf("core: empty floorplan")
+		return FloorplanResult{}, lkerr.New(lkerr.InvalidInput, op, "empty floorplan")
 	}
-	// Geometry sanity: positive placement, no overlaps.
+	// Geometry sanity: finite, non-negative placement, no overlaps.
 	for i := range blocks {
 		b := &blocks[i]
+		if math.IsNaN(b.X) || math.IsNaN(b.Y) || math.IsInf(b.X, 0) || math.IsInf(b.Y, 0) {
+			return FloorplanResult{}, lkerr.New(lkerr.InvalidInput, op,
+				"block %q position (%g, %g) must be finite", b.Name, b.X, b.Y)
+		}
 		if b.X < 0 || b.Y < 0 {
-			return FloorplanResult{}, fmt.Errorf("core: block %q at negative position", b.Name)
+			return FloorplanResult{}, lkerr.New(lkerr.InvalidInput, op, "block %q at negative position", b.Name)
 		}
 		if err := b.Spec.Validate(); err != nil {
-			return FloorplanResult{}, fmt.Errorf("core: block %q: %w", b.Name, err)
+			return FloorplanResult{}, lkerr.New(lkerr.InvalidInput, op, "block %q: %v", b.Name, err)
 		}
 		for j := 0; j < i; j++ {
 			a := &blocks[j]
 			if b.X < a.X+a.Spec.W && a.X < b.X+b.Spec.W &&
 				b.Y < a.Y+a.Spec.H && a.Y < b.Y+b.Spec.H {
-				return FloorplanResult{}, fmt.Errorf("core: blocks %q and %q overlap", a.Name, b.Name)
+				return FloorplanResult{}, lkerr.New(lkerr.InvalidInput, op, "blocks %q and %q overlap", a.Name, b.Name)
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"leakest/internal/lkerr"
 	"leakest/internal/netlist"
 	"leakest/internal/placement"
 	"leakest/internal/stats"
@@ -39,24 +41,26 @@ func TestEstimateFloorplanValidation(t *testing.T) {
 	lib := testLib(t)
 	proc := testProcess()
 	blocks := floorplanBlocks(t)
-	if _, err := EstimateFloorplan(lib, proc, nil, Analytic); err == nil {
-		t.Errorf("empty floorplan accepted")
+	with := func(edit func([]Block)) []Block {
+		b := append([]Block(nil), blocks...)
+		edit(b)
+		return b
 	}
-	neg := append([]Block(nil), blocks...)
-	neg[0].X = -1
-	if _, err := EstimateFloorplan(lib, proc, neg, Analytic); err == nil {
-		t.Errorf("negative position accepted")
-	}
-	overlap := append([]Block(nil), blocks...)
-	overlap[1].X = blocks[0].X + 1
-	overlap[1].Y = blocks[0].Y
-	if _, err := EstimateFloorplan(lib, proc, overlap, Analytic); err == nil {
-		t.Errorf("overlapping blocks accepted")
-	}
-	bad := append([]Block(nil), blocks...)
-	bad[0].Spec.N = 0
-	if _, err := EstimateFloorplan(lib, proc, bad, Analytic); err == nil {
-		t.Errorf("invalid block spec accepted")
+	for _, tc := range []struct {
+		name   string
+		blocks []Block
+	}{
+		{"empty floorplan", nil},
+		{"negative position", with(func(b []Block) { b[0].X = -1 })},
+		{"NaN position", with(func(b []Block) { b[1].X = math.NaN() })},
+		{"+Inf position", with(func(b []Block) { b[1].Y = math.Inf(1) })},
+		{"overlapping blocks", with(func(b []Block) { b[1].X, b[1].Y = b[0].X+1, b[0].Y })},
+		{"invalid block spec", with(func(b []Block) { b[0].Spec.N = 0 })},
+	} {
+		_, err := EstimateFloorplan(lib, proc, tc.blocks, Analytic)
+		if !errors.Is(err, lkerr.ErrInvalidInput) {
+			t.Errorf("%s: err = %v, want InvalidInput", tc.name, err)
+		}
 	}
 }
 

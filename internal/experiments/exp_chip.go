@@ -18,7 +18,7 @@ import (
 // ChipProcess returns the variation model used by the chip-level
 // experiments: the default 90 nm sigma split with a within-die correlation
 // length matched to the benchmark die scale (tens to hundreds of µm), and a
-// hard range suitable for the polar estimator.
+// hard range of four correlation lengths.
 func ChipProcess() *spatial.Process {
 	base := spatial.Default90nm()
 	return &spatial.Process{
@@ -248,20 +248,18 @@ func Fig7(cfg Fig7Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		polarStd, polarErr := "n/a", "n/a"
-		if p, err := model.EstimatePolar(); err == nil {
-			polarStd = f(p.Std)
-			pe := math.Abs(stats.RelErr(p.Std, lin.Std))
-			polarErr = pct(pe)
-			t.AddClaim("e7.polar_err", n, pe)
+		polar, err := model.EstimatePolar()
+		if err != nil {
+			return nil, err
 		}
 		ie := math.Abs(stats.RelErr(integ.Std, lin.Std))
+		pe := math.Abs(stats.RelErr(polar.Std, lin.Std))
 		t.AddClaim("e7.integral_err", n, ie)
+		t.AddClaim("e7.polar_err", n, pe)
 		t.AddRow(fmt.Sprintf("%d", n), f(lin.Std), f(integ.Std),
-			pct(ie), polarStd, polarErr)
+			pct(ie), f(polar.Std), pct(pe))
 	}
 	t.AddNote("paper: error > 1%% below ~100 gates, < 0.01%% beyond 10⁴ gates")
-	t.AddNote("polar applies once the correlation range fits inside the die (n/a otherwise)")
 	return t, nil
 }
 
@@ -547,10 +545,11 @@ func Scaling(cfg ScalingConfig) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow("integral O(1)", fmt.Sprintf("%d", n), d.String())
-		if _, err := model.EstimatePolar(); err == nil {
-			d, _ = timeIt(func() error { _, err := model.EstimatePolar(); return err })
-			t.AddRow("polar O(1)", fmt.Sprintf("%d", n), d.String())
+		d, err = timeIt(func() error { _, err := model.EstimatePolar(); return err })
+		if err != nil {
+			return nil, err
 		}
+		t.AddRow("polar O(1)", fmt.Sprintf("%d", n), d.String())
 	}
 	t.AddNote("paper: O(n) takes < 1 s below 1000 gates; integration recommended beyond")
 	return t, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -200,12 +201,13 @@ func TestFig7DriverErrorShrinks(t *testing.T) {
 	if large >= small {
 		t.Errorf("integral error did not shrink: %.3f%% → %.3f%%", small, large)
 	}
-	// At n=4096 (die 128 µm > R=120 µm) polar must apply.
-	if tb.Rows[1][4] == "n/a" {
-		t.Errorf("polar should apply at n=4096")
-	}
-	if tb.Rows[0][4] != "n/a" {
-		t.Errorf("polar should NOT apply at n=64 (die smaller than range)")
+	// Polar applies at both sizes, the 16 µm die narrower than R = 120 µm
+	// included, and integrates the same Eq. 20 as the 2-D integral: their
+	// printed errors agree to the table's last digit.
+	for i, row := range tb.Rows {
+		if p, q := cellPct(t, tb, i, 5), cellPct(t, tb, i, 3); math.Abs(p-q) > 0.011 {
+			t.Errorf("n=%s: polar err %.2f%% vs integral err %.2f%%", row[0], p, q)
+		}
 	}
 }
 
@@ -428,10 +430,9 @@ func TestDriversEmitClaims(t *testing.T) {
 	if got["e7.integral_err"] != 2 {
 		t.Errorf("Fig7 must claim one integral error per size; got %v", got)
 	}
-	// Polar succeeds only when the correlation range fits the die: at n=4096
-	// it applies, at n=25 it does not.
-	if got["e7.polar_err"] != 1 {
-		t.Errorf("Fig7 polar claims = %v, want exactly the large size", got)
+	// Polar applies at every size, the 10 µm die at n=25 included.
+	if got["e7.polar_err"] != 2 {
+		t.Errorf("Fig7 must claim one polar error per size; got %v", got)
 	}
 
 	simpl, err := SimplifiedCorr(SimplifiedCorrConfig{Lib: lib, Hist: hist, Sides: []int{12}})

@@ -35,10 +35,11 @@ type EstimateRequest struct {
 	Name string `json:"name,omitempty"`
 	// Seed is the placement seed for Bench submissions (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Method picks the estimator (auto|linear|integral|polar|naive). It is
-	// honored verbatim only when no budget — the request's or the admission
+	// Method picks the estimator (auto|linear|integral|polar|naive); polar
+	// applies at every die size and correlation range. It is honored
+	// verbatim only when no budget — the request's or the admission
 	// controller's — is in force; under a budget the degradation ladder
-	// decides.
+	// decides, and its O(1) floor is polar.
 	Method string `json:"method,omitempty"`
 	// Truth starts the ladder at the O(n²) true-leakage rung (Bench only).
 	Truth bool `json:"truth,omitempty"`

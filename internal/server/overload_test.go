@@ -99,8 +99,8 @@ func TestOverloadDegradesButStaysCorrect(t *testing.T) {
 			if !resp.Result.Degraded {
 				t.Errorf("%s-level request not degraded", lvl)
 			}
-			if m := resp.Result.Method; m != "integral-2d" && m != "polar-1d" {
-				t.Errorf("%s-level served %q, want a constant-time method", lvl, m)
+			if m := resp.Result.Method; m != "polar-1d" {
+				t.Errorf("%s-level served %q, want polar-1d", lvl, m)
 			}
 			if !strings.Contains(resp.Result.DegradeReason, "MaxGates") {
 				t.Errorf("%s-level degrade reason %q does not name the budget", lvl, resp.Result.DegradeReason)

@@ -23,7 +23,7 @@ import (
 type ladderCase struct {
 	name      string
 	late      bool // true: the O(n²) truth ladder; false: early-mode estimate
-	bigDie    bool // early mode: a die wide enough for the polar integral
+	bigDie    bool // early mode: a die wider than the correlation range
 	tiles     int
 	budget    EstimateBudget
 	slowTruth bool // arm a Sleep fault on every O(n²) truth row
@@ -46,15 +46,15 @@ var ladderFreeze = []ladderCase{
 	{name: "early/linear/tiles", tiles: 2, budget: EstimateBudget{MaxGates: 100},
 		mean: 0x3ece5b791d7c3ba4, std: 0x3eb4032a75295131, method: "linear-tiled", keys: "gates,method"},
 	{name: "early/max-gates/integral", budget: EstimateBudget{MaxGates: 99},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a521c6d1, method: "integral-2d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a52003cb, method: "polar-1d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "early/max-gates/polar", bigDie: true, budget: EstimateBudget{MaxGates: 99},
 		mean: 0x3ece5b791d7c3ba4, std: 0x3eaad584c0999985, method: "polar-1d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "early/max-gates/tiles", tiles: 2, budget: EstimateBudget{MaxGates: 99},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a521c6d1, method: "integral-2d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a52003cb, method: "polar-1d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "early/timeout", budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a521c6d1, method: "integral-2d", degraded: true, reason: "o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a52003cb, method: "polar-1d", degraded: true, reason: "o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "early/timeout/tiles", tiles: 2, budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a521c6d1, method: "integral-2d", degraded: true, reason: "o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a52003cb, method: "polar-1d", degraded: true, reason: "o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "late/truth", late: true, budget: EstimateBudget{MaxPairs: 1770},
 		mean: 0x3ec22d6dd11dd866, std: 0x3ea795907daa6fe5, method: "true-n2", keys: "method"},
 	{name: "late/truth/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxGates: 60},
@@ -64,17 +64,17 @@ var ladderFreeze = []ladderCase{
 	{name: "late/max-pairs/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxPairs: 1769},
 		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/max-gates", late: true, budget: EstimateBudget{MaxGates: 59},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b712e93, method: "polar-1d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/max-gates/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxGates: 59},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b712e93, method: "polar-1d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/timeout-fault", late: true, slowTruth: true, budget: EstimateBudget{Timeout: 40 * time.Millisecond},
 		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/timeout-fault/tiles", late: true, tiles: 2, slowTruth: true, budget: EstimateBudget{Timeout: 40 * time.Millisecond},
 		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/timeout", late: true, budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b712e93, method: "polar-1d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/timeout/tiles", late: true, tiles: 2, budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b72d195, method: "integral-2d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b712e93, method: "polar-1d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 }
 
 // runLadderCase runs one frozen case and returns its result and the span.

@@ -106,14 +106,14 @@ type Method int
 // Available estimation methods.
 const (
 	// Auto follows the paper's advice: the linear-time algorithm for small
-	// designs, the constant-time integral beyond autoThreshold gates.
+	// designs, the constant-time polar integral beyond autoThreshold gates.
 	Auto Method = iota
 	// Linear is the exact O(n) distance-histogram method (Eq. 17).
 	Linear
 	// Integral2D is the O(1) rectangular double integral (Eq. 20).
 	Integral2D
-	// Polar is the O(1) single polar integral (Eqs. 25–26); it requires
-	// the correlation range to fit inside the die.
+	// Polar is the O(1) single polar integral (Eqs. 25–26) on the exact
+	// angular weight, so it applies to every correlation range.
 	Polar
 	// Naive ignores spatial correlation (independent gates) — the early
 	// estimator baseline; provided for comparison only.
@@ -377,7 +377,7 @@ func (e *Estimator) dispatch(ctx context.Context, m *core.Model, method Method, 
 	if m.Spec.N <= autoThreshold {
 		return m.EstimateLinearCtx(ctx)
 	}
-	return constantTime(ctx, m)
+	return m.EstimatePolarCtx(ctx)
 }
 
 // done completes a successful run: the optional Vt mean correction, the

@@ -255,8 +255,8 @@ func TestBudgetRulesOutLinearDegradesToConstantTime(t *testing.T) {
 	if !res.Degraded {
 		t.Errorf("result not flagged Degraded")
 	}
-	if res.Method != "polar-1d" && res.Method != "integral-2d" {
-		t.Errorf("degraded to %q, want a constant-time method", res.Method)
+	if res.Method != "polar-1d" {
+		t.Errorf("degraded to %q, want polar-1d", res.Method)
 	}
 	// Within budget: no degradation, exact truth.
 	res, err = budgeted(est, EstimateBudget{}).TrueLeakageContext(context.Background(), nl, pl, 0.5)
@@ -304,8 +304,8 @@ func TestEstimateBudgetedEarlyMode(t *testing.T) {
 	if !res.Degraded {
 		t.Errorf("result not flagged Degraded")
 	}
-	if res.Method != "polar-1d" && res.Method != "integral-2d" {
-		t.Errorf("degraded to %q, want a constant-time method", res.Method)
+	if res.Method != "polar-1d" {
+		t.Errorf("degraded to %q, want polar-1d", res.Method)
 	}
 }
 
