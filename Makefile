@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race race-parallel fuzz bench conformance server-smoke tracecheck
+.PHONY: build test check vet race race-parallel fuzz bench conformance server-smoke tracecheck examples
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,12 @@ conformance:
 # (singleflight, read off /metrics), and SIGTERM must drain to exit 0.
 server-smoke:
 	./scripts/server_smoke.sh
+
+# examples builds and runs each program under examples/ once. They have no
+# tests and `go build ./...` only compiles them; every one exits non-zero on
+# an estimator error, so a run that fails or panics fails the target.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # tracecheck pins the tracing layer's zero-overhead contract: with no trace,
 # no registry and no logger attached, every instrumentation hook — and the
@@ -79,8 +85,8 @@ race-parallel:
 # report); the results are bitwise identical either way. A failed `go test`
 # yields no benchmark lines, which benchjson turns back into a non-zero
 # exit. The Fig6 and Table1 paper-accuracy benchmarks always run under a
-# wall-time budget (≈6× and ≈38× their local times, to absorb CI-host
-# noise) so a perf regression in the estimators they sweep fails the
+# wall-time budget (≈63× and ≈173× their times in the committed
+# BENCH_leakest.json, 0.48 s and 29 ms, to absorb CI-host noise) so a perf regression in the estimators they sweep fails the
 # target; add more gates via BENCHJSON_FLAGS="-budget ChipMCTiled=60s"
 # (see cmd/benchjson).
 BENCHJSON_BUDGETS = -budget Fig6=30s -budget Table1=5s

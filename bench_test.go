@@ -389,7 +389,7 @@ func BenchmarkEstimateTiled(b *testing.B) {
 }
 
 // BenchmarkEstimateConstantTime measures the constant-time integral
-// estimator on the same million-gate design.
+// estimator (the polar form of Eq. 20) on the same million-gate design.
 func BenchmarkEstimateConstantTime(b *testing.B) {
 	lib := benchLib(b)
 	est, err := NewEstimator(lib, experiments.ChipProcess())
@@ -399,7 +399,7 @@ func BenchmarkEstimateConstantTime(b *testing.B) {
 	design := Design{Hist: benchHist(b), N: 1000000, W: 2000, H: 2000, SignalProb: 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateContext(context.Background(), design, Integral2D); err != nil {
+		if _, err := est.EstimateContext(context.Background(), design, Polar); err != nil {
 			b.Fatal(err)
 		}
 	}

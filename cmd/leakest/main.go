@@ -183,7 +183,7 @@ func main() {
 	truth := flag.Bool("truth", false, "late mode: also compute the O(n²) true leakage for comparison")
 	mc := flag.Int("mc", 0, "late mode: also run a full-chip Monte Carlo with this many samples")
 	samplerFlag := flag.String("sampler", "auto", "Monte-Carlo field sampler: auto|dense|fft|qmc")
-	tiles := flag.Int("tiles", 0, "partition the die T×T and estimate per-tile with exact inter-tile combination (linear/auto/integral methods); 0 or 1 = monolithic")
+	tiles := flag.Int("tiles", 0, "partition the die T×T and estimate per-tile with exact inter-tile combination (linear/auto methods); 0 or 1 = monolithic")
 	streamPath := flag.String("stream", "", "streaming mode: one-pass estimate of a leakest-stream v1 file (die size and tiling come from its header)")
 	spec := flag.Float64("spec", 0, "with -mc: leakage spec in A; report P[I_leak > spec] (yield at spec)")
 	quantilesFlag := flag.String("quantiles", "", "with -mc: comma-separated tail probabilities, e.g. \"0.5,0.95,0.999\"")
@@ -226,6 +226,13 @@ func main() {
 	method, err := leakest.ParseMethod(*methodFlag)
 	if err != nil {
 		fail("%v", err)
+	}
+	// A stream always runs the tiled linear method, and under a budget the
+	// ladder ignores -method; otherwise the library's tiling policy holds.
+	if *streamPath == "" && *maxGates == 0 && *maxPairs == 0 {
+		if err := leakest.CheckTiles(method, *tiles); err != nil {
+			fail("%v", err)
+		}
 	}
 	sampler, err := leakest.ParseSampler(*samplerFlag)
 	if err != nil {

@@ -168,6 +168,8 @@ func TestFlagMistakesRefusedBeforeCharacterizing(t *testing.T) {
 		{[]string{"-bench", "c17.bench", "-spec", "1e-6"}, "need a Monte-Carlo run"},
 		{[]string{"-bench", "c17.bench", "-quantiles", "0.5"}, "need a Monte-Carlo run"},
 		{append([]string{"-tail-trials", "100"}, early...), "need a Monte-Carlo run"},
+		{append([]string{"-tiles", "3", "-method", "integral"}, early...), "does not support tiling"},
+		{append([]string{"-tiles", "3", "-method", "polar"}, early...), "does not support tiling"},
 		{[]string{"-stream", "s.stream", "-bench", "c17.bench"}, "-stream is its own input mode"},
 		{[]string{"-stream", "s.stream", "-hist", "INV_X1:1"}, "-stream is its own input mode"},
 		{[]string{"-stream", "s.stream", "-truth"}, "not available with -stream"},

@@ -74,7 +74,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := est.EstimateContext(ctx, design, leakest.Integral2D)
+		res, err := est.EstimateContext(ctx, design, leakest.Polar)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func main() {
 			log.Fatal(err)
 		}
 		est.ApplyVtMean = true
-		res, err := est.EstimateContext(ctx, design, leakest.Integral2D)
+		res, err := est.EstimateContext(ctx, design, leakest.Polar)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,7 +23,7 @@ type Fixture struct {
 	// serial reference, truth vs the RG estimate); MC adds the chip-level
 	// Monte-Carlo cross-validation. Both only make sense on square grids.
 	Placed, MC bool
-	// IntErrBoundPct bounds the |integral-2d vs linear| σ error (percent).
+	// IntErrBoundPct bounds the |O(1) integral vs linear| σ error (percent).
 	// Zero selects the E7 recorded envelope at N; fixtures off the E7
 	// corner (non-paper λ/pitch ratios, extreme aspect, n = 1) carry an
 	// explicit measured bound instead.

@@ -203,26 +203,7 @@ func (h *harness) runFixture(ctx context.Context, fx Fixture) error {
 	h.check(fx.Name, "naive/std-identity", KindExact, naive.Std,
 		math.Sqrt(float64(n)*m.RGVariance()), Exact(), "independence baseline is √(n·σ²_XI)")
 
-	// --- O(1) 2-D integral ----------------------------------------------
-	integ, err := m.EstimateIntegral2DCtx(ctx)
-	if err != nil {
-		return err
-	}
-	h.mutate("integral2d", &integ.Mean, &integ.Std)
-	h.check(fx.Name, "integral2d/mean-identity", KindExact, integ.Mean, nMean, Exact(), "")
-	h.check(fx.Name, "integral2d/std-vs-refined-quadrature", KindExact,
-		integ.Std, integral2DRefStd(m), Tolerance{Rel: 1e-3},
-		"same Eq. 20 integrand at twice the panel count; only quadrature error remains")
-	intBound := fx.IntErrBoundPct
-	detail := "measured envelope of this off-corner fixture"
-	if intBound == 0 {
-		intBound, _ = RecordedEnvelope("e7.integral_err", n)
-		detail = "E7 recorded envelope at this size"
-	}
-	h.check(fx.Name, "integral2d/std-vs-linear", KindApprox, integ.Std, lin.Std,
-		RelPct(intBound), detail)
-
-	// --- O(1) polar integral --------------------------------------------
+	// --- O(1) integral: Eq. 20 in polar form (Eqs. 25–26) ----------------
 	polar, err := m.EstimatePolarCtx(ctx)
 	if err != nil {
 		return err
@@ -231,9 +212,15 @@ func (h *harness) runFixture(ctx context.Context, fx Fixture) error {
 	h.check(fx.Name, "polar/mean-identity", KindExact, polar.Mean, nMean, Exact(), "")
 	h.check(fx.Name, "polar/std-vs-refined-quadrature", KindExact,
 		polar.Std, integral2DRefStd(m), Tolerance{Rel: 1e-6},
-		"Eq. 20 in polar coordinates against the Cartesian form at doubled panel density")
-	h.check(fx.Name, "polar/std-vs-integral2d", KindApprox, polar.Std, integ.Std,
-		Tolerance{Rel: 1e-5}, "the polar and Cartesian quadratures of one Eq. 20 must agree")
+		"Eq. 20 in polar coordinates against the Cartesian form on a dense panel grid")
+	intBound := fx.IntErrBoundPct
+	detail := "measured envelope of this off-corner fixture"
+	if intBound == 0 {
+		intBound, _ = RecordedEnvelope("e7.integral_err", n)
+		detail = "E7 recorded envelope at this size"
+	}
+	h.check(fx.Name, "polar/std-vs-linear", KindApprox, polar.Std, lin.Std,
+		RelPct(intBound), detail)
 
 	if fx.Placed {
 		if err := h.runPlaced(ctx, fx, m); err != nil {

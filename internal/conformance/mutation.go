@@ -9,9 +9,9 @@ import (
 // so the harness can prove its own sensitivity: a verification gate that
 // passes everything verifies nothing.
 type Mutation struct {
-	// Target names the estimator to perturb: linear, truth, integral2d,
-	// polar, naive, tiled, tile-count, tiled-mc, tail-is (the
-	// importance-sampled tail estimator) or qmc-seq (the Sobol stream).
+	// Target names the estimator to perturb: linear, truth, polar, naive,
+	// tiled, tile-count, tiled-mc, tail-is (the importance-sampled tail
+	// estimator) or qmc-seq (the Sobol stream).
 	Target string `json:"target"`
 	// Moment selects mean or std for the moment targets; the tail-is target
 	// uses "exceedance" (there is only one quantity to bias) and qmc-seq
@@ -67,7 +67,7 @@ var meanStd = []string{"mean", "std"}
 // resolve it.
 var mutations = []mutationRow{
 	{
-		targets: []string{"linear", "truth", "integral2d", "polar", "naive"},
+		targets: []string{"linear", "truth", "polar", "naive"},
 		moments: meanStd, factor: SelfCheckFactor,
 		sel: selection{stages: []string{"fixtures"}, fixtures: mutationFixtures},
 	},

@@ -36,13 +36,13 @@ func bruteStd(m *core.Model, rows, cols int) float64 {
 	return math.Sqrt(float64(s)*m.RGVariance() + off)
 }
 
-// integral2DRefStd evaluates the Eq. 20 integral with the panel density
-// doubled relative to the production estimator. Agreement to ~0.1 % shows
-// the production quadrature resolved the integrand; any error in the
-// integrand itself appears identically on both sides and is caught by the
-// separate integral-vs-linear envelope check. It also referees the polar
-// estimator, which integrates the same Eq. 20 in polar coordinates: a
-// wrong angular weight cannot cancel out of a Cartesian quadrature.
+// integral2DRefStd evaluates the Eq. 20 integral as a Cartesian double
+// integral on a dense panel grid — the only Cartesian evaluation of Eq. 20
+// in the module. It referees the O(1) estimator, which integrates the same
+// Eq. 20 in polar coordinates: a wrong angular weight or radial quadrature
+// cannot cancel out of a Cartesian quadrature, while an error in the
+// covariance integrand appears on both sides and is caught by the separate
+// O(1)-vs-linear envelope check.
 func integral2DRefStd(m *core.Model) float64 {
 	w, h := m.Spec.W, m.Spec.H
 	n := float64(m.Spec.N)

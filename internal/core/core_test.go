@@ -237,7 +237,7 @@ func TestLinearOccupancyScaling(t *testing.T) {
 	}
 }
 
-// Fig. 7's foundation: the 2-D integral converges to the linear-time value
+// Fig. 7's foundation: the O(1) integral converges to the linear-time value
 // as n grows.
 func TestIntegralConvergesToLinear(t *testing.T) {
 	for _, mode := range []Mode{Analytic, MCSimplified} {
@@ -248,7 +248,7 @@ func TestIntegralConvergesToLinear(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			integ, err := m.EstimateIntegral2D()
+			integ, err := m.EstimatePolar()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,11 +265,30 @@ func TestIntegralConvergesToLinear(t *testing.T) {
 	}
 }
 
+// cartesianStd evaluates Eq. 20 as the Cartesian double integral
+//
+//	σ² = 4·(n²/A²)·∫₀ᵂ∫₀ᴴ (W−x)(H−y)·C_XI(√(x²+y²)) dy dx
+//
+// on a Gauss–Legendre panel grid of 6–48 panels per side, a few per
+// correlation length: the reference the polar form must reproduce.
+func cartesianStd(m *Model) float64 {
+	w, h := m.Spec.W, m.Spec.H
+	lam := m.Proc.EffectiveRange(0.1)
+	panels := func(extent float64) int {
+		return min(max(int(math.Ceil(4*extent/lam)), 6), 48)
+	}
+	integrand := func(x, y float64) float64 {
+		return (w - x) * (h - y) * m.CovAtDist(math.Hypot(x, y))
+	}
+	n, area := float64(m.Spec.N), w*h
+	return math.Sqrt(4 * n * n / (area * area) * quad.Integrate2D(integrand, 0, w, 0, h, panels(w), panels(h)))
+}
+
 func TestPolarMatchesIntegral2D(t *testing.T) {
 	// Polar is Eq. 20 in polar coordinates on the exact angular weight, so
-	// it must agree with the 2-D integral wherever the correlation range
-	// falls: inside the die, between its sides, past its diagonal, and for
-	// an infinite-range correlation.
+	// it must agree with the Cartesian 2-D integral wherever the
+	// correlation range falls: inside the die, between its sides, past its
+	// diagonal, and for an infinite-range correlation.
 	exp := testProcess()
 	exp.WIDCorr = spatial.ExpCorr{Lambda: 30}
 	rect := squareSpec(t, 3025)
@@ -288,19 +307,16 @@ func TestPolarMatchesIntegral2D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := m.EstimateIntegral2D()
-		if err != nil {
-			t.Fatal(err)
-		}
 		p1, err := m.EstimatePolar()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if e := math.Abs(p1.Std/p2.Std - 1); e > 1e-6 {
-			t.Errorf("%s: polar σ=%.10g vs 2-D σ=%.10g (%.3g apart)", tc.name, p1.Std, p2.Std, e)
+		p2 := cartesianStd(m)
+		if e := math.Abs(p1.Std/p2 - 1); e > 1e-6 {
+			t.Errorf("%s: polar σ=%.10g vs 2-D σ=%.10g (%.3g apart)", tc.name, p1.Std, p2, e)
 		}
-		if p1.Mean != p2.Mean {
-			t.Errorf("%s: means differ: %g vs %g", tc.name, p1.Mean, p2.Mean)
+		if want := float64(m.Spec.N) * m.MeanPerGate(); p1.Mean != want {
+			t.Errorf("%s: mean %g, want n·µ_XI = %g", tc.name, p1.Mean, want)
 		}
 	}
 }

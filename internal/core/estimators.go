@@ -115,62 +115,6 @@ func (m *Model) EstimateLinearCtx(ctx context.Context) (Result, error) {
 	}.checkFinite("core.EstimateLinear")
 }
 
-// EstimateIntegral2D computes the statistics with the constant-time 2-D
-// rectangular integral of §3.2.1 (Eq. 20):
-//
-//	σ² ≈ 4·(n²/A²)·∫₀ᵂ∫₀ᴴ (W−x)(H−y)·C_XI(√(x²+y²)) dy dx
-//
-// evaluated with panelled Gauss–Legendre quadrature whose resolution tracks
-// the correlation length.
-func (m *Model) EstimateIntegral2D() (Result, error) {
-	return m.EstimateIntegral2DCtx(context.Background())
-}
-
-// EstimateIntegral2DCtx is EstimateIntegral2D with stage telemetry attached
-// to ctx (the quadrature itself is constant-time and uninterruptible).
-func (m *Model) EstimateIntegral2DCtx(ctx context.Context) (Result, error) {
-	_, end := timeMethod(ctx, "integral-2d", "estimate.integral-2d")
-	defer end()
-	n := float64(m.Spec.N)
-	variance, nx, ny := m.rectVariance(n, m.Spec.W, m.Spec.H)
-	return Result{
-		Mean:   n * m.mu,
-		Std:    math.Sqrt(variance),
-		Method: "integral-2d",
-		Note:   fmt.Sprintf("%d×%d Gauss-Legendre panels", nx, ny),
-	}.checkFinite("core.EstimateIntegral2D")
-}
-
-// rectVariance is the Eq. 20 variance of n gates spread over a w×h die (or
-// tile), on an nx×ny panel grid sized so each correlation length gets
-// several panels.
-func (m *Model) rectVariance(n, w, h float64) (variance float64, nx, ny int) {
-	lam := m.Proc.EffectiveRange(0.1)
-	if lam <= 0 {
-		lam = math.Max(w, h)
-	}
-	scale := func(extent float64) int {
-		p := int(math.Ceil(4 * extent / lam))
-		if p < 6 {
-			p = 6
-		}
-		if p > 48 {
-			p = 48
-		}
-		return p
-	}
-	nx, ny = scale(w), scale(h)
-	integrand := func(x, y float64) float64 {
-		return (w - x) * (h - y) * m.covAt(math.Hypot(x, y))
-	}
-	area := w * h
-	variance = 4 * n * n / (area * area) * quad.Integrate2D(integrand, 0, w, 0, h, nx, ny)
-	if variance < 0 {
-		variance = 0
-	}
-	return variance, nx, ny
-}
-
 // EstimatePolar computes the statistics with the constant-time 1-D polar
 // integral of §3.2.2 (Eqs. 25–26), Eq. 20 in polar coordinates:
 //

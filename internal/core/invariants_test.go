@@ -140,11 +140,11 @@ func TestEstimateDeterministic(t *testing.T) {
 	if !sameStats(a, b) {
 		t.Errorf("repeated estimation differs: %+v vs %+v", a, b)
 	}
-	i1, err := m.EstimateIntegral2D()
+	i1, err := m.EstimatePolar()
 	if err != nil {
 		t.Fatal(err)
 	}
-	i2, err := m.EstimateIntegral2D()
+	i2, err := m.EstimatePolar()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestEstimateDeterministic(t *testing.T) {
 	}
 }
 
-// Property: for random aspect ratios the linear and 2-D integral estimates
+// Property: for random aspect ratios the linear and O(1) integral estimates
 // agree within a few percent at moderate n (rectangular dies, not just
 // squares).
 func TestRectangularDieAgreement(t *testing.T) {
@@ -179,7 +179,7 @@ func TestRectangularDieAgreement(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		integ, err := m.EstimateIntegral2D()
+		integ, err := m.EstimatePolar()
 		if err != nil {
 			return false
 		}

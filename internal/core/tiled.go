@@ -2,28 +2,24 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"time"
 
 	"leakest/internal/lkerr"
 	"leakest/internal/placement"
 	"leakest/internal/telemetry"
 )
 
-// This file implements the tiled (hierarchical) estimators of DESIGN.md §16:
-// the die is partitioned into a T×T arrangement of tiles, per-tile moments
-// come from the existing estimators applied to each tile's sub-grid, and the
-// tiles are combined through an inter-tile covariance. For the linear method
-// the combination is exact — every ordered site pair belongs to exactly one
-// (tile, tile) pair, and regrouping those pair populations by lag reproduces
-// the monolithic Eq. 17 multiplicities integer-for-integer — so the tiled
-// result is bitwise identical to the monolithic one at any tile count, and
-// the tiles' standalone moments come out of the same lag pass. The
-// quadrature variant evaluates cross-tile covariance at tile-centroid
-// granularity and is envelope-gated instead.
+// This file implements the tiled (hierarchical) linear estimator of
+// DESIGN.md §16: the die is partitioned into a T×T arrangement of tiles,
+// per-tile moments come from the linear method on each tile's sub-grid, and
+// the tiles are combined through the exact inter-tile covariance — every
+// ordered site pair belongs to exactly one (tile, tile) pair, and regrouping
+// those pair populations by lag reproduces the monolithic Eq. 17
+// multiplicities integer-for-integer — so the tiled result is bitwise
+// identical to the monolithic one at any tile count, and the tiles'
+// standalone moments come out of the same lag pass.
 
-// TileStat is the per-tile moment record the tiled estimators attach to
+// TileStat is the per-tile moment record the tiled estimator attaches to
 // Result.TileStats: the tile's position in the tile arrangement, its gate
 // count, and its standalone linear-method moments.
 type TileStat struct {
@@ -214,83 +210,4 @@ func (m *Model) tileStats(parts []placement.Tile, counts, shapeOf []int, boxOff 
 		}
 	}
 	return out
-}
-
-// EstimateTiledIntegral2DCtx computes the statistics with the tiled variant
-// of the §3.2.1 quadrature: each tile gets its own 2-D rectangular integral
-// over its sub-die, and cross-tile covariance is evaluated at tile-centroid
-// granularity. Unlike the tiled linear method this is an approximation —
-// the centroid collapse ignores within-tile position spread across tile
-// pairs — and is envelope-gated by the conformance harness rather than
-// held to bitwise identity. Stage telemetry is attached to ctx.
-func (m *Model) EstimateTiledIntegral2DCtx(ctx context.Context, tiles int, tileGates []int) (Result, error) {
-	ctx, end := timeMethod(ctx, "integral2d-tiled", "estimate.integral2d-tiled")
-	defer end()
-	k, cols, parts, counts, err := m.tileGrid(tiles, tileGates)
-	if err != nil {
-		return Result{}, err
-	}
-	telemetry.SpanAttrInt(ctx, "tiles", int64(len(parts)))
-	dw := m.Spec.W / float64(cols)
-	dh := m.Spec.H / float64(k)
-	grid := placement.Grid{Rows: k, Cols: cols, SiteW: dw, SiteH: dh}
-
-	across := tilesAcross(parts)
-
-	// Per-tile self terms: the Eq. 20 integral on each tile's own sub-die.
-	stats := make([]TileStat, len(parts))
-	variance := 0.0
-	for idx, t := range parts {
-		start := time.Now()
-		nt := float64(counts[idx])
-		w := float64(t.Cols()) * dw
-		h := float64(t.Rows()) * dh
-		var vt float64
-		if counts[idx] > 0 && w*h > 0 {
-			vt, _, _ = m.rectVariance(nt, w, h)
-		}
-		variance += vt
-		stats[idx] = TileStat{
-			Index: idx,
-			Row:   idx / across,
-			Col:   idx % across,
-			Gates: counts[idx],
-			Mean:  nt * m.mu,
-			Std:   math.Sqrt(vt),
-		}
-		if telemetry.MetricsOn() {
-			telemetry.ObserveSeconds("tile_duration_seconds", time.Since(start).Seconds())
-		}
-	}
-
-	// Cross-tile terms at centroid granularity: n_t·n_u·C_XI(d(centroids)).
-	for a := 0; a < len(parts); a++ {
-		if counts[a] == 0 {
-			continue
-		}
-		xa, ya := parts[a].Centroid(grid)
-		for b := a + 1; b < len(parts); b++ {
-			if counts[b] == 0 {
-				continue
-			}
-			xb, yb := parts[b].Centroid(grid)
-			d := math.Hypot(xa-xb, ya-yb)
-			cov := m.CovAtDist(d)
-			if cov == 0 {
-				continue
-			}
-			variance += 2 * float64(counts[a]) * float64(counts[b]) * cov
-		}
-	}
-	if variance < 0 {
-		variance = 0
-	}
-	n := float64(m.Spec.N)
-	return Result{
-		Mean:      n * m.mu,
-		Std:       math.Sqrt(variance),
-		Method:    "integral2d-tiled",
-		Note:      fmt.Sprintf("%d tiles, centroid cross terms", len(parts)),
-		TileStats: stats,
-	}.checkFinite("core.EstimateTiledIntegral2D")
 }

@@ -235,34 +235,6 @@ func TestAllocateTileGates(t *testing.T) {
 	}
 }
 
-// TestTiledIntegralCloseToMonolithic envelope-gates the centroid-granular
-// quadrature variant against the monolithic 2-D integral: on the chip-scale
-// correlation process the centroid collapse must stay within a few percent.
-func TestTiledIntegralCloseToMonolithic(t *testing.T) {
-	m := newTestModel(t, 576, Analytic)
-	mono, err := m.EstimateIntegral2D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tiles := range []int{2, 3, 4} {
-		res, err := m.EstimateTiledIntegral2DCtx(context.Background(), tiles, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Mean != mono.Mean {
-			t.Fatalf("tiles=%d: mean %g != %g", tiles, res.Mean, mono.Mean)
-		}
-		relErr := math.Abs(res.Std-mono.Std) / mono.Std
-		if relErr > 0.05 {
-			t.Fatalf("tiles=%d: tiled integral std %g vs monolithic %g (%.2f%% off)",
-				tiles, res.Std, mono.Std, 100*relErr)
-		}
-		if res.Method != "integral2d-tiled" {
-			t.Fatalf("method %q", res.Method)
-		}
-	}
-}
-
 // TestTiledCancellation checks the lag loop honors context cancellation.
 func TestTiledCancellation(t *testing.T) {
 	m := newTestModel(t, 576, Analytic)

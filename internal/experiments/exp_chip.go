@@ -214,9 +214,10 @@ type Fig7Config struct {
 }
 
 // Fig7 regenerates Figure 7: the % error between the constant-time
-// numerical-integration estimate (Eq. 20) and the linear-time algorithm
-// (Eq. 17) as a function of circuit size. The paper reports > 1 % below
-// ~100 gates and < 0.01 % beyond ten thousand gates.
+// numerical-integration estimate (Eq. 20, evaluated in its polar form,
+// Eqs. 25–26) and the linear-time algorithm (Eq. 17) as a function of
+// circuit size. The paper reports > 1 % below ~100 gates and < 0.01 %
+// beyond ten thousand gates.
 func Fig7(cfg Fig7Config) (*Table, error) {
 	if cfg.Lib == nil || cfg.Hist == nil || len(cfg.Sides) == 0 {
 		return nil, fmt.Errorf("experiments: Fig7 needs a library, histogram and sizes")
@@ -230,7 +231,7 @@ func Fig7(cfg Fig7Config) (*Table, error) {
 	t := &Table{
 		ID:     "E7",
 		Title:  "Fig. 7: % error of constant-time integration vs linear-time algorithm",
-		Header: []string{"n", "linear std (A)", "integral std (A)", "|err|", "polar std (A)", "|polar err|"},
+		Header: []string{"n", "linear std (A)", "integral std (A)", "|err|"},
 	}
 	for _, side := range cfg.Sides {
 		n := side * side
@@ -244,20 +245,13 @@ func Fig7(cfg Fig7Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		integ, err := model.EstimateIntegral2D()
-		if err != nil {
-			return nil, err
-		}
-		polar, err := model.EstimatePolar()
+		integ, err := model.EstimatePolar()
 		if err != nil {
 			return nil, err
 		}
 		ie := math.Abs(stats.RelErr(integ.Std, lin.Std))
-		pe := math.Abs(stats.RelErr(polar.Std, lin.Std))
 		t.AddClaim("e7.integral_err", n, ie)
-		t.AddClaim("e7.polar_err", n, pe)
-		t.AddRow(fmt.Sprintf("%d", n), f(lin.Std), f(integ.Std),
-			pct(ie), f(polar.Std), pct(pe))
+		t.AddRow(fmt.Sprintf("%d", n), f(lin.Std), f(integ.Std), pct(ie))
 	}
 	t.AddNote("paper: error > 1%% below ~100 gates, < 0.01%% beyond 10⁴ gates")
 	return t, nil
@@ -540,11 +534,6 @@ func Scaling(cfg ScalingConfig) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow("linear O(n)", fmt.Sprintf("%d", n), d.String())
-		d, err = timeIt(func() error { _, err := model.EstimateIntegral2D(); return err })
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow("integral O(1)", fmt.Sprintf("%d", n), d.String())
 		d, err = timeIt(func() error { _, err := model.EstimatePolar(); return err })
 		if err != nil {
 			return nil, err

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -201,14 +200,6 @@ func TestFig7DriverErrorShrinks(t *testing.T) {
 	if large >= small {
 		t.Errorf("integral error did not shrink: %.3f%% → %.3f%%", small, large)
 	}
-	// Polar applies at both sizes, the 16 µm die narrower than R = 120 µm
-	// included, and integrates the same Eq. 20 as the 2-D integral: their
-	// printed errors agree to the table's last digit.
-	for i, row := range tb.Rows {
-		if p, q := cellPct(t, tb, i, 5), cellPct(t, tb, i, 3); math.Abs(p-q) > 0.011 {
-			t.Errorf("n=%s: polar err %.2f%% vs integral err %.2f%%", row[0], p, q)
-		}
-	}
 }
 
 func TestSimplifiedCorrDriver(t *testing.T) {
@@ -281,13 +272,13 @@ func TestScalingDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(tb.Rows) < 3 {
-		t.Errorf("expected at least true/linear/integral rows, got %d", len(tb.Rows))
+		t.Errorf("expected at least true/linear/polar rows, got %d", len(tb.Rows))
 	}
 	methods := map[string]bool{}
 	for _, row := range tb.Rows {
 		methods[row[0]] = true
 	}
-	for _, want := range []string{"true O(n²)", "linear O(n)", "integral O(1)"} {
+	for _, want := range []string{"true O(n²)", "linear O(n)", "polar O(1)"} {
 		if !methods[want] {
 			t.Errorf("missing method %q", want)
 		}
@@ -427,12 +418,10 @@ func TestDriversEmitClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = claimNames(fig7)
-	if got["e7.integral_err"] != 2 {
+	// The O(1) integral applies at every size, the 10 µm die at n=25
+	// included.
+	if got["e7.integral_err"] != 2 || len(got) != 1 {
 		t.Errorf("Fig7 must claim one integral error per size; got %v", got)
-	}
-	// Polar applies at every size, the 10 µm die at n=25 included.
-	if got["e7.polar_err"] != 2 {
-		t.Errorf("Fig7 must claim one polar error per size; got %v", got)
 	}
 
 	simpl, err := SimplifiedCorr(SimplifiedCorrConfig{Lib: lib, Hist: hist, Sides: []int{12}})

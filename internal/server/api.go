@@ -54,9 +54,10 @@ type EstimateRequest struct {
 	Tail *TailRequest `json:"tail,omitempty"`
 	// Tiles activates the §16 tiled pipeline: the die is partitioned T×T,
 	// estimated per tile, and combined exactly through the inter-tile
-	// covariance. Valid with the linear, auto, and integral methods (the
-	// tiled linear result is bitwise identical to the monolithic one) and
-	// with mc_samples; incompatible with polar, naive, and truth.
+	// covariance. Valid with the linear and auto methods (the tiled linear
+	// result is bitwise identical to the monolithic one) and with
+	// mc_samples; incompatible with integral, polar, naive (see
+	// leakest.CheckTiles) and truth.
 	Tiles *TilesRequest `json:"tiles,omitempty"`
 	// SignalProb applies to all inputs; omitted selects the
 	// leakage-maximizing (conservative) setting.
@@ -103,7 +104,8 @@ func (t *TailRequest) config() *chipmc.TailConfig {
 // TilesRequest configures the tiled estimation pipeline.
 type TilesRequest struct {
 	// T is the per-axis tile count; the die is partitioned into at most T×T
-	// tiles. 0 and 1 mean monolithic.
+	// tiles. 0 and 1 mean monolithic; above 1 the estimate runs the exact
+	// tiled linear method, so the method must be linear or auto.
 	T int `json:"t"`
 	// PerTile additionally returns the per-tile moment breakdown in
 	// result.tile_stats.
@@ -126,10 +128,13 @@ func (r *EstimateRequest) validate() error {
 	if r.Design != nil && (r.Truth || r.MCSamples > 0) {
 		return lkerr.New(lkerr.InvalidInput, op, "truth and mc_samples need a bench netlist")
 	}
+	method := leakest.Auto
 	if r.Method != "" {
-		if _, err := leakest.ParseMethod(r.Method); err != nil {
+		m, err := leakest.ParseMethod(r.Method)
+		if err != nil {
 			return err
 		}
+		method = m
 	}
 	if r.Sampler != "" {
 		if _, err := leakest.ParseSampler(r.Sampler); err != nil {
@@ -157,11 +162,10 @@ func (r *EstimateRequest) validate() error {
 		if r.Tiles.T < 0 {
 			return lkerr.New(lkerr.InvalidInput, op, "negative tile count %d", r.Tiles.T)
 		}
+		if err := leakest.CheckTiles(method, r.Tiles.T); err != nil {
+			return err
+		}
 		if r.Tiles.T > 1 {
-			if r.Method == "polar" || r.Method == "naive" {
-				return lkerr.New(lkerr.InvalidInput, op,
-					"method %q does not support tiling; use linear, auto, or integral", r.Method)
-			}
 			if r.Truth {
 				return lkerr.New(lkerr.InvalidInput, op, "truth is monolithic; drop tiles or truth")
 			}

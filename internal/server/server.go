@@ -574,7 +574,7 @@ func (s *Server) conformance(ctx context.Context, est *leakest.Estimator, design
 		meanTol = 1e-6
 		stdTol  = 0.35
 	)
-	// The reference rungs (naive, integral) always run as asked and
+	// The reference rungs (naive, polar) always run as asked and
 	// monolithically: they exist to cross-check the served moments, a
 	// budget would send both down the ladder, and the tiled linear is
 	// bitwise identical to the monolithic one anyway.
@@ -590,10 +590,10 @@ func (s *Server) conformance(ctx context.Context, est *leakest.Estimator, design
 		body.Status = "mismatch"
 		body.Detail = fmt.Sprintf("mean deviates %.3g from closed form", body.MeanRelDev)
 	}
-	// σ check only when an exact rung served; the integral rung IS the
+	// σ check only when an exact rung served; the O(1) rung IS the
 	// reference, and naive σ ignores correlation entirely.
 	if served.Method == "linear" || served.Method == "linear-tiled" || served.Method == "true-n2" {
-		iref, err := ref.EstimateContext(ctx, design, leakest.Integral2D)
+		iref, err := ref.EstimateContext(ctx, design, leakest.Polar)
 		if err == nil {
 			body.Reference = "naive-mean+integral-std"
 			body.StdRelDev = relDev(served.Std, iref.Std)

@@ -131,7 +131,7 @@ func TestEstimateHistogram(t *testing.T) {
 
 // TestConformanceReferencesIgnoreBudget: a budget that admits the linear
 // rung still serves linear, and the σ cross-check must compare it against
-// the real 2-D integral — were the request's budget left on the reference
+// the real O(1) integral — were the request's budget left on the reference
 // copy, the "integral" reference would be the linear rung itself and the
 // deviation exactly zero.
 func TestConformanceReferencesIgnoreBudget(t *testing.T) {

@@ -3,6 +3,8 @@ package server
 import (
 	"net/http"
 	"testing"
+
+	"leakest/internal/lkerr"
 )
 
 // TestEstimateTiles: a tiles block routes the request through the tiled
@@ -65,7 +67,8 @@ func TestEstimateTilesMonteCarlo(t *testing.T) {
 	}
 }
 
-// TestEstimateTilesRejected: the tiles validation refusals.
+// TestEstimateTilesRejected: the tiles validation refusals that do not
+// depend on the method (TestTilesMethodPolicy covers those that do).
 func TestEstimateTilesRejected(t *testing.T) {
 	s := coreServer(t, Config{})
 	cases := []struct {
@@ -73,14 +76,44 @@ func TestEstimateTilesRejected(t *testing.T) {
 		body map[string]any
 	}{
 		{"negative t", map[string]any{"bench": c17, "tiles": map[string]any{"t": -1}}},
-		{"tiles with polar", map[string]any{"bench": c17, "method": "polar", "tiles": map[string]any{"t": 2}}},
-		{"tiles with naive", map[string]any{"bench": c17, "method": "naive", "tiles": map[string]any{"t": 2}}},
 		{"tiles with truth", map[string]any{"bench": c17, "truth": true, "tiles": map[string]any{"t": 2}}},
 	}
 	for _, tc := range cases {
 		rec := do(t, s, "POST", "/v1/estimate", tc.body)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestTilesMethodPolicy: validate applies leakest.CheckTiles, so a design
+// request with tiles.t = 3 is refused before admission for integral, polar
+// and naive, and is served by the tiled linear method for linear, auto and
+// the default method.
+func TestTilesMethodPolicy(t *testing.T) {
+	s := coreServer(t, Config{})
+	for _, tc := range []struct {
+		method string
+		tiles  bool
+	}{{"", true}, {"auto", true}, {"linear", true}, {"integral", false}, {"polar", false}, {"naive", false}} {
+		req := EstimateRequest{Design: &DesignRequest{Hist: testHist(), N: 500, W: 1000, H: 1000},
+			Method: tc.method, Tiles: &TilesRequest{T: 3}}
+		if err := req.validate(); (err == nil) != tc.tiles || (err != nil && !lkerr.IsCode(err, lkerr.InvalidInput)) {
+			t.Errorf("method %q: validate() = %v", tc.method, err)
+		}
+		body := histRequest(500)
+		body["method"] = tc.method
+		body["tiles"] = map[string]any{"t": 3}
+		rec := do(t, s, "POST", "/v1/estimate", body)
+		switch {
+		case !tc.tiles && rec.Code != http.StatusBadRequest:
+			t.Errorf("method %q: status %d, want 400", tc.method, rec.Code)
+		case tc.tiles && rec.Code != http.StatusOK:
+			t.Errorf("method %q: status %d: %s", tc.method, rec.Code, rec.Body.String())
+		case tc.tiles:
+			if got := decodeResp(t, rec).Result.Method; got != "linear-tiled" {
+				t.Errorf("method %q: served %q, want linear-tiled", tc.method, got)
+			}
 		}
 	}
 }

@@ -110,7 +110,8 @@ const (
 	Auto Method = iota
 	// Linear is the exact O(n) distance-histogram method (Eq. 17).
 	Linear
-	// Integral2D is the O(1) rectangular double integral (Eq. 20).
+	// Integral2D is the O(1) integral of Eq. 20. It runs the polar form
+	// (Polar): the results are bitwise equal, Result.Method included.
 	Integral2D
 	// Polar is the O(1) single polar integral (Eqs. 25–26) on the exact
 	// angular weight, so it applies to every correlation range.
@@ -119,6 +120,18 @@ const (
 	// estimator baseline; provided for comparison only.
 	Naive
 )
+
+// CheckTiles is the one tiling policy of EstimateContext and the server's
+// request validation: tiles > 1 runs only on the exact tiled linear method,
+// so Linear and Auto accept it and the O(1) methods and Naive get a typed
+// InvalidInput error.
+func CheckTiles(method Method, tiles int) error {
+	if tiles > 1 && method != Linear && method != Auto {
+		return lkerr.New(lkerr.InvalidInput, "leakest.Estimate",
+			"method %s does not support tiling; use linear or auto", method)
+	}
+	return nil
+}
 
 // autoThreshold is the gate count above which Auto switches from the exact
 // linear method to constant-time integration (the paper observes the linear
@@ -215,11 +228,11 @@ type Estimator struct {
 	// through the inter-tile covariance. For Linear (and Auto) the
 	// combination is exact — bitwise identical to the monolithic estimator
 	// at any tile or worker count — and the Result additionally carries
-	// per-tile statistics in Result.TileStats. Integral2D gains centroid
-	// cross terms; Polar and Naive do not tile and are refused. MonteCarlo
-	// runs switch to per-tile FFT field sampling, lifting the gate budget
-	// to millions (see chipmc.DefaultMaxGatesTiled). 0 and 1 select the
-	// monolithic paths.
+	// per-tile statistics in Result.TileStats. The O(1) methods and Naive
+	// do not tile and are refused (CheckTiles). MonteCarlo runs switch
+	// to per-tile FFT field sampling, lifting the gate budget to millions
+	// (see chipmc.DefaultMaxGatesTiled). 0 and 1 select the monolithic
+	// paths.
 	Tiles int
 	// Budget bounds the work of EstimateContext, EstimateStream and
 	// TrueLeakageContext; when non-zero they run the degradation ladder (see
@@ -299,6 +312,12 @@ func (e *Estimator) EstimateContext(ctx context.Context, design Design, method M
 	if method < Auto || method > Naive {
 		return Result{}, lkerr.New(lkerr.InvalidInput, "leakest.Estimate", "unknown method %d", int(method))
 	}
+	// Under a budget the ladder ignores the method, so any method tiles.
+	if e.Budget == (EstimateBudget{}) {
+		if err := CheckTiles(method, e.Tiles); err != nil {
+			return Result{}, err
+		}
+	}
 	ctx, tr := telemetry.EnsureTrace(ctx)
 	ctx, endEst := telemetry.WithSpan(ctx, "estimate")
 	defer endEst()
@@ -353,22 +372,13 @@ func (e *Estimator) estimate(ctx context.Context, tr *telemetry.Trace, design De
 
 func (e *Estimator) dispatch(ctx context.Context, m *core.Model, method Method, t tiling) (Result, error) {
 	if t.tiles > 0 {
-		switch method {
-		case Linear, Auto:
-			return t.linear(ctx, m)
-		case Integral2D:
-			return m.EstimateTiledIntegral2DCtx(ctx, t.tiles, nil)
-		default:
-			return Result{}, lkerr.New(lkerr.InvalidInput, "leakest.Estimate",
-				"method %s does not support tiling; use linear, auto, or integral-2d", method)
-		}
+		// CheckTiles admitted only the methods the tiled linear serves.
+		return t.linear(ctx, m)
 	}
 	switch method {
 	case Linear:
 		return m.EstimateLinearCtx(ctx)
-	case Integral2D:
-		return m.EstimateIntegral2DCtx(ctx)
-	case Polar:
+	case Integral2D, Polar:
 		return m.EstimatePolarCtx(ctx)
 	case Naive:
 		return m.EstimateNaiveCtx(ctx)

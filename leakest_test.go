@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,6 +90,42 @@ func TestEstimateAllMethods(t *testing.T) {
 	}
 }
 
+// TestIntegral2DIsPolar: Integral2D runs the polar form of Eq. 20, so its
+// results are Polar's bit for bit — moments, method label, note and the
+// estimator span — on a square die and on one narrower than the
+// correlation range.
+func TestIntegral2DIsPolar(t *testing.T) {
+	est := coreEstimator(t)
+	for _, design := range []Design{
+		{Hist: coreHist(t), N: 2500, W: 100, H: 100, SignalProb: 0.5},
+		{Hist: coreHist(t), N: 300, W: 60, H: 10, SignalProb: 0.3},
+	} {
+		integ, err := est.EstimateContext(context.Background(), design, Integral2D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polar, err := est.EstimateContext(context.Background(), design, Polar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(integ.Mean) != math.Float64bits(polar.Mean) ||
+			math.Float64bits(integ.Std) != math.Float64bits(polar.Std) ||
+			integ.Method != "polar-1d" || integ.Method != polar.Method || integ.Note != polar.Note {
+			t.Errorf("N=%d: integral %+v != polar %+v", design.N, integ, polar)
+		}
+		stages := func(r Result) []string {
+			var out []string
+			for _, s := range r.Timings {
+				out = append(out, s.Stage)
+			}
+			return out
+		}
+		if got, want := stages(integ), stages(polar); !slices.Equal(got, want) || !slices.Contains(got, "estimate.polar-1d") {
+			t.Errorf("N=%d: integral stages %v, polar stages %v", design.N, got, want)
+		}
+	}
+}
+
 func TestAutoSwitchesMethod(t *testing.T) {
 	est := coreEstimator(t)
 	small := Design{Hist: coreHist(t), N: 100, W: 20, H: 20, SignalProb: 0.5}
@@ -104,7 +141,7 @@ func TestAutoSwitchesMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Method, "polar") && !strings.Contains(res.Method, "integral") {
+	if res.Method != "polar-1d" {
 		t.Errorf("auto large design used %s", res.Method)
 	}
 }
@@ -413,7 +450,6 @@ func TestReport(t *testing.T) {
 		"| cells | 2500 |",
 		"## Estimates",
 		"| linear |",
-		"| integral-2d |",
 		"| naive |",
 		"## Leakage distribution",
 		"| p99 |",
@@ -425,6 +461,10 @@ func TestReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+	// Integral2D is Polar, so the report carries one O(1) row.
+	if strings.Contains(out, "| integral-2d |") {
+		t.Errorf("report repeats the polar row as integral-2d:\n%s", out)
 	}
 	// Polar applies at every geometry, this die narrower than the
 	// correlation range included: its row carries real statistics.

@@ -54,7 +54,7 @@ func (e *Estimator) Report(w io.Writer, title string, design Design) error {
 	// degradation ladder.
 	each := *e
 	each.Budget = EstimateBudget{}
-	for _, method := range []Method{Linear, Integral2D, Polar, Naive} {
+	for _, method := range []Method{Linear, Polar, Naive} {
 		res, err := each.EstimateContext(context.Background(), design, method)
 		if err != nil {
 			pr("| %s | — | — | — | %v |\n", method, err)

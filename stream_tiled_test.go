@@ -44,9 +44,10 @@ func mustHist(t *testing.T, w map[string]float64) *Histogram {
 	return h
 }
 
-// TestEstimatorTiles: the public Tiles knob routes linear/auto/integral to
-// the tiled estimators — bitwise equal moments for linear — and refuses the
-// untileable methods.
+// TestEstimatorTiles: the one tiling policy (CheckTiles). With Tiles = 3,
+// linear and auto run the tiled linear method — bitwise the monolithic
+// moments plus per-tile statistics — and integral, polar and naive are
+// refused with a typed InvalidInput error.
 func TestEstimatorTiles(t *testing.T) {
 	est, nl, pl := tiledTestEstimator(t, 120)
 	design, err := est.ExtractDesign(nl, pl, 0.5)
@@ -58,30 +59,32 @@ func TestEstimatorTiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	est.Tiles = 3
-	for _, method := range []Method{Linear, Auto} {
-		tiled, err := est.EstimateContext(context.Background(), design, method)
+	for _, tc := range []struct {
+		method Method
+		tiles  bool
+	}{{Linear, true}, {Auto, true}, {Integral2D, false}, {Polar, false}, {Naive, false}} {
+		tiled, err := est.EstimateContext(context.Background(), design, tc.method)
+		if !tc.tiles {
+			if !lkerr.IsCode(err, lkerr.InvalidInput) {
+				t.Fatalf("%s with Tiles=3: got %v, want InvalidInput", tc.method, err)
+			}
+			if CheckTiles(tc.method, 3) == nil || CheckTiles(tc.method, 1) != nil {
+				t.Fatalf("CheckTiles(%s) disagrees with EstimateContext", tc.method)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tiled.Mean != mono.Mean || tiled.Std != mono.Std {
 			t.Fatalf("%s tiled moments (%v, %v) != monolithic (%v, %v)",
-				method, tiled.Mean, tiled.Std, mono.Mean, mono.Std)
+				tc.method, tiled.Mean, tiled.Std, mono.Mean, mono.Std)
 		}
 		if tiled.Method != "linear-tiled" {
 			t.Fatalf("method %q, want linear-tiled", tiled.Method)
 		}
 		if len(tiled.TileStats) != 9 {
 			t.Fatalf("%d tile stats, want 9", len(tiled.TileStats))
-		}
-	}
-	if res, err := est.EstimateContext(context.Background(), design, Integral2D); err != nil {
-		t.Fatal(err)
-	} else if res.Method != "integral2d-tiled" {
-		t.Fatalf("method %q, want integral2d-tiled", res.Method)
-	}
-	for _, method := range []Method{Polar, Naive} {
-		if _, err := est.EstimateContext(context.Background(), design, method); !lkerr.IsCode(err, lkerr.InvalidInput) {
-			t.Fatalf("%s with Tiles=3: got %v, want InvalidInput", method, err)
 		}
 	}
 	est.Tiles = -3
