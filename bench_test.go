@@ -685,6 +685,32 @@ func BenchmarkTruthLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkModelBuild measures one Random-Gate model build over the full
+// 62-cell library under a uniform histogram (595 (cell, state) variants):
+// the moments and the aggregated Mehler vector in O(V·K), F's cubic
+// pieces and the lag kernel's composed pieces.
+func BenchmarkModelBuild(b *testing.B) {
+	lib, err := charlib.SharedFull()
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := map[string]float64{}
+	for _, c := range lib.Cells {
+		w[c.Name] = 1
+	}
+	h, err := stats.NewHistogram(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := core.DesignSpec{Hist: h, N: 10000, W: 200, H: 200, SignalProb: 0.5}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewModelCtx(context.Background(), lib, lib.Process, spec, core.Analytic); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // syntheticPlaced builds an n-gate netlist (types round-robin over the
 // bench histogram, no wiring — leakage needs only types and sites) with a
 // deterministic row-major placement, without going through the random

@@ -73,8 +73,7 @@ func integral2DRefStd(m *core.Model) float64 {
 }
 
 // serialTruthRef recomputes TrueStats with a plain serial double loop over
-// the public pairwise API — no sharding, no ticker, no spline-cache
-// plumbing.
+// the public pairwise API — no sharding, no ticker, no per-lag grouping.
 func serialTruthRef(m *core.Model, nl *netlist.Netlist, pl *placement.Placement) (mean, std float64, err error) {
 	return serialPairSum(m, nl, pl, func(_, _ int, d float64) float64 { return m.Proc.TotalCorr(d) })
 }

@@ -58,7 +58,7 @@ func refVariance(m *Model, n, rows, cols int, dw, dh float64) float64 {
 // F(ρ_floor)), a zero floor (the tail is skipped), no WID term at all
 // (every lag is tail), infinite ranges (no tail; exp-short's far lags
 // underflow exp(−d/λ) to 0), a pitch that puts lags exactly on R, with
-// and without a floor (on-R-wid: F(ρ_L = 0) is 0 there, not the spline's
+// and without a floor (on-R-wid: F(ρ_L = 0) is 0 there, not a
 // rounding-level F(0)), and a near-flat truncation (R/λ = 10⁻², so
 // ρ_WID = (e − tail)·s with s ≈ 100). Each keeps the shared library's
 // total sigma.
@@ -118,7 +118,7 @@ func ulps(a, b float64) uint64 {
 
 // lagRefULPs bounds how far the lag kernel's σ may lie from serialLagRef's.
 // The kernel evaluates F(ρ_L(d)) as widCov's cubic in its feature of
-// d = √(x² + y²) instead of the F spline at TotalCorr(Hypot(x, y)), and
+// d = √(x² + y²) instead of F's ρ piece at TotalCorr(Hypot(x, y)), and
 // adds the range tail as one product instead of lag by lag; both round
 // differently from the reference, never by more than a few ulps of σ over
 // lagFixtureProcesses (largest seen: 2 ulps).
@@ -210,8 +210,8 @@ func TestLagKernelMatchesSerialRef(t *testing.T) {
 }
 
 // widCovRelTol bounds widCov's relative distance from CovAtCorr(TotalCorr(d)):
-// the composed cubic and the spline evaluate the same polynomial in
-// different bases and variables, and measured at most 4.4e-16 relative over
+// the composed cubic and F's ρ piece (CovAtCorr) evaluate the same
+// polynomial in different bases and variables, and measured at most 4.4e-16 relative over
 // every lag of lagFixtureProcesses in all three modes.
 const widCovRelTol = 1e-15
 
@@ -221,10 +221,11 @@ func lagDist(i, j int, dw, dh float64) float64 {
 	return math.Sqrt(x*x + y*y)
 }
 
-// The composed covariance must match the F spline at TotalCorr(d) at every
-// lag of the lag fixtures, in all three modes; give the correlation
-// floor's covariance bit for bit at and past the edge of a finite WID
-// range, where ρ_WID is 0; and pass a NaN feature through.
+// The composed covariance must match F's cubic spline, the ρ pieces
+// CovAtCorr evaluates, at TotalCorr(d) at every lag of the lag fixtures,
+// in all three modes; give the correlation floor's covariance bit for bit
+// at and past the edge of a finite WID range, where ρ_WID is 0; and pass
+// a NaN feature through.
 func TestComposedCovMatchesSpline(t *testing.T) {
 	lib := testLib(t)
 	worst := 0.0
@@ -267,7 +268,7 @@ func TestComposedCovMatchesSpline(t *testing.T) {
 							rel = math.Abs(got)
 						}
 						if !(rel <= widCovRelTol) {
-							t.Fatalf("%s %v lag (%d, %d), d = %g: composed %x, spline %x (rel %.3g)", name, mode, i, j, d, got, want, rel)
+							t.Fatalf("%s %v lag (%d, %d), d = %g: composed %x, CovAtCorr %x (rel %.3g)", name, mode, i, j, d, got, want, rel)
 						}
 						worst = max(worst, rel)
 					}

@@ -78,11 +78,11 @@ func naiveTruthVariance(t *testing.T, m *Model, nl *netlist.Netlist, pl *placeme
 			if rho <= 0 {
 				continue
 			}
-			sp, err := m.pairSpline(nl.Gates[a].Type, nl.Gates[b].Type)
+			cov, err := m.PairCovAtCorr(nl.Gates[a].Type, nl.Gates[b].Type, rho)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cov := sp.Eval(min(rho, 1)); cov > 0 {
+			if cov > 0 {
 				add(2 * cov)
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"leakest/internal/netlist"
 	"leakest/internal/parallel"
 	"leakest/internal/placement"
-	"leakest/internal/quad"
 	"leakest/internal/telemetry"
 )
 
@@ -37,49 +36,46 @@ func TrueStats(m *Model, nl *netlist.Netlist, pl *placement.Placement) (Result, 
 // the floor, so each type pair's remaining pairs — n_i·n_j, or n_i(n_i−1)/2
 // for i = j, minus its box counts — add one product at F(ρ_floor). Workers
 // count into their own int32 slots, merged by integer addition, so the
-// result is bitwise identical at any worker count; against a per-pair loop
-// it differs only in the order of its float additions (a few ulps).
+// result is bitwise identical at any worker count. The float terms go into
+// a compensated sum, within about an ulp of the exactly rounded sum of the
+// same pair terms, so a per-pair loop agrees to an ulp or so.
 func TrueStatsCtx(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placement.Placement) (Result, error) {
 	const op = "core.TrueStats"
 	ctx, end := telemetry.WithSpan(ctx, "core.truth")
 	defer end()
 	n := len(nl.Gates)
 
-	// The type pairs' covariance splines, unordered pair {i, j} at index
-	// pairOf[i·nt+j]. Every pair spline is tabulated on the same ρ knots,
-	// so a lag locates its segment once for all of them; splines whose
-	// knots differ would be evaluated at the wrong place.
+	// The types' statistics, once per type, and the termwise products of
+	// their Mehler vectors per unordered type pair {i, j}, at index
+	// pairOf[i·nt+j]: a lag's covariance for that pair is then one K-term
+	// dot product with the lag's ρᵏ/k!.
 	types := nl.SortedTypes()
 	nt := len(types)
 	tIdx := make(map[string]int32, nt)
+	cells := make([]*cellCov, nt)
 	for i, t := range types {
 		tIdx[t] = int32(i)
-	}
-	pairOf := make([]int, nt*nt)
-	var spl []*quad.Spline
-	var pairs [][2]int // the types i ≤ j of each pair
-	for i, a := range types {
-		if err := lkerr.FromContext(ctx, op); err != nil {
+		c, err := m.cellCovOf(t)
+		if err != nil {
 			return Result{}, err
 		}
+		cells[i] = c
+	}
+	pairOf := make([]int, nt*nt)
+	var prods []terms
+	var pairs [][2]int // the types i ≤ j of each pair
+	for i := range types {
 		for j := i; j < nt; j++ {
-			sp, err := m.pairSpline(a, types[j])
-			if err != nil {
-				return Result{}, err
-			}
-			if len(spl) > 0 && !spl[0].SameKnots(sp) {
-				return Result{}, lkerr.New(lkerr.Numerical, op,
-					"pair spline %s/%s does not share the ρ knots of %s/%s", a, types[j], types[0], types[0])
-			}
-			pairOf[i*nt+j], pairOf[j*nt+i] = len(spl), len(spl)
-			spl = append(spl, sp)
+			pairOf[i*nt+j], pairOf[j*nt+i] = len(prods), len(prods)
+			prods = append(prods, mehlerProducts(&cells[i].coef, &cells[j].coef))
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
 
 	// Per-gate moments in gate order, and the type grid: each site's gate
 	// type, −1 where the site is empty.
-	mean, variance := 0.0, 0.0
+	mean := 0.0
+	var variance compSum
 	grid := pl.Grid
 	tg := make([]int32, grid.Sites())
 	for s := range tg {
@@ -87,13 +83,9 @@ func TrueStatsCtx(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placem
 	}
 	perType := make([]int64, nt)
 	for g, gate := range nl.Gates {
-		mu, sigma, err := m.CellStats(gate.Type)
-		if err != nil {
-			return Result{}, err
-		}
-		mean += mu
-		variance += sigma * sigma
 		t := tIdx[gate.Type]
+		mean += cells[t].mu
+		variance.add(cells[t].sigma * cells[t].sigma)
 		tg[pl.Site[g]] = t
 		perType[t]++
 	}
@@ -108,31 +100,32 @@ func TrueStatsCtx(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placem
 	// the floor: PreparedCorr.At past R is vd/(vd+vw), bitwise CorrFloor,
 	// so a floor pair weighs the same inside the box and out of it.
 	endPre := telemetry.StartSpan(ctx, "truth.class_precompute")
-	np := len(spl)
+	np := len(prods)
 	corr := m.Proc.Prepare() // At is bitwise TotalCorr
 	inBox := make([]int64, np)
 	var window int64
 	lags := bx.rows * bx.cols
 	for dr := 0; dr < bx.rows; dr++ {
 		for dc := 0; dc < bx.cols; dc++ {
-			located := false
+			powered := false
 			var rho float64
-			var seg quad.Segment
+			var pw terms
 			for p := range np {
 				c := counts[p*lags+dr*bx.cols+dc]
 				if c == 0 {
 					continue
 				}
 				inBox[p] += int64(c)
-				if !located {
+				if !powered {
 					rho = corr.At(grid.LagDist(dr, dc))
-					seg, located = spl[0].Locate(min(rho, 1)), true
+					pw, powered = mehlerPowers(min(rho, 1)), true
 				}
-				variance += float64(c) * pairCov2(spl[p], seg, rho)
+				variance.add(float64(c) * pairCov2(&pw, &prods[p], rho))
 			}
 		}
 	}
 	rho := m.Proc.CorrFloor()
+	pw := mehlerPowers(min(rho, 1))
 	for p, ij := range pairs {
 		ni, nj := perType[ij[0]], perType[ij[1]]
 		total := ni * nj
@@ -141,29 +134,29 @@ func TrueStatsCtx(ctx context.Context, m *Model, nl *netlist.Netlist, pl *placem
 		}
 		window += inBox[p]
 		if rest := total - inBox[p]; rest != 0 {
-			variance += float64(rest) * pairCov2(spl[p], spl[p].Locate(min(rho, 1)), rho)
+			variance.add(float64(rest) * pairCov2(&pw, &prods[p], rho))
 		}
 	}
 	endPre()
 
 	telemetry.SpanAttrInt(ctx, "pairs_in_window", window)
 	telemetry.Add("truth_pairs_total", int64(n)*int64(n-1)/2)
-	variance = fault.Corrupt(fault.SiteTruthRow, variance)
+	v := fault.Corrupt(fault.SiteTruthRow, variance.s+variance.c)
 	return Result{
 		Mean:   mean,
-		Std:    math.Sqrt(variance),
+		Std:    math.Sqrt(v),
 		Method: "true-n2",
 	}.checkFinite(op)
 }
 
 // pairCov2 is one pair's contribution to the variance at total correlation
-// rho, located at seg on the pair spline's knots: 2·cov, with ρ ≤ 0 and a
-// negative covariance contributing 0 as in CovAtCorr.
-func pairCov2(sp *quad.Spline, seg quad.Segment, rho float64) float64 {
+// rho, given rho's Mehler powers and the pair's Mehler products: 2·cov,
+// with ρ ≤ 0 and a negative covariance contributing 0 as in PairCovAtCorr.
+func pairCov2(pw, ab *terms, rho float64) float64 {
 	if rho <= 0 {
 		return 0
 	}
-	return 2 * max(sp.EvalSegment(seg), 0)
+	return 2 * max(mehlerDot(pw, ab), 0)
 }
 
 // truthBox is the lag box of the truth pass: lags (dr, dc) with
@@ -303,4 +296,19 @@ func ExtractSpec(nl *netlist.Netlist, pl *placement.Placement, signalProb float6
 		SignalProb: signalProb,
 	}
 	return spec, spec.Validate()
+}
+
+// compSum is a Neumaier compensated running sum: its s + c is within about
+// an ulp of the exactly rounded sum of everything added, however many
+// terms of whatever order.
+type compSum struct{ s, c float64 }
+
+func (a *compSum) add(x float64) {
+	t := a.s + x
+	if math.Abs(a.s) >= math.Abs(x) {
+		a.c += (a.s - t) + x
+	} else {
+		a.c += (x - t) + a.s
+	}
+	a.s = t
 }

@@ -4,10 +4,7 @@
 // cubic splines for tabulated functions.
 package quad
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Func1D is a scalar function of one variable.
 type Func1D func(x float64) float64
@@ -125,8 +122,8 @@ func (s *Spline) Eval(x float64) float64 {
 }
 
 // Segment is where x lies among a spline's knots. Splines with identical
-// knots (SameKnots) share it, so a caller evaluating many such splines at
-// one x locates the segment once and calls EvalSegment on each.
+// knots share it, so a caller evaluating many such splines at one x
+// locates the segment once and calls EvalSegment on each.
 type Segment struct {
 	// lo is the knot starting x's interval; −1 below the first knot, n−1
 	// at or above the last one (linear extrapolation), and unlocated when
@@ -160,7 +157,7 @@ func (s *Spline) Locate(x float64) Segment {
 }
 
 // EvalSegment evaluates the spline on a segment located on a spline with
-// the same knots (this one or any other for which SameKnots holds).
+// the same knots (this one or any other with bitwise the same knots).
 // Outside the knot range, the boundary cubic segment's linear tangent is
 // used (clamped extrapolation).
 func (s *Spline) EvalSegment(g Segment) float64 {
@@ -183,38 +180,6 @@ func (s *Spline) EvalSegment(g Segment) float64 {
 	b := (x - s.xs[lo]) / h
 	return a*s.ys[lo] + b*s.ys[hi] +
 		((a*a*a-a)*s.y2[lo]+(b*b*b-b)*s.y2[hi])*h*h/6
-}
-
-// Cubic returns the cubic of interval k, between knots k and k+1, in the
-// power basis about x0: S(x) = c[0] + c[1]·t + c[2]·t² + c[3]·t³ with
-// t = x − x0, its value and Taylor coefficients at x0. A caller that
-// evaluates one interval many times, or composes it with a linear map of
-// x, pays no divide per evaluation.
-func (s *Spline) Cubic(k int, x0 float64) [4]float64 {
-	h := s.xs[k+1] - s.xs[k]
-	a := (s.xs[k+1] - x0) / h
-	b := (x0 - s.xs[k]) / h
-	ylo, yhi, zlo, zhi := s.ys[k], s.ys[k+1], s.y2[k], s.y2[k+1]
-	return [4]float64{
-		a*ylo + b*yhi + ((a*a*a-a)*zlo+(b*b*b-b)*zhi)*h*h/6,
-		(yhi-ylo)/h - (3*a*a-1)/6*h*zlo + (3*b*b-1)/6*h*zhi,
-		(a*zlo + b*zhi) / 2,
-		(zhi - zlo) / (6 * h),
-	}
-}
-
-// SameKnots reports whether o has exactly the knots of s, bit for bit, so
-// that a Segment located on one evaluates correctly on the other.
-func (s *Spline) SameKnots(o *Spline) bool {
-	if len(s.xs) != len(o.xs) {
-		return false
-	}
-	for i, x := range s.xs {
-		if math.Float64bits(x) != math.Float64bits(o.xs[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // derivAtKnot returns the spline first derivative at knot i (i = 0 or n−1).

@@ -186,63 +186,10 @@ func TestSegmentSharedEvalBitwise(t *testing.T) {
 		}
 	}
 	for _, s := range others {
-		if !base.SameKnots(s) {
-			t.Fatal("splines on one Linspace grid must share knots")
-		}
 		for _, x := range probes {
 			got, want := s.EvalSegment(base.Locate(x)), s.Eval(x)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("x=%v: shared segment %v, Eval %v", x, got, want)
-			}
-		}
-	}
-	shifted := make([]float64, len(xs))
-	copy(shifted, xs)
-	shifted[16] = math.Nextafter(shifted[16], 1)
-	s, err := NewSpline(shifted, shifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.SameKnots(s) {
-		t.Error("SameKnots missed a one-ULP knot difference")
-	}
-	short, err := NewSpline(xs[:32], xs[:32])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.SameKnots(short) {
-		t.Error("SameKnots missed a knot-count difference")
-	}
-}
-
-// Cubic's power basis must reproduce EvalSegment across its interval,
-// about either end or an interior point, on regular and irregular knots.
-func TestCubicMatchesEvalSegment(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := []float64{0, 0.3, 0.35, 1, 2.5, 2.6}
-	ys := make([]float64, len(xs))
-	for i := range ys {
-		ys[i] = 1 + rng.Float64()
-	}
-	for _, grid := range [][2][]float64{{Linspace(0, 1, 33), Linspace(0, 1, 33)}, {xs, ys}} {
-		s, err := NewSpline(grid[0], grid[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		kn := grid[0]
-		for k := 0; k+1 < len(kn); k++ {
-			lo, hi := kn[k], kn[k+1]
-			for _, x0 := range []float64{lo, hi, lo + 0.3*(hi-lo)} {
-				c := s.Cubic(k, x0)
-				for q := 0; q <= 16; q++ {
-					x := lo + float64(q)/16*(hi-lo)
-					dx := x - x0
-					got := c[0] + dx*(c[1]+dx*(c[2]+dx*c[3]))
-					want := s.EvalSegment(Segment{lo: k, x: x})
-					if math.Abs(got-want) > 1e-14*math.Max(1, math.Abs(want)) {
-						t.Fatalf("knots %v interval %d about %g: S(%g) = %g, EvalSegment %g", kn, k, x0, x, got, want)
-					}
-				}
 			}
 		}
 	}

@@ -577,7 +577,12 @@ func (s *Server) conformance(ctx context.Context, est *leakest.Estimator, design
 	// The reference rungs (naive, polar) always run as asked and
 	// monolithically: they exist to cross-check the served moments, a
 	// budget would send both down the ladder, and the tiled linear is
-	// bitwise identical to the monolithic one anyway.
+	// bitwise identical to the monolithic one anyway. One
+	// server.conformance span times them; they run off the request's
+	// trace, whose estimate, model and estimator spans they would repeat.
+	ctx, end := telemetry.WithSpan(ctx, "server.conformance")
+	defer end()
+	ctx = telemetry.WithTrace(ctx, nil)
 	ref := *est
 	ref.Tiles, ref.Budget = 0, leakest.EstimateBudget{}
 	naive, err := ref.EstimateContext(ctx, design, leakest.Naive)

@@ -42,39 +42,39 @@ type ladderCase struct {
 // the rows.
 var ladderFreeze = []ladderCase{
 	{name: "early/linear", budget: EstimateBudget{MaxGates: 100},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eb4032a75295131, method: "linear", keys: "gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eb4032687488208, method: "linear", keys: "gates,method"},
 	{name: "early/linear/tiles", tiles: 2, budget: EstimateBudget{MaxGates: 100},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eb4032a75295131, method: "linear-tiled", keys: "gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eb4032687488208, method: "linear-tiled", keys: "gates,method"},
 	{name: "early/max-gates/integral", budget: EstimateBudget{MaxGates: 99},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a52003cb, method: "polar-1d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318bd8763e978, method: "polar-1d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "early/max-gates/polar", bigDie: true, budget: EstimateBudget{MaxGates: 99},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eaad584c0999985, method: "polar-1d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eaad584c09385b3, method: "polar-1d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "early/max-gates/tiles", tiles: 2, budget: EstimateBudget{MaxGates: 99},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a52003cb, method: "polar-1d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318bd8763e978, method: "polar-1d", degraded: true, reason: "o(n) skipped: 100 gates > MaxGates=99", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "early/timeout", budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a52003cb, method: "polar-1d", degraded: true, reason: "o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318bd8763e978, method: "polar-1d", degraded: true, reason: "o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "early/timeout/tiles", tiles: 2, budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318c1a52003cb, method: "polar-1d", degraded: true, reason: "o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
+		mean: 0x3ece5b791d7c3ba4, std: 0x3eb318bd8763e978, method: "polar-1d", degraded: true, reason: "o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),gates,method"},
 	{name: "late/truth", late: true, budget: EstimateBudget{MaxPairs: 1770},
-		mean: 0x3ec22d6dd11dd866, std: 0x3ea795907daa6fe5, method: "true-n2", keys: "method"},
+		mean: 0x3ec22d6dd11dd866, std: 0x3ea7958d427e1468, method: "true-n2", keys: "method"},
 	{name: "late/truth/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxGates: 60},
-		mean: 0x3ec22d6dd11dd866, std: 0x3ea795907daa6fe5, method: "true-n2", keys: "method"},
+		mean: 0x3ec22d6dd11dd866, std: 0x3ea7958d427e1468, method: "true-n2", keys: "method"},
 	{name: "late/max-pairs", late: true, budget: EstimateBudget{MaxPairs: 1769},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee65523b50c, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/max-pairs/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxPairs: 1769},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee65523b50c, method: "linear", degraded: true, reason: "o(n²) skipped: 1770 pairs > MaxPairs=1769", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/max-gates", late: true, budget: EstimateBudget{MaxGates: 59},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b712e93, method: "polar-1d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa68f37e8174, method: "polar-1d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/max-gates/tiles", late: true, tiles: 2, budget: EstimateBudget{MaxGates: 59},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b712e93, method: "polar-1d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa68f37e8174, method: "polar-1d", degraded: true, reason: "o(n²) skipped: 60 gates > MaxGates=59; o(n) skipped: 60 gates > MaxGates=59", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/timeout-fault", late: true, slowTruth: true, budget: EstimateBudget{Timeout: 40 * time.Millisecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee65523b50c, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/timeout-fault/tiles", late: true, tiles: 2, slowTruth: true, budget: EstimateBudget{Timeout: 40 * time.Millisecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee99269dd4c, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea8dee65523b50c, method: "linear", degraded: true, reason: "o(n²) timed out", keys: "degrade_reason,degraded,degraded.o(n²),method"},
 	{name: "late/timeout", late: true, budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b712e93, method: "polar-1d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa68f37e8174, method: "polar-1d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 	{name: "late/timeout/tiles", late: true, tiles: 2, budget: EstimateBudget{Timeout: time.Nanosecond},
-		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa6c7b712e93, method: "polar-1d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
+		mean: 0x3ec22d6dd11dd869, std: 0x3ea6fa68f37e8174, method: "polar-1d", degraded: true, reason: "o(n²) timed out; o(n) timed out", keys: "degrade_reason,degraded,degraded.o(n),degraded.o(n²),method"},
 }
 
 // runLadderCase runs one frozen case and returns its result and the span.
@@ -189,11 +189,11 @@ type streamCase struct {
 // 30×30 grid, whose scanned per-tile counts differ from the estimator's own
 // allocation. Regenerate only deliberately: LEAKEST_FREEZE_PRINT=1.
 var streamFreeze = []streamCase{
-	{tiles: 1, mean: 0x3f03c85cc7d49b91, std: 0x3ee8feeb610c3933, method: "linear-tiled",
-		tileStats: "0/0/0/800/0x3f03c85cc7d49b91/0x3ee8feeb610c3933"},
-	{tiles: 2, mean: 0x3f03c85cc7d49b91, std: 0x3ee8feeb610c3933, method: "linear-tiled",
-		tileStats: "0/0/0/225/0x3ee6416860cf2f03/0x3ecca249aa0ed206;1/0/1/225/0x3ee6416860cf2f03/0x3ecca249aa0ed206;" +
-			"2/1/0/225/0x3ee6416860cf2f03/0x3ecca14374203f4b;3/1/1/125/0x3ed8ba73f9c9c275/0x3ec0255d1b575580"},
+	{tiles: 1, mean: 0x3f03c85cc7d49b91, std: 0x3ee8fee68b98a08c, method: "linear-tiled",
+		tileStats: "0/0/0/800/0x3f03c85cc7d49b91/0x3ee8fee68b98a08c"},
+	{tiles: 2, mean: 0x3f03c85cc7d49b91, std: 0x3ee8fee68b98a08c, method: "linear-tiled",
+		tileStats: "0/0/0/225/0x3ee6416860cf2f03/0x3ecca243d5804ad8;1/0/1/225/0x3ee6416860cf2f03/0x3ecca243d5804ad8;" +
+			"2/1/0/225/0x3ee6416860cf2f03/0x3ecca13d8fe94c91;3/1/1/125/0x3ed8ba73f9c9c275/0x3ec02559e4de8ee9"},
 }
 
 const streamFreezeGates = 800

@@ -138,15 +138,15 @@ func CheckTiles(method Method, tiles int) error {
 // method runs in under a second below about a thousand gates).
 const autoThreshold = 1000
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer with the method's ParseMethod spelling.
 func (m Method) String() string {
 	switch m {
 	case Linear:
 		return "linear"
 	case Integral2D:
-		return "integral-2d"
+		return "integral"
 	case Polar:
-		return "polar-1d"
+		return "polar"
 	case Naive:
 		return "naive"
 	default:

@@ -146,13 +146,18 @@ func TestAutoSwitchesMethod(t *testing.T) {
 	}
 }
 
+// A method's name is its ParseMethod spelling, so a message that names a
+// method names one the user can type.
 func TestMethodString(t *testing.T) {
 	for m, want := range map[Method]string{
-		Auto: "auto", Linear: "linear", Integral2D: "integral-2d",
-		Polar: "polar-1d", Naive: "naive",
+		Auto: "auto", Linear: "linear", Integral2D: "integral",
+		Polar: "polar", Naive: "naive",
 	} {
 		if m.String() != want {
 			t.Errorf("Method(%d) = %s, want %s", int(m), m, want)
+		}
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, int(m))
 		}
 	}
 }
@@ -463,13 +468,13 @@ func TestReport(t *testing.T) {
 		}
 	}
 	// Integral2D is Polar, so the report carries one O(1) row.
-	if strings.Contains(out, "| integral-2d |") {
-		t.Errorf("report repeats the polar row as integral-2d:\n%s", out)
+	if strings.Contains(out, "| integral |") {
+		t.Errorf("report repeats the polar row as integral:\n%s", out)
 	}
 	// Polar applies at every geometry, this die narrower than the
 	// correlation range included: its row carries real statistics.
-	if !strings.Contains(out, "| polar-1d | 0.000") || strings.Contains(out, "| polar-1d | — ") {
-		t.Errorf("report lacks a polar-1d estimate:\n%s", out)
+	if !strings.Contains(out, "| polar | 0.000") || strings.Contains(out, "| polar | — ") {
+		t.Errorf("report lacks a polar estimate:\n%s", out)
 	}
 	// Custom title.
 	buf.Reset()
